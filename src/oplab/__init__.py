@@ -39,6 +39,7 @@ from .expansivity import (
     DefectSpec,
     classify,
     defect,
+    defect_series,
     defect_tilde,
     gram_weight,
     is_mp_isometric,

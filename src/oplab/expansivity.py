@@ -18,6 +18,7 @@ hard numerical failure, never silently absorbed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import comb
 
@@ -37,7 +38,6 @@ from .matrix_core import (
     eigenvalues,
     hermitian_part,
     operator_norm,
-    spectral_radius,
     sqrt_psd,
 )
 
@@ -46,6 +46,7 @@ __all__ = [
     "DefectSpec",
     "DefectResult",
     "defect",
+    "defect_series",
     "defect_tilde",
     "is_p_isometric",
     "is_mp_isometric",
@@ -86,12 +87,23 @@ class DefectSpec:
             raise DomainError(f"operator must be square, got {t.shape}")
         if p.shape != t.shape:
             raise DomainError(f"weight shape {p.shape} does not match operator shape {t.shape}")
-        if not 1 <= self.m <= MAX_ORDER:
-            raise DomainError(f"defect order must be in [1, {MAX_ORDER}], got {self.m}")
-        if self.n < 1:
-            raise DomainError(f"operator power must be >= 1, got {self.n}")
+        m = _as_integer(self.m, "defect order")
+        n = _as_integer(self.n, "operator power")
+        if not 1 <= m <= MAX_ORDER:
+            raise DomainError(f"defect order must be in [1, {MAX_ORDER}], got {m}")
+        if n < 1:
+            raise DomainError(f"operator power must be >= 1, got {n}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+
+
+def _as_integer(value, what: str) -> int:
+    """``value`` as an int; bools and non-integral numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -130,18 +142,16 @@ def _classes_for(verdict: DefinitenessVerdict) -> frozenset:
     return frozenset(classes)
 
 
-def _term_scale(t: np.ndarray, p: np.ndarray, m: int) -> float:
-    """Magnitude bound (1+||P||) (1+||T||^2)^m of the alternating sum's terms."""
-    base = np.float64(1.0 + operator_norm(t) ** 2)
-    return float((1.0 + operator_norm(p)) * base**m)
+def _defect_pass(spec: DefectSpec, orders, tol: Tolerance) -> tuple[float, tuple]:
+    """Defects of T^n against P at each of ``orders`` (ascending, in [1, spec.m]).
 
-
-def defect(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> DefectResult:
-    """Compute the order-m defect of T^n against the weight P.
-
-    The binomial-sum and iterated-map constructions are cross-checked against
-    each other; disagreement raises NumericalFailureError with both residual
-    norms attached.
+    One pass forms each term T*^j P T^j and each iterate of S -> S - T* S T
+    once.  Every requested order keeps its own binomial accumulator, and term
+    j is added to each accumulator of order >= j in ascending j, so an
+    order's sum takes the same floating-point operations as when that order
+    is computed alone.  An order is cross-checked as soon as its last term is
+    in, so a disagreement raises NumericalFailureError at the lowest failing
+    order.  Returns ||T^n|| (it sets the term scale) with the results.
     """
     p = spec.p
     if not np.array_equal(p, adjoint(p)):
@@ -151,31 +161,56 @@ def defect(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> DefectResult:
         p = hermitian_part(p)
     t = np.linalg.matrix_power(spec.t, spec.n) if spec.n > 1 else spec.t
     ta = adjoint(t)
+    norm_t = operator_norm(t)
+    # magnitude bound (1+||P||) (1+||T||^2)^m of an order-m sum's terms
+    weight_scale = 1.0 + operator_norm(p)
+    base = np.float64(1.0 + norm_t**2)
 
-    term = p
-    binom_sum = p.astype(np.complex128, copy=True)
-    for j in range(1, spec.m + 1):
+    sums = {m: p.astype(np.complex128, copy=True) for m in orders}
+    term = iterated = p
+    results = []
+    for j in range(1, max(orders) + 1):
         term = ta @ term @ t
-        binom_sum += ((-1) ** j * comb(spec.m, j)) * term
-
-    iterated = p
-    for _ in range(spec.m):
+        for m, binom_sum in sums.items():
+            binom_sum += ((-1) ** j * comb(m, j)) * term
         iterated = iterated - ta @ iterated @ t
+        if j not in sums:
+            continue
+        binom_sum = sums.pop(j)
+        scale = float(weight_scale * base**j)
+        disagreement = float(np.linalg.norm(binom_sum - iterated, 2)) if p.size else 0.0
+        threshold = tol.gate(scale)
+        cross_check = {
+            "disagreement": disagreement,
+            "threshold": threshold,
+            "term_scale": scale,
+        }
+        if disagreement > threshold:
+            raise NumericalFailureError("defect cross-check disagreement", cross_check)
+        delta = hermitian_part(binom_sum)
+        verdict = definiteness(delta, tol)
+        results.append(DefectResult(delta, verdict, _classes_for(verdict), cross_check))
+    return norm_t, tuple(results)
 
-    scale = _term_scale(t, p, spec.m)
-    disagreement = float(np.linalg.norm(binom_sum - iterated, 2)) if p.size else 0.0
-    threshold = tol.gate(scale)
-    cross_check = {
-        "disagreement": disagreement,
-        "threshold": threshold,
-        "term_scale": scale,
-    }
-    if disagreement > threshold:
-        raise NumericalFailureError("defect cross-check disagreement", cross_check)
 
-    delta = hermitian_part(binom_sum)
-    verdict = definiteness(delta, tol)
-    return DefectResult(delta, verdict, _classes_for(verdict), cross_check)
+def defect(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> DefectResult:
+    """Compute the order-m defect of T^n against the weight P.
+
+    The binomial-sum and iterated-map constructions are cross-checked against
+    each other; disagreement raises NumericalFailureError with both residual
+    norms attached.
+    """
+    return _defect_pass(spec, (spec.m,), tol)[1][0]
+
+
+def defect_series(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """The defects of T^n against P at every order 1..m, in one pass.
+
+    Entry k-1 equals ``defect`` at order k bit for bit, cross-check
+    included, and the whole series costs what order m alone costs:
+    4m matrix products.
+    """
+    return _defect_pass(spec, range(1, spec.m + 1), tol)[1]
 
 
 def defect_tilde(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> DefectResult:
@@ -275,26 +310,28 @@ class ClassificationReport:
 def classify(t, p, m_max: int, tol: Tolerance = DEFAULT_TOL) -> ClassificationReport:
     """Tabulate defect verdicts for every order up to ``m_max``.
 
-    ``p_isometric`` is reported only for PSD weights (None otherwise, since
-    the P-isometry notion presumes a nonnegative weight).
+    All orders come from the single pass behind `defect_series`, so the
+    table costs 4 * m_max matrix products; ``m_max`` is validated as a
+    defect order before any of them.  ``p_isometric`` is reported only for
+    PSD weights (None otherwise, since the P-isometry notion presumes a
+    nonnegative weight).
     """
-    if m_max < 1:
-        raise DomainError(f"m_max must be >= 1, got {m_max}")
-    t = as_matrix(t)
-    p = as_matrix(p)
-    rows = []
-    for m in range(1, m_max + 1):
-        result = defect(DefectSpec(t=t, p=p, m=m), tol)
-        rows.append(ClassificationRow(m, result.verdict, result.classification))
+    spec = DefectSpec(t=t, p=p, m=m_max)
+    norm_t, results = _defect_pass(spec, range(1, m_max + 1), tol)
+    rows = tuple(
+        ClassificationRow(m, result.verdict, result.classification)
+        for m, result in enumerate(results, start=1)
+    )
     try:
-        p_isometric = is_p_isometric(t, p, tol)
+        p_isometric = is_p_isometric(spec.t, spec.p, tol)
     except DomainError:
         p_isometric = None
-    moduli = tuple(sorted((float(abs(z)) for z in eigenvalues(t)), reverse=True))
+    spectrum = eigenvalues(spec.t)
+    moduli = tuple(sorted((float(abs(z)) for z in spectrum), reverse=True))
     return ClassificationReport(
-        rows=tuple(rows),
+        rows=rows,
         p_isometric=p_isometric,
-        operator_norm=operator_norm(t),
-        spectral_radius=spectral_radius(t),
+        operator_norm=norm_t,
+        spectral_radius=float(np.max(np.abs(spectrum))) if spectrum.size else 0.0,
         eigenvalue_moduli=moduli,
     )

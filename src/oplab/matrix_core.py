@@ -105,8 +105,10 @@ class Tolerance:
     abs_eps: float = 1e-12
 
     def __post_init__(self):
-        if self.rel_eps < 0 or self.abs_eps < 0:
-            raise ValueError("tolerances must be nonnegative")
+        for name in ("rel_eps", "abs_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise DomainError(f"{name} must be finite and nonnegative, got {value!r}")
 
     def gate(self, scale: float) -> float:
         """Absolute threshold for a residual living at magnitude ``scale``."""
@@ -211,9 +213,11 @@ def definiteness(m, tol: Tolerance = DEFAULT_TOL) -> DefinitenessVerdict:
     a = _require_square(as_matrix(m))
     if a.size == 0:
         return DefinitenessVerdict(True, 0.0, 0.0, ZERO)
-    defect = float(np.linalg.norm(a - adjoint(a), 2))
-    if defect > tol.gate(float(np.linalg.norm(a, 2))):
-        raise HermitianError(defect)
+    # an exactly self-adjoint input (every hermitian_part result) has defect 0
+    if not np.array_equal(a, adjoint(a)):
+        defect = float(np.linalg.norm(a - adjoint(a), 2))
+        if defect > tol.gate(float(np.linalg.norm(a, 2))):
+            raise HermitianError(defect)
     w = np.linalg.eigvalsh(hermitian_part(a))
     lo, hi = float(w[0]), float(w[-1])
     thr = tol.gate(max(abs(lo), abs(hi), 1.0))
@@ -310,8 +314,7 @@ def matrix_to_json(m) -> dict:
     """Serialize to the wire format {"rows", "cols", "data": [[[re, im], ...], ...]}."""
     a = as_matrix(m)
     rows, cols = a.shape
-    data = [[[float(a[i, j].real), float(a[i, j].imag)] for j in range(cols)] for i in range(rows)]
-    return {"rows": rows, "cols": cols, "data": data}
+    return {"rows": rows, "cols": cols, "data": np.stack([a.real, a.imag], axis=-1).tolist()}
 
 
 def matrix_from_json(obj) -> np.ndarray:

@@ -35,6 +35,7 @@ from .decompositions import (
 from .expansivity import (
     DefectSpec,
     EXPANSIVE,
+    _defect_pass,
     defect,
     defect_tilde,
     gram_weight,
@@ -309,17 +310,12 @@ def verify_sandwich_isometry(t, p, m: int, tol: Tolerance = DEFAULT_TOL) -> Theo
     p = as_matrix(p)
     if not definiteness(p, tol).is_psd:
         raise PreconditionError("weight must be Hermitian PSD")
-    upper = defect(DefectSpec(t=a, p=p, m=m), tol)
+    orders = range(max(m - 2, 1), m + 1)
+    *lower, middle, upper = _defect_pass(DefectSpec(t=a, p=p, m=m), orders, tol)[1]
     expansive = EXPANSIVE in upper.classification
-    if m == 2:
-        contractive = True
-        lower_verdict = None
-    else:
-        lower = defect(DefectSpec(t=a, p=p, m=m - 2), tol)
-        contractive = lower.verdict.is_psd
-        lower_verdict = lower.verdict.to_json()
+    contractive = all(result.verdict.is_psd for result in lower)
+    lower_verdict = lower[0].verdict.to_json() if lower else None
     core = core_nilpotent(a, tol)
-    middle = defect(DefectSpec(t=a, p=p, m=m - 1), tol)
     witness = {
         "m": m,
         "upper_verdict": upper.verdict.to_json(),

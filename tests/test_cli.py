@@ -125,6 +125,10 @@ def test_usage_errors_exit_one(capsys, scalar_two):
     assert main(["verify", "--suite", "bogus"]) == 1
     assert main(["classify", "--matrix", scalar_two, "--m-max", "0"]) == 1
     assert main(["defect", "--matrix", scalar_two, "--m", "63"]) == 1
+    assert main(["classify", "--matrix", scalar_two, "--m-max", "63"]) == 1
+    assert main(["classify", "--matrix", scalar_two, "--rel-eps", "nan"]) == 1
+    assert main(["defect", "--matrix", scalar_two, "--rel-eps", "inf"]) == 1
+    assert main(["classify", "--matrix", scalar_two, "--abs-eps", "-1e-12"]) == 1
 
 
 def test_parse_errors_exit_two(tmp_path, capsys):

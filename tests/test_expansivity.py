@@ -1,25 +1,33 @@
 """Tests for defect operators, their classification, and the weighted
 seminorm."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import oplab.expansivity as expansivity_mod
 from oplab import (
     DefectSpec,
     DomainError,
     HermitianError,
+    NumericalFailureError,
+    Tolerance,
     classify,
     defect,
+    defect_series,
     defect_tilde,
+    eigenvalues,
     gram_weight,
     is_mp_isometric,
     is_p_isometric,
     operator_norm,
     seminorm_p,
+    spectral_radius,
     sqrt_psd,
 )
+from oplab.expansivity import ClassificationReport, ClassificationRow
 from oplab.generators import gen_coupled_kernel, gen_haar_unitary, gen_psd
 
 from conftest import ginibre, philox, random_hermitian
@@ -83,6 +91,20 @@ def test_defect_order_guard():
         DefectSpec(t=[[1]], p=[[1]], m=63)
     with pytest.raises(DomainError):
         DefectSpec(t=[[1]], p=[[1]], m=0)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("m", True), ("m", 1.5), ("m", 2.0), ("m", "2"), ("n", False), ("n", 1.5)]
+)
+def test_defect_spec_rejects_non_integer_orders(field, value):
+    with pytest.raises(DomainError):
+        DefectSpec(t=[[1]], p=[[1]], **{"m": 1, field: value})
+
+
+def test_defect_spec_accepts_numpy_integers():
+    spec = DefectSpec(t=[[1]], p=[[1]], m=np.int64(3), n=np.int32(2))
+    assert (spec.m, spec.n) == (3, 2)
+    assert type(spec.m) is int and type(spec.n) is int
 
 
 def test_defect_linear_in_weight():
@@ -240,3 +262,108 @@ def test_power_spec_matches_explicit_power():
     via_spec = defect(DefectSpec(t=t, p=p, m=2, n=3)).delta
     explicit = defect(DefectSpec(t=np.linalg.matrix_power(t, 3), p=p, m=2)).delta
     np.testing.assert_allclose(via_spec, explicit, atol=1e-12)
+
+
+def test_classify_order_guard_runs_before_any_defect(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classify computed a defect before validating m_max")
+
+    monkeypatch.setattr(expansivity_mod, "_defect_pass", forbidden)
+    for m_max in (0, 63, True, 1.5, 3.0):
+        with pytest.raises(DomainError):
+            classify([[2]], [[1]], m_max=m_max)
+
+
+def assert_same_result(got, expected):
+    """Bit-for-bit equality of two DefectResults."""
+    assert got.delta.shape == expected.delta.shape
+    assert got.delta.tobytes() == expected.delta.tobytes()
+    assert got.verdict == expected.verdict
+    assert got.classification == expected.classification
+    assert got.cross_check == expected.cross_check
+
+
+def series_fixtures():
+    rng = philox(808)
+    for d in (1, 4, 16, 64):
+        t = 1.1 * ginibre(rng, d) / math.sqrt(d)
+        yield DefectSpec(t=t, p=random_hermitian(rng, d), m=6)
+        yield DefectSpec(t=t, p=gram_weight(t), m=5, n=2)
+    u = gen_haar_unitary(811, 5)
+    yield DefectSpec(t=u, p=np.eye(5), m=8)
+    # a weight within the Hermiticity gate but not exactly self-adjoint, so
+    # the pass symmetrizes it first
+    h = random_hermitian(rng, 5)
+    skew = ginibre(rng, 5)
+    p = h + 1e-14 * (skew - skew.conj().T)
+    assert not np.array_equal(p, p.conj().T)
+    yield DefectSpec(t=ginibre(rng, 5), p=p, m=4)
+
+
+@pytest.mark.parametrize("spec", list(series_fixtures()), ids=lambda s: f"d{s.t.shape[0]}-m{s.m}-n{s.n}")
+def test_defect_series_matches_defect_bit_for_bit(spec):
+    series = defect_series(spec)
+    assert len(series) == spec.m
+    for k, result in enumerate(series, start=1):
+        single = defect(DefectSpec(t=spec.t, p=spec.p, m=k, n=spec.n))
+        assert_same_result(result, single)
+    assert_same_result(series[-1], defect(spec))
+
+
+def test_defect_series_raises_at_the_first_failing_order():
+    t = ginibre(philox(909), 6)
+    p = random_hermitian(philox(910), 6)
+    # no relative slack and a small absolute floor: the cross-check passes
+    # at low orders and fails once the two constructions drift apart
+    tol = Tolerance(rel_eps=0.0, abs_eps=1e-11)
+    first = None
+    for m in range(1, 13):
+        try:
+            defect(DefectSpec(t=t, p=p, m=m), tol)
+        except NumericalFailureError as exc:
+            first, residuals = m, exc.residuals
+            break
+    assert first is not None and first > 2
+    with pytest.raises(NumericalFailureError) as caught:
+        defect_series(DefectSpec(t=t, p=p, m=12), tol)
+    assert caught.value.residuals == residuals
+    with pytest.raises(NumericalFailureError) as caught:
+        classify(t, p, m_max=12, tol=tol)
+    assert caught.value.residuals == residuals
+
+
+def reference_classify(t, p, m_max):
+    """Per-order loop: one independent defect call per row."""
+    rows = []
+    for m in range(1, m_max + 1):
+        result = defect(DefectSpec(t=t, p=p, m=m))
+        rows.append(ClassificationRow(m, result.verdict, result.classification))
+    try:
+        p_isometric = is_p_isometric(t, p)
+    except DomainError:
+        p_isometric = None
+    return ClassificationReport(
+        rows=tuple(rows),
+        p_isometric=p_isometric,
+        operator_norm=operator_norm(t),
+        spectral_radius=spectral_radius(t),
+        eigenvalue_moduli=tuple(sorted((float(abs(z)) for z in eigenvalues(t)), reverse=True)),
+    )
+
+
+def test_classify_matches_per_order_reference():
+    rng = philox(1010)
+    cases = [
+        ([[2]], [[1]], 3),
+        (gen_haar_unitary(12, 6), np.eye(6), 10),
+        (1.2 * gen_haar_unitary(13, 6), np.eye(6), 10),
+        ([[0, 1], [0, 0]], I2, 3),
+    ]
+    for d in (4, 16):
+        t = ginibre(rng, d) / math.sqrt(d)
+        cases.append((t, random_hermitian(rng, d), 8))
+        cases.append((t, gram_weight(t), 8))
+    for t, p, m_max in cases:
+        got = json.dumps(classify(t, p, m_max).to_json(), sort_keys=True)
+        expected = json.dumps(reference_classify(t, p, m_max).to_json(), sort_keys=True)
+        assert got == expected

@@ -75,6 +75,24 @@ def test_definiteness_rejects_non_hermitian():
         definiteness([[0, 1], [0, 0]])
 
 
+def test_definiteness_accepts_near_hermitian_within_gate():
+    rng = philox(12)
+    h = hermitian_part(ginibre(rng, 5)) + 3.0 * np.eye(5)
+    skew = ginibre(rng, 5)
+    near = h + 1e-14 * (skew - skew.conj().T)
+    assert not np.array_equal(near, near.conj().T)
+    exact, perturbed = definiteness(h), definiteness(near)
+    assert exact.verdict == perturbed.verdict == "PSD"
+    assert perturbed.min_eig == pytest.approx(exact.min_eig, abs=1e-12)
+
+
+@pytest.mark.parametrize("field", ["rel_eps", "abs_eps"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-3])
+def test_tolerance_rejects_non_finite_and_negative(field, value):
+    with pytest.raises(DomainError):
+        Tolerance(**{field: value})
+
+
 def test_definiteness_unitary_conjugation_invariant():
     # verdicts survive a change of orthonormal basis (10x tolerance slack)
     rng = philox(11)
@@ -194,6 +212,24 @@ def test_matrix_json_round_trip():
     assert payload["rows"] == 3 and payload["cols"] == 2
     text = json.dumps(payload)
     np.testing.assert_array_equal(matrix_from_json(json.loads(text)), m)
+
+
+def per_element_json(a):
+    """The element-by-element encoding the vectorized codec must reproduce."""
+    rows, cols = a.shape
+    data = [[[float(a[i, j].real), float(a[i, j].imag)] for j in range(cols)] for i in range(rows)]
+    return {"rows": rows, "cols": cols, "data": data}
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (4, 6)])
+def test_matrix_to_json_matches_per_element_encoding(shape):
+    special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308, 1.0 / 3.0]
+    a = np.empty(shape, dtype=np.complex128)
+    a.real = np.resize(special, shape)
+    a.imag = np.resize(special[::-1], shape)
+    got, expected = matrix_to_json(a), per_element_json(a)
+    assert json.dumps(got) == json.dumps(expected)
+    assert all(type(x) is float for row in got["data"] for entry in row for x in entry)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tests for the theorem verifiers: spec'd concrete instances, vacuity
 behavior, and witness content."""
 
+import json
 import math
 
 import numpy as np
@@ -170,6 +171,21 @@ def test_sandwich_isometry_examples():
     assert v.witness["middle_norm"] <= 1e-8
     v = verify_sandwich_isometry([[2]], [[1]], m=2)
     assert not v.premises_met
+
+
+def test_sandwich_isometry_witness_matches_per_order_defects():
+    t, p = gen_drazin_pair(14, 3, 2, m=3)
+    cases = [(t, p), (gen_haar_unitary(15, 4), np.eye(4)), (gen_coupled_kernel(16, 3, 2), None)]
+    for t, p in cases:
+        p = gram_weight(t) if p is None else p
+        for m in (2, 3, 4):
+            witness = verify_sandwich_isometry(t, p, m=m).witness
+            orders = {"upper_verdict": m, "middle_verdict": m - 1, "lower_verdict": m - 2}
+            for key, order in orders.items():
+                expected = defect(DefectSpec(t=t, p=p, m=order)).verdict.to_json() if order else None
+                assert json.dumps(witness[key]) == json.dumps(expected)
+            middle = defect(DefectSpec(t=t, p=p, m=m - 1))
+            assert witness["middle_norm"] == operator_norm(middle.delta)
 
 
 def test_sandwich_isometry_requires_m_at_least_two():
