@@ -23,11 +23,9 @@ import numpy as np
 from . import __version__
 from .decompositions import (
     DecompositionError,
-    aluthge,
     core_nilpotent,
     drazin_inverse,
     drazin_residuals,
-    duggal,
     polar,
     range_kernel_split,
 )
@@ -38,6 +36,7 @@ from .matrix_core import (
     NumericalFailureError,
     OplabError,
     Tolerance,
+    dumps_json,
     matrix_from_json,
     matrix_to_json,
 )
@@ -78,7 +77,7 @@ def _tolerance(args) -> Tolerance:
 
 
 def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = dumps_json(payload)
     if output:
         with open(output, "w") as handle:
             handle.write(text + "\n")
@@ -130,8 +129,8 @@ def _cmd_transform(args) -> int:
     _emit(
         {
             "polar": {"u": matrix_to_json(parts.u), "p": matrix_to_json(parts.p)},
-            "aluthge": matrix_to_json(aluthge(t, tol)),
-            "duggal": matrix_to_json(duggal(t, tol)),
+            "aluthge": matrix_to_json(parts.aluthge()),
+            "duggal": matrix_to_json(parts.duggal()),
         },
         args.output,
     )

@@ -27,6 +27,7 @@ from .matrix_core import (
     OplabError,
     PreconditionError,
     Tolerance,
+    _require_square,
     adjoint,
     as_matrix,
     block_compose,
@@ -63,12 +64,6 @@ class DecompositionError(OplabError):
 
 class IllConditionedWarning(UserWarning):
     """A rank decision fell within 10x of the singular-value cutoff."""
-
-
-def _require_square(a: np.ndarray) -> np.ndarray:
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    return a
 
 
 def _svd_rank(a: np.ndarray, tol: Tolerance):
@@ -291,46 +286,50 @@ def range_kernel_split(t, n: int, tol: Tolerance = DEFAULT_TOL) -> RangeKernelSp
 @dataclass(frozen=True)
 class PolarParts:
     """Polar decomposition M = u . p with p = (M*M)^{1/2} PSD and u a
-    partial isometry vanishing on the orthogonal complement of range(p)."""
+    partial isometry vanishing on the orthogonal complement of range(p);
+    p_half = p^{1/2} comes from the same SVD."""
 
     u: np.ndarray
     p: np.ndarray
+    p_half: np.ndarray
+
+    def aluthge(self) -> np.ndarray:
+        """The balanced transform p^{1/2} u p^{1/2}."""
+        return self.p_half @ self.u @ self.p_half
+
+    def duggal(self) -> np.ndarray:
+        """The swapped-factor transform p u."""
+        return self.p @ self.u
 
 
-def _polar_factors(a: np.ndarray, tol: Tolerance):
-    """(u, p, p_half) from one SVD; u is W V* restricted to kept directions."""
+def polar(m, tol: Tolerance = DEFAULT_TOL) -> PolarParts:
+    """Polar decomposition of a square matrix (unitary u iff M invertible).
+
+    One SVD gives all three factors; u is W V* restricted to the directions
+    kept by the rank cutoff.
+    """
+    a = _require_square(as_matrix(m))
     if a.size == 0:
-        empty = a.copy()
-        return empty, empty, empty
+        return PolarParts(a.copy(), a.copy(), a.copy())
     w, s, vh = np.linalg.svd(a)
     cutoff = max(tol.rel_eps * float(s[0]), tol.abs_eps)
     kept = s > cutoff
     v = adjoint(vh)
-    p = hermitian_part((v * s) @ vh)
-    p_half = hermitian_part((v * np.sqrt(s)) @ vh)
-    u = w[:, kept] @ vh[kept, :]
-    return u, p, p_half
-
-
-def polar(m, tol: Tolerance = DEFAULT_TOL) -> PolarParts:
-    """Polar decomposition of a square matrix (unitary u iff M invertible)."""
-    a = _require_square(as_matrix(m))
-    u, p, _ = _polar_factors(a, tol)
-    return PolarParts(u=u, p=p)
+    return PolarParts(
+        u=w[:, kept] @ vh[kept, :],
+        p=hermitian_part((v * s) @ vh),
+        p_half=hermitian_part((v * np.sqrt(s)) @ vh),
+    )
 
 
 def aluthge(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The balanced transform p^{1/2} u p^{1/2} of the polar factors."""
-    a = _require_square(as_matrix(m))
-    u, _, p_half = _polar_factors(a, tol)
-    return p_half @ u @ p_half
+    return polar(m, tol).aluthge()
 
 
 def duggal(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The swapped-factor transform p u of the polar factors."""
-    a = _require_square(as_matrix(m))
-    u, p, _ = _polar_factors(a, tol)
-    return p @ u
+    return polar(m, tol).duggal()
 
 
 def _psd_sqrt_clamped(a: np.ndarray) -> np.ndarray:
@@ -409,14 +408,15 @@ def build_transform_bundle(t, n: int, tol: Tolerance = DEFAULT_TOL) -> Transform
     split = range_kernel_split(t, n, tol)
     d = split.basis.shape[0]
     d1, d2 = split.d1, d - split.d1
-    u1, p1, p1_half = _polar_factors(split.t1n, tol)
+    parts = polar(split.t1n, tol)
+    u1, p1, p1_half = parts.u, parts.p, parts.p_half
     x = split.x
     i1 = np.eye(d1, dtype=np.complex128)
     i2 = np.eye(d2, dtype=np.complex128)
     z21 = np.zeros((d2, d1), dtype=np.complex128)
     z22 = np.zeros((d2, d2), dtype=np.complex128)
-    a = block_compose([[p1_half @ u1 @ p1_half, p1_half @ x], [z21, z22]])
-    b = block_compose([[p1 @ u1, p1 @ x], [z21, z22]])
+    a = block_compose([[parts.aluthge(), p1_half @ x], [z21, z22]])
+    b = block_compose([[parts.duggal(), p1 @ x], [z21, z22]])
     ux = adjoint(u1) @ x
     c = block_compose([[p1, p1_half @ ux], [adjoint(ux) @ p1_half, adjoint(x) @ x]])
     dd = block_compose([[i1, ux], [adjoint(ux), adjoint(x) @ x]])

@@ -9,7 +9,7 @@ shared conventions:
 * PSD square roots and the Moore-Penrose pseudo-inverse,
 * the numerical-rank cutoff ``sigma < max(rel_eps * sigma_max, abs_eps)``,
 * 2x2 block composition/splitting,
-* the JSON wire format for matrices.
+* the JSON wire format for matrices and the one writer of JSON text.
 
 All functions are pure: inputs are never mutated and there is no module
 state, so values can be shared freely across threads.
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -48,6 +50,7 @@ __all__ = [
     "block_split",
     "matrix_to_json",
     "matrix_from_json",
+    "dumps_json",
 ]
 
 PSD = "PSD"
@@ -318,18 +321,49 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """Parse the wire format, rejecting ragged rows and non-finite numbers."""
+    """Parse the wire format, rejecting ragged rows, non-numbers, non-finite
+    numbers and integers beyond the float range.
+
+    Valid input is checked and converted with whole-list operations; only a
+    rejected payload is walked entry by entry, to name its first bad entry in
+    row-major order.
+    """
     if not isinstance(obj, dict):
         raise MatrixFormatError("matrix payload must be a JSON object")
     try:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except KeyError as exc:
         raise MatrixFormatError(f"missing matrix field {exc}") from exc
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+    if any(isinstance(n, bool) or not isinstance(n, int) or n < 0 for n in (rows, cols)):
         raise MatrixFormatError("rows/cols must be nonnegative integers")
     if not isinstance(data, list) or len(data) != rows:
         raise MatrixFormatError(f"expected {rows} rows, got {len(data) if isinstance(data, list) else type(data).__name__}")
-    out = np.zeros((rows, cols), dtype=np.complex128)
+    numbers = _finite_numbers(data, cols)
+    if numbers is None:
+        _raise_first_bad_entry(data, cols)
+        raise MatrixFormatError("matrix entries cannot be converted to complex128")
+    # [re, im] pairs in row-major order are complex128's memory layout
+    return numbers.view(np.complex128).reshape(rows, cols)
+
+
+def _finite_numbers(data: list, cols: int) -> np.ndarray | None:
+    """Every re and im of a well-formed payload, in order, as float64; else None."""
+    if not (all(map(isinstance, data, repeat(list))) and set(map(len, data)) <= {cols}):
+        return None
+    entries = list(chain.from_iterable(data))
+    if not (all(map(isinstance, entries, repeat(list))) and set(map(len, entries)) <= {2}):
+        return None
+    numbers = list(chain.from_iterable(entries))
+    if not all(issubclass(k, (int, float)) and not issubclass(k, bool) for k in set(map(type, numbers))):
+        return None
+    try:
+        flat = np.array(numbers, dtype=np.float64)
+    except OverflowError:
+        return None
+    return flat if np.isfinite(flat).all() else None
+
+
+def _raise_first_bad_entry(data: list, cols: int) -> None:
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise MatrixFormatError(f"ragged row {i}: expected {cols} entries")
@@ -339,7 +373,89 @@ def matrix_from_json(obj) -> np.ndarray:
             re, im = entry
             if isinstance(re, bool) or isinstance(im, bool) or not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
                 raise MatrixFormatError(f"entry ({i},{j}) must hold two numbers")
-            if not (math.isfinite(re) and math.isfinite(im)):
+            try:
+                finite = math.isfinite(re) and math.isfinite(im)
+            except OverflowError:
+                raise MatrixFormatError(f"entry ({i},{j}) is outside the float range") from None
+            if not finite:
                 raise MatrixFormatError(f"entry ({i},{j}) is not finite")
-            out[i, j] = complex(re, im)
-    return out
+
+
+def dumps_json(payload) -> str:
+    """Return exactly ``json.dumps(payload, sort_keys=True, indent=2)``.
+
+    The stdlib uses its C encoder only without ``indent``, so indented
+    output runs every value through Python generator frames.  This writer
+    uses the same C-level pieces per scalar (``encode_basestring_ascii``,
+    ``int.__repr__``, ``float.__repr__``) and writes a list of floats, or a
+    list of equal-length float lists such as a matrix row of ``[re, im]``
+    pairs, with one join.  Whatever ``json`` rejects raises ``TypeError``;
+    a payload that contains itself exceeds the recursion limit instead of
+    raising ``json``'s ``ValueError``.
+    """
+    return _dump(payload, "\n")
+
+
+def _json_floats(text: str) -> str:
+    # float.__repr__ spells non-finite values nan / inf / -inf; no finite repr holds an "n"
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _dump(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _float_table(items, inner: str) -> str | None:
+    """Body of a list of floats or of equal-length float lists, else None."""
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        return _json_floats(("," + inner).join(map(float.__repr__, items)))
+    if kinds != {list}:
+        return None
+    sizes = set(map(len, items))
+    if len(sizes) != 1:
+        return None
+    flat = list(chain.from_iterable(items))
+    if set(map(type, flat)) != {float}:
+        return None
+    deeper = inner + "  "
+    cells = map(("," + deeper).join, zip(*[map(float.__repr__, flat)] * sizes.pop()))
+    return _json_floats("[" + deeper + (inner + "]," + inner + "[" + deeper).join(cells) + inner + "]")
+
+
+def _dump(value, newline: str) -> str:
+    """JSON text of ``value`` whose first line is indented by ``newline``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_floats(float.__repr__(value))
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        body = _float_table(value, inner)
+        if body is None:
+            body = ("," + inner).join([_dump(item, inner) for item in value])
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = ("," + inner).join(
+            [encode_basestring_ascii(_json_key(key)) + ": " + _dump(item, inner) for key, item in sorted(value.items())]
+        )
+        return "{" + inner + body + newline + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")

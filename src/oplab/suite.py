@@ -34,6 +34,7 @@ from .matrix_core import (
     DEFAULT_TOL,
     Tolerance,
     adjoint,
+    dumps_json,
     hermitian_part,
     matrix_from_json,
     matrix_to_json,
@@ -461,7 +462,7 @@ def write_quarantine(directory, row, inputs, tol: Tolerance) -> Path:
     }
     path = directory / f"{row['theorem_id']}-{row['stream']:06d}.json"
     with open(path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
+        handle.write(dumps_json(payload))
     return path
 
 

@@ -138,6 +138,13 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     ragged = tmp_path / "ragged.json"
     ragged.write_text(json.dumps({"rows": 2, "cols": 2, "data": [[[1, 0], [0, 0]], [[0, 0]]]}))
     assert main(["drazin", "--matrix", str(ragged)]) == 2
+    bool_shape = tmp_path / "bool_shape.json"
+    bool_shape.write_text('{"rows": true, "cols": true, "data": [[[1, 0]]]}')
+    assert main(["drazin", "--matrix", str(bool_shape)]) == 2
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"rows": 1, "cols": 1, "data": [[[' + "9" * 400 + ', 0]]]}')
+    assert main(["drazin", "--matrix", str(huge)]) == 2
+    assert "outside the float range" in capsys.readouterr().err
     assert main(["drazin", "--matrix", str(tmp_path / "missing.json")]) == 2
     assert main(["verify", "--dims", "4"]) == 2
 

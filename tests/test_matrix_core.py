@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oplab.cli as cli
 from oplab import (
     DimensionError,
     DomainError,
@@ -27,6 +30,7 @@ from oplab import (
     sqrt_psd,
 )
 from oplab.generators import gen_haar_unitary, gen_psd
+from oplab.matrix_core import dumps_json
 
 from conftest import ginibre, philox, rank_deficient
 
@@ -229,6 +233,7 @@ def test_matrix_to_json_matches_per_element_encoding(shape):
     a.imag = np.resize(special[::-1], shape)
     got, expected = matrix_to_json(a), per_element_json(a)
     assert json.dumps(got) == json.dumps(expected)
+    assert dumps_json({"m": got, "n": [got]}) == json.dumps({"m": got, "n": [got]}, sort_keys=True, indent=2)
     assert all(type(x) is float for row in got["data"] for entry in row for x in entry)
 
 
@@ -241,8 +246,249 @@ def test_matrix_to_json_matches_per_element_encoding(shape):
         {"rows": 1, "cols": 1},
         {"rows": "1", "cols": 1, "data": [[[1, 0]]]},
         [[1, 0]],
+        {"rows": True, "cols": True, "data": [[[1, 0]]]},
+        {"rows": False, "cols": False, "data": []},
+        {"rows": 1, "cols": 2, "data": [[[1, 0], [0, 10**400]]]},
     ],
 )
 def test_matrix_json_rejects_malformed(payload):
     with pytest.raises(MatrixFormatError):
         matrix_from_json(payload)
+
+
+def reference_matrix_from_json(obj):
+    """The per-entry parser the whole-list one must agree with: same checks in
+    the same order, with an int beyond float range reported, not raised."""
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    out = np.zeros((rows, cols), dtype=np.complex128)
+    for i, row in enumerate(data):
+        if not isinstance(row, list) or len(row) != cols:
+            return f"ragged row {i}: expected {cols} entries"
+        for j, entry in enumerate(row):
+            if not isinstance(entry, list) or len(entry) != 2:
+                return f"entry ({i},{j}) must be a [re, im] pair"
+            re, im = entry
+            if isinstance(re, bool) or isinstance(im, bool) or not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+                return f"entry ({i},{j}) must hold two numbers"
+            try:
+                finite = math.isfinite(re) and math.isfinite(im)
+            except OverflowError:
+                return f"entry ({i},{j}) is outside the float range"
+            if not finite:
+                return f"entry ({i},{j}) is not finite"
+            out[i, j] = complex(re, im)
+    return out
+
+
+def parse_or_message(obj):
+    try:
+        return matrix_from_json(obj)
+    except MatrixFormatError as exc:
+        return str(exc)
+
+
+def assert_same_parse(obj):
+    got, expected = parse_or_message(obj), reference_matrix_from_json(obj)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == np.complex128 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()  # bitwise, signed zeros included
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[[1, 0], [0.5, -0.0]], [[-0.0, 2], [3, 4.25]]],
+        [[[2**53 + 1, 2**64]], [[-(2**53 + 3), 2**63 + 1]]],
+        [[[10**308, -(2**1023)], [1e308, 5e-324]], [[0, 0], [1, 1]]],
+        # first bad entry in row-major order wins over later and deeper faults
+        [[[float("nan"), 0], [0, 0]], [[1, 0]]],
+        [[[1, 0], [0, 0]], [[1, 0], [True, 0]]],
+        [[[1, 0], [10**400, float("inf")]], [[1, 0], [1, "x"]]],
+        [[[1, 0], [0, 1, 2]], [[float("nan"), 0], [0, 0]]],
+        [[[1, 0], (0, 1)], [[0, 0], [0, 0]]],
+        [[[1, 0], [0, 0]], ([0, 0], [0, 0])],
+        [[[1, None], [0, 0]], [[0, 0], [0, 0]]],
+        [[[1, 0], [0, 0]], [[0, 0], [np.float64(2.5), 0]]],
+        [[[1, 0], [0, 0]], [[0, 0], [np.int64(2), 0]]],
+    ],
+)
+def test_matrix_from_json_matches_per_entry_parser(data):
+    assert_same_parse({"rows": len(data), "cols": 2, "data": data})
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
+def test_matrix_from_json_empty_shapes(rows, cols):
+    data = [[] for _ in range(rows)]
+    assert_same_parse({"rows": rows, "cols": cols, "data": data})
+
+
+json_numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-(2**1100), max_value=2**1100),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(
+        lambda cols: st.tuples(
+            st.just(cols),
+            st.lists(
+                st.lists(
+                    st.one_of(
+                        st.lists(json_numbers, min_size=2, max_size=2),
+                        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+                        st.lists(json_numbers, max_size=3),
+                        json_numbers,
+                    ),
+                    min_size=max(cols - 1, 0),
+                    max_size=cols + 1,
+                ),
+                max_size=3,
+            ),
+        )
+    )
+)
+def test_matrix_from_json_property(case):
+    cols, data = case
+    assert_same_parse({"rows": len(data), "cols": cols, "data": data})
+
+
+def stdlib_dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_dumps_json_matches_stdlib_on_every_cli_payload(tmp_path, monkeypatch):
+    payloads = []
+
+    def checked(payload):
+        text = dumps_json(payload)
+        assert text == stdlib_dumps(payload)
+        payloads.append(payload)
+        return text
+
+    monkeypatch.setattr(cli, "dumps_json", checked)
+    rng = philox(91)
+    for d in (1, 4):
+        t = ginibre(rng, d)
+        t[:, -1] = 0.0  # a kernel direction, so drazin and split have both blocks at d = 4
+        path = tmp_path / f"t{d}.json"
+        path.write_text(json.dumps(matrix_to_json(t)))
+        matrix = ["--matrix", str(path)]
+        commands = [
+            ["classify", *matrix, "--m-max", "4"],
+            ["classify", *matrix, "--weight", "gram", "--n", "2"],
+            ["defect", *matrix, "--m", "2"],
+            ["drazin", *matrix],
+            ["transform", *matrix],
+            ["split", *matrix, "--n", "2"],
+            ["verify", "--dims", f"{d},{d}", "--count", "2", "--quarantine", str(tmp_path / "q")],
+            ["fuzz", "--dims", f"{d},{d}", "--count", "2", "--quarantine", str(tmp_path / "q")],
+        ]
+        for argv in commands:
+            assert cli.main(argv + ["--output", str(tmp_path / "out.json")]) == 0, argv
+            assert (tmp_path / "out.json").read_text() == stdlib_dumps(payloads[-1]) + "\n"
+    assert len(payloads) == 16
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        NAN, INF, -INF, -0.0, 5e-324, 1e308, -1e308, 0, -(2**80), True, False, None, "", "x",
+        [NAN, 1.5, INF, -INF],
+        [[NAN, 0.0], [INF, -INF], [1.0, -0.0]],
+        [[1.0, 2.0], [3.0]],
+        [[1.0, 2], [3.0, True]],
+        [[1, 2], [3, 4]],
+        [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]], []],
+        [[], []],
+        [[], [1.0]],
+        [[None, 1.0]],
+        [["a", 1.0]],
+        [],
+        {},
+        [{}, [], [[]], {"a": []}],
+        (1.0, 2.0),
+        [(1.0, 2.0), (3.0, 4.0)],
+        ((1.0, 2.0), [3.0, 4.0]),
+        {"t": (1, "a", None)},
+        np.float64(1.25),
+        [np.float64(-0.5), 1.0],
+        [[np.float64(0.1), 0.2]],
+        {"z": 1, "a": {"y": [1.0], "b": 2}},
+        "\u00e9\u4e2d\U0001f600 \"quoted\" back\\slash \n\t\x00\x1f\x7f",
+        {"\u00e9": "\ud800", "\n": "\U0001f600"},
+        {3: "int", 10: "ten", -1: "neg"},
+        {1.5: "a", -0.0: "b", NAN: "c", INF: "d"},
+        {True: 1, False: 0},
+        {None: 1},
+        [[1.0, 2.0]] * 3,
+    ],
+)
+def test_dumps_json_matches_stdlib(payload):
+    assert dumps_json(payload) == stdlib_dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        np.int64(3),
+        [1.0, np.int64(3)],
+        [[1.0, np.float32(2.0)], [3.0, 4.0]],
+        {"a": {1, 2}},
+        {(1, 2): "tuple key"},
+        {1: "a", "b": 2},
+        {False: 0, None: 1},
+        object(),
+        [b"bytes"],
+        1 + 2j,
+    ],
+)
+def test_dumps_json_raises_type_error_where_json_does(payload):
+    with pytest.raises(TypeError) as stdlib_error:
+        stdlib_dumps(payload)
+    with pytest.raises(TypeError) as ours:
+        dumps_json(payload)
+    assert str(ours.value) == str(stdlib_error.value)
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+)
+json_keys = st.one_of(st.text(), st.integers(), st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.recursive(
+        json_scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5),
+            st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=4),
+            st.lists(inner, max_size=3).map(tuple),
+            st.dictionaries(st.text(max_size=4), inner, max_size=4),
+            st.dictionaries(json_keys, inner, max_size=3),
+        ),
+        max_leaves=25,
+    )
+)
+def test_dumps_json_property(payload):
+    try:
+        expected = stdlib_dumps(payload)
+    except TypeError:
+        with pytest.raises(TypeError):
+            dumps_json(payload)
+        return
+    assert dumps_json(payload) == expected

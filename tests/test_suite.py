@@ -121,3 +121,32 @@ def test_quarantine_inputs_round_trip_exactly(tmp_path, monkeypatch):
     payload = json.loads(open(report["quarantine"][0]).read())
     stored = matrix_from_json(payload["inputs"]["t"])
     assert np.array_equal(stored, captured["t"])
+
+
+def test_quarantine_file_is_stdlib_json_and_replays(tmp_path, monkeypatch):
+    real = suite_mod.RUNNERS["transform_bundle"]
+    verdicts = []
+
+    def failing(inputs, params, tol):
+        verdict = real(inputs, params, tol)
+        verdicts.append(verdict)
+        return TheoremVerdict(verdict.theorem_id, verdict.premises_met, False, verdict.witness)
+
+    monkeypatch.setitem(suite_mod.RUNNERS, "transform_bundle", failing)
+    report = run_suite("verify", seed=5, count=2, dims=(3, 2),
+                       suites=["transform_bundle"], quarantine_dir=tmp_path / "q")
+    assert report["failures"] == 2
+    monkeypatch.undo()
+    for path, verdict in zip(report["quarantine"], verdicts):
+        text = open(path).read()
+        payload = json.loads(text)
+        with open(tmp_path / "stdlib.json", "w") as handle:
+            json.dump(payload, handle, sort_keys=True, indent=2)
+        assert text == (tmp_path / "stdlib.json").read_text()
+        replayed = replay_quarantine(path)
+        assert replayed == {
+            "theorem_id": "transform_bundle",
+            "premises_met": verdict.premises_met,
+            "holds": verdict.holds,
+            "witness": verdict.witness,
+        }
