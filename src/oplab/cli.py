@@ -23,9 +23,8 @@ import numpy as np
 from . import __version__
 from .decompositions import (
     DecompositionError,
+    _drazin_inverse,
     core_nilpotent,
-    drazin_inverse,
-    drazin_residuals,
     polar,
     range_kernel_split,
 )
@@ -105,12 +104,12 @@ def _cmd_drazin(args) -> int:
     t = _load_matrix(args.matrix)
     tol = _tolerance(args)
     core = core_nilpotent(t, tol)
-    td = drazin_inverse(t, tol)
+    td, residuals = _drazin_inverse(t, core.index, tol)
     _emit(
         {
             "index": core.index,
             "drazin_inverse": matrix_to_json(td),
-            "residuals": drazin_residuals(t, td, core.index),
+            "residuals": residuals,
             "core": {
                 "orthogonal": core.orthogonal,
                 "invertible_dim": int(core.t1.shape[0]),

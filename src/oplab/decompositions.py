@@ -27,6 +27,7 @@ from .matrix_core import (
     OplabError,
     PreconditionError,
     Tolerance,
+    _rank_with_cliff,
     _require_square,
     adjoint,
     as_matrix,
@@ -66,16 +67,22 @@ class IllConditionedWarning(UserWarning):
     """A rank decision fell within 10x of the singular-value cutoff."""
 
 
+def _warn_near_cliff(cutoff: float, stacklevel: int) -> None:
+    """Warn of singular values near the rank cutoff, ``stacklevel`` as seen
+    from the calling function."""
+    warnings.warn(
+        f"singular values within 10x of the rank cutoff {cutoff:.3e}",
+        IllConditionedWarning,
+        stacklevel=stacklevel + 1,
+    )
+
+
 def _svd_rank(a: np.ndarray, tol: Tolerance):
     """Full SVD together with the numerical rank under the shared cutoff."""
     u, s, vh = np.linalg.svd(a)
     cutoff = max(tol.rel_eps * (float(s[0]) if s.size else 0.0), tol.abs_eps)
     if s.size and np.any((s > cutoff / 10.0) & (s < cutoff * 10.0)):
-        warnings.warn(
-            f"singular values within 10x of the rank cutoff {cutoff:.3e}",
-            IllConditionedWarning,
-            stacklevel=3,
-        )
+        _warn_near_cliff(cutoff, 3)
     rank = int(np.count_nonzero(s > cutoff))
     return u, s, vh, rank, cutoff
 
@@ -101,7 +108,10 @@ def drazin_index(t, tol: Tolerance = DEFAULT_TOL) -> int:
     power = np.eye(d, dtype=np.complex128)
     for k in range(d + 1):
         power = power @ a
-        _, _, _, rank_next, _ = _svd_rank(power, tol)
+        # ranks need no singular vectors
+        rank_next, cutoff, near = _rank_with_cliff(power, tol)
+        if near:
+            _warn_near_cliff(cutoff, 2)
         if rank_next >= rank_prev:
             return k
         rank_prev = rank_next
@@ -128,14 +138,19 @@ def drazin_inverse(t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     NumericalFailureError carrying the residual norms.
     """
     a = _require_square(as_matrix(t))
-    k = drazin_index(a, tol)
+    return _drazin_inverse(a, drazin_index(a, tol), tol)[0]
+
+
+def _drazin_inverse(a: np.ndarray, k: int, tol: Tolerance) -> tuple[np.ndarray, dict]:
+    """`drazin_inverse` of a validated square ``a`` of Drazin index ``k``,
+    with the residuals of its three identities."""
     tk = np.linalg.matrix_power(a, k)
     td = tk @ moore_penrose(np.linalg.matrix_power(a, 2 * k + 1), tol) @ tk
     residuals = drazin_residuals(a, td, k)
     scale = 1.0 + float(np.float64(operator_norm(a)) ** (2 * k + 1))
     if max(residuals.values(), default=0.0) > 1e3 * tol.gate(scale):
         raise NumericalFailureError("Drazin identities failed", residuals)
-    return td
+    return td, residuals
 
 
 @dataclass(frozen=True)
@@ -245,12 +260,12 @@ def range_kernel_split(t, n: int, tol: Tolerance = DEFAULT_TOL) -> RangeKernelSp
     if n < 1:
         raise PreconditionError(f"power must be >= 1, got {n}")
     a = _require_square(as_matrix(t))
-    tn = np.linalg.matrix_power(a, n)
-    u, _, _, d1, _ = _svd_rank(tn, tol)
+    tn = as_matrix(np.linalg.matrix_power(a, n))
+    u, s, _, d1, _ = _svd_rank(tn, tol)
     basis = _canonical_phases(u)
     bn = adjoint(basis) @ tn @ basis
     bt = adjoint(basis) @ a @ basis
-    scale_n = 1.0 + operator_norm(tn)
+    scale_n = 1.0 + (float(s[0]) if s.size else 0.0)
     scale_t = 1.0 + operator_norm(a)
     residuals = {
         "power_lower": float(np.linalg.norm(bn[d1:, :], 2)) if d1 < a.shape[0] else 0.0,

@@ -13,14 +13,15 @@ Every defect is computed twice, via the explicit alternating binomial sum and
 via m-fold application of the map ``S -> S - T* S T``, and the two must agree
 within tolerance relative to the magnitude of the summed terms.  The
 alternating sum is the heart of everything downstream, so a disagreement is a
-hard numerical failure, never silently absorbed.
+hard numerical failure, never silently absorbed; so is a cross-check or a
+defect that is not finite.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite, nan
 
 import numpy as np
 
@@ -32,6 +33,8 @@ from .matrix_core import (
     HermitianError,
     NumericalFailureError,
     Tolerance,
+    _norm2,
+    _sign_verdict,
     adjoint,
     as_matrix,
     definiteness,
@@ -151,19 +154,21 @@ def _defect_pass(spec: DefectSpec, orders, tol: Tolerance) -> tuple[float, tuple
     order's sum takes the same floating-point operations as when that order
     is computed alone.  An order is cross-checked as soon as its last term is
     in, so a disagreement raises NumericalFailureError at the lowest failing
-    order.  Returns ||T^n|| (it sets the term scale) with the results.
+    order.  A non-finite cross-check or defect raises it too.  Returns
+    ||T^n|| (it sets the term scale) with the results.
     """
     p = spec.p
     if not np.array_equal(p, adjoint(p)):
-        defect_norm = float(np.linalg.norm(p - adjoint(p), 2)) if p.size else 0.0
-        if defect_norm > tol.gate(operator_norm(p)):
+        defect_norm = _norm2(p - adjoint(p))
+        if defect_norm > tol.gate(_norm2(p)):
             raise HermitianError(defect_norm)
         p = hermitian_part(p)
-    t = np.linalg.matrix_power(spec.t, spec.n) if spec.n > 1 else spec.t
+    # spec.t is validated; a power of it may overflow and is validated again
+    t = spec.t if spec.n == 1 else as_matrix(np.linalg.matrix_power(spec.t, spec.n))
     ta = adjoint(t)
-    norm_t = operator_norm(t)
+    norm_t = _norm2(t) if t.size else 0.0
     # magnitude bound (1+||P||) (1+||T||^2)^m of an order-m sum's terms
-    weight_scale = 1.0 + operator_norm(p)
+    weight_scale = 1.0 + (_norm2(p) if p.size else 0.0)
     base = np.float64(1.0 + norm_t**2)
 
     sums = {m: p.astype(np.complex128, copy=True) for m in orders}
@@ -178,17 +183,28 @@ def _defect_pass(spec: DefectSpec, orders, tol: Tolerance) -> tuple[float, tuple
             continue
         binom_sum = sums.pop(j)
         scale = float(weight_scale * base**j)
-        disagreement = float(np.linalg.norm(binom_sum - iterated, 2)) if p.size else 0.0
+        try:
+            disagreement = _norm2(binom_sum - iterated) if p.size else 0.0
+        except np.linalg.LinAlgError:
+            # LAPACK rejects a difference holding NaN (inf - inf)
+            disagreement = nan
         threshold = tol.gate(scale)
         cross_check = {
             "disagreement": disagreement,
             "threshold": threshold,
             "term_scale": scale,
         }
+        # a NaN disagreement or an infinite threshold would pass the comparison below
+        if not (isfinite(disagreement) and isfinite(threshold)):
+            raise NumericalFailureError("defect cross-check is not finite", cross_check)
         if disagreement > threshold:
             raise NumericalFailureError("defect cross-check disagreement", cross_check)
-        delta = hermitian_part(binom_sum)
-        verdict = definiteness(delta, tol)
+        # hermitian_part without its re-validation; but a finite sum can
+        # still overflow when it is added to its adjoint
+        delta = (binom_sum + adjoint(binom_sum)) / 2.0
+        if not np.isfinite(delta).all():
+            raise NumericalFailureError("defect overflows", cross_check)
+        verdict = _sign_verdict(delta, tol)
         results.append(DefectResult(delta, verdict, _classes_for(verdict), cross_check))
     return norm_t, tuple(results)
 

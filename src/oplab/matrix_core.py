@@ -5,6 +5,9 @@ works on plain ``numpy`` arrays of dtype complex128.  This module owns the
 shared conventions:
 
 * tolerance handling (relative to the spectral scale, with an absolute floor),
+* the spectral norm: the largest singular value from a values-only SVD,
+  ``svd(a, compute_uv=False)[0]``, which is bit for bit what
+  ``np.linalg.norm(a, 2)`` returns without that function's axis handling,
 * Hermiticity and definiteness decisions,
 * PSD square roots and the Moore-Penrose pseudo-inverse,
 * the numerical-rank cutoff ``sigma < max(rel_eps * sigma_max, abs_eps)``,
@@ -141,12 +144,17 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.conjugate(m.T)
 
 
+def _norm2(a: np.ndarray) -> float:
+    """Spectral norm of a nonempty 2-D array, equal to ``np.linalg.norm(a, 2)``."""
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
 def operator_norm(m) -> float:
     """Largest singular value (0.0 for an empty matrix)."""
     a = as_matrix(m)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return _norm2(a)
 
 
 def spectral_radius(m) -> float:
@@ -167,8 +175,7 @@ def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     a = _require_square(as_matrix(m))
     if a.size == 0:
         return True
-    defect = float(np.linalg.norm(a - adjoint(a), 2))
-    return defect <= tol.gate(float(np.linalg.norm(a, 2)))
+    return _norm2(a - adjoint(a)) <= tol.gate(_norm2(a))
 
 
 def hermitian_part(m) -> np.ndarray:
@@ -214,14 +221,21 @@ def definiteness(m, tol: Tolerance = DEFAULT_TOL) -> DefinitenessVerdict:
     thresholds are relative to the spectral scale max(|min_eig|, |max_eig|, 1).
     """
     a = _require_square(as_matrix(m))
-    if a.size == 0:
-        return DefinitenessVerdict(True, 0.0, 0.0, ZERO)
     # an exactly self-adjoint input (every hermitian_part result) has defect 0
+    # and is already its own Hermitian part
     if not np.array_equal(a, adjoint(a)):
-        defect = float(np.linalg.norm(a - adjoint(a), 2))
-        if defect > tol.gate(float(np.linalg.norm(a, 2))):
+        defect = _norm2(a - adjoint(a))
+        if defect > tol.gate(_norm2(a)):
             raise HermitianError(defect)
-    w = np.linalg.eigvalsh(hermitian_part(a))
+        a = hermitian_part(a)
+    return _sign_verdict(a, tol)
+
+
+def _sign_verdict(h: np.ndarray, tol: Tolerance) -> DefinitenessVerdict:
+    """`definiteness` of a finite, exactly self-adjoint matrix."""
+    if h.size == 0:
+        return DefinitenessVerdict(True, 0.0, 0.0, ZERO)
+    w = np.linalg.eigvalsh(h)
     lo, hi = float(w[0]), float(w[-1])
     thr = tol.gate(max(abs(lo), abs(hi), 1.0))
     psd = lo >= -thr
@@ -270,18 +284,19 @@ def moore_penrose(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values above max(rel_eps * sigma_max, abs_eps)."""
-    rank, _ = _rank_with_cliff(as_matrix(m), tol)
+    rank, _, _ = _rank_with_cliff(as_matrix(m), tol)
     return rank
 
 
-def _rank_with_cliff(a: np.ndarray, tol: Tolerance) -> tuple[int, bool]:
-    """Rank plus a flag marking singular values within 10x of the cutoff."""
+def _rank_with_cliff(a: np.ndarray, tol: Tolerance) -> tuple[int, float, bool]:
+    """Rank from a values-only SVD, its cutoff, and a flag marking singular
+    values within 10x of the cutoff."""
     if a.size == 0:
-        return 0, False
+        return 0, tol.abs_eps, False
     s = np.linalg.svd(a, compute_uv=False)
     cutoff = max(tol.rel_eps * float(s[0]), tol.abs_eps)
     near = bool(np.any((s > cutoff / 10.0) & (s < cutoff * 10.0)))
-    return int(np.count_nonzero(s > cutoff)), near
+    return int(np.count_nonzero(s > cutoff)), cutoff, near
 
 
 def block_compose(blocks) -> np.ndarray:

@@ -189,3 +189,30 @@ def test_thread_cap_env_does_not_change_output(tmp_path, monkeypatch):
 
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
+
+
+def test_drazin_computes_the_index_once(capsys, tmp_path, monkeypatch):
+    import oplab.decompositions as decompositions_mod
+
+    calls = []
+    original = decompositions_mod.drazin_index
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(decompositions_mod, "drazin_index", counting)
+    k = np.zeros((4, 4), dtype=complex)
+    k[:2, :2] = [[0, 1], [1, 0]]
+    k[:2, 2:] = [[1, 2], [3, 4]]
+    code, payload = run_json(capsys, ["drazin", "--matrix", write_matrix(tmp_path / "k.json", k)])
+    assert code == 0
+    assert len(calls) == 1
+    assert payload["index"] == 1
+    assert payload["core"] == {"orthogonal": False, "invertible_dim": 2, "nilpotent_dim": 2}
+
+
+def test_defect_overflow_exits_three(tmp_path, capsys):
+    path = write_matrix(tmp_path / "huge.json", np.diag([1e77, 1.0, 0.5]))
+    assert main(["defect", "--matrix", path, "--m", "2"]) == 3
+    assert "numerical failure: defect cross-check is not finite" in capsys.readouterr().err

@@ -6,7 +6,9 @@ import pytest
 
 from oplab import (
     DimensionError,
+    DomainError,
     HermitianError,
+    Tolerance,
     aluthge,
     ando_check,
     block_compose,
@@ -19,7 +21,7 @@ from oplab import (
     polar,
     range_kernel_split,
 )
-from oplab.generators import gen_haar_unitary, gen_nilpotent, gen_psd
+from oplab.generators import gen_coupled_kernel, gen_drazin_pair, gen_haar_unitary, gen_nilpotent, gen_psd
 
 from conftest import ginibre, philox
 
@@ -291,3 +293,57 @@ def test_split_rejects_bad_power():
 
     with pytest.raises(PreconditionError):
         range_kernel_split(np.eye(2), 0)
+
+
+def full_svd_drazin_index(t, tol=Tolerance()):
+    """Reference: the rank loop on full SVDs (singular vectors discarded)."""
+    a = np.asarray(t, dtype=complex)
+    d = a.shape[0]
+    rank_prev, power = d, np.eye(d, dtype=complex)
+    for k in range(d + 1):
+        power = power @ a
+        s = np.linalg.svd(power)[1]
+        rank = int(np.count_nonzero(s > max(tol.rel_eps * float(s[0]), tol.abs_eps)))
+        if rank >= rank_prev:
+            return k
+        rank_prev = rank
+    return d
+
+
+def drazin_index_fixtures():
+    for seed in range(6):
+        for index in (1, 2, 4):
+            yield f"nilpotent-{seed}-{index}", gen_nilpotent(seed, 5, index)
+        yield f"drazin_pair-{seed}", gen_drazin_pair(seed, 4, 3, m=2)[0]
+        yield f"coupled_kernel-{seed}", gen_coupled_kernel(seed, 4, 3)
+    yield "idempotent", IDEMPOTENT
+    yield "invertible", ginibre(philox(5), 4) + 3 * np.eye(4)
+
+
+@pytest.mark.parametrize("name,t", list(drazin_index_fixtures()), ids=lambda x: x if isinstance(x, str) else "")
+def test_drazin_index_matches_full_svd_rank_loop(name, t):
+    assert drazin_index(t) == full_svd_drazin_index(t)
+
+
+def test_drazin_index_warning_names_the_cutoff():
+    from oplab import IllConditionedWarning
+
+    with pytest.warns(IllConditionedWarning, match=r"within 10x of the rank cutoff 1\.000e-10") as caught:
+        drazin_index(np.diag([1.0, 3e-10, 0.0]))
+    # attributed to the caller of drazin_index, as before
+    assert caught[0].filename == __file__
+
+
+def test_range_kernel_split_gates_the_power_at_its_own_scale():
+    # ||T^2|| ~ 3e12: the conjugated power's lower block is rounding noise of
+    # about 5e-4, inside the gate rel_eps * (1 + ||T^2||) but far above abs_eps
+    w = gen_haar_unitary(5, 8)
+    t = 1e6 * (w @ gen_coupled_kernel(3, 4, 4) @ w.conj().T)
+    split = range_kernel_split(t, 2)
+    assert split.d1 == 4
+    assert 1e-6 < split.residuals["power_lower"] <= Tolerance().gate(1.0 + operator_norm(t @ t))
+
+
+def test_range_kernel_split_rejects_an_overflowing_power():
+    with pytest.raises(DomainError, match="finite"):
+        range_kernel_split([[1e200, 1e200], [0, 0]], 2)

@@ -367,3 +367,56 @@ def test_classify_matches_per_order_reference():
         got = json.dumps(classify(t, p, m_max).to_json(), sort_keys=True)
         expected = json.dumps(reference_classify(t, p, m_max).to_json(), sort_keys=True)
         assert got == expected
+
+
+def test_defect_makes_no_linalg_norm_call(monkeypatch):
+    rng = philox(1111)
+    t = ginibre(rng, 4)
+    spec = DefectSpec(t=t, p=gram_weight(t), m=3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called on the defect path")
+
+    monkeypatch.setattr(np.linalg, "norm", forbidden)
+    result = defect(spec)
+    assert result.delta.shape == (4, 4)
+
+
+@pytest.mark.parametrize(
+    "t,p,m,message",
+    [
+        # term scale 2 (1 + 1e154)^2 overflows: the threshold is inf, which any
+        # disagreement would pass, and the defect itself overflows
+        (np.diag([1e77, 1.0, 0.5]), np.eye(3), 2, "defect cross-check is not finite"),
+        # a finite threshold whose defect still overflows when symmetrized
+        ([[math.sqrt(1.5e154)]], [[1e154]], 1, "defect overflows"),
+        # T*PT rounds to inf while the term scale rounds to the largest finite
+        # float: both constructions hold inf, and LAPACK rejects their NaN
+        # difference
+        ([[complex(-3.7420269360892266e119, 1.0497912805917645e120)]], [[1.4473138175090447e68]], 1,
+         "defect cross-check is not finite"),
+        # terms overflow long before order 62; LAPACK used to reject the NaN
+        # difference with an untyped LinAlgError
+        (1000.0 * np.eye(2), I2, 62, "defect cross-check is not finite"),
+    ],
+    ids=["infinite-threshold", "overflowing-defect", "nan-disagreement", "overflowing-terms"],
+)
+def test_defect_fails_closed_on_overflow(t, p, m, message):
+    with pytest.raises(NumericalFailureError, match=message):
+        defect(DefectSpec(t=t, p=p, m=m))
+    with pytest.raises(NumericalFailureError, match=message):
+        classify(t, p, m_max=m)
+
+
+def test_overflowing_power_is_rejected_as_input():
+    with pytest.raises(DomainError, match="finite"):
+        defect(DefectSpec(t=[[1e200, 1.0], [0.0, 1.0]], p=I2, m=1, n=2))
+
+
+def test_cross_check_threshold_scales_with_the_weight_and_the_power():
+    # term scale (1 + ||P||) (1 + ||T^n||^2)^m
+    cases = [(DefectSpec(t=[[2]], p=[[3]], m=2), 4.0 * 5.0**2), (DefectSpec(t=[[2]], p=[[3]], m=1, n=2), 4.0 * 17.0)]
+    for spec, scale in cases:
+        cross_check = defect(spec).cross_check
+        assert cross_check["term_scale"] == scale
+        assert cross_check["threshold"] == Tolerance().gate(scale)

@@ -492,3 +492,38 @@ def test_dumps_json_property(payload):
             dumps_json(payload)
         return
     assert dumps_json(payload) == expected
+
+
+def norm2_inputs():
+    rng = philox(4242)
+    yield "real-square", rng.standard_normal((5, 5))
+    yield "complex-square", ginibre(rng, 6)
+    yield "real-wide", rng.standard_normal((3, 7))
+    yield "complex-tall", ginibre(rng, 8, 3)
+    yield "1x1", np.array([[-2.5 + 1j]])
+    yield "zeros", np.zeros((4, 4), dtype=complex)
+    yield "64x64", ginibre(rng, 64)
+
+
+@pytest.mark.parametrize("name,a", list(norm2_inputs()), ids=lambda x: x if isinstance(x, str) else "")
+def test_norm2_equals_linalg_norm_bitwise(name, a):
+    from oplab.matrix_core import _norm2
+
+    assert _norm2(a) == float(np.linalg.norm(a, 2))
+    assert math.copysign(1.0, _norm2(a)) == math.copysign(1.0, float(np.linalg.norm(a, 2)))
+    if np.iscomplexobj(a):
+        assert operator_norm(a) == float(np.linalg.norm(a, 2))
+
+
+def test_definiteness_of_self_adjoint_input_skips_symmetrizing_bitwise():
+    rng = philox(4343)
+    for d in (1, 3, 7):
+        h = hermitian_part(ginibre(rng, d))
+        verdict = definiteness(h)
+        w = np.linalg.eigvalsh(hermitian_part(h))
+        assert (verdict.min_eig, verdict.max_eig) == (float(w[0]), float(w[-1]))
+    # a nearly self-adjoint input is still symmetrized before the eigenanalysis
+    skew = ginibre(rng, 4)
+    a = hermitian_part(ginibre(rng, 4)) + 1e-14 * (skew - skew.conj().T)
+    w = np.linalg.eigvalsh(hermitian_part(a))
+    assert (definiteness(a).min_eig, definiteness(a).max_eig) == (float(w[0]), float(w[-1]))

@@ -150,3 +150,22 @@ def test_quarantine_file_is_stdlib_json_and_replays(tmp_path, monkeypatch):
             "holds": verdict.holds,
             "witness": verdict.witness,
         }
+
+
+@pytest.mark.parametrize("mode", ["verify", "fuzz"])
+def test_reports_unchanged_by_the_spectral_norm_kernel(tmp_path, monkeypatch, mode):
+    import oplab.expansivity as expansivity_mod
+    import oplab.matrix_core as matrix_core_mod
+
+    def report_text(quarantine):
+        report = run_suite(mode, seed=1, count=25, dims=(4, 3), quarantine_dir=tmp_path / quarantine)
+        return matrix_core_mod.dumps_json({k: v for k, v in report.items() if k != "generated_at"})
+
+    fast = report_text("fast")
+
+    def reference_norm2(a):
+        return float(np.linalg.norm(a, 2))
+
+    for module in (matrix_core_mod, expansivity_mod):
+        monkeypatch.setattr(module, "_norm2", reference_norm2)
+    assert report_text("reference") == fast
