@@ -8,8 +8,7 @@ Exit codes: 0 success / all conclusions hold, 1 usage error, 2 parse error,
 conclusion failed; the instance is quarantined for replay).
 
 Weight sugar: ``--weight identity`` uses I, ``--weight gram --n k`` uses
-T*^k T^k, anything else is read as a path to a matrix JSON file.  The
-OPLAB_THREADS environment variable caps verify/fuzz parallelism.
+T*^k T^k, anything else is read as a path to a matrix JSON file.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .matrix_core import (
     matrix_from_json,
     matrix_to_json,
 )
-from .suite import THEOREM_IDS, default_workers, run_suite
+from .suite import THEOREM_IDS, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -175,7 +174,6 @@ def _cmd_suite(args, mode: str) -> int:
         dims=_parse_dims(args.dims),
         suites=suites,
         tol=_tolerance(args),
-        workers=default_workers(),
         quarantine_dir=args.quarantine,
     )
     _emit(report, args.output)

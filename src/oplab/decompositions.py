@@ -109,7 +109,11 @@ def drazin_index(t, tol: Tolerance = DEFAULT_TOL) -> int:
     for k in range(d + 1):
         power = power @ a
         # ranks need no singular vectors
-        rank_next, cutoff, near = _rank_with_cliff(power, tol)
+        try:
+            rank_next, cutoff, near = _rank_with_cliff(power, tol)
+        except np.linalg.LinAlgError:
+            # LAPACK rejects a power that overflowed to inf or NaN
+            raise NumericalFailureError("Drazin index: SVD of a power failed", {"power": k + 1}) from None
         if near:
             _warn_near_cliff(cutoff, 2)
         if rank_next >= rank_prev:

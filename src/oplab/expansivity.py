@@ -169,7 +169,8 @@ def _defect_pass(spec: DefectSpec, orders, tol: Tolerance) -> tuple[float, tuple
     norm_t = _norm2(t) if t.size else 0.0
     # magnitude bound (1+||P||) (1+||T||^2)^m of an order-m sum's terms
     weight_scale = 1.0 + (_norm2(p) if p.size else 0.0)
-    base = np.float64(1.0 + norm_t**2)
+    # in float64, so an overflow gives inf (and a non-finite cross-check), not OverflowError
+    base = 1.0 + np.float64(norm_t) ** 2
 
     sums = {m: p.astype(np.complex128, copy=True) for m in orders}
     term = iterated = p

@@ -3,14 +3,16 @@ checks need.
 
 Randomness comes from the counter-based Philox4x64 generator keyed with the
 128-bit value ``(stream << 64) | seed``, so (seed, stream) pairs name
-independent, replayable streams: parallel suite runs draw from disjoint
+independent, replayable streams: suite instances draw from disjoint
 streams and a quarantined instance can be regenerated exactly.  Within one
 call all draws are strictly sequenced from a single stream.
 
-Orthonormalization is done with two-pass modified Gram-Schmidt (plain
-elementwise numpy arithmetic, no LAPACK factorization) whose R-diagonal is
-positive by construction; this is the unique positive-diagonal QR factor, so
-the unitary fixtures are Haar distributed and reproduce bit-identically.
+Orthonormalization is done with two-pass classical Gram-Schmidt
+(elementwise numpy, no BLAS/LAPACK) whose R-diagonal is positive by
+construction; this is the unique positive-diagonal QR factor, so the unitary
+fixtures are Haar distributed and reproduce bit-identically.  The bits a
+spec draws are those of ``GENERATOR_VERSION``, which every serialized spec
+records: version 2 replaced the modified Gram-Schmidt of version 1.
 
 Generation is premise-certified: every family verifies the property its
 consumers rely on before returning, and raises GenerationError instead of
@@ -36,6 +38,7 @@ from .matrix_core import (
 )
 
 __all__ = [
+    "GENERATOR_VERSION",
     "GenerationError",
     "GenSpec",
     "FAMILIES",
@@ -48,6 +51,7 @@ __all__ = [
     "generate",
 ]
 
+GENERATOR_VERSION = 2
 _MAX_RESAMPLES = 50
 _U64 = 1 << 64
 
@@ -74,9 +78,16 @@ class GenSpec:
         if self.family not in FAMILIES:
             raise PreconditionError(f"unknown family {self.family!r}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        arity, required = _SIGNATURES[self.family]
+        if len(self.dims) != arity:
+            raise PreconditionError(f"family {self.family!r} takes {arity} dims, got {list(self.dims)}")
+        missing = [name for name in required if name not in self.params]
+        if missing:
+            raise PreconditionError(f"family {self.family!r} requires params {missing}")
 
     def to_json(self) -> dict:
         return {
+            "generator_version": GENERATOR_VERSION,
             "seed": self.seed,
             "stream": self.stream,
             "family": self.family,
@@ -86,6 +97,16 @@ class GenSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GenSpec":
+        """Inverse of ``to_json``; a spec without a version is version 1.
+
+        A spec recorded by another generator version would draw different
+        bits, so it raises PreconditionError instead.
+        """
+        version = obj.get("generator_version", 1)
+        if version != GENERATOR_VERSION:
+            raise PreconditionError(
+                f"spec was drawn by generator version {version}; this is version {GENERATOR_VERSION}"
+            )
         return cls(
             seed=obj["seed"],
             stream=obj.get("stream", 0),
@@ -104,18 +125,27 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _orthonormalize(a: np.ndarray) -> np.ndarray:
-    """Two-pass modified Gram-Schmidt with positive diagonal by construction."""
-    q = a.astype(np.complex128, copy=True)
-    for j in range(q.shape[1]):
-        v = q[:, j].copy()
-        for _ in range(2):
-            for i in range(j):
-                v -= q[:, i] * np.sum(np.conjugate(q[:, i]) * v)
-        norm = np.sqrt(np.sum(np.abs(v) ** 2).real)
+    """Two-pass classical Gram-Schmidt with positive diagonal by construction.
+
+    Columns are held as contiguous rows, next to their conjugates, so each
+    pass projects column j against all finished ones with one elementwise
+    product and two reductions: d Python steps in all.  Elementwise numpy
+    only, so the bits do not depend on the BLAS build.
+    """
+    q = a.T.astype(np.complex128, order="C")
+    qc = q.conj()
+    for j in range(q.shape[0]):
+        v = q[j]
+        if j:
+            done, done_conj = q[:j], qc[:j]
+            for _ in range(2):
+                v = v - (done * (done_conj * v).sum(axis=1)[:, None]).sum(axis=0)
+        norm = np.sqrt((np.abs(v) ** 2).sum().real)
         if norm == 0.0:
             raise GenerationError("degenerate draw during orthonormalization")
-        q[:, j] = v / norm
-    return q
+        q[j] = v = v / norm
+        qc[j] = v.conj()
+    return np.ascontiguousarray(q.T)
 
 
 def _haar(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -336,6 +366,16 @@ FAMILIES = {
     "drazin_pair": _dispatch_drazin_pair,
     "coupled_kernel": _dispatch_coupled_kernel,
     "expansive_invertible": _dispatch_expansive_invertible,
+}
+
+# per family: the number of dims and the params its dispatcher requires
+_SIGNATURES = {
+    "haar_unitary": (1, ()),
+    "nilpotent": (1, ("index",)),
+    "psd": (1, ()),
+    "drazin_pair": (2, ()),
+    "coupled_kernel": (2, ()),
+    "expansive_invertible": (1, ()),
 }
 
 

@@ -175,6 +175,7 @@ def test_counterexample_exits_four(tmp_path, capsys, monkeypatch):
 
 
 def test_thread_cap_env_does_not_change_output(tmp_path, monkeypatch):
+    # suites run serially; the former thread-cap variable is ignored
     argv = ["verify", "--seed", "5", "--count", "4", "--dims", "3,2",
             "--quarantine", str(tmp_path / "q")]
     assert main(argv + ["--output", str(tmp_path / "serial.json")]) == 0
@@ -216,3 +217,18 @@ def test_defect_overflow_exits_three(tmp_path, capsys):
     path = write_matrix(tmp_path / "huge.json", np.diag([1e77, 1.0, 0.5]))
     assert main(["defect", "--matrix", path, "--m", "2"]) == 3
     assert "numerical failure: defect cross-check is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["defect", "--m", "2"], ["classify"]])
+def test_overflowing_term_scale_exits_three(tmp_path, capsys, command):
+    # ||T||^2 = 1e400 overflows a float: the term scale is inf, not an OverflowError
+    path = write_matrix(tmp_path / "big.json", 1e200 * np.eye(2))
+    assert main(command + ["--matrix", path]) == 3
+    assert "oplab: numerical failure: defect cross-check is not finite" in capsys.readouterr().err
+
+
+def test_drazin_overflowing_power_exits_three(tmp_path, capsys):
+    # T^2 = 1e200 T overflows: LAPACK rejects the power's SVD
+    path = write_matrix(tmp_path / "big.json", [[1e200, 1e200], [0, 0]])
+    assert main(["drazin", "--matrix", path]) == 3
+    assert "oplab: numerical failure: Drazin index" in capsys.readouterr().err

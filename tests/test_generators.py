@@ -21,6 +21,21 @@ from oplab import (
     gram_weight,
     operator_norm,
 )
+from oplab.generators import GENERATOR_VERSION, GenerationError, _orthonormalize
+
+from conftest import ginibre, philox
+
+
+def mgs2(a):
+    """Two-pass modified Gram-Schmidt, the kernel of generator version 1."""
+    q = a.astype(np.complex128, copy=True)
+    for j in range(q.shape[1]):
+        v = q[:, j].copy()
+        for _ in range(2):
+            for i in range(j):
+                v -= q[:, i] * np.sum(np.conjugate(q[:, i]) * v)
+        q[:, j] = v / np.sqrt(np.sum(np.abs(v) ** 2).real)
+    return q
 
 
 def test_haar_unitary_scalar_is_unimodular():
@@ -154,3 +169,57 @@ def test_genspec_validation():
         GenSpec(-1, "haar_unitary", (2,))
     with pytest.raises(PreconditionError):
         GenSpec(1, "unknown_family", (2,))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 16, 64, 128])
+def test_orthonormalize_is_the_positive_diagonal_qr_factor(d):
+    a = ginibre(philox(d), d)
+    q = _orthonormalize(a)
+    assert operator_norm(q.conj().T @ q - np.eye(d)) <= 1e-12
+    # Q*A = R is upper triangular with a positive real diagonal
+    r = q.conj().T @ a
+    scale = operator_norm(a)
+    assert np.abs(np.tril(r, -1)).max(initial=0.0) <= 1e-12 * scale
+    assert (r.diagonal().real > 0).all()
+    assert np.abs(r.diagonal().imag).max() <= 1e-12 * scale
+    assert np.abs(q - mgs2(a)).max() <= 1e-13
+    assert np.array_equal(gen_haar_unitary(d, d), gen_haar_unitary(d, d))
+
+
+@pytest.mark.parametrize("column", [0, 2])
+def test_orthonormalize_rejects_a_zero_column(column):
+    a = ginibre(philox(3), 4)
+    a[:, column] = 0.0
+    with pytest.raises(GenerationError, match="degenerate"):
+        _orthonormalize(a)
+
+
+def test_genspec_records_the_generator_version():
+    spec = GenSpec(9, "nilpotent", (3,), stream=2, params={"index": 2})
+    payload = spec.to_json()
+    assert payload["generator_version"] == GENERATOR_VERSION == 2
+    assert GenSpec.from_json(payload) == spec
+    for version in (1, 3):
+        with pytest.raises(PreconditionError, match="generator version"):
+            GenSpec.from_json(dict(payload, generator_version=version))
+    # a spec written before the version was recorded is version 1
+    legacy = {key: value for key, value in payload.items() if key != "generator_version"}
+    with pytest.raises(PreconditionError, match="generator version 1"):
+        GenSpec.from_json(legacy)
+
+
+@pytest.mark.parametrize(
+    "family,dims,params",
+    [
+        ("haar_unitary", (2, 3), {}),
+        ("psd", (), {}),
+        ("expansive_invertible", (4, 4), {}),
+        ("drazin_pair", (3,), {}),
+        ("coupled_kernel", (3, 2, 1), {}),
+        ("nilpotent", (3, 3), {"index": 2}),
+        ("nilpotent", (3,), {}),
+    ],
+)
+def test_genspec_rejects_a_malformed_family_signature(family, dims, params):
+    with pytest.raises(PreconditionError, match=family):
+        GenSpec(1, family, dims, params=params)

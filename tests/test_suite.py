@@ -52,12 +52,10 @@ def test_reports_are_deterministic(tmp_path):
     assert strip_timestamp(a) != strip_timestamp(c)
 
 
-def test_parallel_run_matches_serial(tmp_path):
-    serial = run_suite("fuzz", seed=9, count=8, dims=(4, 3), workers=1,
-                       quarantine_dir=tmp_path / "qs")
-    parallel = run_suite("fuzz", seed=9, count=8, dims=(4, 3), workers=4,
-                         quarantine_dir=tmp_path / "qp")
-    assert strip_timestamp(serial) == strip_timestamp(parallel)
+def test_repeated_fuzz_run_is_identical(tmp_path):
+    first = run_suite("fuzz", seed=9, count=8, dims=(4, 3), quarantine_dir=tmp_path / "qa")
+    second = run_suite("fuzz", seed=9, count=8, dims=(4, 3), quarantine_dir=tmp_path / "qb")
+    assert strip_timestamp(first) == strip_timestamp(second)
 
 
 def test_single_suite_selection(tmp_path):
