@@ -4,8 +4,10 @@ block-PSD contraction criterion.
 
 Numerical conventions shared with `matrix_core`:
 
-* ranks are decided by the cutoff ``sigma < max(rel_eps * sigma_max, abs_eps)``;
-  a singular value within 10x of the cutoff triggers IllConditionedWarning,
+* ranks are decided by the one rank rule of `matrix_core`,
+  `Tolerance.cutoff`: a singular value at or below
+  ``max(rel_eps * sigma_max, abs_eps)`` counts as zero, and one within 10x of
+  the cutoff triggers IllConditionedWarning,
 * basis columns are phase-normalized (largest-modulus entry made real
   positive) so repeated runs produce identical bases,
 * on singular input the polar factor ``u`` vanishes on the orthogonal
@@ -27,6 +29,7 @@ from .matrix_core import (
     OplabError,
     PreconditionError,
     Tolerance,
+    _psd_sqrt,
     _rank_with_cliff,
     _require_square,
     adjoint,
@@ -36,6 +39,7 @@ from .matrix_core import (
     definiteness,
     hermitian_part,
     moore_penrose,
+    numerical_rank,
     operator_norm,
 )
 
@@ -80,11 +84,10 @@ def _warn_near_cliff(cutoff: float, stacklevel: int) -> None:
 def _svd_rank(a: np.ndarray, tol: Tolerance):
     """Full SVD together with the numerical rank under the shared cutoff."""
     u, s, vh = np.linalg.svd(a)
-    cutoff = max(tol.rel_eps * (float(s[0]) if s.size else 0.0), tol.abs_eps)
-    if s.size and np.any((s > cutoff / 10.0) & (s < cutoff * 10.0)):
+    rank, cutoff, near = _rank_with_cliff(s, tol)
+    if near:
         _warn_near_cliff(cutoff, 3)
-    rank = int(np.count_nonzero(s > cutoff))
-    return u, s, vh, rank, cutoff
+    return u, s, vh, rank
 
 
 def _canonical_phases(cols: np.ndarray) -> np.ndarray:
@@ -106,19 +109,22 @@ def drazin_index(t, tol: Tolerance = DEFAULT_TOL) -> int:
         return 0
     rank_prev = d
     power = np.eye(d, dtype=np.complex128)
-    for k in range(d + 1):
-        power = power @ a
-        # ranks need no singular vectors
-        try:
-            rank_next, cutoff, near = _rank_with_cliff(power, tol)
-        except np.linalg.LinAlgError:
-            # LAPACK rejects a power that overflowed to inf or NaN
-            raise NumericalFailureError("Drazin index: SVD of a power failed", {"power": k + 1}) from None
-        if near:
-            _warn_near_cliff(cutoff, 2)
-        if rank_next >= rank_prev:
-            return k
-        rank_prev = rank_next
+    # a power that overflows ends in the typed error below, not in numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(d + 1):
+            power = power @ a
+            # ranks need no singular vectors
+            try:
+                s = np.linalg.svd(power, compute_uv=False)
+            except np.linalg.LinAlgError:
+                # LAPACK rejects a power that overflowed to inf or NaN
+                raise NumericalFailureError("Drazin index: SVD of a power failed", {"power": k + 1}) from None
+            rank_next, cutoff, near = _rank_with_cliff(s, tol)
+            if near:
+                _warn_near_cliff(cutoff, 2)
+            if rank_next >= rank_prev:
+                return k
+            rank_prev = rank_next
     return d
 
 
@@ -193,12 +199,12 @@ def core_nilpotent(t, tol: Tolerance = DEFAULT_TOL) -> CoreNilpotent:
             orthogonal=True,
         )
     tp = np.linalg.matrix_power(a, p)
-    u, _, vh, r, _ = _svd_rank(tp, tol)
+    u, _, vh, r = _svd_rank(tp, tol)
     range_basis = _canonical_phases(u[:, :r])
     null_basis = _canonical_phases(adjoint(vh)[:, r:])
     basis = np.hstack([range_basis, null_basis])
     sigma = np.linalg.svd(basis, compute_uv=False)
-    if float(sigma[-1]) <= max(tol.rel_eps * float(sigma[0]), tol.abs_eps):
+    if float(sigma[-1]) <= tol.cutoff(float(sigma[0])):
         raise DecompositionError(
             f"range(T^{p}) and ker(T^{p}) are not numerically complementary "
             f"(smallest basis singular value {float(sigma[-1]):.3e})"
@@ -206,11 +212,10 @@ def core_nilpotent(t, tol: Tolerance = DEFAULT_TOL) -> CoreNilpotent:
     conj = np.linalg.solve(basis, a @ basis)
     t1 = conj[:r, :r]
     t2 = conj[r:, r:]
-    s1 = np.linalg.svd(t1, compute_uv=False) if t1.size else np.array([1.0])
-    if float(s1[-1]) <= max(tol.rel_eps * float(s1[0]), tol.abs_eps):
+    if numerical_rank(t1, tol) < r:
         raise DecompositionError("invertible block is numerically singular")
     nil_residual = operator_norm(np.linalg.matrix_power(t2, p)) if t2.size else 0.0
-    if nil_residual > tol.gate(float(np.float64(1.0 + operator_norm(t2)) ** p)):
+    if nil_residual > tol.power_gate(operator_norm(t2), p):
         raise DecompositionError(f"nilpotent block fails t2^{p} = 0 (residual {nil_residual:.3e})")
     cross = float(np.linalg.norm(adjoint(range_basis) @ null_basis, 2)) if min(range_basis.shape[1], null_basis.shape[1]) else 0.0
     return CoreNilpotent(
@@ -265,7 +270,7 @@ def range_kernel_split(t, n: int, tol: Tolerance = DEFAULT_TOL) -> RangeKernelSp
         raise PreconditionError(f"power must be >= 1, got {n}")
     a = _require_square(as_matrix(t))
     tn = as_matrix(np.linalg.matrix_power(a, n))
-    u, s, _, d1, _ = _svd_rank(tn, tol)
+    u, s, _, d1 = _svd_rank(tn, tol)
     basis = _canonical_phases(u)
     bn = adjoint(basis) @ tn @ basis
     bt = adjoint(basis) @ a @ basis
@@ -286,7 +291,7 @@ def range_kernel_split(t, n: int, tol: Tolerance = DEFAULT_TOL) -> RangeKernelSp
         )
     t2 = bt[d1:, d1:]
     residuals["t2_nilpotency"] = operator_norm(np.linalg.matrix_power(t2, n)) if t2.size else 0.0
-    if residuals["t2_nilpotency"] > tol.gate(float(np.float64(1.0 + operator_norm(t2)) ** n)):
+    if residuals["t2_nilpotency"] > tol.power_gate(operator_norm(t2), n):
         raise DecompositionError(
             f"kernel-side block fails t2^{n} = 0 (residual {residuals['t2_nilpotency']:.3e})"
         )
@@ -331,8 +336,7 @@ def polar(m, tol: Tolerance = DEFAULT_TOL) -> PolarParts:
     if a.size == 0:
         return PolarParts(a.copy(), a.copy(), a.copy())
     w, s, vh = np.linalg.svd(a)
-    cutoff = max(tol.rel_eps * float(s[0]), tol.abs_eps)
-    kept = s > cutoff
+    kept = s > tol.cutoff(float(s[0]))
     v = adjoint(vh)
     return PolarParts(
         u=w[:, kept] @ vh[kept, :],
@@ -351,14 +355,6 @@ def duggal(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return polar(m, tol).duggal()
 
 
-def _psd_sqrt_clamped(a: np.ndarray) -> np.ndarray:
-    """Square root of a nearly-PSD Hermitian block, negative part clamped."""
-    if a.size == 0:
-        return a.copy()
-    w, v = np.linalg.eigh(hermitian_part(a))
-    return hermitian_part((v * np.sqrt(np.clip(w, 0.0, None))) @ adjoint(v))
-
-
 def ando_check(p, d1: int, tol: Tolerance = DEFAULT_TOL):
     """Block-PSD criterion: P >= 0 iff the diagonal blocks are PSD and the
     lower-left block factors as P22^{1/2} C P11^{1/2} for a contraction C.
@@ -375,7 +371,9 @@ def ando_check(p, d1: int, tol: Tolerance = DEFAULT_TOL):
         return False, None
     blocks = block_split(hermitian_part(a), d1)
     p11, p21, p22 = blocks[0][0], blocks[1][0], blocks[1][1]
-    c = moore_penrose(_psd_sqrt_clamped(p22), tol) @ p21 @ moore_penrose(_psd_sqrt_clamped(p11), tol)
+    # the blocks of a P that passed as PSD are PSD, so they take the square
+    # root without sqrt_psd's check, which is relative to the block's own scale
+    c = moore_penrose(_psd_sqrt(p22), tol) @ p21 @ moore_penrose(_psd_sqrt(p11), tol)
     return True, c
 
 

@@ -30,9 +30,9 @@ from .matrix_core import (
     ZERO,
     DefinitenessVerdict,
     DomainError,
-    HermitianError,
     NumericalFailureError,
     Tolerance,
+    _hermitian_gate,
     _norm2,
     _sign_verdict,
     adjoint,
@@ -145,6 +145,9 @@ def _classes_for(verdict: DefinitenessVerdict) -> frozenset:
     return frozenset(classes)
 
 
+# a non-finite scale, sum or defect raises NumericalFailureError below, so
+# numpy's overflow and invalid-value warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def _defect_pass(spec: DefectSpec, orders, tol: Tolerance) -> tuple[float, tuple]:
     """Defects of T^n against P at each of ``orders`` (ascending, in [1, spec.m]).
 
@@ -157,12 +160,7 @@ def _defect_pass(spec: DefectSpec, orders, tol: Tolerance) -> tuple[float, tuple
     order.  A non-finite cross-check or defect raises it too.  Returns
     ||T^n|| (it sets the term scale) with the results.
     """
-    p = spec.p
-    if not np.array_equal(p, adjoint(p)):
-        defect_norm = _norm2(p - adjoint(p))
-        if defect_norm > tol.gate(_norm2(p)):
-            raise HermitianError(defect_norm)
-        p = hermitian_part(p)
+    p = _hermitian_gate(spec.p, tol)
     # spec.t is validated; a power of it may overflow and is validated again
     t = spec.t if spec.n == 1 else as_matrix(np.linalg.matrix_power(spec.t, spec.n))
     ta = adjoint(t)

@@ -21,6 +21,7 @@ handing out an uncertified fixture.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,12 +72,17 @@ class GenSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0 <= self.seed < _U64:
-            raise PreconditionError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not 0 <= self.stream < _U64:
-            raise PreconditionError(f"stream must be a 64-bit unsigned integer, got {self.stream}")
+        for name in ("seed", "stream"):
+            value = getattr(self, name)
+            if not (_is_integer(value) and 0 <= value < _U64):
+                raise PreconditionError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.family not in FAMILIES:
             raise PreconditionError(f"unknown family {self.family!r}")
+        if not isinstance(self.params, dict):
+            raise PreconditionError(f"params must be a dict, got {self.params!r}")
+        if not all(map(_is_integer, self.dims)):
+            raise PreconditionError(f"dims must be integers, got {list(self.dims)}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         arity, required = _SIGNATURES[self.family]
         if len(self.dims) != arity:
@@ -114,6 +120,11 @@ class GenSpec:
             dims=tuple(obj["dims"]),
             params=dict(obj.get("params", {})),
         )
+
+
+def _is_integer(value) -> bool:
+    """An integral number that is not a bool (numpy integers included)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -180,7 +191,7 @@ def gen_nilpotent(seed: int, d: int, index: int, stream: int = 0) -> np.ndarray:
         raise PreconditionError(f"nilpotency index {index} outside [1, {d}]")
     n = _nilpotent(_rng(seed, stream), d, index)
     top = operator_norm(np.linalg.matrix_power(n, index))
-    if top > DEFAULT_TOL.gate(float(np.float64(1.0 + operator_norm(n)) ** index)):
+    if top > DEFAULT_TOL.power_gate(operator_norm(n), index):
         raise GenerationError(f"nilpotency certification failed (||N^index|| = {top:.3e})")
     if index > 1 and operator_norm(np.linalg.matrix_power(n, index - 1)) < 1e-3:
         raise GenerationError("nilpotent chain collapsed below the stated index")

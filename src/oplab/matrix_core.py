@@ -10,7 +10,10 @@ shared conventions:
   ``np.linalg.norm(a, 2)`` returns without that function's axis handling,
 * Hermiticity and definiteness decisions,
 * PSD square roots and the Moore-Penrose pseudo-inverse,
-* the numerical-rank cutoff ``sigma < max(rel_eps * sigma_max, abs_eps)``,
+* the one numerical-rank rule, `Tolerance.cutoff`: a singular value at or
+  below ``max(rel_eps * sigma_max, abs_eps)`` counts as zero; every rank
+  decision in the package (pseudo-inverse, rank, polar factor, splittings)
+  uses it,
 * 2x2 block composition/splitting,
 * the JSON wire format for matrices and the one writer of JSON text.
 
@@ -120,6 +123,15 @@ class Tolerance:
         """Absolute threshold for a residual living at magnitude ``scale``."""
         return self.rel_eps * scale + self.abs_eps
 
+    def power_gate(self, norm: float, power: int) -> float:
+        """`gate` at the scale (1 + ||X||)^power of the power X^power, where
+        ``norm`` is ||X||; formed in float64, so an overflow gives inf."""
+        return self.gate(float(np.float64(1.0 + norm) ** power))
+
+    def cutoff(self, sigma_max: float) -> float:
+        """The rank rule: singular values at or below this count as zero."""
+        return max(self.rel_eps * sigma_max, self.abs_eps)
+
 
 DEFAULT_TOL = Tolerance()
 
@@ -221,14 +233,20 @@ def definiteness(m, tol: Tolerance = DEFAULT_TOL) -> DefinitenessVerdict:
     thresholds are relative to the spectral scale max(|min_eig|, |max_eig|, 1).
     """
     a = _require_square(as_matrix(m))
+    return _sign_verdict(_hermitian_gate(a, tol), tol)
+
+
+def _hermitian_gate(a: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The Hermitian part of a finite square ``a``; raises HermitianError
+    when ||a - a*|| exceeds the gate at the scale ||a||."""
     # an exactly self-adjoint input (every hermitian_part result) has defect 0
     # and is already its own Hermitian part
-    if not np.array_equal(a, adjoint(a)):
-        defect = _norm2(a - adjoint(a))
-        if defect > tol.gate(_norm2(a)):
-            raise HermitianError(defect)
-        a = hermitian_part(a)
-    return _sign_verdict(a, tol)
+    if np.array_equal(a, adjoint(a)):
+        return a
+    defect = _norm2(a - adjoint(a))
+    if defect > tol.gate(_norm2(a)):
+        raise HermitianError(defect)
+    return hermitian_part(a)
 
 
 def _sign_verdict(h: np.ndarray, tol: Tolerance) -> DefinitenessVerdict:
@@ -260,12 +278,16 @@ def sqrt_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     verdict = definiteness(a, tol)
     if not verdict.is_psd:
         raise DomainError(f"matrix is not PSD (verdict {verdict.verdict}, min_eig {verdict.min_eig:.3e})")
+    return _psd_sqrt(a)
+
+
+def _psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """Square root of the Hermitian part of a square ``a``, with negative
+    eigenvalues clamped to 0; `sqrt_psd` without its PSD check."""
     if a.size == 0:
         return a.copy()
     w, v = np.linalg.eigh(hermitian_part(a))
-    w = np.clip(w, 0.0, None)
-    s = (v * np.sqrt(w)) @ adjoint(v)
-    return hermitian_part(s)
+    return hermitian_part((v * np.sqrt(np.clip(w, 0.0, None))) @ adjoint(v))
 
 
 def moore_penrose(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -274,27 +296,25 @@ def moore_penrose(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if a.size == 0:
         return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
     u, s, vh = np.linalg.svd(a)
-    cutoff = max(tol.rel_eps * float(s[0]), tol.abs_eps)
     inv = np.zeros_like(s)
-    kept = s > cutoff
+    kept = s > tol.cutoff(float(s[0]))
     inv[kept] = 1.0 / s[kept]
     k = s.size
     return adjoint(vh)[:, :k] @ (inv[:, None] * adjoint(u)[:k, :])
 
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above max(rel_eps * sigma_max, abs_eps)."""
-    rank, _, _ = _rank_with_cliff(as_matrix(m), tol)
-    return rank
-
-
-def _rank_with_cliff(a: np.ndarray, tol: Tolerance) -> tuple[int, float, bool]:
-    """Rank from a values-only SVD, its cutoff, and a flag marking singular
-    values within 10x of the cutoff."""
+    """Number of singular values above the rank cutoff `Tolerance.cutoff`."""
+    a = as_matrix(m)
     if a.size == 0:
-        return 0, tol.abs_eps, False
-    s = np.linalg.svd(a, compute_uv=False)
-    cutoff = max(tol.rel_eps * float(s[0]), tol.abs_eps)
+        return 0
+    return _rank_with_cliff(np.linalg.svd(a, compute_uv=False), tol)[0]
+
+
+def _rank_with_cliff(s: np.ndarray, tol: Tolerance) -> tuple[int, float, bool]:
+    """Rank of the descending singular values ``s`` under `Tolerance.cutoff`,
+    the cutoff, and a flag marking singular values within 10x of it."""
+    cutoff = tol.cutoff(float(s[0]) if s.size else 0.0)
     near = bool(np.any((s > cutoff / 10.0) & (s < cutoff * 10.0)))
     return int(np.count_nonzero(s > cutoff)), cutoff, near
 

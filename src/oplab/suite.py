@@ -11,6 +11,9 @@ Any instance with premises met and a failed conclusion is a potential
 counterexample: it is serialized to a quarantine file (all input matrices,
 parameters, tolerance and witness) so the exact run can be replayed.
 
+Each theorem is one entry of ``_THEOREMS``: the name of its verifier with
+the builders of its verify and fuzz instances.
+
 Reproducibility: instance k of a theorem uses RNG stream k; when an instance
 needs several independent draws, draw j uses stream ``k + j * 2**32``.  Rows
 are keyed by (theorem_id, stream) and sorted, so reports are byte-identical
@@ -23,9 +26,11 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import theorem_lab
 from .expansivity import gram_weight
 from .generators import GenSpec, generate
 from .matrix_core import (
@@ -36,16 +41,6 @@ from .matrix_core import (
     hermitian_part,
     matrix_from_json,
     matrix_to_json,
-)
-from .theorem_lab import (
-    spectral_constraints,
-    verify_no_singular_expansive,
-    verify_power_stability,
-    verify_sandwich_isometry,
-    verify_transform_bundle,
-    verify_two_expansive_isometry,
-    verify_unitary_nilpotent_structure,
-    verify_weight_decomposition,
 )
 
 __all__ = [
@@ -58,53 +53,6 @@ __all__ = [
 _SUBSTREAM = 1 << 32
 
 
-def _run_power_stability(inputs, params, tol):
-    return verify_power_stability(inputs["t"], inputs["p"], params["m"], params["n_max"], tol)
-
-
-def _run_no_singular(inputs, params, tol):
-    return verify_no_singular_expansive(inputs["t"], params["m"], tol)
-
-
-def _run_weight_decomposition(inputs, params, tol):
-    return verify_weight_decomposition(inputs["t1"], inputs["t2"], inputs["p"], params["m"], tol)
-
-
-def _run_two_expansive(inputs, params, tol):
-    return verify_two_expansive_isometry(inputs["t"], inputs["p"], tol)
-
-
-def _run_unitary_nilpotent(inputs, params, tol):
-    return verify_unitary_nilpotent_structure(inputs["t"], tol)
-
-
-def _run_sandwich(inputs, params, tol):
-    return verify_sandwich_isometry(inputs["t"], inputs["p"], params["m"], tol)
-
-
-def _run_spectral(inputs, params, tol):
-    return spectral_constraints(inputs["t"], inputs["p"], params["m"], tol)
-
-
-def _run_transform_bundle(inputs, params, tol):
-    _, verdict = verify_transform_bundle(inputs["t"], params["n"], params["m"], tol)
-    return verdict
-
-
-RUNNERS = {
-    "power_stability": _run_power_stability,
-    "no_singular_expansive": _run_no_singular,
-    "weight_decomposition": _run_weight_decomposition,
-    "two_expansive_isometry": _run_two_expansive,
-    "unitary_nilpotent_structure": _run_unitary_nilpotent,
-    "sandwich_isometry": _run_sandwich,
-    "spectral_constraints": _run_spectral,
-    "transform_bundle": _run_transform_bundle,
-}
-
-THEOREM_IDS = tuple(sorted(RUNNERS))
-
-
 def _fuzz_rng(seed: int, stream: int) -> np.random.Generator:
     # Parameter draws for fuzz instances; fixture entries still come from
     # the generator families at derived sub-streams.
@@ -115,11 +63,14 @@ def _identity(d: int) -> np.ndarray:
     return np.eye(d, dtype=np.complex128)
 
 
-def _draw_operator(seed, stream, rng, dims, families=("haar_unitary", "nilpotent", "drazin_pair", "coupled_kernel", "expansive_invertible")):
+_FUZZ_FAMILIES = ("haar_unitary", "nilpotent", "drazin_pair", "coupled_kernel", "expansive_invertible")
+
+
+def _draw_operator(seed, stream, rng, dims):
     """Randomized operator fixture for fuzzing, named by its GenSpec."""
     d1 = int(rng.integers(1, dims[0] + 1))
     d2 = int(rng.integers(1, dims[1] + 1))
-    family = families[int(rng.integers(0, len(families)))]
+    family = _FUZZ_FAMILIES[int(rng.integers(0, len(_FUZZ_FAMILIES)))]
     if family == "haar_unitary":
         gs = GenSpec(seed, "haar_unitary", (d1,), stream)
     elif family == "nilpotent":
@@ -152,6 +103,16 @@ def _draw_weight(seed, stream, rng, t):
     gs = GenSpec(seed, "psd", (d,), stream + _SUBSTREAM,
                  params={"condition_cap": float(rng.uniform(1.0, 100.0))})
     return [gs], generate(gs)["p"]
+
+
+def _draw_invertible_weight(seed, stream, rng, t):
+    """Randomized invertible PSD weight: never the gram of a singular draw."""
+    d = t.shape[0]
+    if rng.integers(0, 2):
+        gs = GenSpec(seed, "psd", (d,), stream + _SUBSTREAM,
+                     params={"condition_cap": float(rng.uniform(1.0, 50.0))})
+        return [gs], generate(gs)["p"]
+    return [], _identity(d)
 
 
 def _verify_power_stability_instance(seed, stream, dims):
@@ -240,12 +201,10 @@ def _verify_spectral_instance(seed, stream, dims):
     if variant == 0:
         gs = GenSpec(seed, "haar_unitary", (d1,), stream)
         return [gs], {"t": generate(gs)["t"], "p": _identity(d1)}, {"m": 2}
-    if variant == 1:
-        gs = GenSpec(seed, "expansive_invertible", (d1,), stream, params={"m": 1})
-        return [gs], {"t": generate(gs)["t"], "p": _identity(d1)}, {"m": 1}
-    if variant == 2:
-        gs = GenSpec(seed, "expansive_invertible", (d1,), stream, params={"m": 3})
-        return [gs], {"t": generate(gs)["t"], "p": _identity(d1)}, {"m": 3}
+    if variant in (1, 2):
+        m = 2 * variant - 1  # orders 1 and 3
+        gs = GenSpec(seed, "expansive_invertible", (d1,), stream, params={"m": m})
+        return [gs], {"t": generate(gs)["t"], "p": _identity(d1)}, {"m": m}
     gs_u = GenSpec(seed, "haar_unitary", (d1,), stream)
     gs_s = GenSpec(seed, "psd", (d1,), stream + _SUBSTREAM, params={"condition_cap": 4.0})
     u = generate(gs_u)["t"]
@@ -267,67 +226,88 @@ def _verify_transform_bundle_instance(seed, stream, dims):
     return [gs], {"t": generate(gs)["t"]}, {"m": 1, "n": 1}
 
 
-_VERIFY_BUILDERS = {
-    "power_stability": _verify_power_stability_instance,
-    "no_singular_expansive": _verify_no_singular_instance,
-    "weight_decomposition": _verify_weight_decomposition_instance,
-    "two_expansive_isometry": _verify_two_expansive_instance,
-    "unitary_nilpotent_structure": _verify_unitary_nilpotent_instance,
-    "sandwich_isometry": _verify_sandwich_instance,
-    "spectral_constraints": _verify_spectral_instance,
-    "transform_bundle": _verify_transform_bundle_instance,
+def _fuzz_recipe(draw_weight, **ranges):
+    """Fuzz recipe: a randomized operator, its weight from ``draw_weight``
+    (none if None), then one integer param per ``name=(low, high)`` entry of
+    ``ranges``, drawn in that order from the instance's parameter RNG."""
+
+    def recipe(seed, stream, rng, dims):
+        gs_t, t = _draw_operator(seed, stream, rng, dims)
+        gens, inputs = [gs_t], {"t": t}
+        if draw_weight is not None:
+            gs_p, inputs["p"] = draw_weight(seed, stream, rng, t)
+            gens.extend(gs_p)
+        return gens, inputs, {name: int(rng.integers(low, high)) for name, (low, high) in ranges.items()}
+
+    return recipe
+
+
+def _fuzz_weight_decomposition(seed, stream, rng, dims):
+    """Fuzz recipe of the orthogonal fixtures t1 (+) t2 the theorem takes."""
+    d1 = int(rng.integers(1, dims[0] + 1))
+    d2 = int(rng.integers(1, dims[1] + 1))
+    m = int(rng.integers(1, 4))
+    gs_u = GenSpec(seed, "haar_unitary", (d1,), stream)
+    gs_n = GenSpec(seed, "nilpotent", (d2,), stream + _SUBSTREAM,
+                   params={"index": int(rng.integers(1, d2 + 1))})
+    # unimodular half the time, otherwise scaled decisively away from 1
+    scale = 1.0 if rng.integers(0, 2) else float(rng.uniform(1.1, 2.0))
+    t1 = scale * generate(gs_u)["t"]
+    t2 = generate(gs_n)["t"]
+    d = d1 + d2
+    if rng.integers(0, 2) == 0:
+        p = _identity(d)
+    else:
+        p = np.zeros((d, d), dtype=np.complex128)
+        p[:d1, :d1] = _identity(d1)
+    return [gs_u, gs_n], {"t1": t1, "t2": t2, "p": p}, {"m": m}
+
+
+class _Theorem(NamedTuple):
+    """One theorem of the suite: its verifier, named on `oplab.theorem_lab`
+    and looked up per call (so a rebound attribute is the one called), and
+    the builders of its verify and fuzz instances."""
+
+    verifier: str
+    verify: Callable
+    fuzz: Callable
+
+
+_THEOREMS = {
+    "power_stability": _Theorem(
+        "verify_power_stability", _verify_power_stability_instance,
+        _fuzz_recipe(_draw_weight, m=(1, 5), n_max=(2, 6))),
+    "no_singular_expansive": _Theorem(
+        "verify_no_singular_expansive", _verify_no_singular_instance,
+        _fuzz_recipe(None, m=(1, 5))),
+    "weight_decomposition": _Theorem(
+        "verify_weight_decomposition", _verify_weight_decomposition_instance,
+        _fuzz_weight_decomposition),
+    "two_expansive_isometry": _Theorem(
+        "verify_two_expansive_isometry", _verify_two_expansive_instance,
+        _fuzz_recipe(_draw_weight)),
+    "unitary_nilpotent_structure": _Theorem(
+        "verify_unitary_nilpotent_structure", _verify_unitary_nilpotent_instance,
+        _fuzz_recipe(None)),
+    "sandwich_isometry": _Theorem(
+        "verify_sandwich_isometry", _verify_sandwich_instance,
+        _fuzz_recipe(_draw_weight, m=(2, 5))),
+    "spectral_constraints": _Theorem(
+        "spectral_constraints", _verify_spectral_instance,
+        _fuzz_recipe(_draw_invertible_weight, m=(1, 5))),
+    "transform_bundle": _Theorem(
+        "verify_transform_bundle", _verify_transform_bundle_instance,
+        _fuzz_recipe(None, m=(1, 5), n=(1, 3))),
 }
 
+THEOREM_IDS = tuple(sorted(_THEOREMS))
 
-def _fuzz_instance(theorem_id, seed, stream, dims):
-    rng = _fuzz_rng(seed, stream)
-    gens = []
-    if theorem_id == "weight_decomposition":
-        d1 = int(rng.integers(1, dims[0] + 1))
-        d2 = int(rng.integers(1, dims[1] + 1))
-        m = int(rng.integers(1, 4))
-        gs_u = GenSpec(seed, "haar_unitary", (d1,), stream)
-        gs_n = GenSpec(seed, "nilpotent", (d2,), stream + _SUBSTREAM,
-                       params={"index": int(rng.integers(1, d2 + 1))})
-        # unimodular half the time, otherwise scaled decisively away from 1
-        scale = 1.0 if rng.integers(0, 2) else float(rng.uniform(1.1, 2.0))
-        t1 = scale * generate(gs_u)["t"]
-        t2 = generate(gs_n)["t"]
-        d = d1 + d2
-        if rng.integers(0, 2) == 0:
-            p = _identity(d)
-        else:
-            p = np.zeros((d, d), dtype=np.complex128)
-            p[:d1, :d1] = _identity(d1)
-        return [gs_u, gs_n], {"t1": t1, "t2": t2, "p": p}, {"m": m}
 
-    gs_t, t = _draw_operator(seed, stream, rng, dims)
-    gens.append(gs_t)
-    if theorem_id == "no_singular_expansive":
-        return gens, {"t": t}, {"m": int(rng.integers(1, 5))}
-    if theorem_id == "unitary_nilpotent_structure":
-        return gens, {"t": t}, {}
-    if theorem_id == "transform_bundle":
-        return gens, {"t": t}, {"m": int(rng.integers(1, 5)), "n": int(rng.integers(1, 3))}
-    if theorem_id == "spectral_constraints":
-        # the weight must be invertible PSD, so never the gram of a singular draw
-        if rng.integers(0, 2):
-            gs_p = GenSpec(seed, "psd", (t.shape[0],), stream + _SUBSTREAM,
-                           params={"condition_cap": float(rng.uniform(1.0, 50.0))})
-            p = generate(gs_p)["p"]
-            gens.append(gs_p)
-        else:
-            p = _identity(t.shape[0])
-        return gens, {"t": t, "p": p}, {"m": int(rng.integers(1, 5))}
-    gs_p, p = _draw_weight(seed, stream, rng, t)
-    gens.extend(gs_p)
-    if theorem_id == "power_stability":
-        return gens, {"t": t, "p": p}, {"m": int(rng.integers(1, 5)), "n_max": int(rng.integers(2, 6))}
-    if theorem_id == "two_expansive_isometry":
-        return gens, {"t": t, "p": p}, {}
-    if theorem_id == "sandwich_isometry":
-        return gens, {"t": t, "p": p}, {"m": int(rng.integers(2, 5))}
-    raise KeyError(theorem_id)
+def _verdict(theorem_id, inputs, params, tol):
+    """The verifier's TheoremVerdict on one instance."""
+    verdict = getattr(theorem_lab, _THEOREMS[theorem_id].verifier)(**inputs, **params, tol=tol)
+    # verify_transform_bundle alone also returns the bundle it built
+    return verdict[1] if isinstance(verdict, tuple) else verdict
 
 
 def _instance_dims(inputs) -> list:
@@ -357,23 +337,24 @@ def run_suite(
         raise ValueError(f"count must be >= 1, got {count}")
     ids = THEOREM_IDS if suites in (None, "all") else tuple(suites)
     for theorem_id in ids:
-        if theorem_id not in RUNNERS:
+        if theorem_id not in _THEOREMS:
             raise KeyError(f"unknown theorem id {theorem_id!r}")
 
     # every fixture is drawn before any is evaluated: at dims (4, 3) this
     # measured about 5% faster than evaluating each instance as it is drawn
     instances = []
     for theorem_id in ids:
+        theorem = _THEOREMS[theorem_id]
         for stream in range(count):
             if mode == "verify":
-                gens, inputs, params = _VERIFY_BUILDERS[theorem_id](seed, stream, dims)
+                gens, inputs, params = theorem.verify(seed, stream, dims)
             else:
-                gens, inputs, params = _fuzz_instance(theorem_id, seed, stream, dims)
+                gens, inputs, params = theorem.fuzz(seed, stream, _fuzz_rng(seed, stream), dims)
             instances.append((theorem_id, stream, gens, inputs, params))
 
     results = []
     for theorem_id, stream, gens, inputs, params in instances:
-        verdict = RUNNERS[theorem_id](inputs, params, tol)
+        verdict = _verdict(theorem_id, inputs, params, tol)
         row = {
             "theorem_id": theorem_id,
             "seed": seed,
@@ -452,7 +433,7 @@ def replay_quarantine(path) -> dict:
         payload = json.load(handle)
     tol = Tolerance(**payload["tolerance"])
     inputs = {name: matrix_from_json(obj) for name, obj in payload["inputs"].items()}
-    verdict = RUNNERS[payload["theorem_id"]](inputs, payload["params"], tol)
+    verdict = _verdict(payload["theorem_id"], inputs, payload["params"], tol)
     return {
         "theorem_id": payload["theorem_id"],
         "premises_met": verdict.premises_met,

@@ -89,14 +89,6 @@ class TheoremVerdict:
     holds: bool
     witness: dict
 
-    def to_json(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "premises_met": self.premises_met,
-            "holds": self.holds,
-            "witness": self.witness,
-        }
-
 
 def _vacuous(theorem_id: str, witness: dict) -> TheoremVerdict:
     witness = dict(witness)
@@ -160,7 +152,7 @@ def _nilpotency_index(t2: np.ndarray, tol: Tolerance) -> int | None:
     norm2 = operator_norm(t2)
     power = np.eye(d2, dtype=np.complex128)
     for q in range(d2 + 1):
-        if operator_norm(power) <= tol.gate(float(np.float64(1.0 + norm2) ** q)):
+        if operator_norm(power) <= tol.power_gate(norm2, q):
             return q
         power = power @ t2
     return None
@@ -184,10 +176,8 @@ def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL)
         raise PreconditionError("blocks must be square")
     if p.shape != (d1 + d2, d1 + d2):
         raise PreconditionError(f"weight shape {p.shape} does not match block dimensions {(d1 + d2,)}")
-    if d1 >= 1:
-        s1 = np.linalg.svd(a1, compute_uv=False)
-        if float(s1[-1]) <= max(tol.rel_eps * float(s1[0]), tol.abs_eps):
-            raise PreconditionError("invertible block is numerically singular")
+    if numerical_rank(a1, tol) < d1:
+        raise PreconditionError("invertible block is numerically singular")
     q = _nilpotency_index(a2, tol)
     if q is None:
         raise PreconditionError("second block is not nilpotent")

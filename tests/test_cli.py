@@ -1,11 +1,16 @@
 """End-to-end CLI tests: commands, exit codes, and output stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import oplab.suite as suite_mod
+import oplab
+import oplab.theorem_lab as theorem_lab
 from oplab import TheoremVerdict, matrix_from_json, matrix_to_json
 from oplab.cli import main
 
@@ -158,13 +163,13 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
 
 
 def test_counterexample_exits_four(tmp_path, capsys, monkeypatch):
-    real = suite_mod.RUNNERS["power_stability"]
+    real = theorem_lab.verify_power_stability
 
-    def failing(inputs, params, tol):
-        verdict = real(inputs, params, tol)
+    def failing(**kwargs):
+        verdict = real(**kwargs)
         return TheoremVerdict(verdict.theorem_id, verdict.premises_met, False, verdict.witness)
 
-    monkeypatch.setitem(suite_mod.RUNNERS, "power_stability", failing)
+    monkeypatch.setattr(theorem_lab, "verify_power_stability", failing)
     code = main(
         ["verify", "--suite", "power_stability", "--seed", "1", "--count", "2",
          "--dims", "3,2", "--quarantine", str(tmp_path / "q"),
@@ -232,3 +237,21 @@ def test_drazin_overflowing_power_exits_three(tmp_path, capsys):
     path = write_matrix(tmp_path / "big.json", [[1e200, 1e200], [0, 0]])
     assert main(["drazin", "--matrix", path]) == 3
     assert "oplab: numerical failure: Drazin index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,values",
+    [(["defect", "--m", "2"], 1e200 * np.eye(2)), (["drazin"], [[1e200, 1e200], [0, 0]])],
+)
+def test_overflow_error_is_the_only_stderr_line(tmp_path, command, values):
+    # a fresh interpreter that shows every warning: numpy's overflow and
+    # invalid-value warnings must not precede the typed error
+    path = write_matrix(tmp_path / "big.json", values)
+    env = dict(os.environ, PYTHONPATH=str(Path(oplab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "oplab.cli", *command, "--matrix", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("oplab: numerical failure: ")
+    assert proc.stderr.count("\n") == 1

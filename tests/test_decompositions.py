@@ -17,6 +17,8 @@ from oplab import (
     drazin_inverse,
     drazin_residuals,
     duggal,
+    moore_penrose,
+    numerical_rank,
     operator_norm,
     polar,
     range_kernel_split,
@@ -347,3 +349,19 @@ def test_range_kernel_split_gates_the_power_at_its_own_scale():
 def test_range_kernel_split_rejects_an_overflowing_power():
     with pytest.raises(DomainError, match="finite"):
         range_kernel_split([[1e200, 1e200], [0, 0]], 2)
+
+
+@pytest.mark.parametrize("scale,rank", [(1.0, 2), (1e-14, 0)])
+def test_rank_decisions_share_one_cutoff(scale, rank):
+    # sigma = [1, 1e-8, 1e-12]: the relative branch (1e-10 * sigma_max) keeps
+    # two; scaled by 1e-14, every sigma is below the absolute floor 1e-12
+    rng = philox(31)
+    u, _ = np.linalg.qr(ginibre(rng, 3))
+    v, _ = np.linalg.qr(ginibre(rng, 3))
+    a = scale * (u * np.array([1.0, 1e-8, 1e-12])) @ v.conj().T
+    assert numerical_rank(a) == rank
+    # A^+ A projects onto the kept right singular vectors
+    assert round(np.trace(moore_penrose(a) @ a).real) == rank
+    # the polar factor is a partial isometry on the kept directions
+    assert round(np.linalg.norm(polar(a).u) ** 2) == rank
+    assert range_kernel_split(a, 1).d1 == rank

@@ -171,6 +171,31 @@ def test_genspec_validation():
         GenSpec(1, "unknown_family", (2,))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1.5, "haar_unitary", (2,)),
+        (True, "haar_unitary", (2,)),
+        (1, "haar_unitary", (2,), 0.5),
+        (1, "haar_unitary", (2,), False),
+        (1, "haar_unitary", (2,), 0, None),
+        (1, "haar_unitary", (2,), 0, "index"),
+        (1, "haar_unitary", ("x",)),
+        (1, "haar_unitary", (2.0,)),
+        (1, "haar_unitary", (True,)),
+    ],
+)
+def test_genspec_rejects_mistyped_fields(args):
+    with pytest.raises(PreconditionError):
+        GenSpec(*args)
+
+
+def test_genspec_accepts_numpy_integers():
+    spec = GenSpec(np.uint64(3), "nilpotent", (np.int64(3),), np.int32(1), {"index": 2})
+    assert spec == GenSpec(3, "nilpotent", (3,), 1, {"index": 2})
+    assert spec.to_json()["seed"] == 3 and type(spec.to_json()["seed"]) is int
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 16, 64, 128])
 def test_orthonormalize_is_the_positive_diagonal_qr_factor(d):
     a = ginibre(philox(d), d)
