@@ -29,6 +29,7 @@ from .matrix_core import (
     OplabError,
     PreconditionError,
     Tolerance,
+    _matrix_power,
     _psd_sqrt,
     _rank_with_cliff,
     _require_square,
@@ -264,12 +265,13 @@ def range_kernel_split(t, n: int, tol: Tolerance = DEFAULT_TOL) -> RangeKernelSp
 
     The two subspaces are orthogonal complements, so the basis is unitary;
     a lower block surviving above tolerance means the rank decision failed
-    and raises DecompositionError.
+    and raises DecompositionError.  A power T^n that overflows raises
+    NumericalFailureError.
     """
     if n < 1:
         raise PreconditionError(f"power must be >= 1, got {n}")
     a = _require_square(as_matrix(t))
-    tn = as_matrix(np.linalg.matrix_power(a, n))
+    tn = _matrix_power(a, n)
     u, s, _, d1 = _svd_rank(tn, tol)
     basis = _canonical_phases(u)
     bn = adjoint(basis) @ tn @ basis

@@ -11,17 +11,20 @@ classifies as both expansive and contractive.
 
 Every defect is computed twice, via the explicit alternating binomial sum and
 via m-fold application of the map ``S -> S - T* S T``, and the two must agree
-within tolerance relative to the magnitude of the summed terms.  The
-alternating sum is the heart of everything downstream, so a disagreement is a
-hard numerical failure, never silently absorbed; so is a cross-check or a
-defect that is not finite.
+within tolerance relative to the magnitude of the summed terms.  Their
+difference is measured in the Frobenius norm, an upper bound on the spectral
+norm, so the gate is no looser than a spectral-norm gate and costs one dot
+product instead of an SVD.  The alternating sum is the heart of everything
+downstream, so a disagreement is a hard numerical failure, never silently
+absorbed; so is a cross-check or a defect that is not finite, and so is a
+power T^n that overflows.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from math import comb, isfinite, nan
+from math import comb, isfinite
 
 import numpy as np
 
@@ -33,7 +36,9 @@ from .matrix_core import (
     NumericalFailureError,
     Tolerance,
     _hermitian_gate,
+    _matrix_power,
     _norm2,
+    _norm_fro,
     _sign_verdict,
     adjoint,
     as_matrix,
@@ -157,12 +162,11 @@ def _defect_pass(spec: DefectSpec, orders, tol: Tolerance) -> tuple[float, tuple
     order's sum takes the same floating-point operations as when that order
     is computed alone.  An order is cross-checked as soon as its last term is
     in, so a disagreement raises NumericalFailureError at the lowest failing
-    order.  A non-finite cross-check or defect raises it too.  Returns
+    order.  A non-finite T^n, cross-check or defect raises it too.  Returns
     ||T^n|| (it sets the term scale) with the results.
     """
     p = _hermitian_gate(spec.p, tol)
-    # spec.t is validated; a power of it may overflow and is validated again
-    t = spec.t if spec.n == 1 else as_matrix(np.linalg.matrix_power(spec.t, spec.n))
+    t = spec.t if spec.n == 1 else _matrix_power(spec.t, spec.n)
     ta = adjoint(t)
     norm_t = _norm2(t) if t.size else 0.0
     # magnitude bound (1+||P||) (1+||T||^2)^m of an order-m sum's terms
@@ -182,11 +186,8 @@ def _defect_pass(spec: DefectSpec, orders, tol: Tolerance) -> tuple[float, tuple
             continue
         binom_sum = sums.pop(j)
         scale = float(weight_scale * base**j)
-        try:
-            disagreement = _norm2(binom_sum - iterated) if p.size else 0.0
-        except np.linalg.LinAlgError:
-            # LAPACK rejects a difference holding NaN (inf - inf)
-            disagreement = nan
+        # ||.||_F >= ||.||_2; a difference holding NaN (inf - inf) gives NaN
+        disagreement = _norm_fro(binom_sum - iterated) if p.size else 0.0
         threshold = tol.gate(scale)
         cross_check = {
             "disagreement": disagreement,
@@ -212,8 +213,12 @@ def defect(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> DefectResult:
     """Compute the order-m defect of T^n against the weight P.
 
     The binomial-sum and iterated-map constructions are cross-checked against
-    each other; disagreement raises NumericalFailureError with both residual
-    norms attached.
+    each other.  ``cross_check`` holds the Frobenius norm of their difference
+    (``disagreement``, an upper bound on its spectral norm), the ``threshold``
+    it must not exceed, and the ``term_scale`` (1+||P||)(1+||T^n||^2)^m that
+    sets the threshold.  A disagreement beyond the threshold raises
+    NumericalFailureError carrying that dict; a power T^n that overflows
+    raises it too.
     """
     return _defect_pass(spec, (spec.m,), tol)[1][0]
 

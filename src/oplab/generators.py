@@ -81,15 +81,23 @@ class GenSpec:
             raise PreconditionError(f"unknown family {self.family!r}")
         if not isinstance(self.params, dict):
             raise PreconditionError(f"params must be a dict, got {self.params!r}")
-        if not all(map(_is_integer, self.dims)):
-            raise PreconditionError(f"dims must be integers, got {list(self.dims)}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        try:
+            dims = tuple(self.dims)
+        except TypeError:
+            raise PreconditionError(f"dims must be a sequence of integers, got {self.dims!r}") from None
+        if not all(map(_is_integer, dims)):
+            raise PreconditionError(f"dims must be integers, got {list(dims)}")
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         arity, required = _SIGNATURES[self.family]
         if len(self.dims) != arity:
             raise PreconditionError(f"family {self.family!r} takes {arity} dims, got {list(self.dims)}")
         missing = [name for name in required if name not in self.params]
         if missing:
             raise PreconditionError(f"family {self.family!r} requires params {missing}")
+        for name, value in self.params.items():
+            kind = _PARAM_KINDS.get(name)
+            if kind is not None and not kind[0](value):
+                raise PreconditionError(f"param {name!r} must be {kind[1]}, got {value!r}")
 
     def to_json(self) -> dict:
         return {
@@ -125,6 +133,24 @@ class GenSpec:
 def _is_integer(value) -> bool:
     """An integral number that is not a bool (numpy integers included)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number that is not a bool (numpy floats and integers included)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# the type each dispatcher needs of a param it reads, with its description
+_PARAM_KINDS = {
+    "index": (_is_integer, "an integer"),
+    "m": (_is_integer, "an integer"),
+    "nil_index": (lambda value: value is None or _is_integer(value), "an integer or None"),
+    "condition_cap": (_is_real, "a real number"),
+    "x_scale": (_is_real, "a real number"),
+    "scale": (_is_real, "a real number"),
+    "perturbation": (_is_real, "a real number"),
+    "weight": (lambda value: isinstance(value, str), "a string"),
+}
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:

@@ -7,7 +7,9 @@ shared conventions:
 * tolerance handling (relative to the spectral scale, with an absolute floor),
 * the spectral norm: the largest singular value from a values-only SVD,
   ``svd(a, compute_uv=False)[0]``, which is bit for bit what
-  ``np.linalg.norm(a, 2)`` returns without that function's axis handling,
+  ``np.linalg.norm(a, 2)`` returns without that function's axis handling;
+  where only an upper bound on it is needed (the defect cross-check), the
+  Frobenius norm, one dot product, since ||A||_2 <= ||A||_F,
 * Hermiticity and definiteness decisions,
 * PSD square roots and the Moore-Penrose pseudo-inverse,
 * the one numerical-rank rule, `Tolerance.cutoff`: a singular value at or
@@ -159,6 +161,43 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 def _norm2(a: np.ndarray) -> float:
     """Spectral norm of a nonempty 2-D array, equal to ``np.linalg.norm(a, 2)``."""
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+# squares below 2**-1022 are subnormal and lose bits; a sum of squares of at
+# least this is far above their total loss for any array numpy can hold, and
+# _norm_fro forms a smaller (or overflowing) sum again from a / max|a|
+_SUMSQ_MIN = 2.0**-600
+
+
+def _norm_fro(a: np.ndarray) -> float:
+    """Frobenius norm of a nonempty float64 or complex128 array, an upper
+    bound on `_norm2`: one real dot product over the array's float64 view.
+
+    A sum of squares that overflows, or is small enough to have lost bits to
+    underflow, is formed again from ``a / max|a|``.  An array holding NaN
+    gives NaN, and one holding inf (but no NaN) gives inf.
+    """
+    x = a.ravel().view(np.float64)
+    # vdot raises no floating-point warnings, so an overflow needs no errstate
+    sumsq = float(np.vdot(x, x))
+    if _SUMSQ_MIN <= sumsq < math.inf:
+        return math.sqrt(sumsq)
+    peak = float(np.max(np.abs(x)))
+    if not 0.0 < peak < math.inf:
+        # all zero, or not finite: the plain sum is already the answer
+        return math.sqrt(sumsq)
+    x = x / peak
+    return peak * math.sqrt(float(np.vdot(x, x)))
+
+
+def _matrix_power(a: np.ndarray, n: int) -> np.ndarray:
+    """``a**n`` of a finite square ``a``; a power that overflows raises
+    NumericalFailureError instead of numpy's overflow warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.linalg.matrix_power(a, n)
+    if not np.isfinite(power).all():
+        raise NumericalFailureError("operator power overflows", {"power": n})
+    return power
 
 
 def operator_norm(m) -> float:

@@ -241,7 +241,11 @@ def test_drazin_overflowing_power_exits_three(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command,values",
-    [(["defect", "--m", "2"], 1e200 * np.eye(2)), (["drazin"], [[1e200, 1e200], [0, 0]])],
+    [
+        (["defect", "--m", "2"], 1e200 * np.eye(2)),
+        (["drazin"], [[1e200, 1e200], [0, 0]]),
+        (["split", "--n", "2"], [[1e200, 1e200], [0, 0]]),
+    ],
 )
 def test_overflow_error_is_the_only_stderr_line(tmp_path, command, values):
     # a fresh interpreter that shows every warning: numpy's overflow and

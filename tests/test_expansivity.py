@@ -391,12 +391,10 @@ def test_defect_makes_no_linalg_norm_call(monkeypatch):
         # a finite threshold whose defect still overflows when symmetrized
         ([[math.sqrt(1.5e154)]], [[1e154]], 1, "defect overflows"),
         # T*PT rounds to inf while the term scale rounds to the largest finite
-        # float: both constructions hold inf, and LAPACK rejects their NaN
-        # difference
+        # float: both constructions hold inf, and their difference is NaN
         ([[complex(-3.7420269360892266e119, 1.0497912805917645e120)]], [[1.4473138175090447e68]], 1,
          "defect cross-check is not finite"),
-        # terms overflow long before order 62; LAPACK used to reject the NaN
-        # difference with an untyped LinAlgError
+        # terms overflow long before order 62, and their difference is NaN
         (1000.0 * np.eye(2), I2, 62, "defect cross-check is not finite"),
     ],
     ids=["infinite-threshold", "overflowing-defect", "nan-disagreement", "overflowing-terms"],
@@ -409,8 +407,44 @@ def test_defect_fails_closed_on_overflow(t, p, m, message):
 
 
 def test_overflowing_power_is_rejected_as_input():
-    with pytest.raises(DomainError, match="finite"):
+    with pytest.raises(NumericalFailureError, match="power overflows"):
         defect(DefectSpec(t=[[1e200, 1.0], [0.0, 1.0]], p=I2, m=1, n=2))
+
+
+def huge_ginibre_case():
+    """T = 1e8 G, P = I, m = 16: a sum of squares of the order-16 difference
+    (about 2e251) overflows, so the Frobenius norm must rescale."""
+    rng = np.random.default_rng(3)
+    g = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / 2
+    return 1e8 * g, np.eye(4), 16
+
+
+def test_cross_check_survives_an_overflowing_sum_of_squares():
+    t, p, m = huge_ginibre_case()
+    result = defect(DefectSpec(t=t, p=p, m=m))
+    assert result.verdict.verdict == "PSD"
+    assert 1e250 < result.cross_check["disagreement"] <= result.cross_check["threshold"]
+    row = classify(t, p, m_max=m).rows[-1]
+    assert (row.m, row.verdict) == (m, result.verdict)
+
+
+@pytest.mark.parametrize("spec", list(series_fixtures()), ids=lambda s: f"d{s.t.shape[0]}-m{s.m}-n{s.n}")
+def test_cross_check_bounds_the_spectral_disagreement(spec, monkeypatch):
+    norm_fro = expansivity_mod._norm_fro
+    differences = []
+
+    def recording_norm_fro(a):
+        differences.append(a.copy())
+        return norm_fro(a)
+
+    monkeypatch.setattr(expansivity_mod, "_norm_fro", recording_norm_fro)
+    series = defect_series(spec)
+    assert len(differences) == len(series)
+    for result, difference in zip(series, differences):
+        spectral = float(np.linalg.norm(difference, 2))
+        # equal in exact arithmetic at d = 1, where the roundings may differ
+        slack = 2 * math.ulp(spectral) if spec.t.shape[0] == 1 else 0.0
+        assert result.cross_check["disagreement"] >= spectral - slack
 
 
 def test_cross_check_threshold_scales_with_the_weight_and_the_power():

@@ -183,6 +183,17 @@ def test_genspec_validation():
         (1, "haar_unitary", ("x",)),
         (1, "haar_unitary", (2.0,)),
         (1, "haar_unitary", (True,)),
+        (1, "haar_unitary", 3),
+        (1, "haar_unitary", None),
+        (1, "nilpotent", (3,), 0, {"index": "x"}),
+        (1, "nilpotent", (3,), 0, {"index": 2.0}),
+        (1, "nilpotent", (3,), 0, {"index": True}),
+        (1, "drazin_pair", (2, 2), 0, {"m": "1"}),
+        (1, "drazin_pair", (2, 2), 0, {"nil_index": 1.5}),
+        (1, "drazin_pair", (2, 2), 0, {"weight": 1}),
+        (1, "expansive_invertible", (3,), 0, {"m": 1.0}),
+        (1, "psd", (3,), 0, {"condition_cap": "4"}),
+        (1, "coupled_kernel", (2, 2), 0, {"x_scale": None}),
     ],
 )
 def test_genspec_rejects_mistyped_fields(args):

@@ -515,6 +515,49 @@ def test_norm2_equals_linalg_norm_bitwise(name, a):
         assert operator_norm(a) == float(np.linalg.norm(a, 2))
 
 
+def norm_fro_inputs():
+    rng = philox(4444)
+    yield "real-square", rng.standard_normal((5, 5))
+    yield "complex-square", ginibre(rng, 6)
+    yield "real-wide", rng.standard_normal((3, 7))
+    yield "complex-tall", ginibre(rng, 8, 3)
+    yield "1x1", np.array([[-2.5 + 1j]])
+    yield "zeros", np.zeros((4, 4), dtype=complex)
+    yield "256x256", ginibre(rng, 256)
+
+
+@pytest.mark.parametrize("name,a", list(norm_fro_inputs()), ids=lambda x: x if isinstance(x, str) else "")
+def test_norm_fro_agrees_with_linalg_norm_and_bounds_norm2(name, a):
+    from oplab.matrix_core import _norm2, _norm_fro
+
+    expected = float(np.linalg.norm(a))
+    assert abs(_norm_fro(a) - expected) <= 4 * math.ulp(expected)
+    # ||A||_2 = ||A||_F in exact arithmetic when A is one row or column, so
+    # there the two roundings may differ in the last bit
+    slack = 2 * math.ulp(_norm2(a)) if min(a.shape) == 1 else 0.0
+    assert _norm_fro(a) >= _norm2(a) - slack
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_norm_fro_rescales_a_sum_of_squares_out_of_range(scale):
+    from oplab.matrix_core import _norm_fro
+
+    # squares of entries near 1e200 overflow and near 1e-200 underflow;
+    # scaling by a power of ten is inexact, hence the few ulp
+    a = ginibre(philox(4545), 5)
+    got = _norm_fro(scale * a)
+    assert math.isfinite(got)
+    assert abs(got - scale * _norm_fro(a)) <= 4 * math.ulp(scale * _norm_fro(a))
+
+
+def test_norm_fro_of_a_non_finite_array():
+    from oplab.matrix_core import _norm_fro
+
+    assert math.isnan(_norm_fro(np.array([[1.0, np.nan], [1e200, 0.0]])))
+    assert math.isnan(_norm_fro(np.array([[complex(np.inf, np.nan)]])))
+    assert _norm_fro(np.array([[1.0, np.inf]])) == math.inf
+
+
 def test_definiteness_of_self_adjoint_input_skips_symmetrizing_bitwise():
     rng = philox(4343)
     for d in (1, 3, 7):
