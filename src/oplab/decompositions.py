@@ -30,6 +30,7 @@ from .matrix_core import (
     PreconditionError,
     Tolerance,
     _matrix_power,
+    _norm2,
     _psd_sqrt,
     _rank_with_cliff,
     _require_square,
@@ -133,11 +134,11 @@ def drazin_residuals(t, td, index: int) -> dict:
     """Norms of the three defining identities of the Drazin inverse."""
     a = as_matrix(t)
     td = as_matrix(td)
-    tp = np.linalg.matrix_power(a, index)
+    tp = _matrix_power(a, index)
     return {
-        "commutator": float(np.linalg.norm(td @ a - a @ td, 2)) if a.size else 0.0,
-        "inner_inverse": float(np.linalg.norm(td @ td @ a - td, 2)) if a.size else 0.0,
-        "core_projection": float(np.linalg.norm(np.linalg.matrix_power(a, index + 1) @ td - tp, 2)) if a.size else 0.0,
+        "commutator": _norm2(td @ a - a @ td),
+        "inner_inverse": _norm2(td @ td @ a - td),
+        "core_projection": _norm2(_matrix_power(a, index + 1) @ td - tp),
     }
 
 
@@ -155,10 +156,12 @@ def drazin_inverse(t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def _drazin_inverse(a: np.ndarray, k: int, tol: Tolerance) -> tuple[np.ndarray, dict]:
     """`drazin_inverse` of a validated square ``a`` of Drazin index ``k``,
     with the residuals of its three identities."""
-    tk = np.linalg.matrix_power(a, k)
-    td = tk @ moore_penrose(np.linalg.matrix_power(a, 2 * k + 1), tol) @ tk
+    tk = _matrix_power(a, k)
+    td = tk @ moore_penrose(_matrix_power(a, 2 * k + 1), tol) @ tk
     residuals = drazin_residuals(a, td, k)
-    scale = 1.0 + float(np.float64(operator_norm(a)) ** (2 * k + 1))
+    # in float64, so an overflow gives an infinite scale without a warning
+    with np.errstate(over="ignore"):
+        scale = 1.0 + float(np.float64(operator_norm(a)) ** (2 * k + 1))
     if max(residuals.values(), default=0.0) > 1e3 * tol.gate(scale):
         raise NumericalFailureError("Drazin identities failed", residuals)
     return td, residuals
@@ -199,7 +202,7 @@ def core_nilpotent(t, tol: Tolerance = DEFAULT_TOL) -> CoreNilpotent:
             t2=np.zeros((0, 0), dtype=np.complex128),
             orthogonal=True,
         )
-    tp = np.linalg.matrix_power(a, p)
+    tp = _matrix_power(a, p)
     u, _, vh, r = _svd_rank(tp, tol)
     range_basis = _canonical_phases(u[:, :r])
     null_basis = _canonical_phases(adjoint(vh)[:, r:])
@@ -215,10 +218,10 @@ def core_nilpotent(t, tol: Tolerance = DEFAULT_TOL) -> CoreNilpotent:
     t2 = conj[r:, r:]
     if numerical_rank(t1, tol) < r:
         raise DecompositionError("invertible block is numerically singular")
-    nil_residual = operator_norm(np.linalg.matrix_power(t2, p)) if t2.size else 0.0
+    nil_residual = operator_norm(_matrix_power(t2, p))
     if nil_residual > tol.power_gate(operator_norm(t2), p):
         raise DecompositionError(f"nilpotent block fails t2^{p} = 0 (residual {nil_residual:.3e})")
-    cross = float(np.linalg.norm(adjoint(range_basis) @ null_basis, 2)) if min(range_basis.shape[1], null_basis.shape[1]) else 0.0
+    cross = _norm2(adjoint(range_basis) @ null_basis)
     return CoreNilpotent(
         index=p,
         basis=basis,
@@ -279,8 +282,8 @@ def range_kernel_split(t, n: int, tol: Tolerance = DEFAULT_TOL) -> RangeKernelSp
     scale_n = 1.0 + (float(s[0]) if s.size else 0.0)
     scale_t = 1.0 + operator_norm(a)
     residuals = {
-        "power_lower": float(np.linalg.norm(bn[d1:, :], 2)) if d1 < a.shape[0] else 0.0,
-        "triangular_lower": float(np.linalg.norm(bt[d1:, :d1], 2)) if 0 < d1 < a.shape[0] else 0.0,
+        "power_lower": _norm2(bn[d1:, :]),
+        "triangular_lower": _norm2(bt[d1:, :d1]),
     }
     if residuals["power_lower"] > tol.gate(scale_n):
         raise DecompositionError(
@@ -292,7 +295,7 @@ def range_kernel_split(t, n: int, tol: Tolerance = DEFAULT_TOL) -> RangeKernelSp
             f"conjugated operator is not upper triangular ({residuals['triangular_lower']:.3e})"
         )
     t2 = bt[d1:, d1:]
-    residuals["t2_nilpotency"] = operator_norm(np.linalg.matrix_power(t2, n)) if t2.size else 0.0
+    residuals["t2_nilpotency"] = operator_norm(_matrix_power(t2, n))
     if residuals["t2_nilpotency"] > tol.power_gate(operator_norm(t2), n):
         raise DecompositionError(
             f"kernel-side block fails t2^{n} = 0 (residual {residuals['t2_nilpotency']:.3e})"
@@ -409,16 +412,10 @@ class TransformBundle:
         """Norm residuals of the bundle's defining algebraic identities."""
         q1_inv = moore_penrose(self.q1, tol)
         return {
-            "similarity": float(np.linalg.norm(self.a - q1_inv @ self.b @ self.q1, 2)),
-            "congruence": float(np.linalg.norm(self.c - self.q1 @ self.d @ self.q1, 2)),
-            "a_weight": float(
-                np.linalg.norm(
-                    adjoint(self.a) @ self.c @ self.a - adjoint(self.a) @ self.q @ self.a, 2
-                )
-            ),
-            "b_weight": float(
-                np.linalg.norm(adjoint(self.b) @ self.d @ self.b - adjoint(self.b) @ self.b, 2)
-            ),
+            "similarity": _norm2(self.a - q1_inv @ self.b @ self.q1),
+            "congruence": _norm2(self.c - self.q1 @ self.d @ self.q1),
+            "a_weight": _norm2(adjoint(self.a) @ self.c @ self.a - adjoint(self.a) @ self.q @ self.a),
+            "b_weight": _norm2(adjoint(self.b) @ self.d @ self.b - adjoint(self.b) @ self.b),
         }
 
 

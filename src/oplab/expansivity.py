@@ -39,12 +39,12 @@ from .matrix_core import (
     _matrix_power,
     _norm2,
     _norm_fro,
+    _require_square,
     _sign_verdict,
     adjoint,
     as_matrix,
     definiteness,
     eigenvalues,
-    hermitian_part,
     operator_norm,
     sqrt_psd,
 )
@@ -164,13 +164,17 @@ def _defect_pass(spec: DefectSpec, orders, tol: Tolerance) -> tuple[float, tuple
     in, so a disagreement raises NumericalFailureError at the lowest failing
     order.  A non-finite T^n, cross-check or defect raises it too.  Returns
     ||T^n|| (it sets the term scale) with the results.
+
+    The first iterate P - T*PT is formed from the first term, so order 1
+    takes 2 matrix products and every higher order 4; order 1's cross-check
+    is exact by construction (its disagreement is 0.0).
     """
     p = _hermitian_gate(spec.p, tol)
     t = spec.t if spec.n == 1 else _matrix_power(spec.t, spec.n)
     ta = adjoint(t)
-    norm_t = _norm2(t) if t.size else 0.0
+    norm_t = _norm2(t)
     # magnitude bound (1+||P||) (1+||T||^2)^m of an order-m sum's terms
-    weight_scale = 1.0 + (_norm2(p) if p.size else 0.0)
+    weight_scale = 1.0 + _norm2(p)
     # in float64, so an overflow gives inf (and a non-finite cross-check), not OverflowError
     base = 1.0 + np.float64(norm_t) ** 2
 
@@ -181,13 +185,14 @@ def _defect_pass(spec: DefectSpec, orders, tol: Tolerance) -> tuple[float, tuple
         term = ta @ term @ t
         for m, binom_sum in sums.items():
             binom_sum += ((-1) ** j * comb(m, j)) * term
-        iterated = iterated - ta @ iterated @ t
+        # at j = 1, T* S T with S = P is the term just formed
+        iterated = iterated - (term if j == 1 else ta @ iterated @ t)
         if j not in sums:
             continue
         binom_sum = sums.pop(j)
         scale = float(weight_scale * base**j)
         # ||.||_F >= ||.||_2; a difference holding NaN (inf - inf) gives NaN
-        disagreement = _norm_fro(binom_sum - iterated) if p.size else 0.0
+        disagreement = _norm_fro(binom_sum - iterated)
         threshold = tol.gate(scale)
         cross_check = {
             "disagreement": disagreement,
@@ -228,7 +233,7 @@ def defect_series(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> tuple:
 
     Entry k-1 equals ``defect`` at order k bit for bit, cross-check
     included, and the whole series costs what order m alone costs:
-    4m matrix products.
+    4m - 2 matrix products.
     """
     return _defect_pass(spec, range(1, spec.m + 1), tol)[1]
 
@@ -264,7 +269,7 @@ def is_p_isometric(t, p, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff T*PT = P within rel_eps * (1 + ||P||)."""
     t = as_matrix(t)
     p = _require_psd_weight(p, tol)
-    residual = float(np.linalg.norm(adjoint(t) @ p @ t - p, 2)) if p.size else 0.0
+    residual = _norm2(adjoint(t) @ p @ t - p)
     return residual <= tol.rel_eps * (1.0 + operator_norm(p))
 
 
@@ -283,10 +288,17 @@ def seminorm_p(x, p, tol: Tolerance = DEFAULT_TOL) -> float:
 
 
 def gram_weight(t, n: int = 1) -> np.ndarray:
-    """The canonical weight T*^n T^n."""
-    t = as_matrix(t)
-    tn = np.linalg.matrix_power(t, n)
-    return hermitian_part(adjoint(tn) @ tn)
+    """The canonical weight T*^n T^n of a square T; a power T^n or a weight
+    that overflows raises NumericalFailureError."""
+    tn = _matrix_power(_require_square(as_matrix(t)), n)
+    # hermitian_part without its re-validation: T*^n T^n can overflow where
+    # T^n does not, and that is a numerical failure, not a bad input
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = adjoint(tn) @ tn
+        weight = (gram + adjoint(gram)) / 2.0
+    if not np.isfinite(weight).all():
+        raise NumericalFailureError("gram weight overflows", {"power": n})
+    return weight
 
 
 @dataclass(frozen=True)
@@ -331,7 +343,7 @@ def classify(t, p, m_max: int, tol: Tolerance = DEFAULT_TOL) -> ClassificationRe
     """Tabulate defect verdicts for every order up to ``m_max``.
 
     All orders come from the single pass behind `defect_series`, so the
-    table costs 4 * m_max matrix products; ``m_max`` is validated as a
+    table costs 4 * m_max - 2 matrix products; ``m_max`` is validated as a
     defect order before any of them.  ``p_isometric`` is reported only for
     PSD weights (None otherwise, since the P-isometry notion presumes a
     nonnegative weight).

@@ -32,6 +32,7 @@ from .matrix_core import (
     OplabError,
     PreconditionError,
     Tolerance,
+    _matrix_power,
     adjoint,
     block_compose,
     hermitian_part,
@@ -216,10 +217,10 @@ def gen_nilpotent(seed: int, d: int, index: int, stream: int = 0) -> np.ndarray:
     if not 1 <= index <= d:
         raise PreconditionError(f"nilpotency index {index} outside [1, {d}]")
     n = _nilpotent(_rng(seed, stream), d, index)
-    top = operator_norm(np.linalg.matrix_power(n, index))
+    top = operator_norm(_matrix_power(n, index))
     if top > DEFAULT_TOL.power_gate(operator_norm(n), index):
         raise GenerationError(f"nilpotency certification failed (||N^index|| = {top:.3e})")
-    if index > 1 and operator_norm(np.linalg.matrix_power(n, index - 1)) < 1e-3:
+    if index > 1 and operator_norm(_matrix_power(n, index - 1)) < 1e-3:
         raise GenerationError("nilpotent chain collapsed below the stated index")
     return n
 

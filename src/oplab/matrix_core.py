@@ -5,11 +5,15 @@ works on plain ``numpy`` arrays of dtype complex128.  This module owns the
 shared conventions:
 
 * tolerance handling (relative to the spectral scale, with an absolute floor),
-* the spectral norm: the largest singular value from a values-only SVD,
-  ``svd(a, compute_uv=False)[0]``, which is bit for bit what
-  ``np.linalg.norm(a, 2)`` returns without that function's axis handling;
-  where only an upper bound on it is needed (the defect cross-check), the
-  Frobenius norm, one dot product, since ||A||_2 <= ||A||_F,
+* the one spectral norm, `_norm2`: the largest singular value from a
+  values-only SVD, ``svd(a, compute_uv=False)[0]``, and 0.0 for an empty
+  array, which is bit for bit numpy's ``linalg.norm(a, 2)`` without that
+  function's axis handling; every spectral norm in the package goes through
+  it, so no caller guards against empty blocks; where only an upper bound on
+  it is needed (the defect cross-check), the Frobenius norm `_norm_fro`, one
+  dot product, since ||A||_2 <= ||A||_F,
+* the one way to form a power T^n, `_matrix_power`, which raises
+  NumericalFailureError on a power that overflows,
 * Hermiticity and definiteness decisions,
 * PSD square roots and the Moore-Penrose pseudo-inverse,
 * the one numerical-rank rule, `Tolerance.cutoff`: a singular value at or
@@ -128,7 +132,8 @@ class Tolerance:
     def power_gate(self, norm: float, power: int) -> float:
         """`gate` at the scale (1 + ||X||)^power of the power X^power, where
         ``norm`` is ||X||; formed in float64, so an overflow gives inf."""
-        return self.gate(float(np.float64(1.0 + norm) ** power))
+        with np.errstate(over="ignore"):
+            return self.gate(float(np.float64(1.0 + norm) ** power))
 
     def cutoff(self, sigma_max: float) -> float:
         """The rank rule: singular values at or below this count as zero."""
@@ -159,8 +164,9 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def _norm2(a: np.ndarray) -> float:
-    """Spectral norm of a nonempty 2-D array, equal to ``np.linalg.norm(a, 2)``."""
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    """Spectral norm of a 2-D array (0.0 when empty), equal to numpy's ``linalg.norm(a, 2)``."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return float(s[0]) if s.size else 0.0
 
 
 # squares below 2**-1022 are subnormal and lose bits; a sum of squares of at
@@ -170,8 +176,8 @@ _SUMSQ_MIN = 2.0**-600
 
 
 def _norm_fro(a: np.ndarray) -> float:
-    """Frobenius norm of a nonempty float64 or complex128 array, an upper
-    bound on `_norm2`: one real dot product over the array's float64 view.
+    """Frobenius norm of a float64 or complex128 array (0.0 when empty), an
+    upper bound on `_norm2`: one real dot product over the array's float64 view.
 
     A sum of squares that overflows, or is small enough to have lost bits to
     underflow, is formed again from ``a / max|a|``.  An array holding NaN
@@ -182,9 +188,9 @@ def _norm_fro(a: np.ndarray) -> float:
     sumsq = float(np.vdot(x, x))
     if _SUMSQ_MIN <= sumsq < math.inf:
         return math.sqrt(sumsq)
-    peak = float(np.max(np.abs(x)))
+    peak = float(np.max(np.abs(x), initial=0.0))
     if not 0.0 < peak < math.inf:
-        # all zero, or not finite: the plain sum is already the answer
+        # empty, all zero, or not finite: the plain sum is already the answer
         return math.sqrt(sumsq)
     x = x / peak
     return peak * math.sqrt(float(np.vdot(x, x)))
@@ -202,10 +208,7 @@ def _matrix_power(a: np.ndarray, n: int) -> np.ndarray:
 
 def operator_norm(m) -> float:
     """Largest singular value (0.0 for an empty matrix)."""
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0.0
-    return _norm2(a)
+    return _norm2(as_matrix(m))
 
 
 def spectral_radius(m) -> float:
@@ -224,8 +227,6 @@ def eigenvalues(m) -> np.ndarray:
 
 def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     a = _require_square(as_matrix(m))
-    if a.size == 0:
-        return True
     return _norm2(a - adjoint(a)) <= tol.gate(_norm2(a))
 
 
@@ -344,10 +345,7 @@ def moore_penrose(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values above the rank cutoff `Tolerance.cutoff`."""
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0
-    return _rank_with_cliff(np.linalg.svd(a, compute_uv=False), tol)[0]
+    return _rank_with_cliff(np.linalg.svd(as_matrix(m), compute_uv=False), tol)[0]
 
 
 def _rank_with_cliff(s: np.ndarray, tol: Tolerance) -> tuple[int, float, bool]:

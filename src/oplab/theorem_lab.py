@@ -45,10 +45,11 @@ from .matrix_core import (
     ZERO,
     PreconditionError,
     Tolerance,
+    _matrix_power,
+    _norm2,
     adjoint,
     as_matrix,
     block_compose,
-    block_split,
     definiteness,
     eigenvalues,
     hermitian_part,
@@ -130,7 +131,7 @@ def verify_no_singular_expansive(t, m: int, tol: Tolerance = DEFAULT_TOL) -> The
     theorem_id = "no_singular_expansive"
     a = as_matrix(t)
     index = drazin_index(a, tol)
-    kernel_dim = a.shape[0] - numerical_rank(np.linalg.matrix_power(a, max(index, 1)), tol)
+    kernel_dim = a.shape[0] - numerical_rank(_matrix_power(a, max(index, 1)), tol)
     result = defect(DefectSpec(t=a, p=np.eye(a.shape[0], dtype=np.complex128), m=m), tol)
     witness = {
         "m": m,
@@ -147,8 +148,6 @@ def verify_no_singular_expansive(t, m: int, tol: Tolerance = DEFAULT_TOL) -> The
 def _nilpotency_index(t2: np.ndarray, tol: Tolerance) -> int | None:
     """Smallest q with t2^q = 0 within tolerance, None if not nilpotent."""
     d2 = t2.shape[0]
-    if d2 == 0:
-        return 0
     norm2 = operator_norm(t2)
     power = np.eye(d2, dtype=np.complex128)
     for q in range(d2 + 1):
@@ -194,25 +193,13 @@ def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL)
     tilde = defect_tilde(DefectSpec(t=td, p=p, m=m), tol)
     tilde_nsd = tilde.verdict.is_nsd
 
-    if d2 == 0:
-        off_norm = 0.0
-        p22 = np.zeros((0, 0), dtype=np.complex128)
-    elif d1 == 0:
-        off_norm = operator_norm(p)
-        p22 = p
-    else:
-        blocks = block_split(p, d1)
-        off_norm = max(
-            operator_norm(blocks[0][1]),
-            operator_norm(blocks[1][0]),
-            operator_norm(blocks[1][1]),
-        )
-        p22 = blocks[1][1]
+    p22 = p[d1:, d1:]
+    off_norm = max(operator_norm(p[:d1, d1:]), operator_norm(p[d1:, :d1]), operator_norm(p22))
     supported = off_norm <= _gate(tol, scale_p)
 
     anchor_nsd = True
     if q >= 1 and d2 >= 1:
-        edge = np.linalg.matrix_power(a2, q - 1)
+        edge = _matrix_power(a2, q - 1)
         anchor = hermitian_part(adjoint(edge) @ p22 @ edge)
         anchor_nsd = definiteness(anchor, tol).is_nsd
 
@@ -251,7 +238,7 @@ def verify_two_expansive_isometry(t, p, tol: Tolerance = DEFAULT_TOL) -> Theorem
     result = defect(DefectSpec(t=a, p=p, m=2), tol)
     core = core_nilpotent(a, tol)
     expansive = EXPANSIVE in result.classification
-    residual = float(np.linalg.norm(adjoint(a) @ p @ a - p, 2)) if p.size else 0.0
+    residual = _norm2(adjoint(a) @ p @ a - p)
     threshold = _gate(tol, 1.0 + operator_norm(p))
     witness = {
         "defect_verdict": result.verdict.to_json(),
@@ -274,9 +261,7 @@ def verify_unitary_nilpotent_structure(t, tol: Tolerance = DEFAULT_TOL) -> Theor
     core = core_nilpotent(a, tol)
     expansive = EXPANSIVE in result.classification
     t1 = core.t1
-    residual = (
-        float(np.linalg.norm(adjoint(t1) @ t1 - np.eye(t1.shape[0]), 2)) if t1.size else 0.0
-    )
+    residual = _norm2(adjoint(t1) @ t1 - np.eye(t1.shape[0]))
     witness = {
         "defect_verdict": result.verdict.to_json(),
         "core_index": core.index,

@@ -245,6 +245,12 @@ def test_drazin_overflowing_power_exits_three(tmp_path, capsys):
         (["defect", "--m", "2"], 1e200 * np.eye(2)),
         (["drazin"], [[1e200, 1e200], [0, 0]]),
         (["split", "--n", "2"], [[1e200, 1e200], [0, 0]]),
+        # T^3 overflows in the Drazin inverse's T^(2k+1), k = 1
+        (["drazin"], np.diag([1e120, 0.0])),
+        # the gram weight's power T^2 overflows
+        (["defect", "--weight", "gram", "--n", "2"], [[1e200, 1e200], [0, 0]]),
+        # T is finite, but the gram weight T*T overflows
+        (["defect", "--weight", "gram"], np.diag([1e160, 1.0])),
     ],
 )
 def test_overflow_error_is_the_only_stderr_line(tmp_path, command, values):
@@ -259,3 +265,16 @@ def test_overflow_error_is_the_only_stderr_line(tmp_path, command, values):
     assert proc.returncode == 3
     assert proc.stderr.startswith("oplab: numerical failure: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["drazin"], ["split", "--n", "2"]])
+def test_overflowing_gate_scale_prints_no_warning(tmp_path, command):
+    # N = [[0, 1e200], [0, 0]] has N^2 = 0, but the gate scales
+    # (1 + ||N||)^2 and 1 + ||N||^3 overflow to inf without a warning
+    path = write_matrix(tmp_path / "nil.json", [[0, 1e200], [0, 0]])
+    env = dict(os.environ, PYTHONPATH=str(Path(oplab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "oplab.cli", *command, "--matrix", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -365,3 +365,39 @@ def test_rank_decisions_share_one_cutoff(scale, rank):
     # the polar factor is a partial isometry on the kept directions
     assert round(np.linalg.norm(polar(a).u) ** 2) == rank
     assert range_kernel_split(a, 1).d1 == rank
+
+
+def test_empty_operator_results_are_pinned():
+    from oplab import DefectSpec, classify, defect, defect_series, is_hermitian
+
+    empty = np.zeros((0, 0), dtype=complex)
+    zero_check = {"disagreement": 0.0, "threshold": Tolerance().gate(1.0), "term_scale": 1.0}
+    result = defect(DefectSpec(t=empty, p=empty, m=2))
+    assert result.delta.shape == (0, 0)
+    assert (result.verdict.min_eig, result.verdict.max_eig, result.verdict.verdict) == (0.0, 0.0, "ZERO")
+    assert result.classification == {"expansive", "contractive", "isometric"}
+    assert result.cross_check == zero_check
+    series = defect_series(DefectSpec(t=empty, p=empty, m=3))
+    assert [(r.verdict.verdict, r.cross_check) for r in series] == [("ZERO", zero_check)] * 3
+    report = classify(empty, empty, 3).to_json()
+    assert [row["verdict"] for row in report["rows"]] == ["ZERO"] * 3
+    assert report["p_isometric"] is True
+    assert report["spectral"] == {"operator_norm": 0.0, "spectral_radius": 0.0, "eigenvalue_moduli": []}
+    assert operator_norm(empty) == 0.0
+    assert is_hermitian(empty)
+    assert numerical_rank(np.zeros((3, 0))) == 0
+    assert drazin_inverse(empty).shape == (0, 0)
+    core = core_nilpotent(empty)
+    assert (core.index, core.basis.shape, core.t1.shape, core.t2.shape, core.orthogonal) == (0, (0, 0), (0, 0), (0, 0), True)
+    assert all(part.shape == (0, 0) for part in (polar(empty).u, polar(empty).p, polar(empty).p_half))
+    zero_residuals = {"power_lower": 0.0, "triangular_lower": 0.0, "t2_nilpotency": 0.0}
+    split = range_kernel_split(empty, 2)
+    assert (split.d1, split.basis.shape, split.residuals) == (0, (0, 0), zero_residuals)
+    # T^2 = 0: no range side (d1 = 0), and T is its own kernel-side block
+    split = range_kernel_split([[0, 1], [0, 0]], 2)
+    assert (split.d1, split.t2.shape, split.t1.shape) == (0, (2, 2), (0, 0))
+    assert split.residuals == zero_residuals
+    # invertible: no kernel side (d1 = d)
+    split = range_kernel_split([[2, 1], [0, 3]], 1)
+    assert (split.d1, split.t2.shape, split.t1.shape) == (2, (0, 0), (2, 2))
+    assert split.residuals == zero_residuals

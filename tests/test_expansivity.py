@@ -10,6 +10,7 @@ import pytest
 import oplab.expansivity as expansivity_mod
 from oplab import (
     DefectSpec,
+    DimensionError,
     DomainError,
     HermitianError,
     NumericalFailureError,
@@ -409,6 +410,21 @@ def test_defect_fails_closed_on_overflow(t, p, m, message):
 def test_overflowing_power_is_rejected_as_input():
     with pytest.raises(NumericalFailureError, match="power overflows"):
         defect(DefectSpec(t=[[1e200, 1.0], [0.0, 1.0]], p=I2, m=1, n=2))
+
+
+@pytest.mark.parametrize(
+    "t,n,message",
+    [([[1e200, 1e200], [0.0, 0.0]], 2, "operator power overflows"), (np.diag([1e160, 1.0]), 1, "gram weight overflows")],
+    ids=["power", "weight"],
+)
+def test_overflowing_gram_weight_is_a_numerical_failure(t, n, message):
+    with pytest.raises(NumericalFailureError, match=message):
+        gram_weight(t, n)
+
+
+def test_gram_weight_of_a_non_square_operator_is_a_dimension_error():
+    with pytest.raises(DimensionError, match="expected a square matrix"):
+        gram_weight(np.ones((2, 3)))
 
 
 def huge_ginibre_case():

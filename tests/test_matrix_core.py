@@ -1,14 +1,17 @@
 """Tests for the matrix substrate: definiteness, roots, pseudo-inverse,
 blocks and the JSON wire format."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oplab
 import oplab.cli as cli
 from oplab import (
     DimensionError,
@@ -503,6 +506,8 @@ def norm2_inputs():
     yield "1x1", np.array([[-2.5 + 1j]])
     yield "zeros", np.zeros((4, 4), dtype=complex)
     yield "64x64", ginibre(rng, 64)
+    for shape in ((0, 0), (3, 0), (0, 3)):
+        yield f"empty-{shape[0]}x{shape[1]}", np.zeros(shape, dtype=complex)
 
 
 @pytest.mark.parametrize("name,a", list(norm2_inputs()), ids=lambda x: x if isinstance(x, str) else "")
@@ -550,6 +555,14 @@ def test_norm_fro_rescales_a_sum_of_squares_out_of_range(scale):
     assert abs(got - scale * _norm_fro(a)) <= 4 * math.ulp(scale * _norm_fro(a))
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3)])
+def test_norm_fro_of_an_empty_array_is_zero(shape):
+    from oplab.matrix_core import _norm_fro
+
+    assert _norm_fro(np.zeros(shape, dtype=complex)) == 0.0
+    assert _norm_fro(np.zeros(shape)) == 0.0
+
+
 def test_norm_fro_of_a_non_finite_array():
     from oplab.matrix_core import _norm_fro
 
@@ -570,3 +583,40 @@ def test_definiteness_of_self_adjoint_input_skips_symmetrizing_bitwise():
     a = hermitian_part(ginibre(rng, 4)) + 1e-14 * (skew - skew.conj().T)
     w = np.linalg.eigvalsh(hermitian_part(a))
     assert (definiteness(a).min_eig, definiteness(a).max_eig) == (float(w[0]), float(w[-1]))
+
+
+class _DirectLinalgCalls(ast.NodeVisitor):
+    """Every ``np.linalg.matrix_power`` call, and every ``np.linalg.norm``
+    call given an ``ord``, as (enclosing function, numpy function)."""
+
+    def __init__(self):
+        self.scope = ["<module>"]
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        f = node.func
+        if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Attribute) and f.value.attr == "linalg"
+                and isinstance(f.value.value, ast.Name) and f.value.value.id in ("np", "numpy")):
+            with_ord = len(node.args) > 1 or any(k.arg == "ord" for k in node.keywords)
+            if f.attr == "matrix_power" or (f.attr == "norm" and with_ord):
+                self.found.append((self.scope[-1], f.attr))
+        self.generic_visit(node)
+
+
+def test_spectral_norms_and_powers_go_through_matrix_core():
+    # `_matrix_power` is the one place a power is formed.  gen_haar_unitary's
+    # unitarity gate keeps np.linalg.norm because perfbench/selftest.py proves
+    # that tracing recorded calls with linalg.norm.calls > 0; every other
+    # spectral norm is matrix_core._norm2.
+    allowed = {("matrix_core.py", "_matrix_power", "matrix_power"), ("generators.py", "gen_haar_unitary", "norm")}
+    found = set()
+    for path in sorted(Path(oplab.__file__).parent.glob("*.py")):
+        visitor = _DirectLinalgCalls()
+        visitor.visit(ast.parse(path.read_text()))
+        found |= {(path.name, scope, name) for scope, name in visitor.found}
+    assert found == allowed

@@ -153,6 +153,7 @@ def test_quarantine_file_is_stdlib_json_and_replays(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["verify", "fuzz"])
 def test_reports_unchanged_by_the_spectral_norm_kernel(tmp_path, monkeypatch, mode):
+    import oplab.decompositions as decompositions_mod
     import oplab.expansivity as expansivity_mod
     import oplab.matrix_core as matrix_core_mod
 
@@ -165,9 +166,28 @@ def test_reports_unchanged_by_the_spectral_norm_kernel(tmp_path, monkeypatch, mo
     def reference_norm2(a):
         return float(np.linalg.norm(a, 2))
 
-    for module in (matrix_core_mod, expansivity_mod):
+    for module in (matrix_core_mod, expansivity_mod, decompositions_mod, theorem_lab):
         monkeypatch.setattr(module, "_norm2", reference_norm2)
     assert report_text("reference") == fast
+
+
+def test_verifiers_make_no_linalg_norm_call(monkeypatch):
+    from oplab.matrix_core import DEFAULT_TOL
+    from oplab.suite import _THEOREMS, _verdict
+
+    # fixtures are drawn first: gen_haar_unitary's unitarity gate calls np.linalg.norm
+    instances = [
+        (theorem_id, *_THEOREMS[theorem_id].verify(1, stream, (4, 3))[1:])
+        for theorem_id in THEOREM_IDS
+        for stream in range(25)
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called by a verifier")
+
+    monkeypatch.setattr(np.linalg, "norm", forbidden)
+    for theorem_id, inputs, params in instances:
+        assert _verdict(theorem_id, inputs, params, DEFAULT_TOL).holds
 
 
 def test_fixture_streams_are_pinned(tmp_path):
