@@ -22,7 +22,6 @@ power T^n that overflows.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from math import comb, isfinite
 
@@ -35,6 +34,7 @@ from .matrix_core import (
     DomainError,
     NumericalFailureError,
     Tolerance,
+    _as_integer,
     _hermitian_gate,
     _matrix_power,
     _norm2,
@@ -105,13 +105,6 @@ class DefectSpec:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
-
-
-def _as_integer(value, what: str) -> int:
-    """``value`` as an int; bools and non-integral numbers are rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -288,7 +281,8 @@ def seminorm_p(x, p, tol: Tolerance = DEFAULT_TOL) -> float:
 
 
 def gram_weight(t, n: int = 1) -> np.ndarray:
-    """The canonical weight T*^n T^n of a square T; a power T^n or a weight
+    """The canonical weight T*^n T^n of a square T and an integer n >= 0; a
+    negative or non-integral n raises DomainError, and a power T^n or a weight
     that overflows raises NumericalFailureError."""
     tn = _matrix_power(_require_square(as_matrix(t)), n)
     # hermitian_part without its re-validation: T*^n T^n can overflow where
@@ -364,6 +358,6 @@ def classify(t, p, m_max: int, tol: Tolerance = DEFAULT_TOL) -> ClassificationRe
         rows=rows,
         p_isometric=p_isometric,
         operator_norm=norm_t,
-        spectral_radius=float(np.max(np.abs(spectrum))) if spectrum.size else 0.0,
+        spectral_radius=float(np.max(np.abs(spectrum), initial=0.0)),
         eigenvalue_moduli=moduli,
     )

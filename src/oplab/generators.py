@@ -17,12 +17,19 @@ records: version 2 replaced the modified Gram-Schmidt of version 1.
 Generation is premise-certified: every family verifies the property its
 consumers rely on before returning, and raises GenerationError instead of
 handing out an uncertified fixture.
+
+``FAMILIES`` is the one schema of the families: the ``gen_*`` function of
+each, its number of dims, its outputs and the params it accepts and requires;
+each param default lives only in the ``gen_*`` signature.  ``GenSpec``
+rejects an unknown, mistyped or non-finite param with PreconditionError.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,16 +96,21 @@ class GenSpec:
         if not all(map(_is_integer, dims)):
             raise PreconditionError(f"dims must be integers, got {list(dims)}")
         object.__setattr__(self, "dims", tuple(int(d) for d in dims))
-        arity, required = _SIGNATURES[self.family]
-        if len(self.dims) != arity:
-            raise PreconditionError(f"family {self.family!r} takes {arity} dims, got {list(self.dims)}")
-        missing = [name for name in required if name not in self.params]
+        family = FAMILIES[self.family]
+        if len(self.dims) != family.arity:
+            raise PreconditionError(f"family {self.family!r} takes {family.arity} dims, got {list(self.dims)}")
+        missing = [name for name in family.required if name not in self.params]
         if missing:
             raise PreconditionError(f"family {self.family!r} requires params {missing}")
+        params = {}
         for name, value in self.params.items():
-            kind = _PARAM_KINDS.get(name)
-            if kind is not None and not kind[0](value):
-                raise PreconditionError(f"param {name!r} must be {kind[1]}, got {value!r}")
+            if name not in family.params:
+                raise PreconditionError(f"family {self.family!r} takes no param {name!r}")
+            accepts, description, cast = _PARAM_KINDS[name]
+            if not accepts(value):
+                raise PreconditionError(f"param {name!r} must be {description}, got {value!r}")
+            params[name] = cast(value)
+        object.__setattr__(self, "params", params)
 
     def to_json(self) -> dict:
         return {
@@ -122,13 +134,7 @@ class GenSpec:
             raise PreconditionError(
                 f"spec was drawn by generator version {version}; this is version {GENERATOR_VERSION}"
             )
-        return cls(
-            seed=obj["seed"],
-            stream=obj.get("stream", 0),
-            family=obj["family"],
-            dims=tuple(obj["dims"]),
-            params=dict(obj.get("params", {})),
-        )
+        return cls(obj["seed"], obj["family"], obj["dims"], obj.get("stream", 0), obj.get("params", {}))
 
 
 def _is_integer(value) -> bool:
@@ -136,21 +142,29 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    """A real number that is not a bool (numpy floats and integers included)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _is_finite_real(value) -> bool:
+    """A real number that is not a bool and has a finite float value (numpy
+    floats and integers included)."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
-# the type each dispatcher needs of a param it reads, with its description
+_INTEGER = (_is_integer, "an integer", int)
+_FINITE_REAL = (_is_finite_real, "a finite real number", float)
+# per param name: the test a value must pass, its description, and the cast
+# to the Python type GenSpec stores
 _PARAM_KINDS = {
-    "index": (_is_integer, "an integer"),
-    "m": (_is_integer, "an integer"),
-    "nil_index": (lambda value: value is None or _is_integer(value), "an integer or None"),
-    "condition_cap": (_is_real, "a real number"),
-    "x_scale": (_is_real, "a real number"),
-    "scale": (_is_real, "a real number"),
-    "perturbation": (_is_real, "a real number"),
-    "weight": (lambda value: isinstance(value, str), "a string"),
+    "index": _INTEGER,
+    "m": _INTEGER,
+    "nil_index": (lambda value: value is None or _is_integer(value), "an integer or None",
+                  lambda value: None if value is None else int(value)),
+    "condition_cap": _FINITE_REAL,
+    "x_scale": _FINITE_REAL,
+    "scale": _FINITE_REAL,
+    "perturbation": _FINITE_REAL,
+    "weight": (lambda value: isinstance(value, str), "a string", str),
 }
 
 
@@ -225,13 +239,13 @@ def gen_nilpotent(seed: int, d: int, index: int, stream: int = 0) -> np.ndarray:
     return n
 
 
-def gen_psd(seed: int, d: int, condition_cap: float, stream: int = 0) -> np.ndarray:
+def gen_psd(seed: int, d: int, condition_cap: float = 100.0, stream: int = 0) -> np.ndarray:
     """Hermitian PSD with condition number at most ``condition_cap``.
 
     Eigenvalues are sampled log-uniformly in [cap^{-1/2}, cap^{1/2}].
     """
-    if condition_cap < 1:
-        raise PreconditionError(f"condition cap must be >= 1, got {condition_cap}")
+    if not 1 <= condition_cap < np.inf:
+        raise PreconditionError(f"condition cap must be finite and >= 1, got {condition_cap}")
     if d < 1:
         raise PreconditionError(f"dimension must be >= 1, got {d}")
     rng = _rng(seed, stream)
@@ -241,16 +255,8 @@ def gen_psd(seed: int, d: int, condition_cap: float, stream: int = 0) -> np.ndar
     return hermitian_part((v * eigs) @ adjoint(v))
 
 
-def gen_drazin_pair(
-    seed: int,
-    d1: int,
-    d2: int,
-    m: int,
-    weight: str = "identity",
-    nil_index: int | None = None,
-    stream: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-):
+def gen_drazin_pair(seed: int, d1: int, d2: int, m: int = 1, weight: str = "identity",
+                    nil_index: int | None = None, stream: int = 0, tol: Tolerance = DEFAULT_TOL):
     """Block-orthogonal fixture t = U (+) N with weight p supported on the
     invertible summand.
 
@@ -308,7 +314,7 @@ def gen_coupled_kernel(seed: int, d1: int, d2: int, x_scale: float = 1.0, stream
 def gen_expansive_invertible(
     seed: int,
     d: int,
-    m: int,
+    m: int = 1,
     scale: float = 2.0,
     perturbation: float = 0.1,
     stream: int = 0,
@@ -322,8 +328,8 @@ def gen_expansive_invertible(
     defect certification) are rejected and resampled.  Even orders admit only
     unimodular scalings, i.e. scale = 1 with no perturbation (a unitary).
     """
-    if d < 1:
-        raise PreconditionError(f"dimension must be >= 1, got {d}")
+    if d < 1 or m < 1:
+        raise PreconditionError(f"dimension and order must be >= 1, got d = {d}, m = {m}")
     if scale < 1:
         raise PreconditionError(f"scaling must be >= 1, got {scale}")
     if m % 2 == 0:
@@ -335,7 +341,10 @@ def gen_expansive_invertible(
     for _ in range(_MAX_RESAMPLES):
         u = _haar(rng, d)
         lower = np.tril(_complex_normal(rng, (d, d)), k=-1)
-        t = scale * (u @ (identity + perturbation * lower))
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = scale * (u @ (identity + perturbation * lower))
+        if not np.isfinite(t).all():
+            raise GenerationError(f"fixture overflows at scale {scale} and perturbation {perturbation}")
         sigma_min = float(np.linalg.svd(t, compute_uv=False)[-1])
         if sigma_min < 1.0:
             continue
@@ -345,78 +354,29 @@ def gen_expansive_invertible(
     raise GenerationError(f"resampling budget ({_MAX_RESAMPLES}) exhausted")
 
 
-def _dispatch_haar(spec: GenSpec) -> dict:
-    (d,) = spec.dims
-    return {"t": gen_haar_unitary(spec.seed, d, stream=spec.stream)}
+class Family(NamedTuple):
+    """A fixture family: ``generate`` calls ``gen(seed, *dims, stream=stream, **params)``."""
 
-
-def _dispatch_nilpotent(spec: GenSpec) -> dict:
-    (d,) = spec.dims
-    return {"t": gen_nilpotent(spec.seed, d, int(spec.params["index"]), stream=spec.stream)}
-
-
-def _dispatch_psd(spec: GenSpec) -> dict:
-    (d,) = spec.dims
-    return {"p": gen_psd(spec.seed, d, float(spec.params.get("condition_cap", 100.0)), stream=spec.stream)}
-
-
-def _dispatch_drazin_pair(spec: GenSpec) -> dict:
-    d1, d2 = spec.dims
-    t, p = gen_drazin_pair(
-        spec.seed,
-        d1,
-        d2,
-        int(spec.params.get("m", 1)),
-        weight=spec.params.get("weight", "identity"),
-        nil_index=spec.params.get("nil_index"),
-        stream=spec.stream,
-    )
-    return {"t": t, "p": p}
-
-
-def _dispatch_coupled_kernel(spec: GenSpec) -> dict:
-    d1, d2 = spec.dims
-    return {
-        "t": gen_coupled_kernel(
-            spec.seed, d1, d2, x_scale=float(spec.params.get("x_scale", 1.0)), stream=spec.stream
-        )
-    }
-
-
-def _dispatch_expansive_invertible(spec: GenSpec) -> dict:
-    (d,) = spec.dims
-    return {
-        "t": gen_expansive_invertible(
-            spec.seed,
-            d,
-            int(spec.params.get("m", 1)),
-            scale=float(spec.params.get("scale", 2.0)),
-            perturbation=float(spec.params.get("perturbation", 0.1)),
-            stream=spec.stream,
-        )
-    }
+    gen: str              # name of the gen_* function, looked up at each call
+    arity: int            # number of dims
+    outputs: tuple        # names of what gen returns, in order
+    params: tuple = ()    # the params it accepts
+    required: tuple = ()  # the accepted params without a default
 
 
 FAMILIES = {
-    "haar_unitary": _dispatch_haar,
-    "nilpotent": _dispatch_nilpotent,
-    "psd": _dispatch_psd,
-    "drazin_pair": _dispatch_drazin_pair,
-    "coupled_kernel": _dispatch_coupled_kernel,
-    "expansive_invertible": _dispatch_expansive_invertible,
-}
-
-# per family: the number of dims and the params its dispatcher requires
-_SIGNATURES = {
-    "haar_unitary": (1, ()),
-    "nilpotent": (1, ("index",)),
-    "psd": (1, ()),
-    "drazin_pair": (2, ()),
-    "coupled_kernel": (2, ()),
-    "expansive_invertible": (1, ()),
+    "haar_unitary": Family("gen_haar_unitary", 1, ("t",)),
+    "nilpotent": Family("gen_nilpotent", 1, ("t",), ("index",), ("index",)),
+    "psd": Family("gen_psd", 1, ("p",), ("condition_cap",)),
+    "drazin_pair": Family("gen_drazin_pair", 2, ("t", "p"), ("m", "weight", "nil_index")),
+    "coupled_kernel": Family("gen_coupled_kernel", 2, ("t",), ("x_scale",)),
+    "expansive_invertible": Family("gen_expansive_invertible", 1, ("t",), ("m", "scale", "perturbation")),
 }
 
 
 def generate(spec: GenSpec) -> dict:
-    """Produce the named matrices of a fixture from its replayable spec."""
-    return FAMILIES[spec.family](spec)
+    """The named matrices of a fixture, drawn as its ``FAMILIES`` entry says;
+    the ``gen_*`` function is looked up at each call, so a wrapper sees it."""
+    family = FAMILIES[spec.family]
+    drawn = globals()[family.gen](spec.seed, *spec.dims, stream=spec.stream, **spec.params)
+    return dict(zip(family.outputs, drawn if len(family.outputs) > 1 else (drawn,)))

@@ -13,7 +13,8 @@ shared conventions:
   it is needed (the defect cross-check), the Frobenius norm `_norm_fro`, one
   dot product, since ||A||_2 <= ||A||_F,
 * the one way to form a power T^n, `_matrix_power`, which raises
-  NumericalFailureError on a power that overflows,
+  DomainError on a negative or non-integral n and NumericalFailureError on a
+  power that overflows,
 * Hermiticity and definiteness decisions,
 * PSD square roots and the Moore-Penrose pseudo-inverse,
 * the one numerical-rank rule, `Tolerance.cutoff`: a singular value at or
@@ -33,6 +34,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from numbers import Integral
 
 import numpy as np
 
@@ -196,9 +198,22 @@ def _norm_fro(a: np.ndarray) -> float:
     return peak * math.sqrt(float(np.vdot(x, x)))
 
 
+def _as_integer(value, what: str) -> int:
+    """``value`` as an int; bools and non-integral numbers raise DomainError."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _matrix_power(a: np.ndarray, n: int) -> np.ndarray:
-    """``a**n`` of a finite square ``a``; a power that overflows raises
-    NumericalFailureError instead of numpy's overflow warnings."""
+    """``a**n`` of a finite square ``a`` and an integer n >= 0.
+
+    A negative n, which numpy would turn into a power of the inverse, raises
+    DomainError; a power that overflows raises NumericalFailureError instead
+    of numpy's overflow warnings."""
+    n = _as_integer(n, "operator power")
+    if n < 0:
+        raise DomainError(f"operator power must be >= 0, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):
         power = np.linalg.matrix_power(a, n)
     if not np.isfinite(power).all():
@@ -214,9 +229,7 @@ def operator_norm(m) -> float:
 def spectral_radius(m) -> float:
     """max |lambda| over the spectrum (0.0 for an empty matrix)."""
     a = _require_square(as_matrix(m))
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
+    return float(np.max(np.abs(np.linalg.eigvals(a)), initial=0.0))
 
 
 def eigenvalues(m) -> np.ndarray:

@@ -267,6 +267,29 @@ def test_overflow_error_is_the_only_stderr_line(tmp_path, command, values):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("values", [np.diag([2.0, 4.0]), np.diag([1.0, 0.0])], ids=["invertible", "singular"])
+@pytest.mark.parametrize("command", ["defect", "classify"])
+def test_negative_gram_power_is_the_only_stderr_line(tmp_path, command, values):
+    # numpy would weight by T^-* T^-1, or fail with an untyped "Singular matrix"
+    path = write_matrix(tmp_path / "diag.json", values)
+    env = dict(os.environ, PYTHONPATH=str(Path(oplab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "oplab.cli", command, "--weight", "gram", "--n", "-1",
+         "--matrix", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "oplab: error: operator power must be >= 0, got -1\n"
+
+
+def test_gram_power_zero_is_the_identity_weight(tmp_path):
+    path = write_matrix(tmp_path / "diag.json", np.diag([1.0, 0.0]))
+    gram, identity = tmp_path / "gram.json", tmp_path / "identity.json"
+    assert main(["defect", "--weight", "gram", "--n", "0", "--matrix", path, "--output", str(gram)]) == 0
+    assert main(["defect", "--weight", "identity", "--matrix", path, "--output", str(identity)]) == 0
+    assert gram.read_text() == identity.read_text()
+
+
 @pytest.mark.parametrize("command", [["drazin"], ["split", "--n", "2"]])
 def test_overflowing_gate_scale_prints_no_warning(tmp_path, command):
     # N = [[0, 1e200], [0, 0]] has N^2 = 0, but the gate scales

@@ -368,7 +368,16 @@ def test_rank_decisions_share_one_cutoff(scale, rank):
 
 
 def test_empty_operator_results_are_pinned():
-    from oplab import DefectSpec, classify, defect, defect_series, is_hermitian
+    from oplab import (
+        DefectSpec,
+        PreconditionError,
+        classify,
+        defect,
+        defect_series,
+        is_hermitian,
+        spectral_constraints,
+        spectral_radius,
+    )
 
     empty = np.zeros((0, 0), dtype=complex)
     zero_check = {"disagreement": 0.0, "threshold": Tolerance().gate(1.0), "term_scale": 1.0}
@@ -384,6 +393,10 @@ def test_empty_operator_results_are_pinned():
     assert report["p_isometric"] is True
     assert report["spectral"] == {"operator_norm": 0.0, "spectral_radius": 0.0, "eigenvalue_moduli": []}
     assert operator_norm(empty) == 0.0
+    assert spectral_radius(empty) == 0.0
+    # an empty weight is not invertible, so the spectral checks never see an empty spectrum
+    with pytest.raises(PreconditionError, match="invertible"):
+        spectral_constraints(empty, empty, 1)
     assert is_hermitian(empty)
     assert numerical_rank(np.zeros((3, 0))) == 0
     assert drazin_inverse(empty).shape == (0, 0)

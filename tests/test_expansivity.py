@@ -422,6 +422,19 @@ def test_overflowing_gram_weight_is_a_numerical_failure(t, n, message):
         gram_weight(t, n)
 
 
+@pytest.mark.parametrize("n", [-1, -2, 1.0, 0.5, True, np.float64(2.0)])
+@pytest.mark.parametrize("t", [np.diag([2.0, 4.0]), np.diag([1.0, 0.0])], ids=["invertible", "singular"])
+def test_gram_weight_rejects_a_negative_or_non_integral_power(t, n):
+    # numpy's matrix_power would form a power of the inverse (or fail to)
+    with pytest.raises(DomainError, match="operator power must be"):
+        gram_weight(t, n)
+
+
+def test_gram_weight_of_power_zero_is_the_identity():
+    np.testing.assert_array_equal(gram_weight(np.diag([1.0, 0.0]), 0), np.eye(2))
+    np.testing.assert_array_equal(gram_weight(np.diag([2.0, 4.0]), np.int64(0)), np.eye(2))
+
+
 def test_gram_weight_of_a_non_square_operator_is_a_dimension_error():
     with pytest.raises(DimensionError, match="expected a square matrix"):
         gram_weight(np.ones((2, 3)))

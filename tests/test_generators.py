@@ -1,12 +1,19 @@
 """Tests for the seeded fixture families: determinism, premise certification,
 and the structural properties each family promises."""
 
+import inspect
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oplab.generators as generators
 from oplab import (
     DefectSpec,
     GenSpec,
+    OplabError,
     PreconditionError,
     defect,
     drazin_index,
@@ -21,7 +28,7 @@ from oplab import (
     gram_weight,
     operator_norm,
 )
-from oplab.generators import GENERATOR_VERSION, GenerationError, _orthonormalize
+from oplab.generators import _PARAM_KINDS, FAMILIES, GENERATOR_VERSION, GenerationError, _orthonormalize
 
 from conftest import ginibre, philox
 
@@ -94,6 +101,12 @@ def test_psd_verdict_and_condition():
     np.testing.assert_allclose(gen_psd(4, 3, condition_cap=1.0), np.eye(3), atol=1e-12)
 
 
+@pytest.mark.parametrize("cap", [0.5, float("nan"), float("inf")])
+def test_psd_rejects_a_cap_below_one_or_not_finite(cap):
+    with pytest.raises(PreconditionError, match="condition cap"):
+        gen_psd(1, 3, condition_cap=cap)
+
+
 def test_drazin_pair_structure():
     for seed in range(4):
         t, p = gen_drazin_pair(seed, 3, 2, m=2)
@@ -162,6 +175,10 @@ def test_expansive_invertible_unitary_cases():
         gen_expansive_invertible(7, 3, 2)
     with pytest.raises(PreconditionError):
         gen_expansive_invertible(7, 3, 1, scale=0.5)
+    # an order below 1 certifies nothing, even with the unitary's scalings
+    for m in (0, -1, -2):
+        with pytest.raises(PreconditionError, match="order must be >= 1"):
+            gen_expansive_invertible(7, 3, m, scale=1.0, perturbation=0.0)
 
 
 def test_genspec_validation():
@@ -194,6 +211,19 @@ def test_genspec_validation():
         (1, "expansive_invertible", (3,), 0, {"m": 1.0}),
         (1, "psd", (3,), 0, {"condition_cap": "4"}),
         (1, "coupled_kernel", (2, 2), 0, {"x_scale": None}),
+        # real params must be finite
+        (1, "expansive_invertible", (3,), 0, {"scale": float("inf")}),
+        (1, "expansive_invertible", (3,), 0, {"perturbation": float("nan")}),
+        (1, "psd", (3,), 0, {"condition_cap": float("nan")}),
+        (1, "psd", (3,), 0, {"condition_cap": float("inf")}),
+        (1, "coupled_kernel", (2, 2), 0, {"x_scale": -np.inf}),
+        (1, "coupled_kernel", (2, 2), 0, {"x_scale": 10**400}),
+        # a param the family does not take
+        (1, "coupled_kernel", (2, 2), 0, {"x_scael": 0.0}),
+        (1, "haar_unitary", (2,), 0, {"index": 2}),
+        (1, "psd", (2,), 0, {"m": 1}),
+        (1, "drazin_pair", (2, 2), 0, {"stream": 1}),
+        (1, "expansive_invertible", (2,), 0, {"tol": None}),
     ],
 )
 def test_genspec_rejects_mistyped_fields(args):
@@ -205,6 +235,82 @@ def test_genspec_accepts_numpy_integers():
     spec = GenSpec(np.uint64(3), "nilpotent", (np.int64(3),), np.int32(1), {"index": 2})
     assert spec == GenSpec(3, "nilpotent", (3,), 1, {"index": 2})
     assert spec.to_json()["seed"] == 3 and type(spec.to_json()["seed"]) is int
+
+
+def test_genspec_stores_each_param_as_its_kind():
+    spec = GenSpec(1, "expansive_invertible", (3,), 0, {"m": np.int64(3), "scale": 2, "perturbation": np.float32(0.5)})
+    assert spec.params == {"m": 3, "scale": 2.0, "perturbation": 0.5}
+    assert [type(value) for value in spec.params.values()] == [int, float, float]
+    spec = GenSpec(1, "drazin_pair", (2, 2), 0, {"nil_index": np.int8(2), "weight": "commuting"})
+    assert [type(value) for value in spec.params.values()] == [int, str]
+    assert GenSpec(1, "drazin_pair", (2, 2), 0, {"nil_index": None}).params == {"nil_index": None}
+    # an int-valued real draws the fixture of its float
+    as_int = generate(GenSpec(1, "psd", (3,), 0, {"condition_cap": 4}))["p"]
+    assert np.array_equal(as_int, gen_psd(1, 3, 4.0))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_families_table_matches_the_gen_signatures(name):
+    family = FAMILIES[name]
+    parameters = list(inspect.signature(getattr(generators, family.gen)).parameters.values())
+    assert parameters[0].name == "seed"
+    taken = [p for p in parameters[1 + family.arity:] if p.name not in ("stream", "tol")]
+    assert tuple(p.name for p in taken) == family.params
+    assert tuple(p.name for p in taken if p.default is inspect.Parameter.empty) == family.required
+    assert set(family.params) <= set(_PARAM_KINDS)
+
+
+_UNKNOWN_PARAM = "x_scael"
+_PARAM_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.integers(-2, 6).map(np.int64),
+    st.integers(),
+    st.just(10**400),
+    st.floats(-3.0, 3.0),
+    st.floats(),
+    st.floats(width=32).map(np.float32),
+    st.sampled_from(["identity", "commuting", "other"]),
+)
+
+
+def _spec_fields(name):
+    family = FAMILIES[name]
+    names = st.sampled_from(sorted(_PARAM_KINDS) + [_UNKNOWN_PARAM])
+    if family.params:
+        names = st.one_of(st.sampled_from(family.params), names)
+    return st.tuples(
+        st.just(name),
+        st.lists(st.integers(1, 4), min_size=family.arity, max_size=family.arity),
+        st.dictionaries(names, _PARAM_VALUES, max_size=3),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(fields=st.sampled_from(sorted(FAMILIES)).flatmap(_spec_fields), seed=st.integers(0, 2**64 - 1))
+# finite params whose fixture overflows
+@example(fields=("expansive_invertible", [3], {"m": 3, "scale": 1e300, "perturbation": 1e300}), seed=1)
+@example(fields=("expansive_invertible", [3], {"scale": 1.0, "perturbation": 1.7e308}), seed=1)
+@example(fields=("coupled_kernel", [2, 2], {"x_scale": 1.7e308}), seed=1)
+def test_a_spec_is_rejected_or_draws_its_named_finite_outputs(fields, seed):
+    name, dims, params = fields
+    try:
+        spec = GenSpec(seed, name, dims, 0, params)
+    except PreconditionError:
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            drawn = generate(spec)
+        except OplabError:
+            drawn = None
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if drawn is not None:
+        assert tuple(drawn) == FAMILIES[name].outputs
+        for matrix in drawn.values():
+            assert matrix.dtype == np.complex128 and matrix.shape == (sum(dims),) * 2
+            assert np.isfinite(matrix).all()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 16, 64, 128])
