@@ -30,6 +30,7 @@ from .matrix_core import (
     PreconditionError,
     Tolerance,
     _matrix_power,
+    _nilpotency,
     _norm2,
     _psd_sqrt,
     _rank_with_cliff,
@@ -218,8 +219,8 @@ def core_nilpotent(t, tol: Tolerance = DEFAULT_TOL) -> CoreNilpotent:
     t2 = conj[r:, r:]
     if numerical_rank(t1, tol) < r:
         raise DecompositionError("invertible block is numerically singular")
-    nil_residual = operator_norm(_matrix_power(t2, p))
-    if nil_residual > tol.power_gate(operator_norm(t2), p):
+    nil_residual, nilpotent = _nilpotency(t2, p, tol)
+    if not nilpotent:
         raise DecompositionError(f"nilpotent block fails t2^{p} = 0 (residual {nil_residual:.3e})")
     cross = _norm2(adjoint(range_basis) @ null_basis)
     return CoreNilpotent(
@@ -295,8 +296,8 @@ def range_kernel_split(t, n: int, tol: Tolerance = DEFAULT_TOL) -> RangeKernelSp
             f"conjugated operator is not upper triangular ({residuals['triangular_lower']:.3e})"
         )
     t2 = bt[d1:, d1:]
-    residuals["t2_nilpotency"] = operator_norm(_matrix_power(t2, n))
-    if residuals["t2_nilpotency"] > tol.power_gate(operator_norm(t2), n):
+    residuals["t2_nilpotency"], nilpotent = _nilpotency(t2, n, tol)
+    if not nilpotent:
         raise DecompositionError(
             f"kernel-side block fails t2^{n} = 0 (residual {residuals['t2_nilpotency']:.3e})"
         )

@@ -15,8 +15,8 @@ spec draws are those of ``GENERATOR_VERSION``, which every serialized spec
 records: version 2 replaced the modified Gram-Schmidt of version 1.
 
 Generation is premise-certified: every family verifies the property its
-consumers rely on before returning, and raises GenerationError instead of
-handing out an uncertified fixture.
+consumers rely on, at the default tolerance, before returning, and raises
+GenerationError instead of handing out an uncertified fixture.
 
 ``FAMILIES`` is the one schema of the families: the ``gen_*`` function of
 each, its number of dims, its outputs and the params it accepts and requires;
@@ -38,8 +38,8 @@ from .matrix_core import (
     DEFAULT_TOL,
     OplabError,
     PreconditionError,
-    Tolerance,
     _matrix_power,
+    _nilpotency,
     adjoint,
     block_compose,
     hermitian_part,
@@ -151,6 +151,8 @@ def _is_finite_real(value) -> bool:
         return False
 
 
+# the weight schemes gen_drazin_pair builds
+_WEIGHT_SCHEMES = ("identity", "commuting")
 _INTEGER = (_is_integer, "an integer", int)
 _FINITE_REAL = (_is_finite_real, "a finite real number", float)
 # per param name: the test a value must pass, its description, and the cast
@@ -164,7 +166,8 @@ _PARAM_KINDS = {
     "x_scale": _FINITE_REAL,
     "scale": _FINITE_REAL,
     "perturbation": _FINITE_REAL,
-    "weight": (lambda value: isinstance(value, str), "a string", str),
+    "weight": (lambda value: isinstance(value, str) and value in _WEIGHT_SCHEMES,
+               " or ".join(map(repr, _WEIGHT_SCHEMES)), str),
 }
 
 
@@ -231,8 +234,8 @@ def gen_nilpotent(seed: int, d: int, index: int, stream: int = 0) -> np.ndarray:
     if not 1 <= index <= d:
         raise PreconditionError(f"nilpotency index {index} outside [1, {d}]")
     n = _nilpotent(_rng(seed, stream), d, index)
-    top = operator_norm(_matrix_power(n, index))
-    if top > DEFAULT_TOL.power_gate(operator_norm(n), index):
+    top, nilpotent = _nilpotency(n, index, DEFAULT_TOL)
+    if not nilpotent:
         raise GenerationError(f"nilpotency certification failed (||N^index|| = {top:.3e})")
     if index > 1 and operator_norm(_matrix_power(n, index - 1)) < 1e-3:
         raise GenerationError("nilpotent chain collapsed below the stated index")
@@ -256,7 +259,7 @@ def gen_psd(seed: int, d: int, condition_cap: float = 100.0, stream: int = 0) ->
 
 
 def gen_drazin_pair(seed: int, d1: int, d2: int, m: int = 1, weight: str = "identity",
-                    nil_index: int | None = None, stream: int = 0, tol: Tolerance = DEFAULT_TOL):
+                    nil_index: int | None = None, stream: int = 0):
     """Block-orthogonal fixture t = U (+) N with weight p supported on the
     invertible summand.
 
@@ -267,17 +270,17 @@ def gen_drazin_pair(seed: int, d1: int, d2: int, m: int = 1, weight: str = "iden
     """
     if d1 < 1 or d2 < 1:
         raise PreconditionError(f"block dimensions must be >= 1, got ({d1}, {d2})")
+    if weight not in _WEIGHT_SCHEMES:
+        raise PreconditionError(f"unknown weight scheme {weight!r}")
     rng = _rng(seed, stream)
     if weight == "identity":
         u = _haar(rng, d1)
         p11 = np.eye(d1, dtype=np.complex128)
-    elif weight == "commuting":
+    else:
         w = _haar(rng, d1)
         phases = np.exp(2j * np.pi * rng.uniform(size=d1))
         u = w @ np.diag(phases) @ adjoint(w)
         p11 = hermitian_part((w * rng.uniform(0.5, 2.0, size=d1)) @ adjoint(w))
-    else:
-        raise PreconditionError(f"unknown weight scheme {weight!r}")
     index = int(nil_index) if nil_index is not None else int(rng.integers(1, d2 + 1))
     if not 1 <= index <= d2:
         raise PreconditionError(f"nilpotency index {index} outside [1, {d2}]")
@@ -286,14 +289,13 @@ def gen_drazin_pair(seed: int, d1: int, d2: int, m: int = 1, weight: str = "iden
     z21 = np.zeros((d2, d1), dtype=np.complex128)
     t = block_compose([[u, z12], [z21, n]])
     p = block_compose([[p11, z12], [z21, np.zeros((d2, d2), dtype=np.complex128)]])
-    result = defect(DefectSpec(t=t, p=p, m=m), tol)
+    result = defect(DefectSpec(t=t, p=p, m=m))
     if "expansive" not in result.classification:
         raise GenerationError(f"drazin pair failed expansivity certification ({result.verdict.verdict})")
     return t, p
 
 
-def gen_coupled_kernel(seed: int, d1: int, d2: int, x_scale: float = 1.0, stream: int = 0,
-                       tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def gen_coupled_kernel(seed: int, d1: int, d2: int, x_scale: float = 1.0, stream: int = 0) -> np.ndarray:
     """Fixture [[U, X], [0, 0]] whose powers all share the same Gram matrix,
     so it is (m, T*T)-isometric for every m; certified at m = 1."""
     if d1 < 1 or d2 < 1:
@@ -305,21 +307,14 @@ def gen_coupled_kernel(seed: int, d1: int, d2: int, x_scale: float = 1.0, stream
         [u, x],
         [np.zeros((d2, d1), dtype=np.complex128), np.zeros((d2, d2), dtype=np.complex128)],
     ])
-    result = defect(DefectSpec(t=t, p=gram_weight(t, 1), m=1), tol)
+    result = defect(DefectSpec(t=t, p=gram_weight(t, 1), m=1))
     if result.verdict.verdict != "ZERO":
         raise GenerationError(f"coupled-kernel fixture is not weight-isometric ({result.verdict.verdict})")
     return t
 
 
-def gen_expansive_invertible(
-    seed: int,
-    d: int,
-    m: int = 1,
-    scale: float = 2.0,
-    perturbation: float = 0.1,
-    stream: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-) -> np.ndarray:
+def gen_expansive_invertible(seed: int, d: int, m: int = 1, scale: float = 2.0, perturbation: float = 0.1,
+                             stream: int = 0) -> np.ndarray:
     """Invertible fixture scale * U * L with sigma_min >= 1, certified
     m-expansive.
 
@@ -348,7 +343,7 @@ def gen_expansive_invertible(
         sigma_min = float(np.linalg.svd(t, compute_uv=False)[-1])
         if sigma_min < 1.0:
             continue
-        if m > 1 and "expansive" not in defect(DefectSpec(t=t, p=identity, m=m), tol).classification:
+        if m > 1 and "expansive" not in defect(DefectSpec(t=t, p=identity, m=m)).classification:
             continue
         return t
     raise GenerationError(f"resampling budget ({_MAX_RESAMPLES}) exhausted")

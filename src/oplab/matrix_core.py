@@ -226,6 +226,12 @@ def operator_norm(m) -> float:
     return _norm2(as_matrix(m))
 
 
+def _nilpotency(x: np.ndarray, q: int, tol: Tolerance) -> tuple[float, bool]:
+    """||X^q|| and whether X^q = 0 within tolerance: ||X^q|| <= tol.power_gate(||X||, q)."""
+    residual = operator_norm(_matrix_power(x, q))
+    return residual, residual <= tol.power_gate(operator_norm(x), q)
+
+
 def spectral_radius(m) -> float:
     """max |lambda| over the spectrum (0.0 for an empty matrix)."""
     a = _require_square(as_matrix(m))

@@ -15,10 +15,10 @@ Each theorem is one entry of ``_THEOREMS``: the name of its verifier with
 the builders of its verify and fuzz instances.
 
 Reproducibility: instance k of a theorem uses RNG stream k; when an instance
-needs several independent draws, draw j uses stream ``k + j * 2**32``.  Rows
-are keyed by (theorem_id, stream) and sorted, so reports are byte-identical
-across repeated runs.  Instances are evaluated serially: small-matrix
-verifiers hold the GIL, and a thread pool measured slower than one thread.
+needs several independent draws, draw j uses stream ``k + j * 2**32``.  The
+theorems run once each in sorted id order and their streams in ascending
+order, so rows come out keyed by (theorem_id, stream) in order and reports
+are byte-identical across repeated runs.
 """
 
 from __future__ import annotations
@@ -63,6 +63,18 @@ def _identity(d: int) -> np.ndarray:
     return np.eye(d, dtype=np.complex128)
 
 
+def _draw(seed, family, dims, stream, **params):
+    """One fixture: its GenSpec and the named matrices ``generate`` draws."""
+    gs = GenSpec(seed, family, dims, stream, params)
+    return gs, generate(gs)
+
+
+def _unitary(seed, stream, d):
+    """The gens and inputs of a Haar unitary against the identity weight."""
+    gs, drawn = _draw(seed, "haar_unitary", (d,), stream)
+    return [gs], {"t": drawn["t"], "p": _identity(d)}
+
+
 _FUZZ_FAMILIES = ("haar_unitary", "nilpotent", "drazin_pair", "coupled_kernel", "expansive_invertible")
 
 
@@ -72,24 +84,23 @@ def _draw_operator(seed, stream, rng, dims):
     d2 = int(rng.integers(1, dims[1] + 1))
     family = _FUZZ_FAMILIES[int(rng.integers(0, len(_FUZZ_FAMILIES)))]
     if family == "haar_unitary":
-        gs = GenSpec(seed, "haar_unitary", (d1,), stream)
+        gs, drawn = _draw(seed, family, (d1,), stream)
     elif family == "nilpotent":
         d = max(2, d1)
-        gs = GenSpec(seed, "nilpotent", (d,), stream, params={"index": int(rng.integers(1, d + 1))})
+        gs, drawn = _draw(seed, family, (d,), stream, index=int(rng.integers(1, d + 1)))
     elif family == "drazin_pair":
-        gs = GenSpec(seed, "drazin_pair", (d1, d2), stream, params={"m": 1, "weight": "identity"})
+        gs, drawn = _draw(seed, family, (d1, d2), stream, m=1, weight="identity")
     elif family == "coupled_kernel":
-        gs = GenSpec(seed, "coupled_kernel", (d1, d2), stream,
-                     params={"x_scale": float(rng.uniform(0.0, 2.0))})
+        gs, drawn = _draw(seed, family, (d1, d2), stream, x_scale=float(rng.uniform(0.0, 2.0)))
     else:
         # scalings bounded away from 1: a draw at the tolerance cliff would
         # satisfy premises only by zero-banding while failing exact conclusions;
         # order-3 certification needs the larger scales to pass rejection
         m = int(rng.choice([1, 3]))
         low = 1.1 if m == 1 else 1.5
-        gs = GenSpec(seed, "expansive_invertible", (d1,), stream,
-                     params={"m": m, "scale": float(rng.uniform(low, 2.5)), "perturbation": 0.1})
-    return gs, generate(gs)["t"]
+        gs, drawn = _draw(seed, family, (d1,), stream,
+                          m=m, scale=float(rng.uniform(low, 2.5)), perturbation=0.1)
+    return gs, drawn["t"]
 
 
 def _draw_weight(seed, stream, rng, t):
@@ -100,18 +111,16 @@ def _draw_weight(seed, stream, rng, t):
         return [], _identity(d)
     if kind == 1:
         return [], gram_weight(t, int(rng.integers(1, 3)))
-    gs = GenSpec(seed, "psd", (d,), stream + _SUBSTREAM,
-                 params={"condition_cap": float(rng.uniform(1.0, 100.0))})
-    return [gs], generate(gs)["p"]
+    gs, drawn = _draw(seed, "psd", (d,), stream + _SUBSTREAM, condition_cap=float(rng.uniform(1.0, 100.0)))
+    return [gs], drawn["p"]
 
 
 def _draw_invertible_weight(seed, stream, rng, t):
     """Randomized invertible PSD weight: never the gram of a singular draw."""
     d = t.shape[0]
     if rng.integers(0, 2):
-        gs = GenSpec(seed, "psd", (d,), stream + _SUBSTREAM,
-                     params={"condition_cap": float(rng.uniform(1.0, 50.0))})
-        return [gs], generate(gs)["p"]
+        gs, drawn = _draw(seed, "psd", (d,), stream + _SUBSTREAM, condition_cap=float(rng.uniform(1.0, 50.0)))
+        return [gs], drawn["p"]
     return [], _identity(d)
 
 
@@ -119,21 +128,17 @@ def _verify_power_stability_instance(seed, stream, dims):
     d1, d2 = dims
     variant = stream % 3
     if variant == 0:
-        gs = GenSpec(seed, "haar_unitary", (d1,), stream)
-        t = generate(gs)["t"]
-        p = _identity(d1)
+        gens, inputs = _unitary(seed, stream, d1)
         m = 1 + (stream // 3) % 3
     elif variant == 1:
-        gs = GenSpec(seed, "coupled_kernel", (d1, d2), stream)
-        t = generate(gs)["t"]
-        p = gram_weight(t, 1)
+        gs, drawn = _draw(seed, "coupled_kernel", (d1, d2), stream)
+        gens, inputs = [gs], {"t": drawn["t"], "p": gram_weight(drawn["t"], 1)}
         m = 1 + (stream // 3) % 4
     else:
         m = 1 + 2 * ((stream // 3) % 2)
-        gs = GenSpec(seed, "expansive_invertible", (d1,), stream, params={"m": m})
-        t = generate(gs)["t"]
-        p = _identity(d1)
-    return [gs], {"t": t, "p": p}, {"m": m, "n_max": 4}
+        gs, drawn = _draw(seed, "expansive_invertible", (d1,), stream, m=m)
+        gens, inputs = [gs], {"t": drawn["t"], "p": _identity(d1)}
+    return gens, inputs, {"m": m, "n_max": 4}
 
 
 def _verify_no_singular_instance(seed, stream, dims):
@@ -142,75 +147,63 @@ def _verify_no_singular_instance(seed, stream, dims):
     m = 1 + stream % 4
     if variant == 0:
         d = max(2, d1)
-        gs = GenSpec(seed, "nilpotent", (d,), stream, params={"index": 1 + stream % d})
-        t = generate(gs)["t"]
+        gs, drawn = _draw(seed, "nilpotent", (d,), stream, index=1 + stream % d)
     elif variant == 1:
-        gs = GenSpec(seed, "drazin_pair", (d1, d2), stream, params={"m": m})
-        t = generate(gs)["t"]
+        gs, drawn = _draw(seed, "drazin_pair", (d1, d2), stream, m=m)
     else:
-        gs = GenSpec(seed, "coupled_kernel", (d1, d2), stream)
-        t = generate(gs)["t"]
-    return [gs], {"t": t}, {"m": m}
+        gs, drawn = _draw(seed, "coupled_kernel", (d1, d2), stream)
+    return [gs], {"t": drawn["t"]}, {"m": m}
 
 
 def _verify_weight_decomposition_instance(seed, stream, dims):
     d1, d2 = dims
     m = 1 + stream % 3
     weight = "identity" if (stream // 3) % 2 == 0 else "commuting"
-    gs = GenSpec(seed, "drazin_pair", (d1, d2), stream, params={"m": m, "weight": weight})
-    drawn = generate(gs)
-    t, p = drawn["t"], drawn["p"]
-    return [gs], {"t1": t[:d1, :d1], "t2": t[d1:, d1:], "p": p}, {"m": m}
+    gs, drawn = _draw(seed, "drazin_pair", (d1, d2), stream, m=m, weight=weight)
+    t = drawn["t"]
+    return [gs], {"t1": t[:d1, :d1], "t2": t[d1:, d1:], "p": drawn["p"]}, {"m": m}
 
 
 def _verify_two_expansive_instance(seed, stream, dims):
     d1, d2 = dims
     if stream % 2 == 0:
         weight = "identity" if (stream // 2) % 2 == 0 else "commuting"
-        gs = GenSpec(seed, "drazin_pair", (d1, d2), stream, params={"m": 2, "weight": weight})
-        drawn = generate(gs)
-        return [gs], {"t": drawn["t"], "p": drawn["p"]}, {}
-    gs = GenSpec(seed, "haar_unitary", (d1,), stream)
-    return [gs], {"t": generate(gs)["t"], "p": _identity(d1)}, {}
+        gs, drawn = _draw(seed, "drazin_pair", (d1, d2), stream, m=2, weight=weight)
+        return [gs], drawn, {}
+    return (*_unitary(seed, stream, d1), {})
 
 
 def _verify_unitary_nilpotent_instance(seed, stream, dims):
     d1, d2 = dims
     if stream % 2 == 0:
-        gs = GenSpec(seed, "drazin_pair", (d1, d2), stream,
-                     params={"m": 2, "nil_index": 1})
-        return [gs], {"t": generate(gs)["t"]}, {}
-    gs = GenSpec(seed, "haar_unitary", (d1,), stream)
-    return [gs], {"t": generate(gs)["t"]}, {}
+        gs, drawn = _draw(seed, "drazin_pair", (d1, d2), stream, m=2, nil_index=1)
+    else:
+        gs, drawn = _draw(seed, "haar_unitary", (d1,), stream)
+    return [gs], {"t": drawn["t"]}, {}
 
 
 def _verify_sandwich_instance(seed, stream, dims):
     d1, d2 = dims
     m = 2 + stream % 2
     if stream % 2 == 0:
-        gs = GenSpec(seed, "drazin_pair", (d1, d2), stream, params={"m": m})
-        drawn = generate(gs)
-        return [gs], {"t": drawn["t"], "p": drawn["p"]}, {"m": m}
-    gs = GenSpec(seed, "haar_unitary", (d1,), stream)
-    return [gs], {"t": generate(gs)["t"], "p": _identity(d1)}, {"m": m}
+        gs, drawn = _draw(seed, "drazin_pair", (d1, d2), stream, m=m)
+        return [gs], drawn, {"m": m}
+    return (*_unitary(seed, stream, d1), {"m": m})
 
 
 def _verify_spectral_instance(seed, stream, dims):
     d1, d2 = dims
     variant = stream % 4
     if variant == 0:
-        gs = GenSpec(seed, "haar_unitary", (d1,), stream)
-        return [gs], {"t": generate(gs)["t"], "p": _identity(d1)}, {"m": 2}
+        return (*_unitary(seed, stream, d1), {"m": 2})
     if variant in (1, 2):
         m = 2 * variant - 1  # orders 1 and 3
-        gs = GenSpec(seed, "expansive_invertible", (d1,), stream, params={"m": m})
-        return [gs], {"t": generate(gs)["t"], "p": _identity(d1)}, {"m": m}
-    gs_u = GenSpec(seed, "haar_unitary", (d1,), stream)
-    gs_s = GenSpec(seed, "psd", (d1,), stream + _SUBSTREAM, params={"condition_cap": 4.0})
-    u = generate(gs_u)["t"]
-    s = generate(gs_s)["p"]
-    s_inv = np.linalg.inv(s)
-    t = s @ u @ s_inv
+        gs, drawn = _draw(seed, "expansive_invertible", (d1,), stream, m=m)
+        return [gs], {"t": drawn["t"], "p": _identity(d1)}, {"m": m}
+    gs_u, u = _draw(seed, "haar_unitary", (d1,), stream)
+    gs_s, s = _draw(seed, "psd", (d1,), stream + _SUBSTREAM, condition_cap=4.0)
+    s_inv = np.linalg.inv(s["p"])
+    t = s["p"] @ u["t"] @ s_inv
     p = hermitian_part(adjoint(s_inv) @ s_inv)
     return [gs_u, gs_s], {"t": t, "p": p}, {"m": 2}
 
@@ -218,12 +211,10 @@ def _verify_spectral_instance(seed, stream, dims):
 def _verify_transform_bundle_instance(seed, stream, dims):
     d1, d2 = dims
     if stream % 2 == 0:
-        gs = GenSpec(seed, "coupled_kernel", (d1, d2), stream)
-        m = 1 + (stream // 2) % 4
-        n = 1 + (stream // 8) % 2
-        return [gs], {"t": generate(gs)["t"]}, {"m": m, "n": n}
-    gs = GenSpec(seed, "expansive_invertible", (d1,), stream, params={"m": 1})
-    return [gs], {"t": generate(gs)["t"]}, {"m": 1, "n": 1}
+        gs, drawn = _draw(seed, "coupled_kernel", (d1, d2), stream)
+        return [gs], drawn, {"m": 1 + (stream // 2) % 4, "n": 1 + (stream // 8) % 2}
+    gs, drawn = _draw(seed, "expansive_invertible", (d1,), stream, m=1)
+    return [gs], drawn, {"m": 1, "n": 1}
 
 
 def _fuzz_recipe(draw_weight, **ranges):
@@ -231,7 +222,8 @@ def _fuzz_recipe(draw_weight, **ranges):
     (none if None), then one integer param per ``name=(low, high)`` entry of
     ``ranges``, drawn in that order from the instance's parameter RNG."""
 
-    def recipe(seed, stream, rng, dims):
+    def recipe(seed, stream, dims):
+        rng = _fuzz_rng(seed, stream)
         gs_t, t = _draw_operator(seed, stream, rng, dims)
         gens, inputs = [gs_t], {"t": t}
         if draw_weight is not None:
@@ -242,31 +234,30 @@ def _fuzz_recipe(draw_weight, **ranges):
     return recipe
 
 
-def _fuzz_weight_decomposition(seed, stream, rng, dims):
+def _fuzz_weight_decomposition(seed, stream, dims):
     """Fuzz recipe of the orthogonal fixtures t1 (+) t2 the theorem takes."""
+    rng = _fuzz_rng(seed, stream)
     d1 = int(rng.integers(1, dims[0] + 1))
     d2 = int(rng.integers(1, dims[1] + 1))
     m = int(rng.integers(1, 4))
-    gs_u = GenSpec(seed, "haar_unitary", (d1,), stream)
-    gs_n = GenSpec(seed, "nilpotent", (d2,), stream + _SUBSTREAM,
-                   params={"index": int(rng.integers(1, d2 + 1))})
+    gs_u, u = _draw(seed, "haar_unitary", (d1,), stream)
+    gs_n, n = _draw(seed, "nilpotent", (d2,), stream + _SUBSTREAM, index=int(rng.integers(1, d2 + 1)))
     # unimodular half the time, otherwise scaled decisively away from 1
     scale = 1.0 if rng.integers(0, 2) else float(rng.uniform(1.1, 2.0))
-    t1 = scale * generate(gs_u)["t"]
-    t2 = generate(gs_n)["t"]
     d = d1 + d2
     if rng.integers(0, 2) == 0:
         p = _identity(d)
     else:
         p = np.zeros((d, d), dtype=np.complex128)
         p[:d1, :d1] = _identity(d1)
-    return [gs_u, gs_n], {"t1": t1, "t2": t2, "p": p}, {"m": m}
+    return [gs_u, gs_n], {"t1": scale * u["t"], "t2": n["t"], "p": p}, {"m": m}
 
 
 class _Theorem(NamedTuple):
     """One theorem of the suite: its verifier, named on `oplab.theorem_lab`
     and looked up per call (so a rebound attribute is the one called), and
-    the builders of its verify and fuzz instances."""
+    the builders of its verify and fuzz instances, one per mode, each called
+    as ``builder(seed, stream, dims)``."""
 
     verifier: str
     verify: Callable
@@ -305,9 +296,7 @@ THEOREM_IDS = tuple(sorted(_THEOREMS))
 
 def _verdict(theorem_id, inputs, params, tol):
     """The verifier's TheoremVerdict on one instance."""
-    verdict = getattr(theorem_lab, _THEOREMS[theorem_id].verifier)(**inputs, **params, tol=tol)
-    # verify_transform_bundle alone also returns the bundle it built
-    return verdict[1] if isinstance(verdict, tuple) else verdict
+    return getattr(theorem_lab, _THEOREMS[theorem_id].verifier)(**inputs, **params, tol=tol)
 
 
 def _instance_dims(inputs) -> list:
@@ -328,33 +317,40 @@ def run_suite(
     """Run ``count`` instances per theorem and assemble the report.
 
     ``mode`` is "verify" (premise-certified fixtures) or "fuzz" (randomized
-    instances).  Premise-met failures are quarantined under
-    ``quarantine_dir`` and counted in the report's ``failures`` field.
+    instances).  ``suites`` names the theorems to run (all by default); a
+    repeated id runs once.  Premise-met failures are quarantined under
+    ``quarantine_dir`` as they are found and counted in the report's
+    ``failures`` field.
     """
     if mode not in ("verify", "fuzz"):
         raise ValueError(f"unknown suite mode {mode!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    ids = THEOREM_IDS if suites in (None, "all") else tuple(suites)
+    ids = THEOREM_IDS if suites in (None, "all") else tuple(sorted(set(suites)))
     for theorem_id in ids:
         if theorem_id not in _THEOREMS:
             raise KeyError(f"unknown theorem id {theorem_id!r}")
 
     # every fixture is drawn before any is evaluated: at dims (4, 3) this
     # measured about 5% faster than evaluating each instance as it is drawn
-    instances = []
-    for theorem_id in ids:
-        theorem = _THEOREMS[theorem_id]
-        for stream in range(count):
-            if mode == "verify":
-                gens, inputs, params = theorem.verify(seed, stream, dims)
-            else:
-                gens, inputs, params = theorem.fuzz(seed, stream, _fuzz_rng(seed, stream), dims)
-            instances.append((theorem_id, stream, gens, inputs, params))
+    instances = [
+        (theorem_id, stream, *getattr(_THEOREMS[theorem_id], mode)(seed, stream, dims))
+        for theorem_id in ids
+        for stream in range(count)
+    ]
 
-    results = []
+    summary = {theorem_id: dict.fromkeys(("instances", "premises_met", "holds", "failures"), 0)
+               for theorem_id in ids}
+    rows = []
+    quarantined = []
     for theorem_id, stream, gens, inputs, params in instances:
         verdict = _verdict(theorem_id, inputs, params, tol)
+        failed = verdict.premises_met and not verdict.holds
+        tally = summary[theorem_id]
+        tally["instances"] += 1
+        tally["premises_met"] += verdict.premises_met
+        tally["holds"] += verdict.premises_met and verdict.holds
+        tally["failures"] += failed
         row = {
             "theorem_id": theorem_id,
             "seed": seed,
@@ -366,29 +362,10 @@ def run_suite(
             "holds": verdict.holds,
             "witness": verdict.witness,
         }
-        results.append((row, inputs))
-    results.sort(key=lambda pair: (pair[0]["theorem_id"], pair[0]["stream"]))
-
-    rows = []
-    quarantined = []
-    for row, inputs in results:
-        failed = row["premises_met"] and not row["holds"]
         if failed:
-            path = write_quarantine(quarantine_dir, row, inputs, tol)
-            row = dict(row)
-            row["quarantine"] = str(path)
-            quarantined.append(str(path))
+            row["quarantine"] = str(write_quarantine(quarantine_dir, row, inputs, tol))
+            quarantined.append(row["quarantine"])
         rows.append(row)
-
-    summary = {}
-    for theorem_id in ids:
-        matching = [r for r in rows if r["theorem_id"] == theorem_id]
-        summary[theorem_id] = {
-            "instances": len(matching),
-            "premises_met": sum(r["premises_met"] for r in matching),
-            "holds": sum(r["premises_met"] and r["holds"] for r in matching),
-            "failures": sum(r["premises_met"] and not r["holds"] for r in matching),
-        }
 
     return {
         "command": mode,
@@ -405,11 +382,7 @@ def run_suite(
 
 
 def write_quarantine(directory, row, inputs, tol: Tolerance) -> Path:
-    """Serialize a failed instance so it can be replayed bit-exactly.
-
-    Files are written from the report-assembly pass only, after every
-    instance has been evaluated.
-    """
+    """Serialize a failed instance so it can be replayed bit-exactly."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -422,15 +395,13 @@ def write_quarantine(directory, row, inputs, tol: Tolerance) -> Path:
         "witness": row["witness"],
     }
     path = directory / f"{row['theorem_id']}-{row['stream']:06d}.json"
-    with open(path, "w") as handle:
-        handle.write(dumps_json(payload))
+    path.write_text(dumps_json(payload))
     return path
 
 
 def replay_quarantine(path) -> dict:
     """Re-run the verifier on a quarantined instance; returns the verdict row."""
-    with open(path) as handle:
-        payload = json.load(handle)
+    payload = json.loads(Path(path).read_text())
     tol = Tolerance(**payload["tolerance"])
     inputs = {name: matrix_from_json(obj) for name, obj in payload["inputs"].items()}
     verdict = _verdict(payload["theorem_id"], inputs, payload["params"], tol)

@@ -341,9 +341,9 @@ def spectral_constraints(t, p, m: int, tol: Tolerance = DEFAULT_TOL) -> TheoremV
     return TheoremVerdict(theorem_id, premises_met=True, holds=all(checks.values()), witness=witness)
 
 
-def verify_transform_bundle(t, n: int, m: int, tol: Tolerance = DEFAULT_TOL):
-    """Build the coupled-transform bundle of T at power n and check the
-    derived expansivity statements.
+def verify_transform_bundle(t, n: int, m: int, tol: Tolerance = DEFAULT_TOL) -> TheoremVerdict:
+    """Check the derived expansivity statements on the coupled-transform
+    bundle of T at power n.
 
     Premise: T is (m, |T^n|^2)-expansive.  Unconditional conclusions: A is
     (m, C)-expansive, B is (m, D)-expansive, D is PSD, and the bundle's
@@ -351,7 +351,8 @@ def verify_transform_bundle(t, n: int, m: int, tol: Tolerance = DEFAULT_TOL):
     [[I, X], [X*, X*X]] >= I is satisfied, additionally B is m-expansive and
     A is (m, Q)-expansive for the invertible weight Q = p1 (+) I.
 
-    Returns (TransformBundle, TheoremVerdict).
+    The bundle itself is ``build_transform_bundle(t, n, tol)``, which
+    computes the same bits as the one checked here.
     """
     theorem_id = "transform_bundle"
     a = as_matrix(t)
@@ -363,14 +364,7 @@ def verify_transform_bundle(t, n: int, m: int, tol: Tolerance = DEFAULT_TOL):
     d_psd = definiteness(bundle.d, tol).is_psd
 
     residuals = bundle.identity_residuals(tol)
-    op_scale = max(
-        operator_norm(bundle.a),
-        operator_norm(bundle.b),
-        operator_norm(bundle.c),
-        operator_norm(bundle.d),
-        operator_norm(bundle.q),
-        1.0,
-    )
+    op_scale = max(*map(operator_norm, (bundle.a, bundle.b, bundle.c, bundle.d, bundle.q)), 1.0)
     identity_threshold = _gate(tol, (1.0 + op_scale) ** 3)
     identities_ok = max(residuals.values()) <= identity_threshold
 
@@ -410,7 +404,5 @@ def verify_transform_bundle(t, n: int, m: int, tol: Tolerance = DEFAULT_TOL):
         conclusions.append(EXPANSIVE in weighted_a.classification)
 
     if EXPANSIVE not in premise.classification:
-        return bundle, _vacuous(theorem_id, witness)
-    return bundle, TheoremVerdict(
-        theorem_id, premises_met=True, holds=all(conclusions), witness=witness
-    )
+        return _vacuous(theorem_id, witness)
+    return TheoremVerdict(theorem_id, premises_met=True, holds=all(conclusions), witness=witness)

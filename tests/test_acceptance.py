@@ -12,6 +12,7 @@ import numpy as np
 from oplab import (
     DefectSpec,
     block_compose,
+    build_transform_bundle,
     classify,
     defect,
     drazin_index,
@@ -260,7 +261,8 @@ def test_criterion_10_transform_bundle():
         d1, d2 = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         m, n = 1 + trial % 4, 1 + trial % 2
         t = gen_coupled_kernel(10100 + trial, d1, d2)
-        bundle, v = verify_transform_bundle(t, n=n, m=m)
+        v = verify_transform_bundle(t, n=n, m=m)
+        bundle = build_transform_bundle(t, n=n)
         ok = ok and v.premises_met and v.holds
         ok = ok and v.witness["a_weighted_verdict"]["verdict"] in ("NSD", "ZERO")
         ok = ok and v.witness["b_weighted_verdict"]["verdict"] in ("NSD", "ZERO")

@@ -208,6 +208,9 @@ def test_genspec_validation():
         (1, "drazin_pair", (2, 2), 0, {"m": "1"}),
         (1, "drazin_pair", (2, 2), 0, {"nil_index": 1.5}),
         (1, "drazin_pair", (2, 2), 0, {"weight": 1}),
+        # a string that names no weight scheme
+        (1, "drazin_pair", (2, 2), 0, {"weight": "other"}),
+        (1, "drazin_pair", (2, 2), 0, {"weight": ""}),
         (1, "expansive_invertible", (3,), 0, {"m": 1.0}),
         (1, "psd", (3,), 0, {"condition_cap": "4"}),
         (1, "coupled_kernel", (2, 2), 0, {"x_scale": None}),
@@ -254,7 +257,7 @@ def test_families_table_matches_the_gen_signatures(name):
     family = FAMILIES[name]
     parameters = list(inspect.signature(getattr(generators, family.gen)).parameters.values())
     assert parameters[0].name == "seed"
-    taken = [p for p in parameters[1 + family.arity:] if p.name not in ("stream", "tol")]
+    taken = [p for p in parameters[1 + family.arity:] if p.name != "stream"]
     assert tuple(p.name for p in taken) == family.params
     assert tuple(p.name for p in taken if p.default is inspect.Parameter.empty) == family.required
     assert set(family.params) <= set(_PARAM_KINDS)

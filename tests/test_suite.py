@@ -66,6 +66,35 @@ def test_single_suite_selection(tmp_path):
     assert len(report["rows"]) == 3
 
 
+def test_suites_run_once_each_in_sorted_order(tmp_path):
+    report = run_suite("verify", seed=2, count=3, dims=(3, 2), quarantine_dir=tmp_path / "q",
+                       suites=["transform_bundle", "power_stability", "transform_bundle"])
+    keys = [(row["theorem_id"], row["stream"]) for row in report["rows"]]
+    assert keys == [(theorem_id, stream) for theorem_id in ("power_stability", "transform_bundle")
+                    for stream in range(3)]
+    recount = {}
+    for row in report["rows"]:
+        tally = recount.setdefault(row["theorem_id"],
+                                   {"instances": 0, "premises_met": 0, "holds": 0, "failures": 0})
+        tally["instances"] += 1
+        tally["premises_met"] += row["premises_met"]
+        tally["holds"] += row["premises_met"] and row["holds"]
+        tally["failures"] += row["premises_met"] and not row["holds"]
+    assert report["theorems"] == recount
+
+
+def test_every_verifier_returns_a_theorem_verdict():
+    from oplab.suite import _THEOREMS
+
+    for theorem_id, theorem in _THEOREMS.items():
+        verifier = getattr(theorem_lab, theorem.verifier)
+        for stream in range(4):
+            _, inputs, params = theorem.verify(1, stream, (3, 2))
+            verdict = verifier(**inputs, **params)
+            assert isinstance(verdict, TheoremVerdict), (theorem_id, stream)
+            assert verdict.theorem_id == theorem_id
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("verify", seed=1, count=1, suites=["not_a_theorem"])
@@ -127,9 +156,9 @@ def test_quarantine_file_is_stdlib_json_and_replays(tmp_path, monkeypatch):
     verdicts = []
 
     def failing(**kwargs):
-        bundle, verdict = real(**kwargs)
+        verdict = real(**kwargs)
         verdicts.append(verdict)
-        return bundle, TheoremVerdict(verdict.theorem_id, verdict.premises_met, False, verdict.witness)
+        return TheoremVerdict(verdict.theorem_id, verdict.premises_met, False, verdict.witness)
 
     monkeypatch.setattr(theorem_lab, "verify_transform_bundle", failing)
     report = run_suite("verify", seed=5, count=2, dims=(3, 2),

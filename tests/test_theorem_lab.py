@@ -10,6 +10,7 @@ import pytest
 from oplab import (
     PreconditionError,
     block_compose,
+    build_transform_bundle,
     defect,
     DefectSpec,
     gen_coupled_kernel,
@@ -212,7 +213,8 @@ def test_spectral_constraints_rejects_singular_weight():
 
 
 def test_transform_bundle_oblique_example():
-    bundle, v = verify_transform_bundle(IDEMPOTENT, n=1, m=2)
+    v = verify_transform_bundle(IDEMPOTENT, n=1, m=2)
+    bundle = build_transform_bundle(IDEMPOTENT, n=1)
     assert v.premises_met and v.holds
     np.testing.assert_allclose(bundle.a, IDEMPOTENT, atol=1e-12)
     np.testing.assert_allclose(bundle.b, IDEMPOTENT, atol=1e-12)
@@ -226,7 +228,9 @@ def test_transform_bundle_oblique_example():
 
 
 def test_transform_bundle_invertible_example():
-    bundle, v = verify_transform_bundle(np.array([[2, 0], [1, 2]], dtype=complex), n=1, m=1)
+    t = np.array([[2, 0], [1, 2]], dtype=complex)
+    v = verify_transform_bundle(t, n=1, m=1)
+    bundle = build_transform_bundle(t, n=1)
     assert v.premises_met and v.holds
     assert bundle.d2 == 0
     assert v.witness["side_condition_satisfied"]
@@ -236,7 +240,8 @@ def test_transform_bundle_invertible_example():
 
 def test_transform_bundle_unitary_collapses():
     u = gen_haar_unitary(15, 3)
-    bundle, v = verify_transform_bundle(u, n=2, m=3)
+    v = verify_transform_bundle(u, n=2, m=3)
+    bundle = build_transform_bundle(u, n=2)
     assert v.premises_met and v.holds
     assert v.witness["side_condition_satisfied"]
     assert operator_norm(bundle.q - np.eye(3)) <= 1e-10
@@ -244,7 +249,8 @@ def test_transform_bundle_unitary_collapses():
 
 def test_transform_bundle_coupled_kernel_fixture():
     t = gen_coupled_kernel(16, 3, 2)
-    bundle, v = verify_transform_bundle(t, n=1, m=2)
+    v = verify_transform_bundle(t, n=1, m=2)
+    bundle = build_transform_bundle(t, n=1)
     assert v.premises_met and v.holds
     assert not v.witness["side_condition_satisfied"]
     assert max(bundle.identity_residuals().values()) <= v.witness["identity_threshold"]
@@ -252,7 +258,8 @@ def test_transform_bundle_coupled_kernel_fixture():
 
 def test_transform_bundle_nilpotent_vacuous_degenerate():
     n = gen_nilpotent(17, 3, index=2)
-    bundle, v = verify_transform_bundle(n, n=2, m=1)
+    v = verify_transform_bundle(n, n=2, m=1)
+    bundle = build_transform_bundle(n, n=2)
     assert bundle.d1 == 0
     assert v.premises_met  # the zero weight makes the defect vanish
     assert v.holds
@@ -260,6 +267,6 @@ def test_transform_bundle_nilpotent_vacuous_degenerate():
 
 def test_transform_bundle_expansive_invertible():
     t = gen_expansive_invertible(18, 3, 1)
-    bundle, v = verify_transform_bundle(t, n=1, m=1)
+    v = verify_transform_bundle(t, n=1, m=1)
     assert v.premises_met and v.holds
     assert v.witness["side_condition_satisfied"]
