@@ -9,22 +9,16 @@ Hermitian weight ``P``:
 is PSD, and (m, P)-isometric when it vanishes; the ZERO verdict therefore
 classifies as both expansive and contractive.
 
-Every defect is computed twice, via the explicit alternating binomial sum and
-via m-fold application of the map ``S -> S - T* S T``, and the two must agree
-within tolerance relative to the magnitude of the summed terms.  Their
-difference is measured in the Frobenius norm, an upper bound on the spectral
-norm, so the gate is no looser than a spectral-norm gate and costs one dot
-product instead of an SVD.  The alternating sum is the heart of everything
-downstream, so a disagreement is a hard numerical failure, never silently
-absorbed; so is a cross-check or a defect that is not finite, and so is a
-power T^n that overflows.
+Every defect is evaluated one way, as the m-th iterate of the map
+``S -> S - T* S T`` started at ``P``.  It equals the binomial sum in exact
+arithmetic, needs no binomial coefficients, and costs two matrix products per
+order.  A defect that is not finite is a hard numerical failure, never
+silently absorbed, and so is a power T^n that overflows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isfinite
-
 import numpy as np
 
 from .matrix_core import (
@@ -38,7 +32,6 @@ from .matrix_core import (
     _hermitian_gate,
     _matrix_power,
     _norm2,
-    _norm_fro,
     _require_square,
     _sign_verdict,
     adjoint,
@@ -65,8 +58,9 @@ __all__ = [
     "classify",
 ]
 
-# Binomial coefficients C(m, j) stay below 2^63 up to this order, so the
-# alternating sum never works with inexactly represented coefficients.
+# The largest defect order accepted as input (`DefectSpec`, so the CLI's --m
+# and --m-max).  It bounds the work of one call at 2 * MAX_ORDER matrix
+# products; no part of the evaluation depends on its value.
 MAX_ORDER = 62
 
 EXPANSIVE = "expansive"
@@ -119,7 +113,6 @@ class DefectResult:
     delta: np.ndarray
     verdict: DefinitenessVerdict
     classification: frozenset
-    cross_check: dict
 
     def to_json(self) -> dict:
         from .matrix_core import matrix_to_json
@@ -128,7 +121,6 @@ class DefectResult:
             "delta": matrix_to_json(self.delta),
             "verdict": self.verdict.to_json(),
             "classification": sorted(self.classification),
-            "cross_check": dict(self.cross_check),
         }
 
 
@@ -143,92 +135,56 @@ def _classes_for(verdict: DefinitenessVerdict) -> frozenset:
     return frozenset(classes)
 
 
-# a non-finite scale, sum or defect raises NumericalFailureError below, so
-# numpy's overflow and invalid-value warnings would only repeat it
+# a non-finite defect raises NumericalFailureError below, so numpy's overflow
+# and invalid-value warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
-def _defect_pass(spec: DefectSpec, orders, tol: Tolerance) -> tuple[float, tuple]:
+def _defect_pass(spec: DefectSpec, orders, tol: Tolerance) -> tuple:
     """Defects of T^n against P at each of ``orders`` (ascending, in [1, spec.m]).
 
-    One pass forms each term T*^j P T^j and each iterate of S -> S - T* S T
-    once.  Every requested order keeps its own binomial accumulator, and term
-    j is added to each accumulator of order >= j in ascending j, so an
-    order's sum takes the same floating-point operations as when that order
-    is computed alone.  An order is cross-checked as soon as its last term is
-    in, so a disagreement raises NumericalFailureError at the lowest failing
-    order.  A non-finite T^n, cross-check or defect raises it too.  Returns
-    ||T^n|| (it sets the term scale) with the results.
-
-    The first iterate P - T*PT is formed from the first term, so order 1
-    takes 2 matrix products and every higher order 4; order 1's cross-check
-    is exact by construction (its disagreement is 0.0).
+    One pass forms the iterates of S -> S - T* S T from P, two matrix
+    products per order, and decides each requested order as its iterate
+    appears.  A defect that is not finite raises NumericalFailureError
+    ("defect overflows") at the lowest failing requested order, with
+    residuals ``{"order": k}``; a power T^n that overflows raises it too.
     """
     p = _hermitian_gate(spec.p, tol)
     t = spec.t if spec.n == 1 else _matrix_power(spec.t, spec.n)
     ta = adjoint(t)
-    norm_t = _norm2(t)
-    # magnitude bound (1+||P||) (1+||T||^2)^m of an order-m sum's terms
-    weight_scale = 1.0 + _norm2(p)
-    # in float64, so an overflow gives inf (and a non-finite cross-check), not OverflowError
-    base = 1.0 + np.float64(norm_t) ** 2
-
-    sums = {m: p.astype(np.complex128, copy=True) for m in orders}
-    term = iterated = p
+    iterated = p
     results = []
-    for j in range(1, max(orders) + 1):
-        term = ta @ term @ t
-        for m, binom_sum in sums.items():
-            binom_sum += ((-1) ** j * comb(m, j)) * term
-        # at j = 1, T* S T with S = P is the term just formed
-        iterated = iterated - (term if j == 1 else ta @ iterated @ t)
-        if j not in sums:
+    for k in range(1, max(orders) + 1):
+        iterated = iterated - ta @ iterated @ t
+        if k not in orders:
             continue
-        binom_sum = sums.pop(j)
-        scale = float(weight_scale * base**j)
-        # ||.||_F >= ||.||_2; a difference holding NaN (inf - inf) gives NaN
-        disagreement = _norm_fro(binom_sum - iterated)
-        threshold = tol.gate(scale)
-        cross_check = {
-            "disagreement": disagreement,
-            "threshold": threshold,
-            "term_scale": scale,
-        }
-        # a NaN disagreement or an infinite threshold would pass the comparison below
-        if not (isfinite(disagreement) and isfinite(threshold)):
-            raise NumericalFailureError("defect cross-check is not finite", cross_check)
-        if disagreement > threshold:
-            raise NumericalFailureError("defect cross-check disagreement", cross_check)
-        # hermitian_part without its re-validation; but a finite sum can
+        # hermitian_part without its re-validation; but a finite iterate can
         # still overflow when it is added to its adjoint
-        delta = (binom_sum + adjoint(binom_sum)) / 2.0
+        delta = (iterated + adjoint(iterated)) / 2.0
         if not np.isfinite(delta).all():
-            raise NumericalFailureError("defect overflows", cross_check)
+            raise NumericalFailureError("defect overflows", {"order": k})
         verdict = _sign_verdict(delta, tol)
-        results.append(DefectResult(delta, verdict, _classes_for(verdict), cross_check))
-    return norm_t, tuple(results)
+        results.append(DefectResult(delta, verdict, _classes_for(verdict)))
+    return tuple(results)
 
 
 def defect(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> DefectResult:
     """Compute the order-m defect of T^n against the weight P.
 
-    The binomial-sum and iterated-map constructions are cross-checked against
-    each other.  ``cross_check`` holds the Frobenius norm of their difference
-    (``disagreement``, an upper bound on its spectral norm), the ``threshold``
-    it must not exceed, and the ``term_scale`` (1+||P||)(1+||T^n||^2)^m that
-    sets the threshold.  A disagreement beyond the threshold raises
-    NumericalFailureError carrying that dict; a power T^n that overflows
-    raises it too.
+    The defect is the m-th iterate of S -> S - T* S T from P, 2m matrix
+    products.  A defect that is not finite raises NumericalFailureError
+    ("defect overflows", residuals ``{"order": m}``); a power T^n that
+    overflows raises it too.
     """
-    return _defect_pass(spec, (spec.m,), tol)[1][0]
+    return _defect_pass(spec, (spec.m,), tol)[0]
 
 
 def defect_series(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> tuple:
     """The defects of T^n against P at every order 1..m, in one pass.
 
-    Entry k-1 equals ``defect`` at order k bit for bit, cross-check
-    included, and the whole series costs what order m alone costs:
-    4m - 2 matrix products.
+    Entry k-1 equals ``defect`` at order k bit for bit, and the whole series
+    costs what order m alone costs: 2m matrix products.  A defect that is not
+    finite raises NumericalFailureError at the lowest failing order.
     """
-    return _defect_pass(spec, range(1, spec.m + 1), tol)[1]
+    return _defect_pass(spec, range(1, spec.m + 1), tol)
 
 
 def defect_tilde(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> DefectResult:
@@ -247,7 +203,7 @@ def defect_tilde(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> DefectResult
         max_eig=-base.verdict.min_eig,
         verdict={"PSD": "NSD", "NSD": "PSD"}.get(base.verdict.verdict, base.verdict.verdict),
     )
-    return DefectResult(-base.delta, flipped, base.classification, base.cross_check)
+    return DefectResult(-base.delta, flipped, base.classification)
 
 
 def _require_psd_weight(p, tol: Tolerance) -> np.ndarray:
@@ -337,13 +293,13 @@ def classify(t, p, m_max: int, tol: Tolerance = DEFAULT_TOL) -> ClassificationRe
     """Tabulate defect verdicts for every order up to ``m_max``.
 
     All orders come from the single pass behind `defect_series`, so the
-    table costs 4 * m_max - 2 matrix products; ``m_max`` is validated as a
+    table costs 2 * m_max matrix products; ``m_max`` is validated as a
     defect order before any of them.  ``p_isometric`` is reported only for
     PSD weights (None otherwise, since the P-isometry notion presumes a
     nonnegative weight).
     """
     spec = DefectSpec(t=t, p=p, m=m_max)
-    norm_t, results = _defect_pass(spec, range(1, m_max + 1), tol)
+    results = _defect_pass(spec, range(1, m_max + 1), tol)
     rows = tuple(
         ClassificationRow(m, result.verdict, result.classification)
         for m, result in enumerate(results, start=1)
@@ -357,7 +313,7 @@ def classify(t, p, m_max: int, tol: Tolerance = DEFAULT_TOL) -> ClassificationRe
     return ClassificationReport(
         rows=rows,
         p_isometric=p_isometric,
-        operator_norm=norm_t,
+        operator_norm=_norm2(spec.t),
         spectral_radius=float(np.max(np.abs(spectrum), initial=0.0)),
         eigenvalue_moduli=moduli,
     )

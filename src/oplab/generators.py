@@ -77,7 +77,8 @@ class GenSpec:
     family: str
     dims: tuple
     stream: int = 0
-    params: dict = field(default_factory=dict)
+    # a dict cannot be hashed; equal specs still hash equal without it
+    params: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         for name in ("seed", "stream"):

@@ -9,9 +9,7 @@ shared conventions:
   values-only SVD, ``svd(a, compute_uv=False)[0]``, and 0.0 for an empty
   array, which is bit for bit numpy's ``linalg.norm(a, 2)`` without that
   function's axis handling; every spectral norm in the package goes through
-  it, so no caller guards against empty blocks; where only an upper bound on
-  it is needed (the defect cross-check), the Frobenius norm `_norm_fro`, one
-  dot product, since ||A||_2 <= ||A||_F,
+  it, so no caller guards against empty blocks,
 * the one way to form a power T^n, `_matrix_power`, which raises
   DomainError on a negative or non-integral n and NumericalFailureError on a
   power that overflows,
@@ -169,33 +167,6 @@ def _norm2(a: np.ndarray) -> float:
     """Spectral norm of a 2-D array (0.0 when empty), equal to numpy's ``linalg.norm(a, 2)``."""
     s = np.linalg.svd(a, compute_uv=False)
     return float(s[0]) if s.size else 0.0
-
-
-# squares below 2**-1022 are subnormal and lose bits; a sum of squares of at
-# least this is far above their total loss for any array numpy can hold, and
-# _norm_fro forms a smaller (or overflowing) sum again from a / max|a|
-_SUMSQ_MIN = 2.0**-600
-
-
-def _norm_fro(a: np.ndarray) -> float:
-    """Frobenius norm of a float64 or complex128 array (0.0 when empty), an
-    upper bound on `_norm2`: one real dot product over the array's float64 view.
-
-    A sum of squares that overflows, or is small enough to have lost bits to
-    underflow, is formed again from ``a / max|a|``.  An array holding NaN
-    gives NaN, and one holding inf (but no NaN) gives inf.
-    """
-    x = a.ravel().view(np.float64)
-    # vdot raises no floating-point warnings, so an overflow needs no errstate
-    sumsq = float(np.vdot(x, x))
-    if _SUMSQ_MIN <= sumsq < math.inf:
-        return math.sqrt(sumsq)
-    peak = float(np.max(np.abs(x), initial=0.0))
-    if not 0.0 < peak < math.inf:
-        # empty, all zero, or not finite: the plain sum is already the answer
-        return math.sqrt(sumsq)
-    x = x / peak
-    return peak * math.sqrt(float(np.vdot(x, x)))
 
 
 def _as_integer(value, what: str) -> int:

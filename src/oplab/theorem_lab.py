@@ -286,7 +286,7 @@ def verify_sandwich_isometry(t, p, m: int, tol: Tolerance = DEFAULT_TOL) -> Theo
     if not definiteness(p, tol).is_psd:
         raise PreconditionError("weight must be Hermitian PSD")
     orders = range(max(m - 2, 1), m + 1)
-    *lower, middle, upper = _defect_pass(DefectSpec(t=a, p=p, m=m), orders, tol)[1]
+    *lower, middle, upper = _defect_pass(DefectSpec(t=a, p=p, m=m), orders, tol)
     expansive = EXPANSIVE in upper.classification
     contractive = all(result.verdict.is_psd for result in lower)
     lower_verdict = lower[0].verdict.to_json() if lower else None

@@ -68,7 +68,7 @@ def test_criterion_1_defect_oracle_agreement():
             iterated = iterated - ta @ iterated @ t
         scale = (1 + operator_norm(p)) * (1 + operator_norm(t) ** 2) ** m
         worst = max(worst, operator_norm(binom - iterated) / scale)
-        library = defect(DefectSpec(t=t, p=p, m=m)).delta  # internal cross-check must not raise
+        library = defect(DefectSpec(t=t, p=p, m=m)).delta
         assert operator_norm(library - hermitian_part(binom)) <= 1e-10 * scale
     _criterion(1, f"defect constructions agree (500 draws, worst rel {worst:.2e} <= 1e-10)", worst <= 1e-10)
 

@@ -221,15 +221,15 @@ def test_drazin_computes_the_index_once(capsys, tmp_path, monkeypatch):
 def test_defect_overflow_exits_three(tmp_path, capsys):
     path = write_matrix(tmp_path / "huge.json", np.diag([1e77, 1.0, 0.5]))
     assert main(["defect", "--matrix", path, "--m", "2"]) == 3
-    assert "numerical failure: defect cross-check is not finite" in capsys.readouterr().err
+    assert "numerical failure: defect overflows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["defect", "--m", "2"], ["classify"]])
 def test_overflowing_term_scale_exits_three(tmp_path, capsys, command):
-    # ||T||^2 = 1e400 overflows a float: the term scale is inf, not an OverflowError
+    # T*T = 1e400 I overflows a float: the order-1 defect is -inf, not an OverflowError
     path = write_matrix(tmp_path / "big.json", 1e200 * np.eye(2))
     assert main(command + ["--matrix", path]) == 3
-    assert "oplab: numerical failure: defect cross-check is not finite" in capsys.readouterr().err
+    assert "oplab: numerical failure: defect overflows" in capsys.readouterr().err
 
 
 def test_drazin_overflowing_power_exits_three(tmp_path, capsys):

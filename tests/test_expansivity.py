@@ -14,7 +14,6 @@ from oplab import (
     DomainError,
     HermitianError,
     NumericalFailureError,
-    Tolerance,
     classify,
     defect,
     defect_series,
@@ -36,14 +35,15 @@ from conftest import ginibre, philox, random_hermitian
 I2 = np.eye(2)
 
 
-def brute_defect(t, p, m):
-    """Independent oracle: the alternating binomial sum, term by term."""
+def brute_defects(t, p, m):
+    """Independent oracle: the alternating binomial sum of every order 1..m,
+    term by term."""
     t = np.asarray(t, dtype=complex)
-    acc = np.zeros_like(np.asarray(p, dtype=complex))
+    terms = []
     for j in range(m + 1):
         tj = np.linalg.matrix_power(t, j)
-        acc += (-1) ** j * math.comb(m, j) * (tj.conj().T @ p @ tj)
-    return acc
+        terms.append(tj.conj().T @ p @ tj)
+    return [sum((-1) ** j * math.comb(k, j) * terms[j] for j in range(k + 1)) for k in range(1, m + 1)]
 
 
 def test_scalar_defect_example():
@@ -76,10 +76,19 @@ def test_defect_matches_brute_oracle():
         m = int(rng.integers(1, 7))
         t = ginibre(rng, d)
         p = random_hermitian(rng, d)
-        expected = brute_defect(t, p, m)
+        expected = brute_defects(t, p, m)[-1]
         got = defect(DefectSpec(t=t, p=p, m=m)).delta
         scale = (1 + operator_norm(p)) * (1 + operator_norm(t) ** 2) ** m
         assert operator_norm(got - expected) <= 1e-12 * scale
+    # every order of a series: powers T^n, d up to 256, and a weight that is
+    # not exactly self-adjoint
+    specs = list(series_fixtures()) + [DefectSpec(t=gen_haar_unitary(1001, 256), p=np.eye(256), m=12)]
+    for spec in specs:
+        tn = np.linalg.matrix_power(spec.t, spec.n)
+        expected = brute_defects(tn, spec.p, spec.m)
+        for k, (result, oracle) in enumerate(zip(defect_series(spec), expected), start=1):
+            scale = (1 + operator_norm(spec.p)) * (1 + operator_norm(tn) ** 2) ** k
+            assert operator_norm(result.delta - oracle) <= 1e-12 * scale
 
 
 def test_defect_requires_hermitian_weight():
@@ -281,7 +290,6 @@ def assert_same_result(got, expected):
     assert got.delta.tobytes() == expected.delta.tobytes()
     assert got.verdict == expected.verdict
     assert got.classification == expected.classification
-    assert got.cross_check == expected.cross_check
 
 
 def series_fixtures():
@@ -312,24 +320,23 @@ def test_defect_series_matches_defect_bit_for_bit(spec):
 
 
 def test_defect_series_raises_at_the_first_failing_order():
-    t = ginibre(philox(909), 6)
-    p = random_hermitian(philox(910), 6)
-    # no relative slack and a small absolute floor: the cross-check passes
-    # at low orders and fails once the two constructions drift apart
-    tol = Tolerance(rel_eps=0.0, abs_eps=1e-11)
+    # the order-k defect of 1000 I against I is (1 - 1e6)^k I: finite at low
+    # orders, beyond the float range from some order on
+    t, p = 1000.0 * np.eye(3), np.eye(3)
     first = None
-    for m in range(1, 13):
+    for m in range(1, 63):
         try:
-            defect(DefectSpec(t=t, p=p, m=m), tol)
+            defect(DefectSpec(t=t, p=p, m=m))
         except NumericalFailureError as exc:
             first, residuals = m, exc.residuals
             break
     assert first is not None and first > 2
-    with pytest.raises(NumericalFailureError) as caught:
-        defect_series(DefectSpec(t=t, p=p, m=12), tol)
+    assert residuals == {"order": first}
+    with pytest.raises(NumericalFailureError, match="defect overflows") as caught:
+        defect_series(DefectSpec(t=t, p=p, m=62))
     assert caught.value.residuals == residuals
-    with pytest.raises(NumericalFailureError) as caught:
-        classify(t, p, m_max=12, tol=tol)
+    with pytest.raises(NumericalFailureError, match="defect overflows") as caught:
+        classify(t, p, m_max=62)
     assert caught.value.residuals == residuals
 
 
@@ -384,26 +391,24 @@ def test_defect_makes_no_linalg_norm_call(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "t,p,m,message",
+    "t,p,m",
     [
-        # term scale 2 (1 + 1e154)^2 overflows: the threshold is inf, which any
-        # disagreement would pass, and the defect itself overflows
-        (np.diag([1e77, 1.0, 0.5]), np.eye(3), 2, "defect cross-check is not finite"),
-        # a finite threshold whose defect still overflows when symmetrized
-        ([[math.sqrt(1.5e154)]], [[1e154]], 1, "defect overflows"),
-        # T*PT rounds to inf while the term scale rounds to the largest finite
-        # float: both constructions hold inf, and their difference is NaN
-        ([[complex(-3.7420269360892266e119, 1.0497912805917645e120)]], [[1.4473138175090447e68]], 1,
-         "defect cross-check is not finite"),
-        # terms overflow long before order 62, and their difference is NaN
-        (1000.0 * np.eye(2), I2, 62, "defect cross-check is not finite"),
+        # the order-2 iterate -1e154 + 1e154 * (1e154 - 1) is finite, but it
+        # overflows when added to its adjoint
+        (np.diag([1e77, 1.0, 0.5]), np.eye(3), 2),
+        # likewise at order 1: 1e154 - 1.5e308 is finite, twice it is not
+        ([[math.sqrt(1.5e154)]], [[1e154]], 1),
+        # T*PT rounds to inf although |T|^2 |P| rounds to the largest finite float
+        ([[complex(-3.7420269360892266e119, 1.0497912805917645e120)]], [[1.4473138175090447e68]], 1),
+        # the iterates overflow long before order 62
+        (1000.0 * np.eye(2), I2, 62),
     ],
     ids=["infinite-threshold", "overflowing-defect", "nan-disagreement", "overflowing-terms"],
 )
-def test_defect_fails_closed_on_overflow(t, p, m, message):
-    with pytest.raises(NumericalFailureError, match=message):
+def test_defect_fails_closed_on_overflow(t, p, m):
+    with pytest.raises(NumericalFailureError, match="defect overflows"):
         defect(DefectSpec(t=t, p=p, m=m))
-    with pytest.raises(NumericalFailureError, match=message):
+    with pytest.raises(NumericalFailureError, match="defect overflows"):
         classify(t, p, m_max=m)
 
 
@@ -440,46 +445,12 @@ def test_gram_weight_of_a_non_square_operator_is_a_dimension_error():
         gram_weight(np.ones((2, 3)))
 
 
-def huge_ginibre_case():
-    """T = 1e8 G, P = I, m = 16: a sum of squares of the order-16 difference
-    (about 2e251) overflows, so the Frobenius norm must rescale."""
+def test_defect_of_a_huge_operator_is_psd_in_defect_and_classify():
+    # T = 1e8 G, P = I, m = 16: the defect's entries reach about 1e266
     rng = np.random.default_rng(3)
     g = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / 2
-    return 1e8 * g, np.eye(4), 16
-
-
-def test_cross_check_survives_an_overflowing_sum_of_squares():
-    t, p, m = huge_ginibre_case()
+    t, p, m = 1e8 * g, np.eye(4), 16
     result = defect(DefectSpec(t=t, p=p, m=m))
     assert result.verdict.verdict == "PSD"
-    assert 1e250 < result.cross_check["disagreement"] <= result.cross_check["threshold"]
     row = classify(t, p, m_max=m).rows[-1]
     assert (row.m, row.verdict) == (m, result.verdict)
-
-
-@pytest.mark.parametrize("spec", list(series_fixtures()), ids=lambda s: f"d{s.t.shape[0]}-m{s.m}-n{s.n}")
-def test_cross_check_bounds_the_spectral_disagreement(spec, monkeypatch):
-    norm_fro = expansivity_mod._norm_fro
-    differences = []
-
-    def recording_norm_fro(a):
-        differences.append(a.copy())
-        return norm_fro(a)
-
-    monkeypatch.setattr(expansivity_mod, "_norm_fro", recording_norm_fro)
-    series = defect_series(spec)
-    assert len(differences) == len(series)
-    for result, difference in zip(series, differences):
-        spectral = float(np.linalg.norm(difference, 2))
-        # equal in exact arithmetic at d = 1, where the roundings may differ
-        slack = 2 * math.ulp(spectral) if spec.t.shape[0] == 1 else 0.0
-        assert result.cross_check["disagreement"] >= spectral - slack
-
-
-def test_cross_check_threshold_scales_with_the_weight_and_the_power():
-    # term scale (1 + ||P||) (1 + ||T^n||^2)^m
-    cases = [(DefectSpec(t=[[2]], p=[[3]], m=2), 4.0 * 5.0**2), (DefectSpec(t=[[2]], p=[[3]], m=1, n=2), 4.0 * 17.0)]
-    for spec, scale in cases:
-        cross_check = defect(spec).cross_check
-        assert cross_check["term_scale"] == scale
-        assert cross_check["threshold"] == Tolerance().gate(scale)

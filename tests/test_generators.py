@@ -240,6 +240,17 @@ def test_genspec_accepts_numpy_integers():
     assert spec.to_json()["seed"] == 3 and type(spec.to_json()["seed"]) is int
 
 
+def test_equal_genspecs_hash_equal():
+    spec = GenSpec(1, "haar_unitary", (2,))
+    same = GenSpec(np.uint64(1), "haar_unitary", [np.int64(2)])
+    assert hash(spec) == hash(same)
+    nilpotent = GenSpec(9, "nilpotent", (3,), 2, {"index": 2})
+    assert {spec, same, nilpotent} == {spec, nilpotent}
+    assert {nilpotent: "x"}[GenSpec.from_json(nilpotent.to_json())] == "x"
+    # params take part in equality, though not in the hash
+    assert GenSpec(9, "nilpotent", (3,), 2, {"index": 3}) not in {nilpotent}
+
+
 def test_genspec_stores_each_param_as_its_kind():
     spec = GenSpec(1, "expansive_invertible", (3,), 0, {"m": np.int64(3), "scale": 2, "perturbation": np.float32(0.5)})
     assert spec.params == {"m": 3, "scale": 2.0, "perturbation": 0.5}
