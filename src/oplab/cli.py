@@ -268,10 +268,7 @@ def main(argv=None) -> int:
     except (NumericalFailureError, DecompositionError, GenerationError) as exc:
         print(f"oplab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OplabError as exc:
-        print(f"oplab: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (OplabError, ValueError) as exc:
         print(f"oplab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

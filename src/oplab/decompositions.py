@@ -4,10 +4,11 @@ block-PSD contraction criterion.
 
 Numerical conventions shared with `matrix_core`:
 
-* ranks are decided by the one rank rule of `matrix_core`,
-  `Tolerance.cutoff`: a singular value at or below
-  ``max(rel_eps * sigma_max, abs_eps)`` counts as zero, and one within 10x of
-  the cutoff triggers IllConditionedWarning,
+* ranks follow the one rank rule of `matrix_core`, `_rank`; a rank of a
+  power of T goes through `_power_rank`, which also warns
+  IllConditionedWarning when a singular value lies within 10x of the cutoff,
+* powers come from `matrix_core`: `_matrix_power` (one T^n) and `_powers`
+  (T, T^2, ...), so an overflowing power raises NumericalFailureError,
 * basis columns are phase-normalized (largest-modulus entry made real
   positive) so repeated runs produce identical bases,
 * on singular input the polar factor ``u`` vanishes on the orthogonal
@@ -32,8 +33,9 @@ from .matrix_core import (
     _matrix_power,
     _nilpotency,
     _norm2,
+    _powers,
     _psd_sqrt,
-    _rank_with_cliff,
+    _rank,
     _require_square,
     adjoint,
     as_matrix,
@@ -74,23 +76,18 @@ class IllConditionedWarning(UserWarning):
     """A rank decision fell within 10x of the singular-value cutoff."""
 
 
-def _warn_near_cliff(cutoff: float, stacklevel: int) -> None:
-    """Warn of singular values near the rank cutoff, ``stacklevel`` as seen
-    from the calling function."""
-    warnings.warn(
-        f"singular values within 10x of the rank cutoff {cutoff:.3e}",
-        IllConditionedWarning,
-        stacklevel=stacklevel + 1,
-    )
-
-
-def _svd_rank(a: np.ndarray, tol: Tolerance):
-    """Full SVD together with the numerical rank under the shared cutoff."""
-    u, s, vh = np.linalg.svd(a)
-    rank, cutoff, near = _rank_with_cliff(s, tol)
-    if near:
-        _warn_near_cliff(cutoff, 3)
-    return u, s, vh, rank
+def _power_rank(s: np.ndarray, tol: Tolerance) -> int:
+    """`_rank` of the singular values ``s`` of a power of T, warning when one
+    lies within 10x of the cutoff; every caller is a public function, and the
+    warning names that function's caller."""
+    cutoff = tol.cutoff(float(s[0]) if s.size else 0.0)
+    if np.any((s > cutoff / 10.0) & (s < cutoff * 10.0)):
+        warnings.warn(
+            f"singular values within 10x of the rank cutoff {cutoff:.3e}",
+            IllConditionedWarning,
+            stacklevel=3,
+        )
+    return _rank(s, tol)
 
 
 def _canonical_phases(cols: np.ndarray) -> np.ndarray:
@@ -107,28 +104,13 @@ def _canonical_phases(cols: np.ndarray) -> np.ndarray:
 def drazin_index(t, tol: Tolerance = DEFAULT_TOL) -> int:
     """Smallest k >= 0 with rank(T^{k+1}) = rank(T^k); 0 iff T is invertible."""
     a = _require_square(as_matrix(t))
-    d = a.shape[0]
-    if d == 0:
-        return 0
-    rank_prev = d
-    power = np.eye(d, dtype=np.complex128)
-    # a power that overflows ends in the typed error below, not in numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(d + 1):
-            power = power @ a
-            # ranks need no singular vectors
-            try:
-                s = np.linalg.svd(power, compute_uv=False)
-            except np.linalg.LinAlgError:
-                # LAPACK rejects a power that overflowed to inf or NaN
-                raise NumericalFailureError("Drazin index: SVD of a power failed", {"power": k + 1}) from None
-            rank_next, cutoff, near = _rank_with_cliff(s, tol)
-            if near:
-                _warn_near_cliff(cutoff, 2)
-            if rank_next >= rank_prev:
-                return k
-            rank_prev = rank_next
-    return d
+    rank_prev = a.shape[0]
+    for k, power in enumerate(_powers(a)):
+        # ranks need no singular vectors
+        rank = _power_rank(np.linalg.svd(power, compute_uv=False), tol)
+        if rank >= rank_prev:
+            return k
+        rank_prev = rank
 
 
 def drazin_residuals(t, td, index: int) -> dict:
@@ -204,12 +186,13 @@ def core_nilpotent(t, tol: Tolerance = DEFAULT_TOL) -> CoreNilpotent:
             orthogonal=True,
         )
     tp = _matrix_power(a, p)
-    u, _, vh, r = _svd_rank(tp, tol)
+    u, s, vh = np.linalg.svd(tp)
+    r = _power_rank(s, tol)
     range_basis = _canonical_phases(u[:, :r])
     null_basis = _canonical_phases(adjoint(vh)[:, r:])
     basis = np.hstack([range_basis, null_basis])
     sigma = np.linalg.svd(basis, compute_uv=False)
-    if float(sigma[-1]) <= tol.cutoff(float(sigma[0])):
+    if _rank(sigma, tol) < d:
         raise DecompositionError(
             f"range(T^{p}) and ker(T^{p}) are not numerically complementary "
             f"(smallest basis singular value {float(sigma[-1]):.3e})"
@@ -276,7 +259,8 @@ def range_kernel_split(t, n: int, tol: Tolerance = DEFAULT_TOL) -> RangeKernelSp
         raise PreconditionError(f"power must be >= 1, got {n}")
     a = _require_square(as_matrix(t))
     tn = _matrix_power(a, n)
-    u, s, _, d1 = _svd_rank(tn, tol)
+    u, s, _ = np.linalg.svd(tn)
+    d1 = _power_rank(s, tol)
     basis = _canonical_phases(u)
     bn = adjoint(basis) @ tn @ basis
     bt = adjoint(basis) @ a @ basis
@@ -342,10 +326,10 @@ def polar(m, tol: Tolerance = DEFAULT_TOL) -> PolarParts:
     if a.size == 0:
         return PolarParts(a.copy(), a.copy(), a.copy())
     w, s, vh = np.linalg.svd(a)
-    kept = s > tol.cutoff(float(s[0]))
+    r = _rank(s, tol)
     v = adjoint(vh)
     return PolarParts(
-        u=w[:, kept] @ vh[kept, :],
+        u=w[:, :r] @ vh[:r, :],
         p=hermitian_part((v * s) @ vh),
         p_half=hermitian_part((v * np.sqrt(s)) @ vh),
     )

@@ -11,14 +11,13 @@ shared conventions:
   function's axis handling; every spectral norm in the package goes through
   it, so no caller guards against empty blocks,
 * the one way to form a power T^n, `_matrix_power`, which raises
-  DomainError on a negative or non-integral n and NumericalFailureError on a
-  power that overflows,
+  DomainError on a negative or non-integral n, and the one chain of powers
+  T, T^2, ..., `_powers`; both raise NumericalFailureError on an overflow,
 * Hermiticity and definiteness decisions,
 * PSD square roots and the Moore-Penrose pseudo-inverse,
-* the one numerical-rank rule, `Tolerance.cutoff`: a singular value at or
-  below ``max(rel_eps * sigma_max, abs_eps)`` counts as zero; every rank
-  decision in the package (pseudo-inverse, rank, polar factor, splittings)
-  uses it,
+* the one numerical-rank rule, `_rank`: a singular value at or below
+  `Tolerance.cutoff`, ``max(rel_eps * sigma_max, abs_eps)``, counts as zero;
+  every rank decision in the package counts through it,
 * 2x2 block composition/splitting,
 * the JSON wire format for matrices and the one writer of JSON text.
 
@@ -29,8 +28,9 @@ state, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
 from numbers import Integral
 
@@ -192,6 +192,19 @@ def _matrix_power(a: np.ndarray, n: int) -> np.ndarray:
     return power
 
 
+def _powers(a: np.ndarray) -> Iterator[np.ndarray]:
+    """T, T^2, T^3, ... of a finite square ``a``, each power one product from
+    the last; a power that overflows raises NumericalFailureError instead of
+    numpy's overflow warnings."""
+    power = a
+    for n in count(2):
+        yield power
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = power @ a
+        if not np.isfinite(power).all():
+            raise NumericalFailureError("operator power overflows", {"power": n})
+
+
 def operator_norm(m) -> float:
     """Largest singular value (0.0 for an empty matrix)."""
     return _norm2(as_matrix(m))
@@ -327,23 +340,21 @@ def moore_penrose(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
     u, s, vh = np.linalg.svd(a)
     inv = np.zeros_like(s)
-    kept = s > tol.cutoff(float(s[0]))
-    inv[kept] = 1.0 / s[kept]
+    r = _rank(s, tol)
+    inv[:r] = 1.0 / s[:r]
     k = s.size
     return adjoint(vh)[:, :k] @ (inv[:, None] * adjoint(u)[:k, :])
 
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values above the rank cutoff `Tolerance.cutoff`."""
-    return _rank_with_cliff(np.linalg.svd(as_matrix(m), compute_uv=False), tol)[0]
+    return _rank(np.linalg.svd(as_matrix(m), compute_uv=False), tol)
 
 
-def _rank_with_cliff(s: np.ndarray, tol: Tolerance) -> tuple[int, float, bool]:
-    """Rank of the descending singular values ``s`` under `Tolerance.cutoff`,
-    the cutoff, and a flag marking singular values within 10x of it."""
-    cutoff = tol.cutoff(float(s[0]) if s.size else 0.0)
-    near = bool(np.any((s > cutoff / 10.0) & (s < cutoff * 10.0)))
-    return int(np.count_nonzero(s > cutoff)), cutoff, near
+def _rank(s: np.ndarray, tol: Tolerance) -> int:
+    """The rank rule: how many of the descending singular values ``s`` lie
+    above `Tolerance.cutoff` of the largest."""
+    return int(np.count_nonzero(s > tol.cutoff(float(s[0]) if s.size else 0.0)))
 
 
 def block_compose(blocks) -> np.ndarray:

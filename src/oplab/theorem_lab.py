@@ -23,6 +23,7 @@ premises on the ``orthogonal`` flag of the computed decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .matrix_core import (
     Tolerance,
     _matrix_power,
     _norm2,
+    _powers,
     adjoint,
     as_matrix,
     block_compose,
@@ -146,14 +148,14 @@ def verify_no_singular_expansive(t, m: int, tol: Tolerance = DEFAULT_TOL) -> The
 
 
 def _nilpotency_index(t2: np.ndarray, tol: Tolerance) -> int | None:
-    """Smallest q with t2^q = 0 within tolerance, None if not nilpotent."""
+    """Smallest q with t2^q = 0 within tolerance, None if not nilpotent; a
+    power that overflows raises NumericalFailureError."""
     d2 = t2.shape[0]
     norm2 = operator_norm(t2)
-    power = np.eye(d2, dtype=np.complex128)
-    for q in range(d2 + 1):
+    powers = chain([np.eye(d2, dtype=np.complex128)], _powers(t2))
+    for q, power in enumerate(islice(powers, d2 + 1)):
         if operator_norm(power) <= tol.power_gate(norm2, q):
             return q
-        power = power @ t2
     return None
 
 

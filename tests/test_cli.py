@@ -134,6 +134,7 @@ def test_usage_errors_exit_one(capsys, scalar_two):
     assert main(["classify", "--matrix", scalar_two, "--rel-eps", "nan"]) == 1
     assert main(["defect", "--matrix", scalar_two, "--rel-eps", "inf"]) == 1
     assert main(["classify", "--matrix", scalar_two, "--abs-eps", "-1e-12"]) == 1
+    assert main(["verify", "--count", "0"]) == 1  # run_suite's ValueError
 
 
 def test_parse_errors_exit_two(tmp_path, capsys):
@@ -152,6 +153,7 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     assert "outside the float range" in capsys.readouterr().err
     assert main(["drazin", "--matrix", str(tmp_path / "missing.json")]) == 2
     assert main(["verify", "--dims", "4"]) == 2
+    assert main(["verify", "--dims", "0,3"]) == 2
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys):
@@ -233,10 +235,10 @@ def test_overflowing_term_scale_exits_three(tmp_path, capsys, command):
 
 
 def test_drazin_overflowing_power_exits_three(tmp_path, capsys):
-    # T^2 = 1e200 T overflows: LAPACK rejects the power's SVD
+    # T^2 = 1e200 T overflows: the chain of powers stops at the typed error
     path = write_matrix(tmp_path / "big.json", [[1e200, 1e200], [0, 0]])
     assert main(["drazin", "--matrix", path]) == 3
-    assert "oplab: numerical failure: Drazin index" in capsys.readouterr().err
+    assert "oplab: numerical failure: operator power overflows: {'power': 2}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

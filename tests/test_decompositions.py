@@ -1,12 +1,15 @@
 """Tests for Drazin machinery, splittings, polar-type transforms and the
 block-PSD criterion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from oplab import (
     DimensionError,
     HermitianError,
+    IllConditionedWarning,
     NumericalFailureError,
     Tolerance,
     aluthge,
@@ -344,6 +347,21 @@ def test_range_kernel_split_gates_the_power_at_its_own_scale():
     split = range_kernel_split(t, 2)
     assert split.d1 == 4
     assert 1e-6 < split.residuals["power_lower"] <= Tolerance().gate(1.0 + operator_norm(t @ t))
+
+
+def test_large_drazin_index_is_decided_without_warning():
+    # U (+) N with N of nilpotency index 30: every rank of T^k, k <= 31, is
+    # decided clear of the cutoff.  A rank rule at Tolerance.power_gate would
+    # say index 24 here: with ||T|| ~ 1.5 the gate 1e-10 * (1 + ||T||)^k is
+    # 0.34 at k = 24, above N^24's singular values (<= 0.12), and 2.1 at
+    # k = 26, above the unitary block's 1
+    t, _ = gen_drazin_pair(1, 4, 30, m=1, nil_index=30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IllConditionedWarning)
+        assert drazin_index(t) == 30
+        parts = core_nilpotent(t)
+        assert (parts.index, parts.t1.shape) == (30, (4, 4))
+        assert range_kernel_split(t, 30).d1 == 4
 
 
 def test_range_kernel_split_rejects_an_overflowing_power():

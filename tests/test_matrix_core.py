@@ -534,10 +534,18 @@ def test_definiteness_of_self_adjoint_input_skips_symmetrizing_bitwise():
     assert (definiteness(a).min_eig, definiteness(a).max_eig) == (float(w[0]), float(w[-1]))
 
 
+def _matmul_operands(node):
+    """The operands of a chain ``a @ b @ ...``; empty for any other expression."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
+        return []
+    return [side for operand in (node.left, node.right) for side in (_matmul_operands(operand) or [operand])]
+
+
 class _DirectLinalgCalls(ast.NodeVisitor):
     """Every ``np.linalg.matrix_power`` call, every ``np.linalg.norm`` call
-    given an ``ord``, and every import or attribute named ``comb``, as
-    (enclosing function, name)."""
+    given an ``ord``, every import or attribute named ``comb``, every
+    ``.cutoff(`` call and every self-update ``x = x @ y`` or ``x @= y``
+    ("x @ x"), as (enclosing function, name)."""
 
     def __init__(self):
         self.scope = ["<module>"]
@@ -556,8 +564,21 @@ class _DirectLinalgCalls(ast.NodeVisitor):
             self.found.append((self.scope[-1], "comb"))
         self.generic_visit(node)
 
+    def visit_Assign(self, node):
+        names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+        if any(isinstance(o, ast.Name) and o.id in names for o in _matmul_operands(node.value)):
+            self.found.append((self.scope[-1], "x @ x"))
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node):
+        if isinstance(node.op, ast.MatMult):
+            self.found.append((self.scope[-1], "x @ x"))
+        self.generic_visit(node)
+
     def visit_Call(self, node):
         f = node.func
+        if isinstance(f, ast.Attribute) and f.attr == "cutoff":
+            self.found.append((self.scope[-1], "cutoff"))
         if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Attribute) and f.value.attr == "linalg"
                 and isinstance(f.value.value, ast.Name) and f.value.value.id in ("np", "numpy")):
             with_ord = len(node.args) > 1 or any(k.arg == "ord" for k in node.keywords)
@@ -567,12 +588,21 @@ class _DirectLinalgCalls(ast.NodeVisitor):
 
 
 def test_spectral_norms_and_powers_go_through_matrix_core():
-    # `_matrix_power` is the one place a power is formed.  gen_haar_unitary's
-    # unitarity gate keeps np.linalg.norm because perfbench/selftest.py proves
-    # that tracing recorded calls with linalg.norm.calls > 0; every other
-    # spectral norm is matrix_core._norm2.  No binomial coefficient is used:
-    # a defect has one evaluation, the iterated map in expansivity.
-    allowed = {("matrix_core.py", "_matrix_power", "matrix_power"), ("generators.py", "gen_haar_unitary", "norm")}
+    # `_matrix_power` forms one power T^n and `_powers` is the one chain of
+    # powers T, T^2, ..., the only self-update x = x @ y.  The rank cutoff is
+    # compared in `_rank` alone; `_power_rank` reads it for its warning.
+    # gen_haar_unitary's unitarity gate keeps np.linalg.norm because
+    # perfbench/selftest.py proves that tracing recorded calls with
+    # linalg.norm.calls > 0; every other spectral norm is matrix_core._norm2.
+    # No binomial coefficient is used: a defect has one evaluation, the
+    # iterated map in expansivity.
+    allowed = {
+        ("matrix_core.py", "_matrix_power", "matrix_power"),
+        ("matrix_core.py", "_powers", "x @ x"),
+        ("matrix_core.py", "_rank", "cutoff"),
+        ("decompositions.py", "_power_rank", "cutoff"),
+        ("generators.py", "gen_haar_unitary", "norm"),
+    }
     found = set()
     for path in sorted(Path(oplab.__file__).parent.glob("*.py")):
         visitor = _DirectLinalgCalls()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oplab import (
+    NumericalFailureError,
     PreconditionError,
     block_compose,
     build_transform_bundle,
@@ -126,6 +127,14 @@ def test_weight_decomposition_rejects_bad_blocks():
         verify_weight_decomposition([[0]], [[0]], np.diag([1.0, 0.0]), m=1)  # singular t1
     with pytest.raises(PreconditionError):
         verify_weight_decomposition([[1]], [[1]], np.diag([1.0, 0.0]), m=1)  # t2 not nilpotent
+
+
+def test_weight_decomposition_overflowing_nilpotent_power_is_typed():
+    # t2^2 ~ 1e400 overflows while the nilpotency index is sought: a typed
+    # error, with no numpy overflow warning (an error under the test filter)
+    t2 = 1e200 * gen_nilpotent(1, 3, 3)
+    with pytest.raises(NumericalFailureError, match=r"operator power overflows: \{'power': 2\}"):
+        verify_weight_decomposition([[2.0]], t2, np.diag([1.0, 0.0, 0.0, 0.0]), m=1)
 
 
 def test_two_expansive_isometry_unitary():
