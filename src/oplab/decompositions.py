@@ -81,7 +81,7 @@ def _power_rank(s: np.ndarray, tol: Tolerance) -> int:
     lies within 10x of the cutoff; every caller is a public function, and the
     warning names that function's caller."""
     cutoff = tol.cutoff(float(s[0]) if s.size else 0.0)
-    if np.any((s > cutoff / 10.0) & (s < cutoff * 10.0)):
+    if ((s > cutoff / 10.0) & (s < cutoff * 10.0)).any():
         warnings.warn(
             f"singular values within 10x of the rank cutoff {cutoff:.3e}",
             IllConditionedWarning,
@@ -320,7 +320,8 @@ def polar(m, tol: Tolerance = DEFAULT_TOL) -> PolarParts:
     """Polar decomposition of a square matrix (unitary u iff M invertible).
 
     One SVD gives all three factors; u is W V* restricted to the directions
-    kept by the rank cutoff.
+    kept by the rank cutoff.  A |M| whose entries or Hermitian part overflow
+    (sigma_max near the float maximum) raises NumericalFailureError.
     """
     a = _require_square(as_matrix(m))
     if a.size == 0:
@@ -328,9 +329,15 @@ def polar(m, tol: Tolerance = DEFAULT_TOL) -> PolarParts:
     w, s, vh = np.linalg.svd(a)
     r = _rank(s, tol)
     v = adjoint(vh)
+    # hermitian_part's (A + A*) / 2, formed here so an overflow is typed
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = (v * s) @ vh
+        p = (p + adjoint(p)) / 2.0
+    if not np.isfinite(p).all():
+        raise NumericalFailureError("polar factor |M| overflows", {"sigma_max": float(s[0])})
     return PolarParts(
         u=w[:, :r] @ vh[:r, :],
-        p=hermitian_part((v * s) @ vh),
+        p=p,
         p_half=hermitian_part((v * np.sqrt(s)) @ vh),
     )
 

@@ -148,7 +148,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
     return a
 

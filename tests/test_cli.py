@@ -1,13 +1,19 @@
 """End-to-end CLI tests: commands, exit codes, and output stability."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oplab
 import oplab.theorem_lab as theorem_lab
@@ -269,6 +275,21 @@ def test_overflow_error_is_the_only_stderr_line(tmp_path, command, values):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("entry", [1.7e308, 1.7e308j], ids=["real", "imaginary"])
+def test_transform_overflow_is_the_only_stderr_line(tmp_path, entry):
+    # the polar factor's Hermitian part overflows: one typed line, exit 3,
+    # not two RuntimeWarnings and "matrix entries must be finite" (exit 1)
+    path = write_matrix(tmp_path / "big.json", [[entry]])
+    env = dict(os.environ, PYTHONPATH=str(Path(oplab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "oplab.cli", "transform", "--matrix", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("oplab: numerical failure: polar factor |M| overflows")
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("values", [np.diag([2.0, 4.0]), np.diag([1.0, 0.0])], ids=["invertible", "singular"])
 @pytest.mark.parametrize("command", ["defect", "classify"])
 def test_negative_gram_power_is_the_only_stderr_line(tmp_path, command, values):
@@ -303,3 +324,42 @@ def test_overflowing_gate_scale_prints_no_warning(tmp_path, command):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+# entry moduli from 0 and 1e-300 up to 1.7e308, next to the float maximum,
+# with mixed signs and phases
+_ENTRY_SCALES = (0.0, 1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e300, 1.7e308)
+_ENTRIES = st.builds(
+    lambda scale, re, im: scale * complex(re, im),
+    st.sampled_from(_ENTRY_SCALES), st.sampled_from((-1.0, 1.0, 0.5)), st.sampled_from((0.0, 1.0, -0.25)),
+)
+_MATRIX_COMMANDS = (
+    ["classify"],
+    ["defect", "--weight", "identity"],
+    ["defect", "--weight", "gram"],
+    ["drazin"],
+    ["transform"],
+    ["split", "--n", "2"],
+)
+
+
+@st.composite
+def _square_matrices(draw):
+    d = draw(st.integers(1, 4))
+    return np.array(draw(st.lists(_ENTRIES, min_size=d * d, max_size=d * d))).reshape(d, d)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_square_matrices(), st.sampled_from(_MATRIX_COMMANDS))
+def test_matrix_commands_exit_typed_on_any_valid_square_matrix(t, command):
+    # a valid square matrix is never a usage error (exit 1): the command
+    # succeeds, or reports a typed parse or numerical failure (exit 2 or 3),
+    # without raising and without a numpy RuntimeWarning
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_matrix(Path(tmp) / "t.json", t)
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            warnings.simplefilter("always")
+            code = main(command + ["--matrix", path])
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -227,6 +227,20 @@ def test_polar_reconstruction_and_partial_isometry():
         assert operator_norm(gram - gram.conj().T) <= 1e-10
 
 
+@pytest.mark.parametrize("entry", [1.7e308, 1.7e308j], ids=["real", "imaginary"])
+def test_polar_factor_overflow_is_typed(entry):
+    # |M| = [[1.7e308]] is finite, but its Hermitian part (A + A*) / 2 sums
+    # past the float maximum
+    with pytest.raises(NumericalFailureError, match="polar factor"):
+        polar([[entry]])
+
+
+def test_polar_near_the_float_maximum_is_still_computed():
+    parts = polar([[8e307j]])
+    np.testing.assert_allclose(parts.p, [[8e307]])
+    np.testing.assert_allclose(parts.u, [[1j]])
+
+
 def test_transforms_fix_normal_matrices():
     p = gen_psd(15, 4, condition_cap=10.0)
     np.testing.assert_allclose(aluthge(p), p, atol=1e-10)

@@ -3,12 +3,15 @@ determinism, and the quarantine/replay loop."""
 
 import hashlib
 import json
+from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 
 import oplab.theorem_lab as theorem_lab
 from oplab import THEOREM_IDS, TheoremVerdict, replay_quarantine, run_suite
+from oplab.generators import GenSpec
 from oplab.matrix_core import matrix_from_json
 
 
@@ -84,12 +87,13 @@ def test_suites_run_once_each_in_sorted_order(tmp_path):
 
 
 def test_every_verifier_returns_a_theorem_verdict():
-    from oplab.suite import _THEOREMS
+    from oplab.suite import _THEOREMS, _draw
 
+    draw = partial(_draw, {})
     for theorem_id, theorem in _THEOREMS.items():
         verifier = getattr(theorem_lab, theorem.verifier)
         for stream in range(4):
-            _, inputs, params = theorem.verify(1, stream, (3, 2))
+            _, inputs, params = theorem.verify(draw, 1, stream, (3, 2))
             verdict = verifier(**inputs, **params)
             assert isinstance(verdict, TheoremVerdict), (theorem_id, stream)
             assert verdict.theorem_id == theorem_id
@@ -202,11 +206,12 @@ def test_reports_unchanged_by_the_spectral_norm_kernel(tmp_path, monkeypatch, mo
 
 def test_verifiers_make_no_linalg_norm_call(monkeypatch):
     from oplab.matrix_core import DEFAULT_TOL
-    from oplab.suite import _THEOREMS, _verdict
+    from oplab.suite import _THEOREMS, _draw, _verdict
 
     # fixtures are drawn first: gen_haar_unitary's unitarity gate calls np.linalg.norm
+    draw = partial(_draw, {})
     instances = [
-        (theorem_id, *_THEOREMS[theorem_id].verify(1, stream, (4, 3))[1:])
+        (theorem_id, *_THEOREMS[theorem_id].verify(draw, 1, stream, (4, 3))[1:])
         for theorem_id in THEOREM_IDS
         for stream in range(25)
     ]
@@ -232,3 +237,60 @@ def test_fixture_streams_are_pinned(tmp_path):
         rows += [{name: row[name] for name in columns} for row in report["rows"]]
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == "5f5c3d4146c05ffd367c3283a58caaf12c8cd18171d3c441eaf50f6f71759fdd"
+
+
+@pytest.fixture
+def generate_calls(monkeypatch):
+    """Counts the suite's ``generate`` calls per GenSpec."""
+    import oplab.suite as suite_mod
+
+    calls = Counter()
+    real = suite_mod.generate
+
+    def counting(spec):
+        calls[spec] += 1
+        return real(spec)
+
+    monkeypatch.setattr(suite_mod, "generate", counting)
+    return calls
+
+
+def test_each_fixture_is_drawn_once_per_run(tmp_path, generate_calls):
+    report = run_suite("fuzz", seed=5, count=25, dims=(4, 3), quarantine_dir=tmp_path / "q")
+    specs = {GenSpec.from_json(gen) for row in report["rows"] for gen in row["gen"]}
+    # fuzz recipes share each stream's operator, so specs repeat across rows
+    assert sum(len(row["gen"]) for row in report["rows"]) > len(specs)
+    assert generate_calls == Counter(dict.fromkeys(specs, 1))
+
+
+def test_a_repeated_run_draws_every_fixture_again(tmp_path, generate_calls):
+    first = run_suite("verify", seed=5, count=4, dims=(3, 2), quarantine_dir=tmp_path / "q")
+    once = Counter(generate_calls)
+    second = run_suite("verify", seed=5, count=4, dims=(3, 2), quarantine_dir=tmp_path / "q")
+    assert strip_timestamp(first) == strip_timestamp(second)
+    assert set(once.values()) == {1}
+    assert generate_calls == once + once
+
+
+def test_shared_fixtures_are_read_only(tmp_path, monkeypatch):
+    from oplab.suite import _draw
+
+    memo = {}
+    gs, drawn = _draw(memo, 1, "drazin_pair", (3, 2), 0, m=1)
+    again_gs, again = _draw(memo, 1, "drazin_pair", (3, 2), 0, m=1)
+    assert again_gs == gs and again is not drawn
+    assert all(again[name] is drawn[name] for name in drawn)
+    again["t"] = None  # each caller's dict is its own
+    assert drawn["t"] is not None
+    with pytest.raises(ValueError, match="read-only"):
+        drawn["t"][0, 0] = 0.0
+
+    # a verifier that writes into its input raises instead of corrupting
+    # the fixture another theorem shares
+    def scribbling(t, tol):
+        t *= 2.0
+
+    monkeypatch.setattr(theorem_lab, "verify_unitary_nilpotent_structure", scribbling)
+    with pytest.raises(ValueError, match="read-only"):
+        run_suite("fuzz", seed=1, count=1, dims=(3, 2), suites=["unitary_nilpotent_structure"],
+                  quarantine_dir=tmp_path / "q")
