@@ -166,13 +166,12 @@ def _parse_dims(text: str):
 
 
 def _cmd_suite(args, mode: str) -> int:
-    suites = None if getattr(args, "suite", "all") == "all" else [args.suite]
     report = run_suite(
         mode,
         seed=args.seed,
         count=args.count,
         dims=_parse_dims(args.dims),
-        suites=suites,
+        suites=args.suite,
         tol=_tolerance(args),
         quarantine_dir=args.quarantine,
     )

@@ -12,15 +12,16 @@ counterexample: it is serialized to a quarantine file (all input matrices,
 parameters, tolerance and witness) so the exact run can be replayed.
 
 Each theorem is one entry of ``_THEOREMS``: the name of its verifier with
-the builders of its verify and fuzz instances.  A run draws each distinct
-``GenSpec`` once and hands every builder that asks for it the same
-read-only arrays.
+the builders of its verify and fuzz instances.  A builder returns only an
+instance's inputs and params; it draws fixtures through the run's ``draw``,
+which records each fixture's ``GenSpec`` in the instance's ``gen`` column,
+draws each distinct spec once per run and hands out read-only arrays.
 
 Reproducibility: instance k of a theorem uses RNG stream k; when an instance
-needs several independent draws, draw j uses stream ``k + j * 2**32``.  The
-theorems run once each in sorted id order and their streams in ascending
-order, so rows come out keyed by (theorem_id, stream) in order and reports
-are byte-identical across repeated runs.
+needs several independent draws, ``draw(..., sub=j)`` uses stream
+``k + j * 2**32``.  The theorems run once each in sorted id order and their
+streams in ascending order, so rows come out keyed by (theorem_id, stream)
+in order and reports are byte-identical across repeated runs.
 """
 
 from __future__ import annotations
@@ -66,89 +67,84 @@ def _identity(d: int) -> np.ndarray:
     return np.eye(d, dtype=np.complex128)
 
 
-def _draw(memo, seed, family, dims, stream, **params):
-    """One fixture: its GenSpec and a fresh dict of the named matrices
-    ``generate`` draws.  ``memo`` holds one run's fixtures by spec, so a spec
-    is drawn once per run and its arrays are shared read-only."""
-    gs = GenSpec(seed, family, dims, stream, params)
+def _draw(memo, gens, seed, stream, family, dims, sub=0, **params):
+    """A fresh dict of the named matrices of one fixture, whose GenSpec (at
+    sub-stream ``stream + sub * 2**32``) is appended to the instance's
+    ``gens``.  ``memo`` holds one run's fixtures by spec, so a spec is drawn
+    once per run and its arrays are shared read-only."""
+    gs = GenSpec(seed, family, dims, stream + sub * _SUBSTREAM, params)
+    gens.append(gs)
     drawn = memo.get(gs)
     if drawn is None:
         drawn = memo[gs] = generate(gs)
         for matrix in drawn.values():
             matrix.setflags(write=False)
-    return gs, dict(drawn)
+    return dict(drawn)
 
 
-def _unitary(draw, seed, stream, d):
-    """The gens and inputs of a Haar unitary against the identity weight."""
-    gs, drawn = draw(seed, "haar_unitary", (d,), stream)
-    return [gs], {"t": drawn["t"], "p": _identity(d)}
+def _unitary(draw, d):
+    """The inputs of a Haar unitary against the identity weight."""
+    return {"t": draw("haar_unitary", (d,))["t"], "p": _identity(d)}
 
 
 _FUZZ_FAMILIES = ("haar_unitary", "nilpotent", "drazin_pair", "coupled_kernel", "expansive_invertible")
 
 
-def _draw_operator(draw, seed, stream, rng, dims):
-    """Randomized operator fixture for fuzzing, named by its GenSpec."""
+def _draw_operator(draw, rng, dims):
+    """Randomized operator fixture for fuzzing."""
     d1 = int(rng.integers(1, dims[0] + 1))
     d2 = int(rng.integers(1, dims[1] + 1))
     family = _FUZZ_FAMILIES[int(rng.integers(0, len(_FUZZ_FAMILIES)))]
     if family == "haar_unitary":
-        gs, drawn = draw(seed, family, (d1,), stream)
-    elif family == "nilpotent":
+        return draw(family, (d1,))["t"]
+    if family == "nilpotent":
         d = max(2, d1)
-        gs, drawn = draw(seed, family, (d,), stream, index=int(rng.integers(1, d + 1)))
-    elif family == "drazin_pair":
-        gs, drawn = draw(seed, family, (d1, d2), stream, m=1, weight="identity")
-    elif family == "coupled_kernel":
-        gs, drawn = draw(seed, family, (d1, d2), stream, x_scale=float(rng.uniform(0.0, 2.0)))
-    else:
-        # scalings bounded away from 1: a draw at the tolerance cliff would
-        # satisfy premises only by zero-banding while failing exact conclusions;
-        # order-3 certification needs the larger scales to pass rejection
-        m = int(rng.choice([1, 3]))
-        low = 1.1 if m == 1 else 1.5
-        gs, drawn = draw(seed, family, (d1,), stream,
-                         m=m, scale=float(rng.uniform(low, 2.5)), perturbation=0.1)
-    return gs, drawn["t"]
+        return draw(family, (d,), index=int(rng.integers(1, d + 1)))["t"]
+    if family == "drazin_pair":
+        return draw(family, (d1, d2), m=1, weight="identity")["t"]
+    if family == "coupled_kernel":
+        return draw(family, (d1, d2), x_scale=float(rng.uniform(0.0, 2.0)))["t"]
+    # scalings bounded away from 1: a draw at the tolerance cliff would
+    # satisfy premises only by zero-banding while failing exact conclusions;
+    # order-3 certification needs the larger scales to pass rejection
+    m = int(rng.choice([1, 3]))
+    low = 1.1 if m == 1 else 1.5
+    return draw(family, (d1,), m=m, scale=float(rng.uniform(low, 2.5)), perturbation=0.1)["t"]
 
 
-def _draw_weight(draw, seed, stream, rng, t):
+def _draw_weight(draw, rng, t):
     """Randomized Hermitian PSD weight for a given operator."""
     d = t.shape[0]
     kind = int(rng.integers(0, 3))
     if kind == 0:
-        return [], _identity(d)
+        return _identity(d)
     if kind == 1:
-        return [], gram_weight(t, int(rng.integers(1, 3)))
-    gs, drawn = draw(seed, "psd", (d,), stream + _SUBSTREAM, condition_cap=float(rng.uniform(1.0, 100.0)))
-    return [gs], drawn["p"]
+        return gram_weight(t, int(rng.integers(1, 3)))
+    return draw("psd", (d,), sub=1, condition_cap=float(rng.uniform(1.0, 100.0)))["p"]
 
 
-def _draw_invertible_weight(draw, seed, stream, rng, t):
+def _draw_invertible_weight(draw, rng, t):
     """Randomized invertible PSD weight: never the gram of a singular draw."""
     d = t.shape[0]
     if rng.integers(0, 2):
-        gs, drawn = draw(seed, "psd", (d,), stream + _SUBSTREAM, condition_cap=float(rng.uniform(1.0, 50.0)))
-        return [gs], drawn["p"]
-    return [], _identity(d)
+        return draw("psd", (d,), sub=1, condition_cap=float(rng.uniform(1.0, 50.0)))["p"]
+    return _identity(d)
 
 
 def _verify_power_stability_instance(draw, seed, stream, dims):
     d1, d2 = dims
     variant = stream % 3
     if variant == 0:
-        gens, inputs = _unitary(draw, seed, stream, d1)
+        inputs = _unitary(draw, d1)
         m = 1 + (stream // 3) % 3
     elif variant == 1:
-        gs, drawn = draw(seed, "coupled_kernel", (d1, d2), stream)
-        gens, inputs = [gs], {"t": drawn["t"], "p": gram_weight(drawn["t"], 1)}
+        t = draw("coupled_kernel", (d1, d2))["t"]
+        inputs = {"t": t, "p": gram_weight(t, 1)}
         m = 1 + (stream // 3) % 4
     else:
         m = 1 + 2 * ((stream // 3) % 2)
-        gs, drawn = draw(seed, "expansive_invertible", (d1,), stream, m=m)
-        gens, inputs = [gs], {"t": drawn["t"], "p": _identity(d1)}
-    return gens, inputs, {"m": m, "n_max": 4}
+        inputs = {"t": draw("expansive_invertible", (d1,), m=m)["t"], "p": _identity(d1)}
+    return inputs, {"m": m, "n_max": 4}
 
 
 def _verify_no_singular_instance(draw, seed, stream, dims):
@@ -157,74 +153,67 @@ def _verify_no_singular_instance(draw, seed, stream, dims):
     m = 1 + stream % 4
     if variant == 0:
         d = max(2, d1)
-        gs, drawn = draw(seed, "nilpotent", (d,), stream, index=1 + stream % d)
+        drawn = draw("nilpotent", (d,), index=1 + stream % d)
     elif variant == 1:
-        gs, drawn = draw(seed, "drazin_pair", (d1, d2), stream, m=m)
+        drawn = draw("drazin_pair", (d1, d2), m=m)
     else:
-        gs, drawn = draw(seed, "coupled_kernel", (d1, d2), stream)
-    return [gs], {"t": drawn["t"]}, {"m": m}
+        drawn = draw("coupled_kernel", (d1, d2))
+    return {"t": drawn["t"]}, {"m": m}
 
 
 def _verify_weight_decomposition_instance(draw, seed, stream, dims):
     d1, d2 = dims
     m = 1 + stream % 3
     weight = "identity" if (stream // 3) % 2 == 0 else "commuting"
-    gs, drawn = draw(seed, "drazin_pair", (d1, d2), stream, m=m, weight=weight)
+    drawn = draw("drazin_pair", (d1, d2), m=m, weight=weight)
     t = drawn["t"]
-    return [gs], {"t1": t[:d1, :d1], "t2": t[d1:, d1:], "p": drawn["p"]}, {"m": m}
+    return {"t1": t[:d1, :d1], "t2": t[d1:, d1:], "p": drawn["p"]}, {"m": m}
 
 
 def _verify_two_expansive_instance(draw, seed, stream, dims):
     d1, d2 = dims
     if stream % 2 == 0:
         weight = "identity" if (stream // 2) % 2 == 0 else "commuting"
-        gs, drawn = draw(seed, "drazin_pair", (d1, d2), stream, m=2, weight=weight)
-        return [gs], drawn, {}
-    return (*_unitary(draw, seed, stream, d1), {})
+        return draw("drazin_pair", (d1, d2), m=2, weight=weight), {}
+    return _unitary(draw, d1), {}
 
 
 def _verify_unitary_nilpotent_instance(draw, seed, stream, dims):
     d1, d2 = dims
     if stream % 2 == 0:
-        gs, drawn = draw(seed, "drazin_pair", (d1, d2), stream, m=2, nil_index=1)
+        drawn = draw("drazin_pair", (d1, d2), m=2, nil_index=1)
     else:
-        gs, drawn = draw(seed, "haar_unitary", (d1,), stream)
-    return [gs], {"t": drawn["t"]}, {}
+        drawn = draw("haar_unitary", (d1,))
+    return {"t": drawn["t"]}, {}
 
 
 def _verify_sandwich_instance(draw, seed, stream, dims):
     d1, d2 = dims
     m = 2 + stream % 2
     if stream % 2 == 0:
-        gs, drawn = draw(seed, "drazin_pair", (d1, d2), stream, m=m)
-        return [gs], drawn, {"m": m}
-    return (*_unitary(draw, seed, stream, d1), {"m": m})
+        return draw("drazin_pair", (d1, d2), m=m), {"m": m}
+    return _unitary(draw, d1), {"m": m}
 
 
 def _verify_spectral_instance(draw, seed, stream, dims):
     d1, d2 = dims
     variant = stream % 4
     if variant == 0:
-        return (*_unitary(draw, seed, stream, d1), {"m": 2})
+        return _unitary(draw, d1), {"m": 2}
     if variant in (1, 2):
         m = 2 * variant - 1  # orders 1 and 3
-        gs, drawn = draw(seed, "expansive_invertible", (d1,), stream, m=m)
-        return [gs], {"t": drawn["t"], "p": _identity(d1)}, {"m": m}
-    gs_u, u = draw(seed, "haar_unitary", (d1,), stream)
-    gs_s, s = draw(seed, "psd", (d1,), stream + _SUBSTREAM, condition_cap=4.0)
-    s_inv = np.linalg.inv(s["p"])
-    t = s["p"] @ u["t"] @ s_inv
-    p = hermitian_part(adjoint(s_inv) @ s_inv)
-    return [gs_u, gs_s], {"t": t, "p": p}, {"m": 2}
+        return {"t": draw("expansive_invertible", (d1,), m=m)["t"], "p": _identity(d1)}, {"m": m}
+    u = draw("haar_unitary", (d1,))["t"]
+    s = draw("psd", (d1,), sub=1, condition_cap=4.0)["p"]
+    s_inv = np.linalg.inv(s)
+    return {"t": s @ u @ s_inv, "p": hermitian_part(adjoint(s_inv) @ s_inv)}, {"m": 2}
 
 
 def _verify_transform_bundle_instance(draw, seed, stream, dims):
     d1, d2 = dims
     if stream % 2 == 0:
-        gs, drawn = draw(seed, "coupled_kernel", (d1, d2), stream)
-        return [gs], drawn, {"m": 1 + (stream // 2) % 4, "n": 1 + (stream // 8) % 2}
-    gs, drawn = draw(seed, "expansive_invertible", (d1,), stream, m=1)
-    return [gs], drawn, {"m": 1, "n": 1}
+        return draw("coupled_kernel", (d1, d2)), {"m": 1 + (stream // 2) % 4, "n": 1 + (stream // 8) % 2}
+    return draw("expansive_invertible", (d1,), m=1), {"m": 1, "n": 1}
 
 
 def _fuzz_recipe(draw_weight, **ranges):
@@ -234,12 +223,10 @@ def _fuzz_recipe(draw_weight, **ranges):
 
     def recipe(draw, seed, stream, dims):
         rng = _fuzz_rng(seed, stream)
-        gs_t, t = _draw_operator(draw, seed, stream, rng, dims)
-        gens, inputs = [gs_t], {"t": t}
+        inputs = {"t": _draw_operator(draw, rng, dims)}
         if draw_weight is not None:
-            gs_p, inputs["p"] = draw_weight(draw, seed, stream, rng, t)
-            gens.extend(gs_p)
-        return gens, inputs, {name: int(rng.integers(low, high)) for name, (low, high) in ranges.items()}
+            inputs["p"] = draw_weight(draw, rng, inputs["t"])
+        return inputs, {name: int(rng.integers(low, high)) for name, (low, high) in ranges.items()}
 
     return recipe
 
@@ -250,8 +237,8 @@ def _fuzz_weight_decomposition(draw, seed, stream, dims):
     d1 = int(rng.integers(1, dims[0] + 1))
     d2 = int(rng.integers(1, dims[1] + 1))
     m = int(rng.integers(1, 4))
-    gs_u, u = draw(seed, "haar_unitary", (d1,), stream)
-    gs_n, n = draw(seed, "nilpotent", (d2,), stream + _SUBSTREAM, index=int(rng.integers(1, d2 + 1)))
+    u = draw("haar_unitary", (d1,))["t"]
+    n = draw("nilpotent", (d2,), sub=1, index=int(rng.integers(1, d2 + 1)))["t"]
     # unimodular half the time, otherwise scaled decisively away from 1
     scale = 1.0 if rng.integers(0, 2) else float(rng.uniform(1.1, 2.0))
     d = d1 + d2
@@ -260,14 +247,16 @@ def _fuzz_weight_decomposition(draw, seed, stream, dims):
     else:
         p = np.zeros((d, d), dtype=np.complex128)
         p[:d1, :d1] = _identity(d1)
-    return [gs_u, gs_n], {"t1": scale * u["t"], "t2": n["t"], "p": p}, {"m": m}
+    return {"t1": scale * u, "t2": n, "p": p}, {"m": m}
 
 
 class _Theorem(NamedTuple):
     """One theorem of the suite: its verifier, named on `oplab.theorem_lab`
     and looked up per call (so a rebound attribute is the one called), and
-    the builders of its verify and fuzz instances, one per mode, each called
-    as ``builder(draw, seed, stream, dims)`` with the run's ``draw``."""
+    the builders of its verify and fuzz instances, one per mode.  A builder
+    is called as ``builder(draw, seed, stream, dims)`` and returns
+    ``(inputs, params)``; ``draw(family, dims, sub=0, **params)`` returns a
+    fixture's matrices and records its spec in the instance's ``gen``."""
 
     verifier: str
     verify: Callable
@@ -327,31 +316,37 @@ def run_suite(
     """Run ``count`` instances per theorem and assemble the report.
 
     ``mode`` is "verify" (premise-certified fixtures) or "fuzz" (randomized
-    instances).  ``suites`` names the theorems to run (all by default); a
-    repeated id runs once.  Premise-met failures are quarantined under
-    ``quarantine_dir`` as they are found and counted in the report's
-    ``failures`` field.
+    instances).  ``suites`` is one theorem id or an iterable of ids ("all"
+    or None runs every theorem); a repeated id runs once.  Premise-met
+    failures are quarantined under ``quarantine_dir`` as they are found and
+    counted in the report's ``failures`` field.
     """
     if mode not in ("verify", "fuzz"):
         raise ValueError(f"unknown suite mode {mode!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    ids = THEOREM_IDS if suites in (None, "all") else tuple(sorted(set(suites)))
+    if isinstance(suites, str):
+        suites = None if suites == "all" else (suites,)
+    ids = THEOREM_IDS if suites is None else tuple(sorted(set(suites)))
+    if not ids:
+        raise ValueError("suites names no theorem")
     for theorem_id in ids:
         if theorem_id not in _THEOREMS:
             raise KeyError(f"unknown theorem id {theorem_id!r}")
 
     # one memo per run: theorems ask for the same spec (7 of the 8 fuzz
-    # recipes draw stream k's operator alike), and generate is a pure
-    # function of its spec, so each spec is drawn once and shared read-only;
-    # the memo dies with the run, so a repeated run draws every spec again
-    draw = partial(_draw, {})
-    instances = [
-        (theorem_id, stream, *getattr(_THEOREMS[theorem_id], mode)(draw, seed, stream, dims))
-        for theorem_id in ids
-        for stream in range(count)
-    ]
-    del draw
+    # recipes draw stream k's operator alike) and generate is a pure function
+    # of its spec, so each spec is drawn once and shared read-only; the memo
+    # dies with the run.  Each instance's draw records the specs it names.
+    memo = {}
+    instances = []
+    for theorem_id in ids:
+        build = getattr(_THEOREMS[theorem_id], mode)
+        for stream in range(count):
+            gens = []
+            inputs, params = build(partial(_draw, memo, gens, seed, stream), seed, stream, dims)
+            instances.append((theorem_id, stream, gens, inputs, params))
+    del memo
 
     summary = {theorem_id: dict.fromkeys(("instances", "premises_met", "holds", "failures"), 0)
                for theorem_id in ids}
@@ -377,7 +372,7 @@ def run_suite(
             "witness": verdict.witness,
         }
         if failed:
-            row["quarantine"] = str(write_quarantine(quarantine_dir, row, inputs, tol))
+            row["quarantine"] = str(write_quarantine(quarantine_dir, mode, row, inputs, tol))
             quarantined.append(row["quarantine"])
         rows.append(row)
 
@@ -395,8 +390,9 @@ def run_suite(
     }
 
 
-def write_quarantine(directory, row, inputs, tol: Tolerance) -> Path:
-    """Serialize a failed instance so it can be replayed bit-exactly."""
+def write_quarantine(directory, mode, row, inputs, tol: Tolerance) -> Path:
+    """Serialize a failed instance so it can be replayed bit-exactly, named
+    ``<mode>-<theorem_id>-<seed>-<stream:06d>.json`` so runs can share one directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -408,7 +404,7 @@ def write_quarantine(directory, row, inputs, tol: Tolerance) -> Path:
         "inputs": {name: matrix_to_json(matrix) for name, matrix in inputs.items()},
         "witness": row["witness"],
     }
-    path = directory / f"{row['theorem_id']}-{row['stream']:06d}.json"
+    path = directory / f"{mode}-{row['theorem_id']}-{row['seed']}-{row['stream']:06d}.json"
     path.write_text(dumps_json(payload))
     return path
 

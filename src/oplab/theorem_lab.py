@@ -7,7 +7,9 @@ instance (vacuous premises are a first-class result, not an error), ``holds``
 records whether the conclusion was confirmed, and ``witness`` carries the
 residual norms, verdicts and offending eigenvalues needed to reproduce the
 decision.  A verdict with premises met and ``holds`` false is a potential
-counterexample and is what the suite runner quarantines.
+counterexample and is what the suite runner quarantines.  Every verifier
+returns through ``_conclude``: a vacuous verdict (premises not met) holds,
+and its witness carries ``"vacuous": True``.
 
 Residual decisions made by verifiers use a threshold of ``100 * rel_eps``
 scaled to the quantity under test (1e-8 at the default tolerance): conclusion
@@ -93,10 +95,12 @@ class TheoremVerdict:
     witness: dict
 
 
-def _vacuous(theorem_id: str, witness: dict) -> TheoremVerdict:
-    witness = dict(witness)
-    witness["vacuous"] = True
-    return TheoremVerdict(theorem_id, premises_met=False, holds=True, witness=witness)
+def _conclude(theorem_id: str, premises_met: bool, holds: bool, witness: dict) -> TheoremVerdict:
+    """The one constructor of a verifier's verdict: a vacuous instance holds,
+    with ``"vacuous": True`` added to a copy of its witness."""
+    if not premises_met:
+        holds, witness = True, {**witness, "vacuous": True}
+    return TheoremVerdict(theorem_id, bool(premises_met), holds, witness)
 
 
 def verify_power_stability(t, p, m: int, n_max: int, tol: Tolerance = DEFAULT_TOL) -> TheoremVerdict:
@@ -105,13 +109,12 @@ def verify_power_stability(t, p, m: int, n_max: int, tol: Tolerance = DEFAULT_TO
     Premise: the instance is (m, P)-expansive at n = 1.  Conclusion: the
     defect of T^n against the same weight stays NSD for 2 <= n <= n_max.
     """
-    theorem_id = "power_stability"
     if n_max < 2:
         raise PreconditionError(f"n_max must be >= 2, got {n_max}")
     base = defect(DefectSpec(t=t, p=p, m=m), tol)
     witness = {"m": m, "n_max": n_max, "base_verdict": base.verdict.to_json()}
     if EXPANSIVE not in base.classification:
-        return _vacuous(theorem_id, witness)
+        return _conclude("power_stability", False, True, witness)
     per_power = []
     holds = True
     for n in range(2, n_max + 1):
@@ -120,7 +123,7 @@ def verify_power_stability(t, p, m: int, n_max: int, tol: Tolerance = DEFAULT_TO
         per_power.append({"n": n, "verdict": result.verdict.to_json(), "expansive": expansive})
         holds = holds and expansive
     witness["powers"] = per_power
-    return TheoremVerdict(theorem_id, premises_met=True, holds=holds, witness=witness)
+    return _conclude("power_stability", True, holds, witness)
 
 
 def verify_no_singular_expansive(t, m: int, tol: Tolerance = DEFAULT_TOL) -> TheoremVerdict:
@@ -130,7 +133,6 @@ def verify_no_singular_expansive(t, m: int, tol: Tolerance = DEFAULT_TOL) -> The
     m-expansive (any unitary is), the exclusion needs a nontrivial kernel
     summand.
     """
-    theorem_id = "no_singular_expansive"
     a = as_matrix(t)
     index = drazin_index(a, tol)
     kernel_dim = a.shape[0] - numerical_rank(_matrix_power(a, max(index, 1)), tol)
@@ -141,10 +143,8 @@ def verify_no_singular_expansive(t, m: int, tol: Tolerance = DEFAULT_TOL) -> The
         "kernel_dim": kernel_dim,
         "identity_defect": result.verdict.to_json(),
     }
-    if index < 1 or kernel_dim < 1:
-        return _vacuous(theorem_id, witness)
-    holds = EXPANSIVE not in result.classification
-    return TheoremVerdict(theorem_id, premises_met=True, holds=holds, witness=witness)
+    premises = index >= 1 and kernel_dim >= 1
+    return _conclude("no_singular_expansive", premises, EXPANSIVE not in result.classification, witness)
 
 
 def _nilpotency_index(t2: np.ndarray, tol: Tolerance) -> int | None:
@@ -168,7 +168,6 @@ def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL)
     antecedent fails.  The nilpotent induction anchor
     t2^{*(q-1)} P22 t2^{q-1} <= 0 is checked alongside the forward direction.
     """
-    theorem_id = "weight_decomposition"
     a1 = as_matrix(t1)
     a2 = as_matrix(t2)
     p = as_matrix(p)
@@ -223,16 +222,13 @@ def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL)
         "reverse_applicable": reverse_applicable,
         "reverse_holds": reverse_holds if reverse_applicable else None,
     }
-    if not (forward_applicable or reverse_applicable):
-        return _vacuous(theorem_id, witness)
     holds = (not forward_applicable or forward_holds) and (not reverse_applicable or reverse_holds)
-    return TheoremVerdict(theorem_id, premises_met=True, holds=holds, witness=witness)
+    return _conclude("weight_decomposition", forward_applicable or reverse_applicable, holds, witness)
 
 
 def verify_two_expansive_isometry(t, p, tol: Tolerance = DEFAULT_TOL) -> TheoremVerdict:
     """A (2, P)-expansive operator with orthogonal core-nilpotent splitting
     is P-isometric: T*PT = P."""
-    theorem_id = "two_expansive_isometry"
     a = as_matrix(t)
     p = as_matrix(p)
     if not definiteness(p, tol).is_psd:
@@ -249,15 +245,12 @@ def verify_two_expansive_isometry(t, p, tol: Tolerance = DEFAULT_TOL) -> Theorem
         "isometry_residual": residual,
         "threshold": threshold,
     }
-    if not (expansive and core.orthogonal):
-        return _vacuous(theorem_id, witness)
-    return TheoremVerdict(theorem_id, premises_met=True, holds=residual <= threshold, witness=witness)
+    return _conclude("two_expansive_isometry", expansive and core.orthogonal, residual <= threshold, witness)
 
 
 def verify_unitary_nilpotent_structure(t, tol: Tolerance = DEFAULT_TOL) -> TheoremVerdict:
     """A (2, T*T)-expansive operator with orthogonal core-nilpotent splitting
     has a unitary invertible block, i.e. it is a unitary plus a nilpotent."""
-    theorem_id = "unitary_nilpotent_structure"
     a = as_matrix(t)
     result = defect(DefectSpec(t=a, p=gram_weight(a, 1), m=2), tol)
     core = core_nilpotent(a, tol)
@@ -270,17 +263,13 @@ def verify_unitary_nilpotent_structure(t, tol: Tolerance = DEFAULT_TOL) -> Theor
         "core_orthogonal": core.orthogonal,
         "unitarity_residual": residual,
     }
-    if not (expansive and core.orthogonal):
-        return _vacuous(theorem_id, witness)
-    return TheoremVerdict(
-        theorem_id, premises_met=True, holds=residual <= _gate(tol, 1.0), witness=witness
-    )
+    return _conclude("unitary_nilpotent_structure", expansive and core.orthogonal,
+                     residual <= _gate(tol, 1.0), witness)
 
 
 def verify_sandwich_isometry(t, p, m: int, tol: Tolerance = DEFAULT_TOL) -> TheoremVerdict:
     """(m, P)-expansive plus (m-2, P)-contractive forces (m-1, P)-isometric
     on orthogonal fixtures; the contractive half is vacuous at m = 2."""
-    theorem_id = "sandwich_isometry"
     if m < 2:
         raise PreconditionError(f"order must be >= 2, got {m}")
     a = as_matrix(t)
@@ -301,18 +290,14 @@ def verify_sandwich_isometry(t, p, m: int, tol: Tolerance = DEFAULT_TOL) -> Theo
         "middle_norm": operator_norm(middle.delta),
         "core_orthogonal": core.orthogonal,
     }
-    if not (expansive and contractive and core.orthogonal):
-        return _vacuous(theorem_id, witness)
-    return TheoremVerdict(
-        theorem_id, premises_met=True, holds=middle.verdict.verdict == ZERO, witness=witness
-    )
+    return _conclude("sandwich_isometry", expansive and contractive and core.orthogonal,
+                     middle.verdict.verdict == ZERO, witness)
 
 
 def spectral_constraints(t, p, m: int, tol: Tolerance = DEFAULT_TOL) -> TheoremVerdict:
     """Spectral picture of (m, P)-expansive operators with invertible weight:
     no zero eigenvalue, every modulus >= 1 for odd m and = 1 for even m, and
     operator norm >= 1."""
-    theorem_id = "spectral_constraints"
     a = as_matrix(t)
     p = as_matrix(p)
     p_verdict = definiteness(p, tol)
@@ -338,9 +323,7 @@ def spectral_constraints(t, p, m: int, tol: Tolerance = DEFAULT_TOL) -> TheoremV
         "threshold": threshold,
         "checks": checks,
     }
-    if EXPANSIVE not in result.classification:
-        return _vacuous(theorem_id, witness)
-    return TheoremVerdict(theorem_id, premises_met=True, holds=all(checks.values()), witness=witness)
+    return _conclude("spectral_constraints", EXPANSIVE in result.classification, all(checks.values()), witness)
 
 
 def verify_transform_bundle(t, n: int, m: int, tol: Tolerance = DEFAULT_TOL) -> TheoremVerdict:
@@ -356,7 +339,6 @@ def verify_transform_bundle(t, n: int, m: int, tol: Tolerance = DEFAULT_TOL) -> 
     The bundle itself is ``build_transform_bundle(t, n, tol)``, which
     computes the same bits as the one checked here.
     """
-    theorem_id = "transform_bundle"
     a = as_matrix(t)
     premise = defect(DefectSpec(t=a, p=gram_weight(a, n), m=m), tol)
     bundle = build_transform_bundle(a, n, tol)
@@ -404,7 +386,4 @@ def verify_transform_bundle(t, n: int, m: int, tol: Tolerance = DEFAULT_TOL) -> 
         witness["a_equivalent_norm_verdict"] = weighted_a.verdict.to_json()
         conclusions.append(EXPANSIVE in plain_b.classification)
         conclusions.append(EXPANSIVE in weighted_a.classification)
-
-    if EXPANSIVE not in premise.classification:
-        return _vacuous(theorem_id, witness)
-    return TheoremVerdict(theorem_id, premises_met=True, holds=all(conclusions), witness=witness)
+    return _conclude("transform_bundle", EXPANSIVE in premise.classification, all(conclusions), witness)

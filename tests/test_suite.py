@@ -1,14 +1,17 @@
 """Tests for the suite runner: all-hold verification, fuzzing, report
 determinism, and the quarantine/replay loop."""
 
+import ast
 import hashlib
 import json
 from collections import Counter
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oplab
 import oplab.theorem_lab as theorem_lab
 from oplab import THEOREM_IDS, TheoremVerdict, replay_quarantine, run_suite
 from oplab.generators import GenSpec
@@ -38,8 +41,8 @@ def test_fuzz_suite_no_counterexamples(tmp_path):
     assert vacuous > 0
 
 
-def test_rows_sorted_and_carry_genspec():
-    report = run_suite("verify", seed=3, count=4, dims=(3, 2), quarantine_dir="unused-q")
+def test_rows_sorted_and_carry_genspec(tmp_path):
+    report = run_suite("verify", seed=3, count=4, dims=(3, 2), quarantine_dir=tmp_path / "q")
     keys = [(row["theorem_id"], row["stream"]) for row in report["rows"]]
     assert keys == sorted(keys)
     for row in report["rows"]:
@@ -89,11 +92,11 @@ def test_suites_run_once_each_in_sorted_order(tmp_path):
 def test_every_verifier_returns_a_theorem_verdict():
     from oplab.suite import _THEOREMS, _draw
 
-    draw = partial(_draw, {})
+    memo = {}
     for theorem_id, theorem in _THEOREMS.items():
         verifier = getattr(theorem_lab, theorem.verifier)
         for stream in range(4):
-            _, inputs, params = theorem.verify(draw, 1, stream, (3, 2))
+            inputs, params = theorem.verify(partial(_draw, memo, [], 1, stream), 1, stream, (3, 2))
             verdict = verifier(**inputs, **params)
             assert isinstance(verdict, TheoremVerdict), (theorem_id, stream)
             assert verdict.theorem_id == theorem_id
@@ -102,8 +105,27 @@ def test_every_verifier_returns_a_theorem_verdict():
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("verify", seed=1, count=1, suites=["not_a_theorem"])
+    with pytest.raises(KeyError, match="not_a_theorem"):
+        run_suite("verify", seed=1, count=1, suites="not_a_theorem")
     with pytest.raises(ValueError):
         run_suite("replay", seed=1, count=1)
+
+
+def test_a_string_suite_is_one_theorem_id(tmp_path):
+    report = run_suite("verify", seed=2, count=2, dims=(3, 2), suites="power_stability",
+                       quarantine_dir=tmp_path / "q")
+    assert set(report["theorems"]) == {"power_stability"}
+    listed = run_suite("verify", seed=2, count=2, dims=(3, 2), suites=["power_stability"],
+                       quarantine_dir=tmp_path / "q")
+    assert strip_timestamp(report) == strip_timestamp(listed)
+    every = run_suite("verify", seed=2, count=1, dims=(3, 2), suites="all", quarantine_dir=tmp_path / "q")
+    assert tuple(every["theorems"]) == THEOREM_IDS
+
+
+@pytest.mark.parametrize("suites", [[], (), set()])
+def test_an_empty_suite_selection_is_rejected(suites):
+    with pytest.raises(ValueError, match="no theorem"):
+        run_suite("verify", seed=1, count=1, suites=suites)
 
 
 def test_quarantine_write_and_replay(tmp_path, monkeypatch):
@@ -184,6 +206,35 @@ def test_quarantine_file_is_stdlib_json_and_replays(tmp_path, monkeypatch):
         }
 
 
+def test_quarantine_files_of_different_runs_do_not_collide(tmp_path, monkeypatch):
+    # a verify and a fuzz run at different seeds quarantine the same streams
+    # of one theorem into one directory; every file survives and replays to
+    # the row of the report that names it
+    real = theorem_lab.verify_power_stability
+
+    def failing(**kwargs):
+        verdict = real(**kwargs)
+        return TheoremVerdict(verdict.theorem_id, verdict.premises_met, False, verdict.witness)
+
+    monkeypatch.setattr(theorem_lab, "verify_power_stability", failing)
+    reports = [run_suite(mode, seed=seed, count=4, dims=(3, 2), suites="power_stability",
+                         quarantine_dir=tmp_path / "q")
+               for mode, seed in (("verify", 1), ("fuzz", 2))]
+    monkeypatch.undo()
+    assert [report["failures"] for report in reports] == [4, 2]
+    paths = [Path(path) for report in reports for path in report["quarantine"]]
+    assert sorted(path.name for path in paths) == sorted(path.name for path in (tmp_path / "q").iterdir())
+    assert len(set(paths)) == 6
+    for report in reports:
+        for row in report["rows"]:
+            if "quarantine" not in row:
+                continue
+            payload = json.loads(Path(row["quarantine"]).read_text())
+            assert (payload["stream"], payload["gen"]) == (row["stream"], row["gen"])
+            replayed = replay_quarantine(row["quarantine"])
+            assert replayed["premises_met"] and replayed["witness"] == row["witness"]
+
+
 @pytest.mark.parametrize("mode", ["verify", "fuzz"])
 def test_reports_unchanged_by_the_spectral_norm_kernel(tmp_path, monkeypatch, mode):
     import oplab.decompositions as decompositions_mod
@@ -209,9 +260,9 @@ def test_verifiers_make_no_linalg_norm_call(monkeypatch):
     from oplab.suite import _THEOREMS, _draw, _verdict
 
     # fixtures are drawn first: gen_haar_unitary's unitarity gate calls np.linalg.norm
-    draw = partial(_draw, {})
+    memo = {}
     instances = [
-        (theorem_id, *_THEOREMS[theorem_id].verify(draw, 1, stream, (4, 3))[1:])
+        (theorem_id, *_THEOREMS[theorem_id].verify(partial(_draw, memo, [], 1, stream), 1, stream, (4, 3)))
         for theorem_id in THEOREM_IDS
         for stream in range(25)
     ]
@@ -275,10 +326,11 @@ def test_a_repeated_run_draws_every_fixture_again(tmp_path, generate_calls):
 def test_shared_fixtures_are_read_only(tmp_path, monkeypatch):
     from oplab.suite import _draw
 
-    memo = {}
-    gs, drawn = _draw(memo, 1, "drazin_pair", (3, 2), 0, m=1)
-    again_gs, again = _draw(memo, 1, "drazin_pair", (3, 2), 0, m=1)
-    assert again_gs == gs and again is not drawn
+    memo, gens = {}, []
+    drawn = _draw(memo, gens, 1, 0, "drazin_pair", (3, 2), m=1)
+    again = _draw(memo, gens, 1, 0, "drazin_pair", (3, 2), m=1)
+    assert gens == [GenSpec(1, "drazin_pair", (3, 2), 0, {"m": 1})] * 2
+    assert again is not drawn
     assert all(again[name] is drawn[name] for name in drawn)
     again["t"] = None  # each caller's dict is its own
     assert drawn["t"] is not None
@@ -294,3 +346,42 @@ def test_shared_fixtures_are_read_only(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="read-only"):
         run_suite("fuzz", seed=1, count=1, dims=(3, 2), suites=["unitary_nilpotent_structure"],
                   quarantine_dir=tmp_path / "q")
+
+
+class _Constructions(ast.NodeVisitor):
+    """Every call of ``GenSpec``, ``generate`` or ``TheoremVerdict``, by name
+    or attribute, as (enclosing function, name)."""
+
+    names = {"GenSpec", "generate", "TheoremVerdict"}
+
+    def __init__(self):
+        self.scope = ["<module>"]
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if name in self.names:
+            self.found.append((self.scope[-1], name))
+        self.generic_visit(node)
+
+
+def test_specs_and_verdicts_are_built_in_one_place_each():
+    # the run records every fixture an instance draws, so a spec is named
+    # and drawn only in suite._draw; every verifier returns through
+    # theorem_lab._conclude, the one place a vacuous verdict is marked
+    found = set()
+    for path in sorted(Path(oplab.__file__).parent.glob("*.py")):
+        visitor = _Constructions()
+        visitor.visit(ast.parse(path.read_text()))
+        found |= {(path.name, scope, name) for scope, name in visitor.found}
+    assert found == {
+        ("suite.py", "_draw", "GenSpec"),
+        ("suite.py", "_draw", "generate"),
+        ("theorem_lab.py", "_conclude", "TheoremVerdict"),
+    }
