@@ -8,7 +8,7 @@ Numerical conventions shared with `matrix_core`:
   power of T goes through `_power_rank`, which also warns
   IllConditionedWarning when a singular value lies within 10x of the cutoff,
 * powers come from `matrix_core`: `_matrix_power` (one T^n) and `_powers`
-  (T, T^2, ...), so an overflowing power raises NumericalFailureError,
+  (T, T^2, ...), and an overflow raises NumericalFailureError via `_finite`,
 * basis columns are phase-normalized (largest-modulus entry made real
   positive) so repeated runs produce identical bases,
 * on singular input the polar factor ``u`` vanishes on the orthogonal
@@ -30,6 +30,7 @@ from .matrix_core import (
     OplabError,
     PreconditionError,
     Tolerance,
+    _finite,
     _matrix_power,
     _nilpotency,
     _norm2,
@@ -333,11 +334,9 @@ def polar(m, tol: Tolerance = DEFAULT_TOL) -> PolarParts:
     with np.errstate(over="ignore", invalid="ignore"):
         p = (v * s) @ vh
         p = (p + adjoint(p)) / 2.0
-    if not np.isfinite(p).all():
-        raise NumericalFailureError("polar factor |M| overflows", {"sigma_max": float(s[0])})
     return PolarParts(
         u=w[:, :r] @ vh[:r, :],
-        p=p,
+        p=_finite(p, "polar factor |M|", {"sigma_max": float(s[0])}),
         p_half=hermitian_part((v * np.sqrt(s)) @ vh),
     )
 

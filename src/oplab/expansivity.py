@@ -26,12 +26,13 @@ from .matrix_core import (
     ZERO,
     DefinitenessVerdict,
     DomainError,
-    NumericalFailureError,
     Tolerance,
     _as_integer,
+    _finite,
     _hermitian_gate,
     _matrix_power,
     _norm2,
+    _psd_sqrt,
     _require_square,
     _sign_verdict,
     adjoint,
@@ -39,7 +40,6 @@ from .matrix_core import (
     definiteness,
     eigenvalues,
     operator_norm,
-    sqrt_psd,
 )
 
 __all__ = [
@@ -158,9 +158,7 @@ def _defect_pass(spec: DefectSpec, orders, tol: Tolerance) -> tuple:
             continue
         # hermitian_part without its re-validation; but a finite iterate can
         # still overflow when it is added to its adjoint
-        delta = (iterated + adjoint(iterated)) / 2.0
-        if not np.isfinite(delta).all():
-            raise NumericalFailureError("defect overflows", {"order": k})
+        delta = _finite((iterated + adjoint(iterated)) / 2.0, "defect", {"order": k})
         verdict = _sign_verdict(delta, tol)
         results.append(DefectResult(delta, verdict, _classes_for(verdict)))
     return tuple(results)
@@ -198,7 +196,6 @@ def defect_tilde(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> DefectResult
     if spec.m % 2 == 0:
         return base
     flipped = DefinitenessVerdict(
-        is_hermitian=base.verdict.is_hermitian,
         min_eig=-base.verdict.max_eig,
         max_eig=-base.verdict.min_eig,
         verdict={"PSD": "NSD", "NSD": "PSD"}.get(base.verdict.verdict, base.verdict.verdict),
@@ -233,7 +230,7 @@ def seminorm_p(x, p, tol: Tolerance = DEFAULT_TOL) -> float:
     vec = np.asarray(x, dtype=np.complex128).reshape(-1)
     if vec.shape[0] != p.shape[0]:
         raise DomainError(f"vector length {vec.shape[0]} does not match weight dimension {p.shape[0]}")
-    return float(np.linalg.norm(sqrt_psd(p, tol) @ vec))
+    return float(np.linalg.norm(_psd_sqrt(p) @ vec))
 
 
 def gram_weight(t, n: int = 1) -> np.ndarray:
@@ -246,9 +243,7 @@ def gram_weight(t, n: int = 1) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         gram = adjoint(tn) @ tn
         weight = (gram + adjoint(gram)) / 2.0
-    if not np.isfinite(weight).all():
-        raise NumericalFailureError("gram weight overflows", {"power": n})
-    return weight
+    return _finite(weight, "gram weight", {"power": n})
 
 
 @dataclass(frozen=True)
@@ -292,17 +287,16 @@ class ClassificationReport:
 def classify(t, p, m_max: int, tol: Tolerance = DEFAULT_TOL) -> ClassificationReport:
     """Tabulate defect verdicts for every order up to ``m_max``.
 
-    All orders come from the single pass behind `defect_series`, so the
-    table costs 2 * m_max matrix products; ``m_max`` is validated as a
-    defect order before any of them.  ``p_isometric`` is reported only for
-    PSD weights (None otherwise, since the P-isometry notion presumes a
-    nonnegative weight).
+    All orders come from one `defect_series` pass, so the table costs
+    2 * m_max matrix products; ``m_max`` is validated as a defect order
+    before any of them.  ``p_isometric`` is reported only for PSD weights
+    (None otherwise, since the P-isometry notion presumes a nonnegative
+    weight).
     """
     spec = DefectSpec(t=t, p=p, m=m_max)
-    results = _defect_pass(spec, range(1, m_max + 1), tol)
     rows = tuple(
         ClassificationRow(m, result.verdict, result.classification)
-        for m, result in enumerate(results, start=1)
+        for m, result in enumerate(defect_series(spec, tol), start=1)
     )
     try:
         p_isometric = is_p_isometric(spec.t, spec.p, tol)

@@ -33,9 +33,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expansivity import DefectSpec, defect, gram_weight
+from .expansivity import EXPANSIVE, DefectSpec, defect, gram_weight
 from .matrix_core import (
     DEFAULT_TOL,
+    ZERO,
     OplabError,
     PreconditionError,
     _matrix_power,
@@ -291,7 +292,7 @@ def gen_drazin_pair(seed: int, d1: int, d2: int, m: int = 1, weight: str = "iden
     t = block_compose([[u, z12], [z21, n]])
     p = block_compose([[p11, z12], [z21, np.zeros((d2, d2), dtype=np.complex128)]])
     result = defect(DefectSpec(t=t, p=p, m=m))
-    if "expansive" not in result.classification:
+    if EXPANSIVE not in result.classification:
         raise GenerationError(f"drazin pair failed expansivity certification ({result.verdict.verdict})")
     return t, p
 
@@ -309,7 +310,7 @@ def gen_coupled_kernel(seed: int, d1: int, d2: int, x_scale: float = 1.0, stream
         [np.zeros((d2, d1), dtype=np.complex128), np.zeros((d2, d2), dtype=np.complex128)],
     ])
     result = defect(DefectSpec(t=t, p=gram_weight(t, 1), m=1))
-    if result.verdict.verdict != "ZERO":
+    if result.verdict.verdict != ZERO:
         raise GenerationError(f"coupled-kernel fixture is not weight-isometric ({result.verdict.verdict})")
     return t
 
@@ -344,7 +345,7 @@ def gen_expansive_invertible(seed: int, d: int, m: int = 1, scale: float = 2.0, 
         sigma_min = float(np.linalg.svd(t, compute_uv=False)[-1])
         if sigma_min < 1.0:
             continue
-        if m > 1 and "expansive" not in defect(DefectSpec(t=t, p=identity, m=m)).classification:
+        if m > 1 and EXPANSIVE not in defect(DefectSpec(t=t, p=identity, m=m)).classification:
             continue
         return t
     raise GenerationError(f"resampling budget ({_MAX_RESAMPLES}) exhausted")

@@ -12,12 +12,13 @@ shared conventions:
   it, so no caller guards against empty blocks,
 * the one way to form a power T^n, `_matrix_power`, which raises
   DomainError on a negative or non-integral n, and the one chain of powers
-  T, T^2, ..., `_powers`; both raise NumericalFailureError on an overflow,
-* Hermiticity and definiteness decisions,
-* PSD square roots and the Moore-Penrose pseudo-inverse,
-* the one numerical-rank rule, `_rank`: a singular value at or below
-  `Tolerance.cutoff`, ``max(rel_eps * sigma_max, abs_eps)``, counts as zero;
-  every rank decision in the package counts through it,
+  T, T^2, ..., `_powers`,
+* one home per decision rule, which every such decision in the package
+  goes through: rank in `_rank` (singular values at or below
+  `Tolerance.cutoff`, ``max(rel_eps * sigma_max, abs_eps)``, are zero),
+  X^q = 0 in `_nilpotency` (``||X^q|| <= tol.power_gate(||X||, q)``),
+  Hermiticity in `_hermitian_defect` and overflow in `_finite`,
+* definiteness decisions, PSD square roots and the Moore-Penrose inverse,
 * 2x2 block composition/splitting,
 * the JSON wire format for matrices and the one writer of JSON text.
 
@@ -169,6 +170,13 @@ def _norm2(a: np.ndarray) -> float:
     return float(s[0]) if s.size else 0.0
 
 
+def _finite(a: np.ndarray, what: str, residuals: dict) -> np.ndarray:
+    """The overflow rule: ``a`` if its entries are finite, else NumericalFailureError("<what> overflows")."""
+    if not np.isfinite(a).all():
+        raise NumericalFailureError(f"{what} overflows", residuals)
+    return a
+
+
 def _as_integer(value, what: str) -> int:
     """``value`` as an int; bools and non-integral numbers raise DomainError."""
     if isinstance(value, bool) or not isinstance(value, Integral):
@@ -187,9 +195,7 @@ def _matrix_power(a: np.ndarray, n: int) -> np.ndarray:
         raise DomainError(f"operator power must be >= 0, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):
         power = np.linalg.matrix_power(a, n)
-    if not np.isfinite(power).all():
-        raise NumericalFailureError("operator power overflows", {"power": n})
-    return power
+    return _finite(power, "operator power", {"power": n})
 
 
 def _powers(a: np.ndarray) -> Iterator[np.ndarray]:
@@ -201,8 +207,7 @@ def _powers(a: np.ndarray) -> Iterator[np.ndarray]:
         yield power
         with np.errstate(over="ignore", invalid="ignore"):
             power = power @ a
-        if not np.isfinite(power).all():
-            raise NumericalFailureError("operator power overflows", {"power": n})
+        _finite(power, "operator power", {"power": n})
 
 
 def operator_norm(m) -> float:
@@ -211,7 +216,7 @@ def operator_norm(m) -> float:
 
 
 def _nilpotency(x: np.ndarray, q: int, tol: Tolerance) -> tuple[float, bool]:
-    """||X^q|| and whether X^q = 0 within tolerance: ||X^q|| <= tol.power_gate(||X||, q)."""
+    """The nilpotency rule: ||X^q|| and whether X^q = 0, i.e. ||X^q|| <= tol.power_gate(||X||, q)."""
     residual = operator_norm(_matrix_power(x, q))
     return residual, residual <= tol.power_gate(operator_norm(x), q)
 
@@ -229,8 +234,13 @@ def eigenvalues(m) -> np.ndarray:
 
 
 def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a = _require_square(as_matrix(m))
-    return _norm2(a - adjoint(a)) <= tol.gate(_norm2(a))
+    return _hermitian_defect(_require_square(as_matrix(m)), tol)[1]
+
+
+def _hermitian_defect(a: np.ndarray, tol: Tolerance) -> tuple[float, bool]:
+    """The Hermiticity rule: ||a - a*|| and whether it is at most ``tol.gate(||a||)``."""
+    defect = _norm2(a - adjoint(a))
+    return defect, defect <= tol.gate(_norm2(a))
 
 
 def hermitian_part(m) -> np.ndarray:
@@ -240,13 +250,12 @@ def hermitian_part(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DefinitenessVerdict:
-    """Sign classification of a Hermitian matrix.
+    """Sign classification of a matrix that passed the Hermitian gate.
 
     ``ZERO`` means the matrix is both PSD and NSD within tolerance, i.e.
     numerically zero on the spectral scale.
     """
 
-    is_hermitian: bool
     min_eig: float
     max_eig: float
     verdict: str
@@ -261,7 +270,7 @@ class DefinitenessVerdict:
 
     def to_json(self) -> dict:
         return {
-            "is_hermitian": self.is_hermitian,
+            "is_hermitian": True,
             "min_eig": self.min_eig,
             "max_eig": self.max_eig,
             "verdict": self.verdict,
@@ -286,8 +295,8 @@ def _hermitian_gate(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     # and is already its own Hermitian part
     if np.array_equal(a, adjoint(a)):
         return a
-    defect = _norm2(a - adjoint(a))
-    if defect > tol.gate(_norm2(a)):
+    defect, hermitian = _hermitian_defect(a, tol)
+    if not hermitian:
         raise HermitianError(defect)
     return hermitian_part(a)
 
@@ -295,7 +304,7 @@ def _hermitian_gate(a: np.ndarray, tol: Tolerance) -> np.ndarray:
 def _sign_verdict(h: np.ndarray, tol: Tolerance) -> DefinitenessVerdict:
     """`definiteness` of a finite, exactly self-adjoint matrix."""
     if h.size == 0:
-        return DefinitenessVerdict(True, 0.0, 0.0, ZERO)
+        return DefinitenessVerdict(0.0, 0.0, ZERO)
     w = np.linalg.eigvalsh(h)
     lo, hi = float(w[0]), float(w[-1])
     thr = tol.gate(max(abs(lo), abs(hi), 1.0))
@@ -309,7 +318,7 @@ def _sign_verdict(h: np.ndarray, tol: Tolerance) -> DefinitenessVerdict:
         verdict = NSD
     else:
         verdict = INDEFINITE
-    return DefinitenessVerdict(True, lo, hi, verdict)
+    return DefinitenessVerdict(lo, hi, verdict)
 
 
 def sqrt_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

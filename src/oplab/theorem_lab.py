@@ -25,7 +25,6 @@ premises on the ``orthogonal`` flag of the computed decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 
@@ -49,8 +48,8 @@ from .matrix_core import (
     PreconditionError,
     Tolerance,
     _matrix_power,
+    _nilpotency,
     _norm2,
-    _powers,
     adjoint,
     as_matrix,
     block_compose,
@@ -147,16 +146,20 @@ def verify_no_singular_expansive(t, m: int, tol: Tolerance = DEFAULT_TOL) -> The
     return _conclude("no_singular_expansive", premises, EXPANSIVE not in result.classification, witness)
 
 
-def _nilpotency_index(t2: np.ndarray, tol: Tolerance) -> int | None:
-    """Smallest q with t2^q = 0 within tolerance, None if not nilpotent; a
-    power that overflows raises NumericalFailureError."""
-    d2 = t2.shape[0]
-    norm2 = operator_norm(t2)
-    powers = chain([np.eye(d2, dtype=np.complex128)], _powers(t2))
-    for q, power in enumerate(islice(powers, d2 + 1)):
-        if operator_norm(power) <= tol.power_gate(norm2, q):
+def _nilpotency_index(t2: np.ndarray, tol: Tolerance) -> int:
+    """Smallest q <= dim t2 with `_nilpotency` deciding t2^q = 0, else PreconditionError."""
+    for q in range(t2.shape[0] + 1):
+        if _nilpotency(t2, q, tol)[1]:
             return q
-    return None
+    raise PreconditionError("second block is not nilpotent")
+
+
+def _psd_weight(p, tol: Tolerance) -> np.ndarray:
+    """``p`` as a matrix; PreconditionError unless it is Hermitian PSD."""
+    p = as_matrix(p)
+    if not definiteness(p, tol).is_psd:
+        raise PreconditionError("weight must be Hermitian PSD")
+    return p
 
 
 def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL) -> TheoremVerdict:
@@ -179,10 +182,7 @@ def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL)
     if numerical_rank(a1, tol) < d1:
         raise PreconditionError("invertible block is numerically singular")
     q = _nilpotency_index(a2, tol)
-    if q is None:
-        raise PreconditionError("second block is not nilpotent")
-    if not definiteness(p, tol).is_psd:
-        raise PreconditionError("weight must be Hermitian PSD")
+    _psd_weight(p, tol)
 
     z12 = np.zeros((d1, d2), dtype=np.complex128)
     z21 = np.zeros((d2, d1), dtype=np.complex128)
@@ -230,9 +230,7 @@ def verify_two_expansive_isometry(t, p, tol: Tolerance = DEFAULT_TOL) -> Theorem
     """A (2, P)-expansive operator with orthogonal core-nilpotent splitting
     is P-isometric: T*PT = P."""
     a = as_matrix(t)
-    p = as_matrix(p)
-    if not definiteness(p, tol).is_psd:
-        raise PreconditionError("weight must be Hermitian PSD")
+    p = _psd_weight(p, tol)
     result = defect(DefectSpec(t=a, p=p, m=2), tol)
     core = core_nilpotent(a, tol)
     expansive = EXPANSIVE in result.classification
@@ -273,9 +271,7 @@ def verify_sandwich_isometry(t, p, m: int, tol: Tolerance = DEFAULT_TOL) -> Theo
     if m < 2:
         raise PreconditionError(f"order must be >= 2, got {m}")
     a = as_matrix(t)
-    p = as_matrix(p)
-    if not definiteness(p, tol).is_psd:
-        raise PreconditionError("weight must be Hermitian PSD")
+    p = _psd_weight(p, tol)
     orders = range(max(m - 2, 1), m + 1)
     *lower, middle, upper = _defect_pass(DefectSpec(t=a, p=p, m=m), orders, tol)
     expansive = EXPANSIVE in upper.classification

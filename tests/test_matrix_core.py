@@ -93,6 +93,28 @@ def test_definiteness_accepts_near_hermitian_within_gate():
     assert perturbed.min_eig == pytest.approx(exact.min_eig, abs=1e-12)
 
 
+@pytest.mark.parametrize("tol", [Tolerance(), Tolerance(rel_eps=1e-6, abs_eps=0.0)])
+def test_is_hermitian_agrees_with_the_definiteness_gate_at_its_edge(tol):
+    # a = h + eps * skew has ||a - a*|| = 2 * eps * ||skew||; eps puts that
+    # at a factor of the gate tol.gate(||h||), on either side of it
+    rng = philox(31)
+    h = hermitian_part(ginibre(rng, 4))
+    skew = ginibre(rng, 4)
+    skew = skew - skew.conj().T
+    unit = tol.gate(operator_norm(h)) / (2.0 * operator_norm(skew))
+    accepted = []
+    for factor in (0.5, 0.99, 1.01, 2.0):
+        a = h + factor * unit * skew
+        try:
+            definiteness(a, tol)
+        except HermitianError:
+            accepted.append(False)
+        else:
+            accepted.append(True)
+        assert is_hermitian(a, tol) == accepted[-1]
+    assert accepted == [True, True, False, False]
+
+
 @pytest.mark.parametrize("field", ["rel_eps", "abs_eps"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-3])
 def test_tolerance_rejects_non_finite_and_negative(field, value):
@@ -544,8 +566,10 @@ def _matmul_operands(node):
 class _DirectLinalgCalls(ast.NodeVisitor):
     """Every ``np.linalg.matrix_power`` call, every ``np.linalg.norm`` call
     given an ``ord``, every import or attribute named ``comb``, every
-    ``.cutoff(`` call and every self-update ``x = x @ y`` or ``x @= y``
-    ("x @ x"), as (enclosing function, name)."""
+    ``.cutoff(`` and ``.power_gate(`` call, every ``NumericalFailureError(``
+    call, every difference ``x - adjoint(y)`` ("M - M*"), every string
+    "weight must be Hermitian PSD" ("psd weight") and every self-update
+    ``x = x @ y`` or ``x @= y`` ("x @ x"), as (enclosing function, name)."""
 
     def __init__(self):
         self.scope = ["<module>"]
@@ -575,10 +599,23 @@ class _DirectLinalgCalls(ast.NodeVisitor):
             self.found.append((self.scope[-1], "x @ x"))
         self.generic_visit(node)
 
+    def visit_BinOp(self, node):
+        right = node.right
+        if (isinstance(node.op, ast.Sub) and isinstance(right, ast.Call) and isinstance(right.func, ast.Name)
+                and right.func.id == "adjoint"):
+            self.found.append((self.scope[-1], "M - M*"))
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if node.value == "weight must be Hermitian PSD":
+            self.found.append((self.scope[-1], "psd weight"))
+
     def visit_Call(self, node):
         f = node.func
-        if isinstance(f, ast.Attribute) and f.attr == "cutoff":
-            self.found.append((self.scope[-1], "cutoff"))
+        if isinstance(f, ast.Attribute) and f.attr in ("cutoff", "power_gate"):
+            self.found.append((self.scope[-1], f.attr))
+        if isinstance(f, ast.Name) and f.id == "NumericalFailureError":
+            self.found.append((self.scope[-1], f.id))
         if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Attribute) and f.value.attr == "linalg"
                 and isinstance(f.value.value, ast.Name) and f.value.value.id in ("np", "numpy")):
             with_ord = len(node.args) > 1 or any(k.arg == "ord" for k in node.keywords)
@@ -591,6 +628,11 @@ def test_spectral_norms_and_powers_go_through_matrix_core():
     # `_matrix_power` forms one power T^n and `_powers` is the one chain of
     # powers T, T^2, ..., the only self-update x = x @ y.  The rank cutoff is
     # compared in `_rank` alone; `_power_rank` reads it for its warning.
+    # Each other decision rule has one home too: X^q = 0 in `_nilpotency`
+    # (the one reader of power_gate), ||M - M*|| within the gate in
+    # `_hermitian_defect`, an overflow in `_finite` (the other
+    # NumericalFailureError is the Drazin identity check), and a verifier's
+    # PSD weight in theorem_lab's `_psd_weight`.
     # gen_haar_unitary's unitarity gate keeps np.linalg.norm because
     # perfbench/selftest.py proves that tracing recorded calls with
     # linalg.norm.calls > 0; every other spectral norm is matrix_core._norm2.
@@ -601,6 +643,11 @@ def test_spectral_norms_and_powers_go_through_matrix_core():
         ("matrix_core.py", "_powers", "x @ x"),
         ("matrix_core.py", "_rank", "cutoff"),
         ("decompositions.py", "_power_rank", "cutoff"),
+        ("matrix_core.py", "_nilpotency", "power_gate"),
+        ("matrix_core.py", "_hermitian_defect", "M - M*"),
+        ("matrix_core.py", "_finite", "NumericalFailureError"),
+        ("decompositions.py", "_drazin_inverse", "NumericalFailureError"),
+        ("theorem_lab.py", "_psd_weight", "psd weight"),
         ("generators.py", "gen_haar_unitary", "norm"),
     }
     found = set()

@@ -30,6 +30,7 @@ from oplab import (
     verify_unitary_nilpotent_structure,
     verify_weight_decomposition,
 )
+from oplab.matrix_core import DEFAULT_TOL, _nilpotency
 
 I2 = np.eye(2)
 IDEMPOTENT = np.array([[1, 1], [0, 0]], dtype=complex)
@@ -135,6 +136,21 @@ def test_weight_decomposition_overflowing_nilpotent_power_is_typed():
     t2 = 1e200 * gen_nilpotent(1, 3, 3)
     with pytest.raises(NumericalFailureError, match=r"operator power overflows: \{'power': 2\}"):
         verify_weight_decomposition([[2.0]], t2, np.diag([1.0, 0.0, 0.0, 0.0]), m=1)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_weight_decomposition_reports_the_nilpotency_index(seed):
+    # the smallest q with _nilpotency(t2, q) deciding t2^q = 0, which for a
+    # generated nilpotent is its index; from index 4 on, numpy's
+    # matrix_power forms the compared power by repeated squaring
+    u = gen_haar_unitary(seed, 2)
+    for d in range(1, 9):
+        p = block_compose([[np.eye(2), np.zeros((2, d))], [np.zeros((d, 2)), np.zeros((d, d))]])
+        for index in range(1, d + 1):
+            t2 = gen_nilpotent(seed, d, index)
+            smallest = next(q for q in range(d + 1) if _nilpotency(t2, q, DEFAULT_TOL)[1])
+            v = verify_weight_decomposition(u, t2, p, m=1)
+            assert v.witness["nilpotency_index"] == smallest == index
 
 
 def test_two_expansive_isometry_unitary():
