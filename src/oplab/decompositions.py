@@ -4,11 +4,14 @@ block-PSD contraction criterion.
 
 Numerical conventions shared with `matrix_core`:
 
-* ranks follow the one rank rule of `matrix_core`, `_rank`; a rank of a
-  power of T goes through `_power_rank`, which also warns
-  IllConditionedWarning when a singular value lies within 10x of the cutoff,
-* powers come from `matrix_core`: `_matrix_power` (one T^n) and `_powers`
-  (T, T^2, ...), and an overflow raises NumericalFailureError via `_finite`,
+* ranks follow the one rank rule of `matrix_core`, `_rank`; a decision on
+  a power T^k reads the gate g_k of one `_power_walk` of T: rank T^k counts
+  the singular values above g_k (`_power_rank`, which warns
+  IllConditionedWarning when one lies within 10x of g_k), and a block of
+  T^k, or the k-th power of a block of T, vanishes at norm <= g_k
+  (`_nilpotency`): it holds T's rounding, so its radius is ||T||, not its own,
+* powers come from `_matrix_power` (one T^n) and `_power_walk`, and an
+  overflow raises NumericalFailureError via `_finite`,
 * basis columns are phase-normalized (largest-modulus entry made real
   positive) so repeated runs produce identical bases,
 * on singular input the polar factor ``u`` vanishes on the orthogonal
@@ -31,13 +34,15 @@ from .matrix_core import (
     PreconditionError,
     Tolerance,
     _finite,
+    _largest,
     _matrix_power,
     _nilpotency,
     _norm2,
-    _powers,
+    _power_walk,
     _psd_sqrt,
     _rank,
     _require_square,
+    _singular_values,
     adjoint,
     as_matrix,
     block_compose,
@@ -74,21 +79,29 @@ class DecompositionError(OplabError):
 
 
 class IllConditionedWarning(UserWarning):
-    """A rank decision fell within 10x of the singular-value cutoff."""
+    """A rank decision on a power T^k fell within 10x of its gate g_k."""
 
 
-def _power_rank(s: np.ndarray, tol: Tolerance) -> int:
-    """`_rank` of the singular values ``s`` of a power of T, warning when one
-    lies within 10x of the cutoff; every caller is a public function, and the
-    warning names that function's caller."""
-    cutoff = tol.cutoff(float(s[0]) if s.size else 0.0)
-    if ((s > cutoff / 10.0) & (s < cutoff * 10.0)).any():
-        warnings.warn(
-            f"singular values within 10x of the rank cutoff {cutoff:.3e}",
-            IllConditionedWarning,
-            stacklevel=3,
-        )
-    return _rank(s, tol)
+def _power_rank(a: np.ndarray, tol: Tolerance, n: int | None = None) -> tuple:
+    """One `_power_walk` of a validated square ``a`` to T^n or, when n is
+    None, to T^p at the Drazin index p (the least p with rank T^{p+1} =
+    rank T^p): (k, T^k, rank T^k, g_k, ||T||), the rank counting singular
+    values above g_k (T^0: None, rank d, gate 0).  One within 10x of g_k
+    warns IllConditionedWarning; only public functions call this, and the
+    warning names their caller."""
+    step = (0, None, a.shape[0], 0.0)
+    for k, (power, s, gate) in enumerate(_power_walk(a, tol), 1):
+        norm = _largest(s) if k == 1 else norm
+        if ((s > gate / 10.0) & (s < gate * 10.0)).any():
+            warnings.warn(f"singular values within 10x of the rank cutoff {gate:.3e}",
+                          IllConditionedWarning, stacklevel=3)
+        rank = int(np.count_nonzero(s > gate))
+        if n is None and rank >= step[2]:
+            break
+        step = (k, power, rank, gate)
+        if k == n:
+            break
+    return (*step, norm)
 
 
 def _canonical_phases(cols: np.ndarray) -> np.ndarray:
@@ -104,14 +117,7 @@ def _canonical_phases(cols: np.ndarray) -> np.ndarray:
 
 def drazin_index(t, tol: Tolerance = DEFAULT_TOL) -> int:
     """Smallest k >= 0 with rank(T^{k+1}) = rank(T^k); 0 iff T is invertible."""
-    a = _require_square(as_matrix(t))
-    rank_prev = a.shape[0]
-    for k, power in enumerate(_powers(a)):
-        # ranks need no singular vectors
-        rank = _power_rank(np.linalg.svd(power, compute_uv=False), tol)
-        if rank >= rank_prev:
-            return k
-        rank_prev = rank
+    return _power_rank(_require_square(as_matrix(t)), tol)[0]
 
 
 def drazin_residuals(t, td, index: int) -> dict:
@@ -134,7 +140,7 @@ def drazin_inverse(t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     NumericalFailureError carrying the residual norms.
     """
     a = _require_square(as_matrix(t))
-    return _drazin_inverse(a, drazin_index(a, tol), tol)[0]
+    return _drazin_inverse(a, _power_rank(a, tol)[0], tol)[0]
 
 
 def _drazin_inverse(a: np.ndarray, k: int, tol: Tolerance) -> tuple[np.ndarray, dict]:
@@ -163,21 +169,12 @@ class CoreNilpotent:
     t2: np.ndarray
     orthogonal: bool
 
-    def reassemble(self) -> np.ndarray:
-        d1 = self.t1.shape[0]
-        d2 = self.t2.shape[0]
-        blocks = [
-            [self.t1, np.zeros((d1, d2), dtype=np.complex128)],
-            [np.zeros((d2, d1), dtype=np.complex128), self.t2],
-        ]
-        return self.basis @ block_compose(blocks) @ np.linalg.inv(self.basis)
-
 
 def core_nilpotent(t, tol: Tolerance = DEFAULT_TOL) -> CoreNilpotent:
     """Split T along range(T^p) and ker(T^p), p the Drazin index."""
     a = _require_square(as_matrix(t))
     d = a.shape[0]
-    p = drazin_index(a, tol)
+    p, _, r, gate, _ = _power_rank(a, tol)
     if p == 0:
         return CoreNilpotent(
             index=0,
@@ -186,9 +183,7 @@ def core_nilpotent(t, tol: Tolerance = DEFAULT_TOL) -> CoreNilpotent:
             t2=np.zeros((0, 0), dtype=np.complex128),
             orthogonal=True,
         )
-    tp = _matrix_power(a, p)
-    u, s, vh = np.linalg.svd(tp)
-    r = _power_rank(s, tol)
+    u, _, vh = np.linalg.svd(_matrix_power(a, p))
     range_basis = _canonical_phases(u[:, :r])
     null_basis = _canonical_phases(adjoint(vh)[:, r:])
     basis = np.hstack([range_basis, null_basis])
@@ -203,7 +198,7 @@ def core_nilpotent(t, tol: Tolerance = DEFAULT_TOL) -> CoreNilpotent:
     t2 = conj[r:, r:]
     if numerical_rank(t1, tol) < r:
         raise DecompositionError("invertible block is numerically singular")
-    nil_residual, nilpotent = _nilpotency(t2, p, tol)
+    nil_residual, nilpotent = _nilpotency(_singular_values(_matrix_power(t2, p)), gate)
     if not nilpotent:
         raise DecompositionError(f"nilpotent block fails t2^{p} = 0 (residual {nil_residual:.3e})")
     cross = _norm2(adjoint(range_basis) @ null_basis)
@@ -233,55 +228,35 @@ class RangeKernelSplit:
     t2: np.ndarray
     residuals: dict
 
-    def power_grid(self) -> list[list[np.ndarray]]:
-        d2 = self.basis.shape[0] - self.d1
-        return [
-            [self.t1n.copy(), self.x.copy()],
-            [np.zeros((d2, self.d1), dtype=np.complex128), np.zeros((d2, d2), dtype=np.complex128)],
-        ]
-
-    def triangular_grid(self) -> list[list[np.ndarray]]:
-        d2 = self.basis.shape[0] - self.d1
-        return [
-            [self.t1.copy(), self.coupling.copy()],
-            [np.zeros((d2, self.d1), dtype=np.complex128), self.t2.copy()],
-        ]
-
 
 def range_kernel_split(t, n: int, tol: Tolerance = DEFAULT_TOL) -> RangeKernelSplit:
     """Orthogonal splitting of the space along range(T^n) + ker(T*^n).
 
     The two subspaces are orthogonal complements, so the basis is unitary;
-    a lower block surviving above tolerance means the rank decision failed
-    and raises DecompositionError.  A power T^n that overflows raises
-    NumericalFailureError.
+    a lower block of the conjugated T^n above its gate g_n means the rank
+    decision failed and raises DecompositionError.  A power T^n that
+    overflows raises NumericalFailureError.
     """
     if n < 1:
         raise PreconditionError(f"power must be >= 1, got {n}")
     a = _require_square(as_matrix(t))
-    tn = _matrix_power(a, n)
-    u, s, _ = np.linalg.svd(tn)
-    d1 = _power_rank(s, tol)
-    basis = _canonical_phases(u)
+    _, tn, d1, gate, norm = _power_rank(a, tol, n)
+    basis = _canonical_phases(np.linalg.svd(tn)[0])
     bn = adjoint(basis) @ tn @ basis
     bt = adjoint(basis) @ a @ basis
-    scale_n = 1.0 + (float(s[0]) if s.size else 0.0)
-    scale_t = 1.0 + operator_norm(a)
-    residuals = {
-        "power_lower": _norm2(bn[d1:, :]),
-        "triangular_lower": _norm2(bt[d1:, :d1]),
-    }
-    if residuals["power_lower"] > tol.gate(scale_n):
+    power_lower, dropped = _nilpotency(_singular_values(bn[d1:, :]), gate)
+    residuals = {"power_lower": power_lower, "triangular_lower": _norm2(bt[d1:, :d1])}
+    if not dropped:
         raise DecompositionError(
             f"lower block of the conjugated power survives ({residuals['power_lower']:.3e}); "
             "rank decision failed"
         )
-    if residuals["triangular_lower"] > tol.gate(scale_t):
+    if residuals["triangular_lower"] > tol.gate(1.0 + norm):
         raise DecompositionError(
             f"conjugated operator is not upper triangular ({residuals['triangular_lower']:.3e})"
         )
     t2 = bt[d1:, d1:]
-    residuals["t2_nilpotency"], nilpotent = _nilpotency(t2, n, tol)
+    residuals["t2_nilpotency"], nilpotent = _nilpotency(_singular_values(_matrix_power(t2, n)), gate)
     if not nilpotent:
         raise DecompositionError(
             f"kernel-side block fails t2^{n} = 0 (residual {residuals['t2_nilpotency']:.3e})"

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -39,12 +40,11 @@ from .matrix_core import (
     ZERO,
     OplabError,
     PreconditionError,
-    _matrix_power,
     _nilpotency,
+    _power_walk,
     adjoint,
     block_compose,
     hermitian_part,
-    operator_norm,
 )
 
 __all__ = [
@@ -236,10 +236,14 @@ def gen_nilpotent(seed: int, d: int, index: int, stream: int = 0) -> np.ndarray:
     if not 1 <= index <= d:
         raise PreconditionError(f"nilpotency index {index} outside [1, {d}]")
     n = _nilpotent(_rng(seed, stream), d, index)
-    top, nilpotent = _nilpotency(n, index, DEFAULT_TOL)
+    # one walk: N^index = 0 by the rule, and ||N^{index-1}|| (1 at index 1) >= 1e-3
+    edge = top = 1.0
+    for _, s, gate in islice(_power_walk(n, DEFAULT_TOL), index):
+        edge = top
+        top, nilpotent = _nilpotency(s, gate)
     if not nilpotent:
         raise GenerationError(f"nilpotency certification failed (||N^index|| = {top:.3e})")
-    if index > 1 and operator_norm(_matrix_power(n, index - 1)) < 1e-3:
+    if edge < 1e-3:
         raise GenerationError("nilpotent chain collapsed below the stated index")
     return n
 

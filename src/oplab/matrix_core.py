@@ -11,12 +11,15 @@ shared conventions:
   function's axis handling; every spectral norm in the package goes through
   it, so no caller guards against empty blocks,
 * the one way to form a power T^n, `_matrix_power`, which raises
-  DomainError on a negative or non-integral n, and the one chain of powers
-  T, T^2, ..., `_powers`,
+  DomainError on a negative or non-integral n, and the one walk of powers
+  T, T^2, ..., `_power_walk`, which yields each with its gate g_k =
+  cutoff(rho * sum_{j<k} ||T^j|| ||T^{k-1-j}||), T^0 = I, rho = ||T||: the
+  first-order change of T^k when T moves by rel_eps * rho, a gate at the
+  tolerance and not a certificate (that needs a forward-error bound on T^k),
 * one home per decision rule, which every such decision in the package
   goes through: rank in `_rank` (singular values at or below
-  `Tolerance.cutoff`, ``max(rel_eps * sigma_max, abs_eps)``, are zero),
-  X^q = 0 in `_nilpotency` (``||X^q|| <= tol.power_gate(||X||, q)``),
+  `Tolerance.cutoff`, ``max(rel_eps * sigma_max, abs_eps)``, are zero; on
+  T^k, at or below g_k), X^q = 0 in `_nilpotency` (``||X^q|| <= g_q``),
   Hermiticity in `_hermitian_defect` and overflow in `_finite`,
 * definiteness decisions, PSD square roots and the Moore-Penrose inverse,
 * 2x2 block composition/splitting,
@@ -130,12 +133,6 @@ class Tolerance:
         """Absolute threshold for a residual living at magnitude ``scale``."""
         return self.rel_eps * scale + self.abs_eps
 
-    def power_gate(self, norm: float, power: int) -> float:
-        """`gate` at the scale (1 + ||X||)^power of the power X^power, where
-        ``norm`` is ||X||; formed in float64, so an overflow gives inf."""
-        with np.errstate(over="ignore"):
-            return self.gate(float(np.float64(1.0 + norm) ** power))
-
     def cutoff(self, sigma_max: float) -> float:
         """The rank rule: singular values at or below this count as zero."""
         return max(self.rel_eps * sigma_max, self.abs_eps)
@@ -166,7 +163,16 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 def _norm2(a: np.ndarray) -> float:
     """Spectral norm of a 2-D array (0.0 when empty), equal to numpy's ``linalg.norm(a, 2)``."""
-    s = np.linalg.svd(a, compute_uv=False)
+    return _largest(_singular_values(a))
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """The descending singular values of a 2-D array, from a values-only SVD."""
+    return np.linalg.svd(a, compute_uv=False)
+
+
+def _largest(s: np.ndarray) -> float:
+    """The first of the descending singular values ``s``, 0.0 when there are none."""
     return float(s[0]) if s.size else 0.0
 
 
@@ -198,16 +204,21 @@ def _matrix_power(a: np.ndarray, n: int) -> np.ndarray:
     return _finite(power, "operator power", {"power": n})
 
 
-def _powers(a: np.ndarray) -> Iterator[np.ndarray]:
-    """T, T^2, T^3, ... of a finite square ``a``, each power one product from
-    the last; a power that overflows raises NumericalFailureError instead of
-    numpy's overflow warnings."""
+def _power_walk(a: np.ndarray, tol: Tolerance) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """T^k, its singular values and its gate g_k (see the module docstring)
+    for k = 1, 2, ... of a finite square ``a``, each power one product from
+    the last; an overflow raises NumericalFailureError, not numpy warnings."""
+    norms = [1.0]
     power = a
-    for n in count(2):
-        yield power
+    for k in count(1):
+        s = _singular_values(power)
+        norms.append(_largest(s))
+        lower = norms[:k]
+        gate = tol.cutoff(norms[1] * sum(x * y for x, y in zip(lower, reversed(lower))))
+        yield power, s, gate
         with np.errstate(over="ignore", invalid="ignore"):
             power = power @ a
-        _finite(power, "operator power", {"power": n})
+        _finite(power, "operator power", {"power": k + 1})
 
 
 def operator_norm(m) -> float:
@@ -215,10 +226,12 @@ def operator_norm(m) -> float:
     return _norm2(as_matrix(m))
 
 
-def _nilpotency(x: np.ndarray, q: int, tol: Tolerance) -> tuple[float, bool]:
-    """The nilpotency rule: ||X^q|| and whether X^q = 0, i.e. ||X^q|| <= tol.power_gate(||X||, q)."""
-    residual = operator_norm(_matrix_power(x, q))
-    return residual, residual <= tol.power_gate(operator_norm(x), q)
+def _nilpotency(s: np.ndarray, gate: float) -> tuple[float, bool]:
+    """The nilpotency rule, on the singular values ``s`` of a power X^q (or
+    of a block of one) and its gate g_q from `_power_walk`: ||X^q|| and
+    whether X^q = 0, i.e. ||X^q|| <= g_q."""
+    residual = _largest(s)
+    return residual, residual <= gate
 
 
 def spectral_radius(m) -> float:
@@ -357,13 +370,13 @@ def moore_penrose(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values above the rank cutoff `Tolerance.cutoff`."""
-    return _rank(np.linalg.svd(as_matrix(m), compute_uv=False), tol)
+    return _rank(_singular_values(as_matrix(m)), tol)
 
 
 def _rank(s: np.ndarray, tol: Tolerance) -> int:
     """The rank rule: how many of the descending singular values ``s`` lie
-    above `Tolerance.cutoff` of the largest."""
-    return int(np.count_nonzero(s > tol.cutoff(float(s[0]) if s.size else 0.0)))
+    above `Tolerance.cutoff` of the largest, the gate g_1 of `_power_walk`."""
+    return int(np.count_nonzero(s > tol.cutoff(_largest(s))))
 
 
 def block_compose(blocks) -> np.ndarray:

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompositions import (
+    _power_rank,
     build_transform_bundle,
     core_nilpotent,
-    drazin_index,
     drazin_inverse,
 )
 from .expansivity import (
@@ -50,6 +50,8 @@ from .matrix_core import (
     _matrix_power,
     _nilpotency,
     _norm2,
+    _power_walk,
+    _require_square,
     adjoint,
     as_matrix,
     block_compose,
@@ -132,9 +134,9 @@ def verify_no_singular_expansive(t, m: int, tol: Tolerance = DEFAULT_TOL) -> The
     m-expansive (any unitary is), the exclusion needs a nontrivial kernel
     summand.
     """
-    a = as_matrix(t)
-    index = drazin_index(a, tol)
-    kernel_dim = a.shape[0] - numerical_rank(_matrix_power(a, max(index, 1)), tol)
+    a = _require_square(as_matrix(t))
+    index, _, rank, _, _ = _power_rank(a, tol)
+    kernel_dim = a.shape[0] - rank
     result = defect(DefectSpec(t=a, p=np.eye(a.shape[0], dtype=np.complex128), m=m), tol)
     witness = {
         "m": m,
@@ -142,14 +144,16 @@ def verify_no_singular_expansive(t, m: int, tol: Tolerance = DEFAULT_TOL) -> The
         "kernel_dim": kernel_dim,
         "identity_defect": result.verdict.to_json(),
     }
-    premises = index >= 1 and kernel_dim >= 1
-    return _conclude("no_singular_expansive", premises, EXPANSIVE not in result.classification, witness)
+    return _conclude("no_singular_expansive", kernel_dim >= 1, EXPANSIVE not in result.classification, witness)
 
 
 def _nilpotency_index(t2: np.ndarray, tol: Tolerance) -> int:
-    """Smallest q <= dim t2 with `_nilpotency` deciding t2^q = 0, else PreconditionError."""
-    for q in range(t2.shape[0] + 1):
-        if _nilpotency(t2, q, tol)[1]:
+    """Smallest q <= dim t2 with `_nilpotency` deciding t2^q = 0, from one
+    `_power_walk` of t2; else PreconditionError."""
+    if t2.shape[0] == 0:
+        return 0
+    for q, (_, s, gate) in zip(range(1, t2.shape[0] + 1), _power_walk(t2, tol)):
+        if _nilpotency(s, gate)[1]:
             return q
     raise PreconditionError("second block is not nilpotent")
 
@@ -330,7 +334,11 @@ def verify_transform_bundle(t, n: int, m: int, tol: Tolerance = DEFAULT_TOL) -> 
     (m, C)-expansive, B is (m, D)-expansive, D is PSD, and the bundle's
     algebraic identities hold.  When the side condition
     [[I, X], [X*, X*X]] >= I is satisfied, additionally B is m-expansive and
-    A is (m, Q)-expansive for the invertible weight Q = p1 (+) I.
+    A is (m, Q)-expansive for the invertible weight Q = p1 (+) I.  In finite
+    dimensions that holds only with X = 0 and d2 = 0: [[0, X], [X*, X*X - I]]
+    >= 0 has a zero diagonal block, so X = 0 and then -I >= 0 on the kernel
+    side.  For d2 > 0, B and A are singular, and no singular matrix is
+    (m, I)- or (m, Q)-expansive.
 
     The bundle itself is ``build_transform_bundle(t, n, tol)``, which
     computes the same bits as the one checked here.

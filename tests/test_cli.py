@@ -19,6 +19,7 @@ import oplab
 import oplab.theorem_lab as theorem_lab
 from oplab import TheoremVerdict, matrix_from_json, matrix_to_json
 from oplab.cli import main
+from oplab.generators import gen_haar_unitary
 
 
 def write_matrix(path, values):
@@ -206,16 +207,17 @@ def test_version_flag(capsys):
 
 
 def test_drazin_computes_the_index_once(capsys, tmp_path, monkeypatch):
+    # one walk of T, T^2, ... decides the index, rank T^p and the gate g_p
     import oplab.decompositions as decompositions_mod
 
     calls = []
-    original = decompositions_mod.drazin_index
+    original = decompositions_mod._power_rank
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(decompositions_mod, "drazin_index", counting)
+    monkeypatch.setattr(decompositions_mod, "_power_rank", counting)
     k = np.zeros((4, 4), dtype=complex)
     k[:2, :2] = [[0, 1], [1, 0]]
     k[:2, 2:] = [[1, 2], [3, 4]]
@@ -224,6 +226,18 @@ def test_drazin_computes_the_index_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1
     assert payload["index"] == 1
     assert payload["core"] == {"orthogonal": False, "invertible_dim": 2, "nilpotent_dim": 2}
+
+
+@pytest.mark.parametrize("s", [10.0, 1000.0])
+def test_drazin_of_a_scaled_shift_exits_zero(capsys, tmp_path, s):
+    # V (s S) V* with S the 4x4 shift has index 4 at every scale s; T^4 is
+    # rounding, which the gate of T^4 counts as zero, so nothing is invertible
+    v = gen_haar_unitary(8, 4)
+    t = v @ (s * np.diag(np.ones(3), 1)) @ v.conj().T
+    code, payload = run_json(capsys, ["drazin", "--matrix", write_matrix(tmp_path / "shift.json", t)])
+    assert code == 0
+    assert payload["index"] == 4
+    assert payload["core"] == {"orthogonal": True, "invertible_dim": 0, "nilpotent_dim": 4}
 
 
 def test_defect_overflow_exits_three(tmp_path, capsys):

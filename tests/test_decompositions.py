@@ -152,7 +152,10 @@ def test_core_nilpotent_reassembles():
     for seed, d1, d2, q in [(30, 2, 2, 2), (31, 3, 3, 2)]:
         t, _, _ = oblique_core(seed, d1, d2, q)
         core = core_nilpotent(t)
-        assert operator_norm(core.reassemble() - t) <= 1e-8 * (1 + operator_norm(t))
+        d1, d2 = core.t1.shape[0], core.t2.shape[0]
+        blocks = block_compose([[core.t1, np.zeros((d1, d2))], [np.zeros((d2, d1)), core.t2]])
+        rebuilt = core.basis @ blocks @ np.linalg.inv(core.basis)
+        assert operator_norm(rebuilt - t) <= 1e-8 * (1 + operator_norm(t))
         if core.t2.size:
             assert operator_norm(np.linalg.matrix_power(core.t2, core.index)) <= 1e-10
 
@@ -193,9 +196,12 @@ def test_range_kernel_split_basis_unitary_and_reconstructs():
         split = range_kernel_split(a, n)
         assert operator_norm(split.basis.conj().T @ split.basis - np.eye(d)) <= 1e-12
         an = np.linalg.matrix_power(a, n)
-        rebuilt = split.basis @ block_compose(split.power_grid()) @ split.basis.conj().T
+        d1, d2 = split.d1, d - split.d1
+        power_grid = [[split.t1n, split.x], [np.zeros((d2, d1)), np.zeros((d2, d2))]]
+        rebuilt = split.basis @ block_compose(power_grid) @ split.basis.conj().T
         assert operator_norm(rebuilt - an) <= 1e-9 * (1 + operator_norm(an))
-        tri = split.basis @ block_compose(split.triangular_grid()) @ split.basis.conj().T
+        triangular_grid = [[split.t1, split.coupling], [np.zeros((d2, d1)), split.t2]]
+        tri = split.basis @ block_compose(triangular_grid) @ split.basis.conj().T
         assert operator_norm(tri - a) <= 1e-9 * (1 + operator_norm(a))
 
 
@@ -376,6 +382,37 @@ def test_large_drazin_index_is_decided_without_warning():
         parts = core_nilpotent(t)
         assert (parts.index, parts.t1.shape) == (30, (4, 4))
         assert range_kernel_split(t, 30).d1 == 4
+
+
+def shifted(s):
+    """V (s S) V* with S the 4x4 shift: Drazin index 4 at every scale s."""
+    v = gen_haar_unitary(8, 4)
+    return v @ (s * np.diag(np.ones(3), 1)) @ v.conj().T
+
+
+@pytest.mark.parametrize("s", [1.0, 10.0, 100.0, 1000.0, 1e4])
+def test_drazin_index_of_a_scaled_shift(s):
+    # T^4 is rounding of about 1e-16 * s^4: below g_4, which grows like s^4
+    # too, but far above rel_eps * sigma_max(T^4), so it must count as zero
+    t = shifted(s)
+    assert drazin_index(t) == 4
+    assert core_nilpotent(t).index == 4
+    # T^n = 0 from n = 4 on: nothing is left on the range side, and the
+    # conjugated power's lower block (all of T^n) passes at T^n's gate
+    assert [range_kernel_split(t, n).d1 for n in range(1, 6)] == [3, 2, 1, 0, 0]
+
+
+@pytest.mark.parametrize("c", [1.0, 1e3, 1e5, 1e7])
+def test_splittings_are_scale_invariant(c):
+    # the kernel-side block holds rounding of T's size; it is judged at the
+    # gate of T, whose radius is ||T||, and not at the block's own norm
+    w = gen_haar_unitary(5, 8)
+    t = c * (w @ gen_coupled_kernel(3, 4, 4) @ w.conj().T)
+    core = core_nilpotent(t)
+    assert (core.index, core.t1.shape) == (1, (4, 4))
+    split = range_kernel_split(t, 1)
+    assert split.d1 == 4
+    assert split.residuals["t2_nilpotency"] <= 1e-10 * operator_norm(t)
 
 
 def test_range_kernel_split_rejects_an_overflowing_power():

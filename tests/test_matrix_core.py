@@ -625,11 +625,12 @@ class _DirectLinalgCalls(ast.NodeVisitor):
 
 
 def test_spectral_norms_and_powers_go_through_matrix_core():
-    # `_matrix_power` forms one power T^n and `_powers` is the one chain of
-    # powers T, T^2, ..., the only self-update x = x @ y.  The rank cutoff is
-    # compared in `_rank` alone; `_power_rank` reads it for its warning.
-    # Each other decision rule has one home too: X^q = 0 in `_nilpotency`
-    # (the one reader of power_gate), ||M - M*|| within the gate in
+    # `_matrix_power` forms one power T^n and `_power_walk` is the one walk
+    # of powers T, T^2, ..., the only self-update x = x @ y.  The cutoff is
+    # read in `_rank` and in the walk alone, which forms the gate g_k of
+    # every decision on a power; power_gate is gone and must not return.
+    # Each other decision rule has one home too: X^q = 0 in `_nilpotency`,
+    # ||M - M*|| within the gate in
     # `_hermitian_defect`, an overflow in `_finite` (the other
     # NumericalFailureError is the Drazin identity check), and a verifier's
     # PSD weight in theorem_lab's `_psd_weight`.
@@ -640,10 +641,9 @@ def test_spectral_norms_and_powers_go_through_matrix_core():
     # iterated map in expansivity.
     allowed = {
         ("matrix_core.py", "_matrix_power", "matrix_power"),
-        ("matrix_core.py", "_powers", "x @ x"),
+        ("matrix_core.py", "_power_walk", "x @ x"),
         ("matrix_core.py", "_rank", "cutoff"),
-        ("decompositions.py", "_power_rank", "cutoff"),
-        ("matrix_core.py", "_nilpotency", "power_gate"),
+        ("matrix_core.py", "_power_walk", "cutoff"),
         ("matrix_core.py", "_hermitian_defect", "M - M*"),
         ("matrix_core.py", "_finite", "NumericalFailureError"),
         ("decompositions.py", "_drazin_inverse", "NumericalFailureError"),

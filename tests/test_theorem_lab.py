@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oplab import (
     NumericalFailureError,
@@ -30,7 +32,8 @@ from oplab import (
     verify_unitary_nilpotent_structure,
     verify_weight_decomposition,
 )
-from oplab.matrix_core import DEFAULT_TOL, _nilpotency
+from oplab.matrix_core import DEFAULT_TOL
+from oplab.theorem_lab import _nilpotency_index
 
 I2 = np.eye(2)
 IDEMPOTENT = np.array([[1, 1], [0, 0]], dtype=complex)
@@ -138,19 +141,40 @@ def test_weight_decomposition_overflowing_nilpotent_power_is_typed():
         verify_weight_decomposition([[2.0]], t2, np.diag([1.0, 0.0, 0.0, 0.0]), m=1)
 
 
+def _gated_nilpotency_index(x, tol=DEFAULT_TOL):
+    """Reference: the smallest q with ||X^q|| <= g_q, where
+    g_q = max(rel_eps * ||X|| * sum_{j<q} ||X^j|| ||X^{q-1-j}||, abs_eps),
+    each power formed by numpy's matrix_power (repeated squaring from
+    q = 4 on) rather than by one product from the last."""
+    norms = [float(np.linalg.norm(np.linalg.matrix_power(x, j), 2)) for j in range(x.shape[0] + 1)]
+    norms[0] = 1.0
+    for q in range(1, x.shape[0] + 1):
+        scale = norms[1] * sum(norms[j] * norms[q - 1 - j] for j in range(q))
+        if norms[q] <= max(tol.rel_eps * scale, tol.abs_eps):
+            return q
+    return None
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_weight_decomposition_reports_the_nilpotency_index(seed):
-    # the smallest q with _nilpotency(t2, q) deciding t2^q = 0, which for a
-    # generated nilpotent is its index; from index 4 on, numpy's
-    # matrix_power forms the compared power by repeated squaring
+    # the smallest q with t2^q = 0 at the gate g_q, which for a generated
+    # nilpotent is its index
     u = gen_haar_unitary(seed, 2)
     for d in range(1, 9):
         p = block_compose([[np.eye(2), np.zeros((2, d))], [np.zeros((d, 2)), np.zeros((d, d))]])
         for index in range(1, d + 1):
             t2 = gen_nilpotent(seed, d, index)
-            smallest = next(q for q in range(d + 1) if _nilpotency(t2, q, DEFAULT_TOL)[1])
             v = verify_weight_decomposition(u, t2, p, m=1)
-            assert v.witness["nilpotency_index"] == smallest == index
+            assert v.witness["nilpotency_index"] == _gated_nilpotency_index(t2) == index
+
+
+@pytest.mark.parametrize("index", [32, 24])
+def test_nilpotency_index_of_a_long_jordan_chain(index):
+    # ||N|| ~ 1.5 while ||N^{index-1}|| is 0.02 (index 32) and 0.07 (index 24):
+    # the gate must follow the error made in forming N^q, not grow like
+    # (1 + ||N||)^q
+    t2 = gen_nilpotent(1, 32, index)
+    assert _nilpotency_index(t2, DEFAULT_TOL) == _gated_nilpotency_index(t2) == index
 
 
 def test_two_expansive_isometry_unitary():
@@ -279,6 +303,25 @@ def test_transform_bundle_coupled_kernel_fixture():
     assert v.premises_met and v.holds
     assert not v.witness["side_condition_satisfied"]
     assert max(bundle.identity_residuals().values()) <= v.witness["identity_threshold"]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    d1=st.integers(1, 5),
+    d2=st.integers(1, 4),
+    x_scale=st.floats(0.0, 2.0),
+    n=st.integers(1, 2),
+    m=st.integers(1, 4),
+)
+def test_transform_bundle_side_condition_fails_on_a_kernel(seed, d1, d2, x_scale, n, m):
+    # [[I, X], [X*, X*X]] >= I forces X = 0 and d2 = 0, so with a kernel side
+    # (d2 > 0) it never holds, whatever X is (x_scale = 0 included)
+    t = gen_coupled_kernel(seed, d1, d2, x_scale=x_scale)
+    v = verify_transform_bundle(t, n=n, m=m)
+    assert v.witness["d2"] == d2
+    assert not v.witness["side_condition_satisfied"]
+    assert "b_identity_verdict" not in v.witness
 
 
 def test_transform_bundle_nilpotent_vacuous_degenerate():
