@@ -36,7 +36,6 @@ from .matrix_core import (
     Tolerance,
     dumps_json,
     matrix_from_json,
-    matrix_to_json,
 )
 from .suite import THEOREM_IDS, run_suite
 
@@ -78,7 +77,8 @@ def _emit(payload: dict, output: str | None) -> None:
     text = dumps_json(payload)
     if output:
         with open(output, "w") as handle:
-            handle.write(text + "\n")
+            handle.write(text)
+            handle.write("\n")
     else:
         print(text)
 
@@ -107,7 +107,7 @@ def _cmd_drazin(args) -> int:
     _emit(
         {
             "index": core.index,
-            "drazin_inverse": matrix_to_json(td),
+            "drazin_inverse": td,
             "residuals": residuals,
             "core": {
                 "orthogonal": core.orthogonal,
@@ -126,9 +126,9 @@ def _cmd_transform(args) -> int:
     parts = polar(t, tol)
     _emit(
         {
-            "polar": {"u": matrix_to_json(parts.u), "p": matrix_to_json(parts.p)},
-            "aluthge": matrix_to_json(parts.aluthge()),
-            "duggal": matrix_to_json(parts.duggal()),
+            "polar": {"u": parts.u, "p": parts.p},
+            "aluthge": parts.aluthge(),
+            "duggal": parts.duggal(),
         },
         args.output,
     )
@@ -141,12 +141,12 @@ def _cmd_split(args) -> int:
     _emit(
         {
             "d1": split.d1,
-            "basis": matrix_to_json(split.basis),
-            "power_blocks": {"t1n": matrix_to_json(split.t1n), "x": matrix_to_json(split.x)},
+            "basis": split.basis,
+            "power_blocks": {"t1n": split.t1n, "x": split.x},
             "triangular_blocks": {
-                "t1": matrix_to_json(split.t1),
-                "coupling": matrix_to_json(split.coupling),
-                "t2": matrix_to_json(split.t2),
+                "t1": split.t1,
+                "coupling": split.coupling,
+                "t2": split.t2,
             },
             "residuals": split.residuals,
         },
@@ -261,7 +261,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (MatrixFormatError, json.JSONDecodeError, OSError) as exc:
+    except (MatrixFormatError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"oplab: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (NumericalFailureError, DecompositionError, GenerationError) as exc:

@@ -115,10 +115,9 @@ class DefectResult:
     classification: frozenset
 
     def to_json(self) -> dict:
-        from .matrix_core import matrix_to_json
-
+        """The payload for `dumps_json`, which writes ``delta`` (an array) in the matrix wire format."""
         return {
-            "delta": matrix_to_json(self.delta),
+            "delta": self.delta,
             "verdict": self.verdict.to_json(),
             "classification": sorted(self.classification),
         }

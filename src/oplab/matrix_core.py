@@ -23,7 +23,11 @@ shared conventions:
   Hermiticity in `_hermitian_defect` and overflow in `_finite`,
 * definiteness decisions, PSD square roots and the Moore-Penrose inverse,
 * 2x2 block composition/splitting,
-* the JSON wire format for matrices and the one writer of JSON text.
+* the JSON wire format for matrices and the one writer of JSON text,
+  `dumps_json`: payloads carry complex arrays, which it writes as their
+  `matrix_to_json` objects straight from the array's floats, one ``%r``
+  template per matrix; `matrix_to_json` builds those objects in Python for
+  library users and round trips.
 
 All functions are pure: inputs are never mutated and there is no module
 state, so values can be shared freely across threads.
@@ -409,10 +413,17 @@ def block_split(m, d1: int) -> list[list[np.ndarray]]:
 
 
 def matrix_to_json(m) -> dict:
-    """Serialize to the wire format {"rows", "cols", "data": [[[re, im], ...], ...]}."""
+    """The wire format {"rows", "cols", "data": [[[re, im], ...], ...]} as
+    Python objects, for library users and round trips.  Payloads written by
+    `dumps_json` carry the array itself, which it writes as these bytes."""
     a = as_matrix(m)
     rows, cols = a.shape
-    return {"rows": rows, "cols": cols, "data": np.stack([a.real, a.imag], axis=-1).tolist()}
+    return {"rows": rows, "cols": cols, "data": _pairs(a).tolist()}
+
+
+def _pairs(a: np.ndarray) -> np.ndarray:
+    """The (rows, cols, 2) float64 array of [re, im] pairs of a complex matrix."""
+    return np.stack([a.real, a.imag], axis=-1)
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -477,16 +488,20 @@ def _raise_first_bad_entry(data: list, cols: int) -> None:
 
 
 def dumps_json(payload) -> str:
-    """Return exactly ``json.dumps(payload, sort_keys=True, indent=2)``.
+    """Return exactly ``json.dumps(payload, sort_keys=True, indent=2)``, where
+    every complex ``ndarray`` in the payload is written as its
+    `matrix_to_json` object would be.
 
     The stdlib uses its C encoder only without ``indent``, so indented
     output runs every value through Python generator frames.  This writer
     uses the same C-level pieces per scalar (``encode_basestring_ascii``,
-    ``int.__repr__``, ``float.__repr__``) and writes a list of floats, or a
-    list of equal-length float lists such as a matrix row of ``[re, im]``
-    pairs, with one join.  Whatever ``json`` rejects raises ``TypeError``;
-    a payload that contains itself exceeds the recursion limit instead of
-    raising ``json``'s ``ValueError``.
+    ``int.__repr__``, ``float.__repr__``).  A matrix, and any list that is
+    a rectangular nest of floats, is written with one ``%r`` template for
+    the whole block, so no per-entry list is built.  An array is validated
+    as `matrix_to_json` validates it and raises the same errors.  Whatever
+    ``json`` rejects raises ``TypeError``; a payload that contains itself
+    exceeds the recursion limit instead of raising ``json``'s
+    ``ValueError``.
     """
     return _dump(payload, "\n")
 
@@ -506,22 +521,30 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _float_table(items, inner: str) -> str | None:
-    """Body of a list of floats or of equal-length float lists, else None."""
-    kinds = set(map(type, items))
-    if kinds == {float}:
-        return _json_floats(("," + inner).join(map(float.__repr__, items)))
-    if kinds != {list}:
-        return None
-    sizes = set(map(len, items))
-    if len(sizes) != 1:
-        return None
-    flat = list(chain.from_iterable(items))
-    if set(map(type, flat)) != {float}:
-        return None
-    deeper = inner + "  "
-    cells = map(("," + deeper).join, zip(*[map(float.__repr__, flat)] * sizes.pop()))
-    return _json_floats("[" + deeper + (inner + "]," + inner + "[" + deeper).join(cells) + inner + "]")
+def _float_block(shape, floats: list, newline: str) -> str:
+    """JSON text, first line indented by ``newline``, of the rectangular nest
+    of lists of the given shape whose leaves in row-major order are ``floats``:
+    one ``%r`` template for the whole block, filled in one step."""
+    template = "%r"
+    for depth in reversed(range(len(shape))):
+        outer = newline + "  " * depth
+        inner = outer + "  "
+        items = ("," + inner).join(repeat(template, shape[depth]))
+        template = "[" + inner + items + outer + "]" if items else "[]"
+    return _json_floats(template % tuple(floats))
+
+
+def _float_table(items, newline: str) -> str | None:
+    """`_float_block` of a list of floats or a rectangular nest of float lists, else None."""
+    shape = [len(items)]
+    leaves = items
+    while (kinds := set(map(type, leaves))) == {list}:
+        sizes = set(map(len, leaves))
+        if len(sizes) != 1:
+            return None
+        shape.append(sizes.pop())
+        leaves = list(chain.from_iterable(leaves))
+    return _float_block(shape, leaves, newline) if kinds == {float} else None
 
 
 def _dump(value, newline: str) -> str:
@@ -542,10 +565,10 @@ def _dump(value, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        body = _float_table(value, inner)
-        if body is None:
-            body = ("," + inner).join([_dump(item, inner) for item in value])
-        return "[" + inner + body + newline + "]"
+        table = _float_table(value, newline)
+        if table is not None:
+            return table
+        return "[" + inner + ("," + inner).join([_dump(item, inner) for item in value]) + newline + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -553,4 +576,9 @@ def _dump(value, newline: str) -> str:
             [encode_basestring_ascii(_json_key(key)) + ": " + _dump(item, inner) for key, item in sorted(value.items())]
         )
         return "{" + inner + body + newline + "}"
+    if isinstance(value, np.ndarray):
+        # the keys of matrix_to_json(value), sorted
+        a = as_matrix(value)
+        data = _float_block(a.shape + (2,), _pairs(a).ravel().tolist(), inner)
+        return f'{{{inner}"cols": {a.shape[1]},{inner}"data": {data},{inner}"rows": {a.shape[0]}{newline}}}'
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")

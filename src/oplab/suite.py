@@ -44,7 +44,6 @@ from .matrix_core import (
     dumps_json,
     hermitian_part,
     matrix_from_json,
-    matrix_to_json,
 )
 
 __all__ = [
@@ -401,7 +400,7 @@ def write_quarantine(directory, mode, row, inputs, tol: Tolerance) -> Path:
         "gen": row["gen"],
         "params": row["params"],
         "tolerance": {"rel_eps": tol.rel_eps, "abs_eps": tol.abs_eps},
-        "inputs": {name: matrix_to_json(matrix) for name, matrix in inputs.items()},
+        "inputs": inputs,
         "witness": row["witness"],
     }
     path = directory / f"{mode}-{row['theorem_id']}-{row['seed']}-{row['stream']:06d}.json"

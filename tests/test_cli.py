@@ -163,6 +163,18 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     assert main(["verify", "--dims", "0,3"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--matrix", "--weight"])
+def test_undecodable_input_file_exits_two(tmp_path, capsys, scalar_two, flag):
+    # bytes that are not UTF-8 are a parse error of the file, not a usage error
+    undecodable = tmp_path / "utf16.json"
+    undecodable.write_bytes(b"\xff\xfe{\x00}\x00")
+    argv = {"--matrix": ["defect", "--matrix", str(undecodable)],
+            "--weight": ["defect", "--matrix", scalar_two, "--weight", str(undecodable)]}[flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("oplab: parse error:")
+
+
 def test_numerical_failure_exits_three(tmp_path, capsys):
     # an invertible matrix whose Drazin inverse has norm ~1e18: the identity
     # residuals cannot be met in double precision

@@ -388,13 +388,24 @@ def stdlib_dumps(payload):
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def wire(payload):
+    """``payload`` with every array replaced by its `matrix_to_json` object."""
+    if isinstance(payload, np.ndarray):
+        return matrix_to_json(payload)
+    if isinstance(payload, dict):
+        return {key: wire(value) for key, value in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [wire(value) for value in payload]
+    return payload
+
+
 def test_dumps_json_matches_stdlib_on_every_cli_payload(tmp_path, monkeypatch):
     payloads = []
 
     def checked(payload):
         text = dumps_json(payload)
-        assert text == stdlib_dumps(payload)
-        payloads.append(payload)
+        assert text == stdlib_dumps(wire(payload))
+        payloads.append(wire(payload))
         return text
 
     monkeypatch.setattr(cli, "dumps_json", checked)
@@ -519,6 +530,55 @@ def test_dumps_json_property(payload):
     assert dumps_json(payload) == expected
 
 
+SPECIAL_FLOATS = [-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def complex_arrays(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    parts = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    values = draw(st.lists(parts, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return np.array(values, dtype=np.float64).view(np.complex128).reshape(rows, cols)
+
+
+def nested(leaf, depth):
+    """``leaf`` at exactly ``depth`` levels of dicts and lists, among other values."""
+    if depth == 0:
+        return leaf
+    below = nested(leaf, depth - 1)
+    return st.one_of(
+        st.tuples(below, st.lists(st.floats(), max_size=3)).map(list),
+        st.dictionaries(st.text(max_size=3), st.integers(), max_size=2).flatmap(
+            lambda extra: below.map(lambda value: {**extra, "m": value})
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 3).flatmap(lambda depth: nested(complex_arrays(), depth)))
+def test_dumps_json_writes_arrays_as_their_wire_format(payload):
+    assert dumps_json(payload) == stdlib_dumps(wire(payload))
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([[1.0, float("nan")]]),
+        np.array([[complex(0.0, float("inf"))]]),
+        np.zeros(3, dtype=complex),
+        np.zeros((2, 2, 2)),
+        np.array(1.0 + 2.0j),
+    ],
+)
+def test_dumps_json_rejects_arrays_as_matrix_to_json_does(array):
+    with pytest.raises((DomainError, DimensionError)) as expected:
+        matrix_to_json(array)
+    for payload in (array, {"a": [array]}):
+        with pytest.raises(expected.type) as got:
+            dumps_json(payload)
+        assert str(got.value) == str(expected.value)
+
+
 def norm2_inputs():
     rng = philox(4242)
     yield "real-square", rng.standard_normal((5, 5))
@@ -566,8 +626,9 @@ def _matmul_operands(node):
 class _DirectLinalgCalls(ast.NodeVisitor):
     """Every ``np.linalg.matrix_power`` call, every ``np.linalg.norm`` call
     given an ``ord``, every import or attribute named ``comb``, every
-    ``.cutoff(`` and ``.power_gate(`` call, every ``NumericalFailureError(``
-    call, every difference ``x - adjoint(y)`` ("M - M*"), every string
+    ``.cutoff(``, ``.power_gate(``, ``.tolist(`` and ``.matrix_to_json(``
+    call, every ``NumericalFailureError(`` and ``matrix_to_json(`` call, every difference
+    ``x - adjoint(y)`` ("M - M*"), every string
     "weight must be Hermitian PSD" ("psd weight") and every self-update
     ``x = x @ y`` or ``x @= y`` ("x @ x"), as (enclosing function, name)."""
 
@@ -612,9 +673,9 @@ class _DirectLinalgCalls(ast.NodeVisitor):
 
     def visit_Call(self, node):
         f = node.func
-        if isinstance(f, ast.Attribute) and f.attr in ("cutoff", "power_gate"):
+        if isinstance(f, ast.Attribute) and f.attr in ("cutoff", "power_gate", "tolist", "matrix_to_json"):
             self.found.append((self.scope[-1], f.attr))
-        if isinstance(f, ast.Name) and f.id == "NumericalFailureError":
+        if isinstance(f, ast.Name) and f.id in ("NumericalFailureError", "matrix_to_json"):
             self.found.append((self.scope[-1], f.id))
         if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Attribute) and f.value.attr == "linalg"
                 and isinstance(f.value.value, ast.Name) and f.value.value.id in ("np", "numpy")):
@@ -638,7 +699,9 @@ def test_spectral_norms_and_powers_go_through_matrix_core():
     # perfbench/selftest.py proves that tracing recorded calls with
     # linalg.norm.calls > 0; every other spectral norm is matrix_core._norm2.
     # No binomial coefficient is used: a defect has one evaluation, the
-    # iterated map in expansivity.
+    # iterated map in expansivity.  Payloads carry arrays, which dumps_json
+    # writes straight from their floats: only the codec builds the per-entry
+    # lists of the wire format, and nothing calls matrix_to_json.
     allowed = {
         ("matrix_core.py", "_matrix_power", "matrix_power"),
         ("matrix_core.py", "_power_walk", "x @ x"),
@@ -649,6 +712,8 @@ def test_spectral_norms_and_powers_go_through_matrix_core():
         ("decompositions.py", "_drazin_inverse", "NumericalFailureError"),
         ("theorem_lab.py", "_psd_weight", "psd weight"),
         ("generators.py", "gen_haar_unitary", "norm"),
+        ("matrix_core.py", "matrix_to_json", "tolist"),
+        ("matrix_core.py", "_dump", "tolist"),
     }
     found = set()
     for path in sorted(Path(oplab.__file__).parent.glob("*.py")):
