@@ -20,7 +20,6 @@ from .matrix_core import (
     Tolerance,
     adjoint,
     block_compose,
-    block_split,
     definiteness,
     eigenvalues,
     hermitian_part,
@@ -42,9 +41,7 @@ from .expansivity import (
     defect_series,
     defect_tilde,
     gram_weight,
-    is_mp_isometric,
     is_p_isometric,
-    seminorm_p,
 )
 from .decompositions import (
     CoreNilpotent,
@@ -54,7 +51,6 @@ from .decompositions import (
     RangeKernelSplit,
     TransformBundle,
     aluthge,
-    ando_check,
     build_transform_bundle,
     core_nilpotent,
     drazin_index,

@@ -1,6 +1,6 @@
 """Operator decompositions: Drazin inverse, core-nilpotent and range-kernel
 splittings, polar factors with the Aluthge/Duggal transforms, and the
-block-PSD contraction criterion.
+coupled-transform bundle.
 
 Numerical conventions shared with `matrix_core`:
 
@@ -28,30 +28,25 @@ import numpy as np
 
 from .matrix_core import (
     DEFAULT_TOL,
-    DimensionError,
     NumericalFailureError,
     OplabError,
     PreconditionError,
     Tolerance,
+    _as_integer,
+    _block_compose,
     _finite,
+    _hermitian_part,
     _largest,
     _matrix_power,
     _nilpotency,
     _norm2,
+    _pinv,
     _power_walk,
-    _psd_sqrt,
     _rank,
     _require_square,
     _singular_values,
     adjoint,
     as_matrix,
-    block_compose,
-    block_split,
-    definiteness,
-    hermitian_part,
-    moore_penrose,
-    numerical_rank,
-    operator_norm,
 )
 
 __all__ = [
@@ -69,7 +64,6 @@ __all__ = [
     "polar",
     "aluthge",
     "duggal",
-    "ando_check",
     "build_transform_bundle",
 ]
 
@@ -122,8 +116,11 @@ def drazin_index(t, tol: Tolerance = DEFAULT_TOL) -> int:
 
 def drazin_residuals(t, td, index: int) -> dict:
     """Norms of the three defining identities of the Drazin inverse."""
-    a = as_matrix(t)
-    td = as_matrix(td)
+    return _drazin_residuals(as_matrix(t), as_matrix(td), index)
+
+
+def _drazin_residuals(a: np.ndarray, td: np.ndarray, index: int) -> dict:
+    """`drazin_residuals` of finite 2-D ``a`` and ``td``."""
     tp = _matrix_power(a, index)
     return {
         "commutator": _norm2(td @ a - a @ td),
@@ -147,11 +144,11 @@ def _drazin_inverse(a: np.ndarray, k: int, tol: Tolerance) -> tuple[np.ndarray, 
     """`drazin_inverse` of a validated square ``a`` of Drazin index ``k``,
     with the residuals of its three identities."""
     tk = _matrix_power(a, k)
-    td = tk @ moore_penrose(_matrix_power(a, 2 * k + 1), tol) @ tk
-    residuals = drazin_residuals(a, td, k)
+    td = tk @ _pinv(_matrix_power(a, 2 * k + 1), tol) @ tk
+    residuals = _drazin_residuals(a, td, k)
     # in float64, so an overflow gives an infinite scale without a warning
     with np.errstate(over="ignore"):
-        scale = 1.0 + float(np.float64(operator_norm(a)) ** (2 * k + 1))
+        scale = 1.0 + float(np.float64(_norm2(a)) ** (2 * k + 1))
     if max(residuals.values(), default=0.0) > 1e3 * tol.gate(scale):
         raise NumericalFailureError("Drazin identities failed", residuals)
     return td, residuals
@@ -196,7 +193,7 @@ def core_nilpotent(t, tol: Tolerance = DEFAULT_TOL) -> CoreNilpotent:
     conj = np.linalg.solve(basis, a @ basis)
     t1 = conj[:r, :r]
     t2 = conj[r:, r:]
-    if numerical_rank(t1, tol) < r:
+    if _rank(_singular_values(t1), tol) < r:
         raise DecompositionError("invertible block is numerically singular")
     nil_residual, nilpotent = _nilpotency(_singular_values(_matrix_power(t2, p)), gate)
     if not nilpotent:
@@ -235,8 +232,10 @@ def range_kernel_split(t, n: int, tol: Tolerance = DEFAULT_TOL) -> RangeKernelSp
     The two subspaces are orthogonal complements, so the basis is unitary;
     a lower block of the conjugated T^n above its gate g_n means the rank
     decision failed and raises DecompositionError.  A power T^n that
-    overflows raises NumericalFailureError.
+    overflows raises NumericalFailureError.  A non-integral n raises
+    DomainError before any product.
     """
+    n = _as_integer(n, "power")
     if n < 1:
         raise PreconditionError(f"power must be >= 1, got {n}")
     a = _require_square(as_matrix(t))
@@ -305,14 +304,13 @@ def polar(m, tol: Tolerance = DEFAULT_TOL) -> PolarParts:
     w, s, vh = np.linalg.svd(a)
     r = _rank(s, tol)
     v = adjoint(vh)
-    # hermitian_part's (A + A*) / 2, formed here so an overflow is typed
+    # an overflow of |M| is typed by _finite, not warned by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        p = (v * s) @ vh
-        p = (p + adjoint(p)) / 2.0
+        p = _hermitian_part((v * s) @ vh)
     return PolarParts(
         u=w[:, :r] @ vh[:r, :],
         p=_finite(p, "polar factor |M|", {"sigma_max": float(s[0])}),
-        p_half=hermitian_part((v * np.sqrt(s)) @ vh),
+        p_half=_hermitian_part((v * np.sqrt(s)) @ vh),
     )
 
 
@@ -324,28 +322,6 @@ def aluthge(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def duggal(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The swapped-factor transform p u of the polar factors."""
     return polar(m, tol).duggal()
-
-
-def ando_check(p, d1: int, tol: Tolerance = DEFAULT_TOL):
-    """Block-PSD criterion: P >= 0 iff the diagonal blocks are PSD and the
-    lower-left block factors as P22^{1/2} C P11^{1/2} for a contraction C.
-
-    Returns (is_psd, contraction); the contraction is the minimal-norm
-    solution built from pseudo-inverses of the square-root factors, and is
-    None when P is not PSD.
-    """
-    a = _require_square(as_matrix(p))
-    if not 0 < d1 < a.shape[0]:
-        raise DimensionError(f"split index {d1} outside (0, {a.shape[0]})")
-    verdict = definiteness(a, tol)
-    if not verdict.is_psd:
-        return False, None
-    blocks = block_split(hermitian_part(a), d1)
-    p11, p21, p22 = blocks[0][0], blocks[1][0], blocks[1][1]
-    # the blocks of a P that passed as PSD are PSD, so they take the square
-    # root without sqrt_psd's check, which is relative to the block's own scale
-    c = moore_penrose(_psd_sqrt(p22), tol) @ p21 @ moore_penrose(_psd_sqrt(p11), tol)
-    return True, c
 
 
 @dataclass(frozen=True)
@@ -376,7 +352,7 @@ class TransformBundle:
 
     def identity_residuals(self, tol: Tolerance = DEFAULT_TOL) -> dict:
         """Norm residuals of the bundle's defining algebraic identities."""
-        q1_inv = moore_penrose(self.q1, tol)
+        q1_inv = _pinv(self.q1, tol)
         return {
             "similarity": _norm2(self.a - q1_inv @ self.b @ self.q1),
             "congruence": _norm2(self.c - self.q1 @ self.d @ self.q1),
@@ -385,8 +361,12 @@ class TransformBundle:
         }
 
 
+# a block that overflows raises NumericalFailureError below, so numpy's
+# warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def build_transform_bundle(t, n: int, tol: Tolerance = DEFAULT_TOL) -> TransformBundle:
-    """Assemble the coupled-transform bundle from the range-kernel split."""
+    """Assemble the coupled-transform bundle from the range-kernel split; a
+    block that overflows raises NumericalFailureError."""
     split = range_kernel_split(t, n, tol)
     d = split.basis.shape[0]
     d1, d2 = split.d1, d - split.d1
@@ -397,13 +377,15 @@ def build_transform_bundle(t, n: int, tol: Tolerance = DEFAULT_TOL) -> Transform
     i2 = np.eye(d2, dtype=np.complex128)
     z21 = np.zeros((d2, d1), dtype=np.complex128)
     z22 = np.zeros((d2, d2), dtype=np.complex128)
-    a = block_compose([[parts.aluthge(), p1_half @ x], [z21, z22]])
-    b = block_compose([[parts.duggal(), p1 @ x], [z21, z22]])
+    a = _block_compose([[parts.aluthge(), p1_half @ x], [z21, z22]])
+    b = _block_compose([[parts.duggal(), p1 @ x], [z21, z22]])
     ux = adjoint(u1) @ x
-    c = block_compose([[p1, p1_half @ ux], [adjoint(ux) @ p1_half, adjoint(x) @ x]])
-    dd = block_compose([[i1, ux], [adjoint(ux), adjoint(x) @ x]])
-    q = block_compose([[p1, np.zeros((d1, d2))], [z21, i2]])
-    q1 = block_compose([[p1_half, np.zeros((d1, d2))], [z21, i2]])
+    c = _block_compose([[p1, p1_half @ ux], [adjoint(ux) @ p1_half, adjoint(x) @ x]])
+    dd = _block_compose([[i1, ux], [adjoint(ux), adjoint(x) @ x]])
+    q = _block_compose([[p1, np.zeros((d1, d2))], [z21, i2]])
+    q1 = _block_compose([[p1_half, np.zeros((d1, d2))], [z21, i2]])
+    for block in (a, b, c, dd):
+        _finite(block, "transform bundle", {"power": n})
     return TransformBundle(
         d1=d1,
         d2=d2,
@@ -414,8 +396,8 @@ def build_transform_bundle(t, n: int, tol: Tolerance = DEFAULT_TOL) -> Transform
         p1=p1,
         a=a,
         b=b,
-        c=hermitian_part(c),
-        d=hermitian_part(dd),
+        c=_hermitian_part(c),
+        d=_hermitian_part(dd),
         q=q,
         q1=q1,
     )

@@ -25,21 +25,19 @@ from .matrix_core import (
     DEFAULT_TOL,
     ZERO,
     DefinitenessVerdict,
+    DimensionError,
     DomainError,
     Tolerance,
     _as_integer,
     _finite,
     _hermitian_gate,
+    _hermitian_part,
     _matrix_power,
     _norm2,
-    _psd_sqrt,
     _require_square,
     _sign_verdict,
     adjoint,
     as_matrix,
-    definiteness,
-    eigenvalues,
-    operator_norm,
 )
 
 __all__ = [
@@ -50,8 +48,6 @@ __all__ = [
     "defect_series",
     "defect_tilde",
     "is_p_isometric",
-    "is_mp_isometric",
-    "seminorm_p",
     "gram_weight",
     "ClassificationRow",
     "ClassificationReport",
@@ -155,9 +151,8 @@ def _defect_pass(spec: DefectSpec, orders, tol: Tolerance) -> tuple:
         iterated = iterated - ta @ iterated @ t
         if k not in orders:
             continue
-        # hermitian_part without its re-validation; but a finite iterate can
-        # still overflow when it is added to its adjoint
-        delta = _finite((iterated + adjoint(iterated)) / 2.0, "defect", {"order": k})
+        # a finite iterate can still overflow when it is added to its adjoint
+        delta = _finite(_hermitian_part(iterated), "defect", {"order": k})
         verdict = _sign_verdict(delta, tol)
         results.append(DefectResult(delta, verdict, _classes_for(verdict)))
     return tuple(results)
@@ -202,34 +197,23 @@ def defect_tilde(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> DefectResult
     return DefectResult(-base.delta, flipped, base.classification)
 
 
-def _require_psd_weight(p, tol: Tolerance) -> np.ndarray:
-    p = as_matrix(p)
-    verdict = definiteness(p, tol)
+def _p_isometric(t: np.ndarray, p: np.ndarray, tol: Tolerance) -> bool:
+    """`is_p_isometric` of a finite square ``t`` and a finite ``p`` of its
+    shape; HermitianError or DomainError unless ``p`` is Hermitian PSD."""
+    verdict = _sign_verdict(_hermitian_gate(p, tol), tol)
     if not verdict.is_psd:
         raise DomainError(f"weight must be PSD, got verdict {verdict.verdict}")
-    return p
+    return _norm2(adjoint(t) @ p @ t - p) <= tol.rel_eps * (1.0 + _norm2(p))
 
 
 def is_p_isometric(t, p, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff T*PT = P within rel_eps * (1 + ||P||)."""
-    t = as_matrix(t)
-    p = _require_psd_weight(p, tol)
-    residual = _norm2(adjoint(t) @ p @ t - p)
-    return residual <= tol.rel_eps * (1.0 + operator_norm(p))
-
-
-def is_mp_isometric(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the order-m defect vanishes (verdict ZERO)."""
-    return defect(spec, tol).verdict.verdict == ZERO
-
-
-def seminorm_p(x, p, tol: Tolerance = DEFAULT_TOL) -> float:
-    """The weight-induced seminorm ||P^{1/2} x||."""
-    p = _require_psd_weight(p, tol)
-    vec = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if vec.shape[0] != p.shape[0]:
-        raise DomainError(f"vector length {vec.shape[0]} does not match weight dimension {p.shape[0]}")
-    return float(np.linalg.norm(_psd_sqrt(p) @ vec))
+    """True iff T*PT = P within rel_eps * (1 + ||P||), for a square T and a
+    Hermitian PSD P of its shape."""
+    t = _require_square(as_matrix(t))
+    p = _require_square(as_matrix(p))
+    if p.shape != t.shape:
+        raise DimensionError(f"weight shape {p.shape} does not match operator shape {t.shape}")
+    return _p_isometric(t, p, tol)
 
 
 def gram_weight(t, n: int = 1) -> np.ndarray:
@@ -237,11 +221,10 @@ def gram_weight(t, n: int = 1) -> np.ndarray:
     negative or non-integral n raises DomainError, and a power T^n or a weight
     that overflows raises NumericalFailureError."""
     tn = _matrix_power(_require_square(as_matrix(t)), n)
-    # hermitian_part without its re-validation: T*^n T^n can overflow where
-    # T^n does not, and that is a numerical failure, not a bad input
+    # T*^n T^n can overflow where T^n does not, and that is a numerical
+    # failure, not a bad input
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = adjoint(tn) @ tn
-        weight = (gram + adjoint(gram)) / 2.0
+        weight = _hermitian_part(adjoint(tn) @ tn)
     return _finite(weight, "gram weight", {"power": n})
 
 
@@ -298,10 +281,10 @@ def classify(t, p, m_max: int, tol: Tolerance = DEFAULT_TOL) -> ClassificationRe
         for m, result in enumerate(defect_series(spec, tol), start=1)
     )
     try:
-        p_isometric = is_p_isometric(spec.t, spec.p, tol)
+        p_isometric = _p_isometric(spec.t, spec.p, tol)
     except DomainError:
         p_isometric = None
-    spectrum = eigenvalues(spec.t)
+    spectrum = np.linalg.eigvals(spec.t)
     moduli = tuple(sorted((float(abs(z)) for z in spectrum), reverse=True))
     return ClassificationReport(
         rows=rows,

@@ -40,11 +40,11 @@ from .matrix_core import (
     ZERO,
     OplabError,
     PreconditionError,
+    _block_compose,
+    _hermitian_part,
     _nilpotency,
     _power_walk,
     adjoint,
-    block_compose,
-    hermitian_part,
 )
 
 __all__ = [
@@ -261,7 +261,7 @@ def gen_psd(seed: int, d: int, condition_cap: float = 100.0, stream: int = 0) ->
     half_log = 0.5 * np.log(condition_cap)
     eigs = np.exp(rng.uniform(-half_log, half_log, size=d))
     v = _haar(rng, d)
-    return hermitian_part((v * eigs) @ adjoint(v))
+    return _hermitian_part((v * eigs) @ adjoint(v))
 
 
 def gen_drazin_pair(seed: int, d1: int, d2: int, m: int = 1, weight: str = "identity",
@@ -286,15 +286,15 @@ def gen_drazin_pair(seed: int, d1: int, d2: int, m: int = 1, weight: str = "iden
         w = _haar(rng, d1)
         phases = np.exp(2j * np.pi * rng.uniform(size=d1))
         u = w @ np.diag(phases) @ adjoint(w)
-        p11 = hermitian_part((w * rng.uniform(0.5, 2.0, size=d1)) @ adjoint(w))
+        p11 = _hermitian_part((w * rng.uniform(0.5, 2.0, size=d1)) @ adjoint(w))
     index = int(nil_index) if nil_index is not None else int(rng.integers(1, d2 + 1))
     if not 1 <= index <= d2:
         raise PreconditionError(f"nilpotency index {index} outside [1, {d2}]")
     n = _nilpotent(rng, d2, index)
     z12 = np.zeros((d1, d2), dtype=np.complex128)
     z21 = np.zeros((d2, d1), dtype=np.complex128)
-    t = block_compose([[u, z12], [z21, n]])
-    p = block_compose([[p11, z12], [z21, np.zeros((d2, d2), dtype=np.complex128)]])
+    t = _block_compose([[u, z12], [z21, n]])
+    p = _block_compose([[p11, z12], [z21, np.zeros((d2, d2), dtype=np.complex128)]])
     result = defect(DefectSpec(t=t, p=p, m=m))
     if EXPANSIVE not in result.classification:
         raise GenerationError(f"drazin pair failed expansivity certification ({result.verdict.verdict})")
@@ -309,7 +309,7 @@ def gen_coupled_kernel(seed: int, d1: int, d2: int, x_scale: float = 1.0, stream
     rng = _rng(seed, stream)
     u = _haar(rng, d1)
     x = x_scale * _complex_normal(rng, (d1, d2))
-    t = block_compose([
+    t = _block_compose([
         [u, x],
         [np.zeros((d2, d1), dtype=np.complex128), np.zeros((d2, d2), dtype=np.complex128)],
     ])

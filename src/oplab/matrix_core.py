@@ -22,7 +22,7 @@ shared conventions:
   T^k, at or below g_k), X^q = 0 in `_nilpotency` (``||X^q|| <= g_q``),
   Hermiticity in `_hermitian_defect` and overflow in `_finite`,
 * definiteness decisions, PSD square roots and the Moore-Penrose inverse,
-* 2x2 block composition/splitting,
+* 2x2 block composition,
 * the JSON wire format for matrices and the one writer of JSON text,
   `dumps_json`: payloads carry complex arrays, which it writes as their
   `matrix_to_json` objects straight from the array's floats, one ``%r``
@@ -67,7 +67,6 @@ __all__ = [
     "moore_penrose",
     "numerical_rank",
     "block_compose",
-    "block_split",
     "matrix_to_json",
     "matrix_from_json",
     "dumps_json",
@@ -261,7 +260,11 @@ def _hermitian_defect(a: np.ndarray, tol: Tolerance) -> tuple[float, bool]:
 
 
 def hermitian_part(m) -> np.ndarray:
-    a = _require_square(as_matrix(m))
+    return _hermitian_part(_require_square(as_matrix(m)))
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a*) / 2 of a square ``a``, bitwise its own adjoint."""
     return (a + adjoint(a)) / 2.0
 
 
@@ -308,14 +311,14 @@ def definiteness(m, tol: Tolerance = DEFAULT_TOL) -> DefinitenessVerdict:
 def _hermitian_gate(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     """The Hermitian part of a finite square ``a``; raises HermitianError
     when ||a - a*|| exceeds the gate at the scale ||a||."""
-    # an exactly self-adjoint input (every hermitian_part result) has defect 0
+    # an exactly self-adjoint input (every _hermitian_part result) has defect 0
     # and is already its own Hermitian part
     if np.array_equal(a, adjoint(a)):
         return a
     defect, hermitian = _hermitian_defect(a, tol)
     if not hermitian:
         raise HermitianError(defect)
-    return hermitian_part(a)
+    return _hermitian_part(a)
 
 
 def _sign_verdict(h: np.ndarray, tol: Tolerance) -> DefinitenessVerdict:
@@ -344,7 +347,7 @@ def sqrt_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Raises DomainError on indefinite or negative input.
     """
     a = _require_square(as_matrix(m))
-    verdict = definiteness(a, tol)
+    verdict = _sign_verdict(_hermitian_gate(a, tol), tol)
     if not verdict.is_psd:
         raise DomainError(f"matrix is not PSD (verdict {verdict.verdict}, min_eig {verdict.min_eig:.3e})")
     return _psd_sqrt(a)
@@ -355,13 +358,17 @@ def _psd_sqrt(a: np.ndarray) -> np.ndarray:
     eigenvalues clamped to 0; `sqrt_psd` without its PSD check."""
     if a.size == 0:
         return a.copy()
-    w, v = np.linalg.eigh(hermitian_part(a))
-    return hermitian_part((v * np.sqrt(np.clip(w, 0.0, None))) @ adjoint(v))
+    w, v = np.linalg.eigh(_hermitian_part(a))
+    return _hermitian_part((v * np.sqrt(np.clip(w, 0.0, None))) @ adjoint(v))
 
 
 def moore_penrose(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the shared rank cutoff."""
-    a = as_matrix(m)
+    return _pinv(as_matrix(m), tol)
+
+
+def _pinv(a: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """`moore_penrose` of a finite 2-D ``a``."""
     if a.size == 0:
         return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
     u, s, vh = np.linalg.svd(a)
@@ -387,29 +394,23 @@ def block_compose(blocks) -> np.ndarray:
     """Assemble [[a, b], [c, d]] into one matrix; blocks may be empty."""
     (a, b), (c, d) = blocks
     a, b, c, d = (as_matrix(x) for x in (a, b, c, d))
-    r0, c0 = a.shape
-    r1, c1 = d.shape
-    if b.shape != (r0, c1) or c.shape != (r1, c0):
+    if b.shape != (a.shape[0], d.shape[1]) or c.shape != (d.shape[0], a.shape[1]):
         raise DimensionError(
             f"non-conformable blocks: {a.shape}, {b.shape}, {c.shape}, {d.shape}"
         )
-    out = np.zeros((r0 + r1, c0 + c1), dtype=np.complex128)
+    return _block_compose([[a, b], [c, d]])
+
+
+def _block_compose(blocks) -> np.ndarray:
+    """`block_compose` of conformable 2-D arrays."""
+    (a, b), (c, d) = blocks
+    r0, c0 = a.shape
+    out = np.zeros((r0 + d.shape[0], c0 + d.shape[1]), dtype=np.complex128)
     out[:r0, :c0] = a
     out[:r0, c0:] = b
     out[r0:, :c0] = c
     out[r0:, c0:] = d
     return out
-
-
-def block_split(m, d1: int) -> list[list[np.ndarray]]:
-    """Split a square matrix at row/column ``d1`` into a 2x2 grid."""
-    a = _require_square(as_matrix(m))
-    if not 0 < d1 < a.shape[0]:
-        raise DimensionError(f"split index {d1} outside (0, {a.shape[0]})")
-    return [
-        [a[:d1, :d1].copy(), a[:d1, d1:].copy()],
-        [a[d1:, :d1].copy(), a[d1:, d1:].copy()],
-    ]
 
 
 def matrix_to_json(m) -> dict:

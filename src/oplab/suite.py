@@ -40,9 +40,9 @@ from .generators import GenSpec, generate
 from .matrix_core import (
     DEFAULT_TOL,
     Tolerance,
+    _hermitian_part,
     adjoint,
     dumps_json,
-    hermitian_part,
     matrix_from_json,
 )
 
@@ -205,7 +205,7 @@ def _verify_spectral_instance(draw, seed, stream, dims):
     u = draw("haar_unitary", (d1,))["t"]
     s = draw("psd", (d1,), sub=1, condition_cap=4.0)["p"]
     s_inv = np.linalg.inv(s)
-    return {"t": s @ u @ s_inv, "p": hermitian_part(adjoint(s_inv) @ s_inv)}, {"m": 2}
+    return {"t": s @ u @ s_inv, "p": _hermitian_part(adjoint(s_inv) @ s_inv)}, {"m": 2}
 
 
 def _verify_transform_bundle_instance(draw, seed, stream, dims):

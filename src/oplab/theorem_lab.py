@@ -47,19 +47,21 @@ from .matrix_core import (
     ZERO,
     PreconditionError,
     Tolerance,
+    _as_integer,
+    _block_compose,
+    _finite,
+    _hermitian_gate,
+    _hermitian_part,
     _matrix_power,
     _nilpotency,
     _norm2,
     _power_walk,
+    _rank,
     _require_square,
+    _sign_verdict,
+    _singular_values,
     adjoint,
     as_matrix,
-    block_compose,
-    definiteness,
-    eigenvalues,
-    hermitian_part,
-    numerical_rank,
-    operator_norm,
 )
 
 __all__ = [
@@ -110,6 +112,7 @@ def verify_power_stability(t, p, m: int, n_max: int, tol: Tolerance = DEFAULT_TO
     Premise: the instance is (m, P)-expansive at n = 1.  Conclusion: the
     defect of T^n against the same weight stays NSD for 2 <= n <= n_max.
     """
+    n_max = _as_integer(n_max, "n_max")
     if n_max < 2:
         raise PreconditionError(f"n_max must be >= 2, got {n_max}")
     base = defect(DefectSpec(t=t, p=p, m=m), tol)
@@ -158,10 +161,10 @@ def _nilpotency_index(t2: np.ndarray, tol: Tolerance) -> int:
     raise PreconditionError("second block is not nilpotent")
 
 
-def _psd_weight(p, tol: Tolerance) -> np.ndarray:
-    """``p`` as a matrix; PreconditionError unless it is Hermitian PSD."""
-    p = as_matrix(p)
-    if not definiteness(p, tol).is_psd:
+def _psd_weight(p: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """A finite 2-D ``p``; DimensionError unless it is square, and
+    PreconditionError unless it is Hermitian PSD."""
+    if not _sign_verdict(_hermitian_gate(_require_square(p), tol), tol).is_psd:
         raise PreconditionError("weight must be Hermitian PSD")
     return p
 
@@ -183,15 +186,15 @@ def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL)
         raise PreconditionError("blocks must be square")
     if p.shape != (d1 + d2, d1 + d2):
         raise PreconditionError(f"weight shape {p.shape} does not match block dimensions {(d1 + d2,)}")
-    if numerical_rank(a1, tol) < d1:
+    if _rank(_singular_values(a1), tol) < d1:
         raise PreconditionError("invertible block is numerically singular")
     q = _nilpotency_index(a2, tol)
     _psd_weight(p, tol)
 
     z12 = np.zeros((d1, d2), dtype=np.complex128)
     z21 = np.zeros((d2, d1), dtype=np.complex128)
-    t = block_compose([[a1, z12], [z21, a2]])
-    scale_p = 1.0 + operator_norm(p)
+    t = _block_compose([[a1, z12], [z21, a2]])
+    scale_p = 1.0 + _norm2(p)
 
     expansive = EXPANSIVE in defect(DefectSpec(t=t, p=p, m=m), tol).classification
     td = drazin_inverse(t, tol)
@@ -199,14 +202,15 @@ def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL)
     tilde_nsd = tilde.verdict.is_nsd
 
     p22 = p[d1:, d1:]
-    off_norm = max(operator_norm(p[:d1, d1:]), operator_norm(p[d1:, :d1]), operator_norm(p22))
+    off_norm = max(_norm2(p[:d1, d1:]), _norm2(p[d1:, :d1]), _norm2(p22))
     supported = off_norm <= _gate(tol, scale_p)
 
     anchor_nsd = True
     if q >= 1 and d2 >= 1:
         edge = _matrix_power(a2, q - 1)
-        anchor = hermitian_part(adjoint(edge) @ p22 @ edge)
-        anchor_nsd = definiteness(anchor, tol).is_nsd
+        with np.errstate(over="ignore", invalid="ignore"):
+            anchor = _hermitian_part(adjoint(edge) @ p22 @ edge)
+        anchor_nsd = _sign_verdict(_finite(anchor, "chain anchor", {"power": q - 1}), tol).is_nsd
 
     forward_applicable = expansive
     forward_holds = supported and tilde_nsd and anchor_nsd
@@ -234,12 +238,12 @@ def verify_two_expansive_isometry(t, p, tol: Tolerance = DEFAULT_TOL) -> Theorem
     """A (2, P)-expansive operator with orthogonal core-nilpotent splitting
     is P-isometric: T*PT = P."""
     a = as_matrix(t)
-    p = _psd_weight(p, tol)
+    p = _psd_weight(as_matrix(p), tol)
     result = defect(DefectSpec(t=a, p=p, m=2), tol)
     core = core_nilpotent(a, tol)
     expansive = EXPANSIVE in result.classification
     residual = _norm2(adjoint(a) @ p @ a - p)
-    threshold = _gate(tol, 1.0 + operator_norm(p))
+    threshold = _gate(tol, 1.0 + _norm2(p))
     witness = {
         "defect_verdict": result.verdict.to_json(),
         "core_index": core.index,
@@ -272,10 +276,11 @@ def verify_unitary_nilpotent_structure(t, tol: Tolerance = DEFAULT_TOL) -> Theor
 def verify_sandwich_isometry(t, p, m: int, tol: Tolerance = DEFAULT_TOL) -> TheoremVerdict:
     """(m, P)-expansive plus (m-2, P)-contractive forces (m-1, P)-isometric
     on orthogonal fixtures; the contractive half is vacuous at m = 2."""
+    m = _as_integer(m, "defect order")
     if m < 2:
         raise PreconditionError(f"order must be >= 2, got {m}")
     a = as_matrix(t)
-    p = _psd_weight(p, tol)
+    p = _psd_weight(as_matrix(p), tol)
     orders = range(max(m - 2, 1), m + 1)
     *lower, middle, upper = _defect_pass(DefectSpec(t=a, p=p, m=m), orders, tol)
     expansive = EXPANSIVE in upper.classification
@@ -287,7 +292,7 @@ def verify_sandwich_isometry(t, p, m: int, tol: Tolerance = DEFAULT_TOL) -> Theo
         "upper_verdict": upper.verdict.to_json(),
         "lower_verdict": lower_verdict,
         "middle_verdict": middle.verdict.to_json(),
-        "middle_norm": operator_norm(middle.delta),
+        "middle_norm": _norm2(middle.delta),
         "core_orthogonal": core.orthogonal,
     }
     return _conclude("sandwich_isometry", expansive and contractive and core.orthogonal,
@@ -299,13 +304,13 @@ def spectral_constraints(t, p, m: int, tol: Tolerance = DEFAULT_TOL) -> TheoremV
     no zero eigenvalue, every modulus >= 1 for odd m and = 1 for even m, and
     operator norm >= 1."""
     a = as_matrix(t)
-    p = as_matrix(p)
-    p_verdict = definiteness(p, tol)
+    p = _require_square(as_matrix(p))
+    p_verdict = _sign_verdict(_hermitian_gate(p, tol), tol)
     if not p_verdict.is_psd or p_verdict.max_eig <= 0 or p_verdict.min_eig <= tol.gate(p_verdict.max_eig):
         raise PreconditionError("weight must be invertible PSD (0 outside its spectrum)")
     result = defect(DefectSpec(t=a, p=p, m=m), tol)
-    moduli = np.abs(eigenvalues(a))
-    norm = operator_norm(a)
+    moduli = np.abs(np.linalg.eigvals(a))
+    norm = _norm2(a)
     threshold = _gate(tol, 1.0 + norm)
     checks = {
         "zero_excluded": float(np.min(moduli)) > threshold,
@@ -349,19 +354,20 @@ def verify_transform_bundle(t, n: int, m: int, tol: Tolerance = DEFAULT_TOL) -> 
 
     defect_a = defect(DefectSpec(t=bundle.a, p=bundle.c, m=m), tol)
     defect_b = defect(DefectSpec(t=bundle.b, p=bundle.d, m=m), tol)
-    d_psd = definiteness(bundle.d, tol).is_psd
+    # bundle.d is a _hermitian_part result, so it is exactly self-adjoint
+    d_psd = _sign_verdict(bundle.d, tol).is_psd
 
     residuals = bundle.identity_residuals(tol)
-    op_scale = max(*map(operator_norm, (bundle.a, bundle.b, bundle.c, bundle.d, bundle.q)), 1.0)
+    op_scale = max(*map(_norm2, (bundle.a, bundle.b, bundle.c, bundle.d, bundle.q)), 1.0)
     identity_threshold = _gate(tol, (1.0 + op_scale) ** 3)
     identities_ok = max(residuals.values()) <= identity_threshold
 
     dim = bundle.d1 + bundle.d2
     i1 = np.eye(bundle.d1, dtype=np.complex128)
-    side_matrix = block_compose(
+    side_matrix = _block_compose(
         [[i1, bundle.x], [adjoint(bundle.x), adjoint(bundle.x) @ bundle.x]]
     ) - np.eye(dim, dtype=np.complex128)
-    side_satisfied = definiteness(hermitian_part(side_matrix), tol).is_psd
+    side_satisfied = _sign_verdict(_hermitian_part(side_matrix), tol).is_psd
 
     witness = {
         "m": m,

@@ -1,5 +1,5 @@
 """Tests for Drazin machinery, splittings, polar-type transforms and the
-block-PSD criterion."""
+coupled-transform bundle."""
 
 import warnings
 
@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from oplab import (
-    DimensionError,
-    HermitianError,
+    DomainError,
     IllConditionedWarning,
     NumericalFailureError,
     Tolerance,
     aluthge,
-    ando_check,
     block_compose,
+    build_transform_bundle,
     core_nilpotent,
     drazin_index,
     drazin_inverse,
@@ -272,52 +271,20 @@ def test_transforms_preserve_spectrum_of_invertible():
             assert float(np.max(np.abs(eigs - reference))) <= 1e-8 * (1 + operator_norm(a))
 
 
-def test_ando_identity_gives_zero_contraction():
-    ok, c = ando_check(np.eye(4), 2)
-    assert ok
-    np.testing.assert_allclose(c, np.zeros((2, 2)), atol=1e-12)
-
-
-def test_ando_rank_one_example():
-    ok, c = ando_check([[1, 1], [1, 1]], 1)
-    assert ok
-    np.testing.assert_allclose(c, [[1.0]], atol=1e-12)
-
-
-def test_ando_rejects_indefinite():
-    # eigenvalue oracle: trace 2, det -3 -> eigenvalues 3 and -1
-    ok, c = ando_check([[1, 2], [2, 1]], 1)
-    assert not ok and c is None
-
-
-def test_ando_round_trip_on_random_psd():
-    rng = philox(23)
-    for trial in range(12):
-        d = int(rng.integers(2, 9))
-        d1 = int(rng.integers(1, d))
-        p = gen_psd(800 + trial, d, condition_cap=100.0)
-        ok, c = ando_check(p, d1)
-        assert ok
-        assert operator_norm(c) <= 1 + 1e-10
-        from oplab import block_split, sqrt_psd
-
-        blocks = block_split(p, d1)
-        rebuilt = sqrt_psd(blocks[1][1]) @ c @ sqrt_psd(blocks[0][0])
-        assert operator_norm(rebuilt - blocks[1][0]) <= 1e-8 * (1 + operator_norm(p))
-
-
-def test_ando_requires_hermitian_and_valid_split():
-    with pytest.raises(HermitianError):
-        ando_check([[0, 1], [0, 0]], 1)
-    with pytest.raises(DimensionError):
-        ando_check(np.eye(2), 2)
-
-
 def test_split_rejects_bad_power():
     from oplab import PreconditionError
 
     with pytest.raises(PreconditionError):
         range_kernel_split(np.eye(2), 0)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, "2", True], ids=["fraction", "integral-float", "string", "bool"])
+@pytest.mark.parametrize("build", [range_kernel_split, build_transform_bundle])
+def test_split_rejects_a_non_integral_power_before_any_product(build, n):
+    # the powers of a unitary never overflow, so a walk waiting for k == 1.5
+    # would never end
+    with pytest.raises(DomainError, match="power must be an integer"):
+        build(gen_haar_unitary(1, 4), n)
 
 
 def full_svd_drazin_index(t, tol=Tolerance()):

@@ -4,6 +4,8 @@ blocks and the JSON wire format."""
 import ast
 import json
 import math
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +15,15 @@ from hypothesis import strategies as st
 
 import oplab
 import oplab.cli as cli
+import oplab.matrix_core as matrix_core
 from oplab import (
     DimensionError,
     DomainError,
     HermitianError,
     MatrixFormatError,
+    PreconditionError,
     Tolerance,
     block_compose,
-    block_split,
     definiteness,
     eigenvalues,
     hermitian_part,
@@ -217,16 +220,13 @@ def test_norm_requires_square_for_spectrum():
 def test_block_compose_examples():
     composed = block_compose([[np.eye(1), np.zeros((1, 1))], [np.zeros((1, 1)), np.zeros((1, 1))]])
     np.testing.assert_allclose(composed, np.diag([1.0, 0.0]))
-    grid = block_split(np.diag([1.0, 2.0, 3.0]), 2)
-    np.testing.assert_allclose(grid[0][0], np.diag([1.0, 2.0]))
-    np.testing.assert_allclose(grid[1][1], [[3.0]])
-    np.testing.assert_allclose(grid[0][1], np.zeros((2, 1)))
 
 
 def test_block_round_trip_exact():
     rng = philox(21)
     m = ginibre(rng, 4)
-    assert np.array_equal(block_compose(block_split(m, 3)), m)
+    grid = [[m[:3, :3], m[:3, 3:]], [m[3:, :3], m[3:, 3:]]]
+    assert np.array_equal(block_compose(grid), m)
 
 
 def test_block_compose_rejects_non_conformable():
@@ -721,3 +721,162 @@ def test_spectral_norms_and_powers_go_through_matrix_core():
         visitor.visit(ast.parse(path.read_text()))
         found |= {(path.name, scope, name) for scope, name in visitor.found}
     assert found == allowed
+
+
+def _checking_helpers(source: str) -> set:
+    """The public functions of matrix_core whose body calls ``as_matrix``."""
+    return {
+        node.name for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "as_matrix"
+                for call in ast.walk(node))
+    }
+
+
+class _CheckedAgain(ast.NodeVisitor):
+    """Every use of a name in ``helpers`` and every ``as_matrix`` use outside
+    a public function (dunder methods count as public), as (scope, name)."""
+
+    def __init__(self, helpers):
+        self.helpers = helpers
+        self.scope = ["<module>"]
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Name(self, node):
+        if not isinstance(node.ctx, ast.Load):
+            return
+        scope = self.scope[-1]
+        public = not scope.startswith("_") or (scope.startswith("__") and scope.endswith("__"))
+        if node.id in self.helpers or (node.id == "as_matrix" and not public):
+            self.found.append((scope, node.id))
+
+
+def test_matrices_are_checked_once_where_they_enter():
+    # A matrix is checked where it enters oplab: a public function's
+    # argument, a DefectSpec or a loaded file.  Internal code calls the
+    # kernels (_norm2, _rank(_singular_values(.)), _sign_verdict(...),
+    # _hermitian_part, _pinv, _block_compose, np.linalg.eigvals), never a
+    # public helper that checks its argument again; only the writer's
+    # _dump checks the arrays of a payload it is handed.
+    sources = {path.name: path.read_text() for path in sorted(Path(oplab.__file__).parent.glob("*.py"))}
+    helpers = _checking_helpers(sources["matrix_core.py"])
+    assert {"operator_norm", "definiteness", "hermitian_part", "numerical_rank", "eigenvalues", "moore_penrose",
+            "block_compose", "sqrt_psd", "spectral_radius", "is_hermitian"} <= helpers
+    found = set()
+    for name, source in sources.items():
+        visitor = _CheckedAgain(helpers)
+        visitor.visit(ast.parse(source))
+        found |= {(name, scope, used) for scope, used in visitor.found}
+    assert found == {("matrix_core.py", "_dump", "as_matrix")}
+
+
+def test_suite_runs_check_each_matrix_at_most_half_as_often(monkeypatch, tmp_path):
+    # before matrices were checked once where they enter, these runs made
+    # 7,562 and 5,833 as_matrix calls; they now make 2,959 and 2,373
+    calls = []
+    original = matrix_core.as_matrix
+
+    def counting(m):
+        calls.append(None)
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("oplab.") and getattr(module, "as_matrix", None) is original:
+            monkeypatch.setattr(module, "as_matrix", counting)
+    for mode, bound in (("verify", 3781), ("fuzz", 2916)):
+        calls.clear()
+        oplab.run_suite(mode, seed=7, count=50, dims=(4, 3), quarantine_dir=tmp_path / mode)
+        assert len(calls) <= bound, mode
+
+
+_NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
+_FLAT = np.ones(2)
+_WIDE = np.ones((2, 3))
+_SQUARE = (DimensionError, "expected a square matrix, got shape (2, 3)")
+_DEFECT_SQUARE = (DomainError, "operator must be square, got (2, 3)")
+_DEFECT_WEIGHT = (DomainError, "weight shape (2, 3) does not match operator shape (2, 2)")
+
+# every public oplab function (and DefectSpec) that takes a matrix: the call
+# with the bad matrix in one argument, and the error a 2x3 matrix there
+# raises, None where a non-square matrix is valid or not checked
+_ENTRY_CALLS = {
+    "adjoint": None,  # conjugate transpose of an array; checks nothing
+    "aluthge": (lambda m: oplab.aluthge(m), _SQUARE),
+    "block_compose": (lambda m: oplab.block_compose([[m, np.zeros((2, 1))], [np.zeros((1, 2)), np.zeros((1, 1))]]),
+                      None),
+    "build_transform_bundle": (lambda m: oplab.build_transform_bundle(m, 1), _SQUARE),
+    "classify": (lambda m: oplab.classify(m, np.eye(2), 2), _DEFECT_SQUARE),
+    "classify:p": (lambda m: oplab.classify(np.eye(2), m, 2), _DEFECT_WEIGHT),
+    "core_nilpotent": (lambda m: oplab.core_nilpotent(m), _SQUARE),
+    "DefectSpec": (lambda m: oplab.DefectSpec(t=m, p=np.eye(2), m=1), _DEFECT_SQUARE),
+    "DefectSpec:p": (lambda m: oplab.DefectSpec(t=np.eye(2), p=m, m=1), _DEFECT_WEIGHT),
+    "definiteness": (lambda m: oplab.definiteness(m), _SQUARE),
+    "drazin_index": (lambda m: oplab.drazin_index(m), _SQUARE),
+    "drazin_inverse": (lambda m: oplab.drazin_inverse(m), _SQUARE),
+    "drazin_residuals": (lambda m: oplab.drazin_residuals(m, np.eye(2), 1), None),
+    "duggal": (lambda m: oplab.duggal(m), _SQUARE),
+    "eigenvalues": (lambda m: oplab.eigenvalues(m), _SQUARE),
+    "gram_weight": (lambda m: oplab.gram_weight(m), _SQUARE),
+    "hermitian_part": (lambda m: oplab.hermitian_part(m), _SQUARE),
+    "is_hermitian": (lambda m: oplab.is_hermitian(m), _SQUARE),
+    "is_p_isometric": (lambda m: oplab.is_p_isometric(np.eye(2), m), _SQUARE),
+    "matrix_to_json": (lambda m: oplab.matrix_to_json(m), None),
+    "moore_penrose": (lambda m: oplab.moore_penrose(m), None),
+    "numerical_rank": (lambda m: oplab.numerical_rank(m), None),
+    "operator_norm": (lambda m: oplab.operator_norm(m), None),
+    "polar": (lambda m: oplab.polar(m), _SQUARE),
+    "range_kernel_split": (lambda m: oplab.range_kernel_split(m, 1), _SQUARE),
+    "spectral_constraints": (lambda m: oplab.spectral_constraints(m, np.eye(2), 1), _DEFECT_SQUARE),
+    "spectral_constraints:p": (lambda m: oplab.spectral_constraints(np.eye(2), m, 1), _SQUARE),
+    "spectral_radius": (lambda m: oplab.spectral_radius(m), _SQUARE),
+    "sqrt_psd": (lambda m: oplab.sqrt_psd(m), _SQUARE),
+    "verify_no_singular_expansive": (lambda m: oplab.verify_no_singular_expansive(m, 1), _SQUARE),
+    "verify_power_stability": (lambda m: oplab.verify_power_stability(m, np.eye(2), 1, 2), _DEFECT_SQUARE),
+    "verify_power_stability:p": (lambda m: oplab.verify_power_stability(np.eye(2), m, 1, 2), _DEFECT_WEIGHT),
+    "verify_sandwich_isometry": (lambda m: oplab.verify_sandwich_isometry(m, np.eye(2), 2), _DEFECT_SQUARE),
+    "verify_sandwich_isometry:p": (lambda m: oplab.verify_sandwich_isometry(np.eye(2), m, 2), _SQUARE),
+    "verify_transform_bundle": (lambda m: oplab.verify_transform_bundle(m, 1, 1), _SQUARE),
+    "verify_two_expansive_isometry": (lambda m: oplab.verify_two_expansive_isometry(m, np.eye(2)), _DEFECT_SQUARE),
+    "verify_two_expansive_isometry:p": (lambda m: oplab.verify_two_expansive_isometry(np.eye(2), m), _SQUARE),
+    "verify_unitary_nilpotent_structure": (lambda m: oplab.verify_unitary_nilpotent_structure(m), _SQUARE),
+    "verify_weight_decomposition": (lambda m: oplab.verify_weight_decomposition(m, [[0]], np.eye(3), 1),
+                                    (PreconditionError, "blocks must be square")),
+    "verify_weight_decomposition:p": (lambda m: oplab.verify_weight_decomposition([[1]], [[0]], m, 1),
+                                      (PreconditionError, "weight shape (2, 3) does not match block dimensions (2,)")),
+}
+_NOT_MATRIX_TAKING = {
+    "defect", "defect_series", "defect_tilde",  # take a checked DefectSpec
+    "matrix_from_json",  # takes a JSON payload, see the wire-format tests
+    "gen_coupled_kernel", "gen_drazin_pair", "gen_expansive_invertible", "gen_haar_unitary", "gen_nilpotent",
+    "gen_psd", "generate", "replay_quarantine", "run_suite",
+}
+
+
+def test_entry_call_table_covers_every_public_function():
+    functions = {name for name, value in vars(oplab).items()
+                 if not name.startswith("_") and isinstance(value, types.FunctionType)}
+    assert functions | {"DefectSpec"} == {key.split(":")[0] for key in _ENTRY_CALLS} | _NOT_MATRIX_TAKING
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [(key, bad) for key, entry in _ENTRY_CALLS.items() if entry is not None
+     for bad in ("nan", "1-d", "2x3") if bad != "2x3" or entry[1] is not None],
+)
+def test_entry_checks_reject_bad_matrices(key, bad):
+    # the checks a matrix meets where it enters oplab: finite, 2-D and,
+    # where the function needs it, square
+    call, square = _ENTRY_CALLS[key]
+    matrix, expected = {
+        "nan": (_NAN, (DomainError, "matrix entries must be finite")),
+        "1-d": (_FLAT, (DimensionError, "expected a 2-D matrix, got ndim=1")),
+        "2x3": (_WIDE, square),
+    }[bad]
+    with pytest.raises(expected[0]) as caught:
+        call(matrix)
+    assert (type(caught.value), str(caught.value)) == expected

@@ -13,7 +13,7 @@ import pytest
 
 import oplab
 import oplab.theorem_lab as theorem_lab
-from oplab import THEOREM_IDS, TheoremVerdict, replay_quarantine, run_suite
+from oplab import THEOREM_IDS, DomainError, TheoremVerdict, replay_quarantine, run_suite
 from oplab.generators import GenSpec
 from oplab.matrix_core import matrix_from_json
 
@@ -158,6 +158,33 @@ def test_quarantine_write_and_replay(tmp_path, monkeypatch):
     replayed = replay_quarantine(path)
     assert replayed["premises_met"] is True
     assert replayed["holds"] is True  # the genuine verifier confirms the instance
+
+
+@pytest.mark.parametrize(
+    "theorem_id, param, value, message",
+    [
+        ("power_stability", "n_max", 2.5, "n_max must be an integer, got 2.5"),
+        ("sandwich_isometry", "m", 2.0, "defect order must be an integer, got 2.0"),
+    ],
+)
+def test_replay_of_a_hand_edited_float_param_is_typed(tmp_path, monkeypatch, theorem_id, param, value, message):
+    # a quarantine file whose integer param was edited into a float replays
+    # to DomainError, not to range()'s TypeError
+    verifier = getattr(theorem_lab, oplab.suite._THEOREMS[theorem_id].verifier)
+
+    def failing(**kwargs):
+        verdict = verifier(**kwargs)
+        return TheoremVerdict(verdict.theorem_id, verdict.premises_met, False, verdict.witness)
+
+    monkeypatch.setattr(theorem_lab, verifier.__name__, failing)
+    report = run_suite("verify", seed=4, count=1, dims=(3, 2), suites=[theorem_id], quarantine_dir=tmp_path / "q")
+    monkeypatch.undo()
+    path = Path(report["quarantine"][0])
+    payload = json.loads(path.read_text())
+    payload["params"][param] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        replay_quarantine(path)
 
 
 def test_quarantine_inputs_round_trip_exactly(tmp_path, monkeypatch):

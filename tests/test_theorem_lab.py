@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplab import (
+    DomainError,
     NumericalFailureError,
     PreconditionError,
     block_compose,
@@ -139,6 +140,38 @@ def test_weight_decomposition_overflowing_nilpotent_power_is_typed():
     t2 = 1e200 * gen_nilpotent(1, 3, 3)
     with pytest.raises(NumericalFailureError, match=r"operator power overflows: \{'power': 2\}"):
         verify_weight_decomposition([[2.0]], t2, np.diag([1.0, 0.0, 0.0, 0.0]), m=1)
+
+
+def test_weight_decomposition_overflowing_chain_anchor_is_typed():
+    # t2 = 1e100 N, N the 3x3 shift: t2^2 ~ 1e200 is finite, but the anchor
+    # t2^{*2} P22 t2^2 ~ 1e400 is not, and it must not be decided as INDEFINITE
+    t2 = np.diag([1e100, 1e100], k=1)
+    with pytest.raises(NumericalFailureError, match=r"chain anchor overflows: \{'power': 2\}"):
+        verify_weight_decomposition(I2, t2, np.eye(5), m=1)
+
+
+def test_transform_bundle_overflowing_block_is_typed():
+    # T = [[0, 1e200], [0, 0]]: the coupling X = 1e200 is finite, X*X is not
+    with pytest.raises(NumericalFailureError, match=r"transform bundle overflows: \{'power': 1\}"):
+        build_transform_bundle(np.diag([1e200], k=1), 1)
+
+
+@pytest.mark.parametrize(
+    "verify, kwargs, message",
+    [
+        (verify_power_stability, {"m": 1, "n_max": 2.5}, "n_max must be an integer, got 2.5"),
+        (verify_power_stability, {"m": 1, "n_max": 3.0}, "n_max must be an integer, got 3.0"),
+        (verify_power_stability, {"m": 1, "n_max": "3"}, "n_max must be an integer, got '3'"),
+        (verify_sandwich_isometry, {"m": 2.0}, "defect order must be an integer, got 2.0"),
+        (verify_sandwich_isometry, {"m": 2.5}, "defect order must be an integer, got 2.5"),
+    ],
+    ids=["n_max-fraction", "n_max-integral-float", "n_max-string", "m-integral-float", "m-fraction"],
+)
+def test_integer_params_reject_non_integers(verify, kwargs, message):
+    # a param read back from a quarantine file reaches range() only as an int
+    u = gen_haar_unitary(2, 3)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        verify(u, np.eye(3), **kwargs)
 
 
 def _gated_nilpotency_index(x, tol=DEFAULT_TOL):
