@@ -5,13 +5,20 @@ isometric classification, Drazin inverses and core-nilpotent structure,
 range-kernel splittings, polar-type transforms, and runs every structural
 theorem about these objects as an executable check over seeded random
 fixtures.
+
+Only the matrix substrate and the defect layer load with the package; every
+other module loads on first access, so a one-shot query loads only what it runs.
 """
+
+from importlib import import_module as _import_module
 
 from .matrix_core import (
     DEFAULT_TOL,
+    DecompositionError,
     DefinitenessVerdict,
     DimensionError,
     DomainError,
+    GenerationError,
     HermitianError,
     MatrixFormatError,
     NumericalFailureError,
@@ -43,45 +50,34 @@ from .expansivity import (
     gram_weight,
     is_p_isometric,
 )
-from .decompositions import (
-    CoreNilpotent,
-    DecompositionError,
-    IllConditionedWarning,
-    PolarParts,
-    RangeKernelSplit,
-    TransformBundle,
-    aluthge,
-    build_transform_bundle,
-    core_nilpotent,
-    drazin_index,
-    drazin_inverse,
-    drazin_residuals,
-    duggal,
-    polar,
-    range_kernel_split,
-)
-from .generators import (
-    GenerationError,
-    GenSpec,
-    gen_coupled_kernel,
-    gen_drazin_pair,
-    gen_expansive_invertible,
-    gen_haar_unitary,
-    gen_nilpotent,
-    gen_psd,
-    generate,
-)
-from .theorem_lab import (
-    TheoremVerdict,
-    spectral_constraints,
-    verify_no_singular_expansive,
-    verify_power_stability,
-    verify_sandwich_isometry,
-    verify_transform_bundle,
-    verify_two_expansive_isometry,
-    verify_unitary_nilpotent_structure,
-    verify_weight_decomposition,
-)
-from .suite import THEOREM_IDS, replay_quarantine, run_suite
 
 __version__ = "0.1.0"
+
+# The module of each lazily loaded public name; a submodule maps to itself.
+_LAZY = {name: module for module, names in {
+    "decompositions": ("CoreNilpotent", "IllConditionedWarning", "PolarParts", "RangeKernelSplit", "TransformBundle",
+                       "aluthge", "build_transform_bundle", "core_nilpotent", "drazin_index", "drazin_inverse",
+                       "drazin_residuals", "duggal", "polar", "range_kernel_split"),
+    "generators": ("GenSpec", "gen_coupled_kernel", "gen_drazin_pair", "gen_expansive_invertible",
+                   "gen_haar_unitary", "gen_nilpotent", "gen_psd", "generate"),
+    "theorem_lab": ("TheoremVerdict", "spectral_constraints", "verify_no_singular_expansive",
+                    "verify_power_stability", "verify_sandwich_isometry", "verify_transform_bundle",
+                    "verify_two_expansive_isometry", "verify_unitary_nilpotent_structure",
+                    "verify_weight_decomposition"),
+    "suite": ("THEOREM_IDS", "replay_quarantine", "run_suite"),
+}.items() for name in (module, *names)}
+
+# star-import binds every public name, the submodules included
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | set(_LAZY))
+
+
+def __getattr__(name):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f"{__name__}.{home}")
+    return module if name == home else getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -16,20 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 import numpy as np
 
 from . import __version__
-from .decompositions import (
-    DecompositionError,
-    _drazin_inverse,
-    core_nilpotent,
-    polar,
-    range_kernel_split,
-)
 from .expansivity import DefectSpec, classify, defect, gram_weight
-from .generators import GenerationError
 from .matrix_core import (
+    DecompositionError,
+    GenerationError,
     MatrixFormatError,
     NumericalFailureError,
     OplabError,
@@ -99,7 +94,11 @@ def _cmd_defect(args) -> int:
     return EXIT_OK
 
 
+# decompositions is imported by the three commands that run it, so the others
+# never load it
 def _cmd_drazin(args) -> int:
+    from .decompositions import _drazin_inverse, core_nilpotent
+
     t = _load_matrix(args.matrix)
     tol = _tolerance(args)
     core = core_nilpotent(t, tol)
@@ -121,6 +120,8 @@ def _cmd_drazin(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from .decompositions import polar
+
     t = _load_matrix(args.matrix)
     tol = _tolerance(args)
     parts = polar(t, tol)
@@ -136,6 +137,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    from .decompositions import range_kernel_split
+
     t = _load_matrix(args.matrix)
     split = range_kernel_split(t, args.n, _tolerance(args))
     _emit(
@@ -253,10 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parse_args leaves it unchanged, so
+    every `main` call shares it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

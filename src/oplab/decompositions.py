@@ -28,8 +28,9 @@ import numpy as np
 
 from .matrix_core import (
     DEFAULT_TOL,
+    DecompositionError,
+    DimensionError,
     NumericalFailureError,
-    OplabError,
     PreconditionError,
     Tolerance,
     _as_integer,
@@ -66,10 +67,6 @@ __all__ = [
     "duggal",
     "build_transform_bundle",
 ]
-
-
-class DecompositionError(OplabError):
-    """A structural decomposition failed numerically."""
 
 
 class IllConditionedWarning(UserWarning):
@@ -115,13 +112,18 @@ def drazin_index(t, tol: Tolerance = DEFAULT_TOL) -> int:
 
 
 def drazin_residuals(t, td, index: int) -> dict:
-    """Norms of the three defining identities of the Drazin inverse."""
-    return _drazin_residuals(as_matrix(t), as_matrix(td), index)
+    """Norms of the three defining identities of the Drazin inverse, for a
+    square T and a ``td`` of its shape."""
+    a = _require_square(as_matrix(t))
+    td = as_matrix(td)
+    if td.shape != a.shape:
+        raise DimensionError(f"inverse shape {td.shape} does not match operator shape {a.shape}")
+    return _drazin_residuals(a, td, index, _matrix_power(a, index))
 
 
-def _drazin_residuals(a: np.ndarray, td: np.ndarray, index: int) -> dict:
-    """`drazin_residuals` of finite 2-D ``a`` and ``td``."""
-    tp = _matrix_power(a, index)
+def _drazin_residuals(a: np.ndarray, td: np.ndarray, index: int, tp: np.ndarray) -> dict:
+    """`drazin_residuals` of a finite square ``a``, a finite ``td`` of its
+    shape and ``tp`` = `_matrix_power(a, index)`."""
     return {
         "commutator": _norm2(td @ a - a @ td),
         "inner_inverse": _norm2(td @ td @ a - td),
@@ -145,7 +147,7 @@ def _drazin_inverse(a: np.ndarray, k: int, tol: Tolerance) -> tuple[np.ndarray, 
     with the residuals of its three identities."""
     tk = _matrix_power(a, k)
     td = tk @ _pinv(_matrix_power(a, 2 * k + 1), tol) @ tk
-    residuals = _drazin_residuals(a, td, k)
+    residuals = _drazin_residuals(a, td, k, tk)
     # in float64, so an overflow gives an infinite scale without a warning
     with np.errstate(over="ignore"):
         scale = 1.0 + float(np.float64(_norm2(a)) ** (2 * k + 1))

@@ -133,8 +133,9 @@ def _classes_for(verdict: DefinitenessVerdict) -> frozenset:
 # a non-finite defect raises NumericalFailureError below, so numpy's overflow
 # and invalid-value warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
-def _defect_pass(spec: DefectSpec, orders, tol: Tolerance) -> tuple:
-    """Defects of T^n against P at each of ``orders`` (ascending, in [1, spec.m]).
+def _defect_pass(spec: DefectSpec, p: np.ndarray, orders, tol: Tolerance) -> tuple:
+    """Defects of T^n against P at each of ``orders`` (ascending, in [1, spec.m]),
+    where ``p`` is spec.p through `_hermitian_gate`.
 
     One pass forms the iterates of S -> S - T* S T from P, two matrix
     products per order, and decides each requested order as its iterate
@@ -142,7 +143,6 @@ def _defect_pass(spec: DefectSpec, orders, tol: Tolerance) -> tuple:
     ("defect overflows") at the lowest failing requested order, with
     residuals ``{"order": k}``; a power T^n that overflows raises it too.
     """
-    p = _hermitian_gate(spec.p, tol)
     t = spec.t if spec.n == 1 else _matrix_power(spec.t, spec.n)
     ta = adjoint(t)
     iterated = p
@@ -166,7 +166,7 @@ def defect(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> DefectResult:
     ("defect overflows", residuals ``{"order": m}``); a power T^n that
     overflows raises it too.
     """
-    return _defect_pass(spec, (spec.m,), tol)[0]
+    return _defect_pass(spec, _hermitian_gate(spec.p, tol), (spec.m,), tol)[0]
 
 
 def defect_series(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> tuple:
@@ -176,7 +176,7 @@ def defect_series(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> tuple:
     costs what order m alone costs: 2m matrix products.  A defect that is not
     finite raises NumericalFailureError at the lowest failing order.
     """
-    return _defect_pass(spec, range(1, spec.m + 1), tol)
+    return _defect_pass(spec, _hermitian_gate(spec.p, tol), range(1, spec.m + 1), tol)
 
 
 def defect_tilde(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> DefectResult:
@@ -197,10 +197,10 @@ def defect_tilde(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> DefectResult
     return DefectResult(-base.delta, flipped, base.classification)
 
 
-def _p_isometric(t: np.ndarray, p: np.ndarray, tol: Tolerance) -> bool:
-    """`is_p_isometric` of a finite square ``t`` and a finite ``p`` of its
-    shape; HermitianError or DomainError unless ``p`` is Hermitian PSD."""
-    verdict = _sign_verdict(_hermitian_gate(p, tol), tol)
+def _p_isometric(t: np.ndarray, p: np.ndarray, h: np.ndarray, tol: Tolerance) -> bool:
+    """`is_p_isometric` of a finite square ``t``, a finite ``p`` of its shape
+    and ``h``, ``p`` through `_hermitian_gate`; DomainError unless ``h`` is PSD."""
+    verdict = _sign_verdict(h, tol)
     if not verdict.is_psd:
         raise DomainError(f"weight must be PSD, got verdict {verdict.verdict}")
     return _norm2(adjoint(t) @ p @ t - p) <= tol.rel_eps * (1.0 + _norm2(p))
@@ -213,7 +213,7 @@ def is_p_isometric(t, p, tol: Tolerance = DEFAULT_TOL) -> bool:
     p = _require_square(as_matrix(p))
     if p.shape != t.shape:
         raise DimensionError(f"weight shape {p.shape} does not match operator shape {t.shape}")
-    return _p_isometric(t, p, tol)
+    return _p_isometric(t, p, _hermitian_gate(p, tol), tol)
 
 
 def gram_weight(t, n: int = 1) -> np.ndarray:
@@ -269,19 +269,21 @@ class ClassificationReport:
 def classify(t, p, m_max: int, tol: Tolerance = DEFAULT_TOL) -> ClassificationReport:
     """Tabulate defect verdicts for every order up to ``m_max``.
 
-    All orders come from one `defect_series` pass, so the table costs
+    All orders come from one pass, as in `defect_series`, so the table costs
     2 * m_max matrix products; ``m_max`` is validated as a defect order
-    before any of them.  ``p_isometric`` is reported only for PSD weights
+    before any of them, and P passes the Hermitian gate once, for the table
+    and for ``p_isometric``.  ``p_isometric`` is reported only for PSD weights
     (None otherwise, since the P-isometry notion presumes a nonnegative
     weight).
     """
     spec = DefectSpec(t=t, p=p, m=m_max)
+    h = _hermitian_gate(spec.p, tol)
     rows = tuple(
         ClassificationRow(m, result.verdict, result.classification)
-        for m, result in enumerate(defect_series(spec, tol), start=1)
+        for m, result in enumerate(_defect_pass(spec, h, range(1, m_max + 1), tol), start=1)
     )
     try:
-        p_isometric = _p_isometric(spec.t, spec.p, tol)
+        p_isometric = _p_isometric(spec.t, spec.p, h, tol)
     except DomainError:
         p_isometric = None
     spectrum = np.linalg.eigvals(spec.t)

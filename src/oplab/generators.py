@@ -38,7 +38,7 @@ from .expansivity import EXPANSIVE, DefectSpec, defect, gram_weight
 from .matrix_core import (
     DEFAULT_TOL,
     ZERO,
-    OplabError,
+    GenerationError,
     PreconditionError,
     _block_compose,
     _hermitian_part,
@@ -64,10 +64,6 @@ __all__ = [
 GENERATOR_VERSION = 2
 _MAX_RESAMPLES = 50
 _U64 = 1 << 64
-
-
-class GenerationError(OplabError):
-    """Fixture generation could not certify its premise."""
 
 
 @dataclass(frozen=True)

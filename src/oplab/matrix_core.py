@@ -52,6 +52,8 @@ __all__ = [
     "NumericalFailureError",
     "PreconditionError",
     "MatrixFormatError",
+    "DecompositionError",
+    "GenerationError",
     "Tolerance",
     "DEFAULT_TOL",
     "DefinitenessVerdict",
@@ -112,6 +114,14 @@ class PreconditionError(OplabError):
 
 class MatrixFormatError(OplabError):
     """Matrix JSON payload violates the wire format."""
+
+
+class DecompositionError(OplabError):
+    """A structural decomposition failed numerically."""
+
+
+class GenerationError(OplabError):
+    """Fixture generation could not certify its premise."""
 
 
 @dataclass(frozen=True)

@@ -28,15 +28,14 @@ from __future__ import annotations
 
 import json
 import time
-from functools import partial
+from functools import cache, partial
+from importlib import import_module
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import theorem_lab
 from .expansivity import gram_weight
-from .generators import GenSpec, generate
 from .matrix_core import (
     DEFAULT_TOL,
     Tolerance,
@@ -66,16 +65,25 @@ def _identity(d: int) -> np.ndarray:
     return np.eye(d, dtype=np.complex128)
 
 
+@cache
+def _module(name: str):
+    """The oplab submodule ``name``, imported at its first use and not with
+    this module: the CLI imports suite for THEOREM_IDS, and a command that
+    runs no suite never loads generators or theorem_lab."""
+    return import_module(f"{__package__}.{name}")
+
+
 def _draw(memo, gens, seed, stream, family, dims, sub=0, **params):
     """A fresh dict of the named matrices of one fixture, whose GenSpec (at
     sub-stream ``stream + sub * 2**32``) is appended to the instance's
     ``gens``.  ``memo`` holds one run's fixtures by spec, so a spec is drawn
     once per run and its arrays are shared read-only."""
-    gs = GenSpec(seed, family, dims, stream + sub * _SUBSTREAM, params)
+    generators = _module("generators")
+    gs = generators.GenSpec(seed, family, dims, stream + sub * _SUBSTREAM, params)
     gens.append(gs)
     drawn = memo.get(gs)
     if drawn is None:
-        drawn = memo[gs] = generate(gs)
+        drawn = memo[gs] = generators.generate(gs)
         for matrix in drawn.values():
             matrix.setflags(write=False)
     return dict(drawn)
@@ -294,7 +302,7 @@ THEOREM_IDS = tuple(sorted(_THEOREMS))
 
 def _verdict(theorem_id, inputs, params, tol):
     """The verifier's TheoremVerdict on one instance."""
-    return getattr(theorem_lab, _THEOREMS[theorem_id].verifier)(**inputs, **params, tol=tol)
+    return getattr(_module("theorem_lab"), _THEOREMS[theorem_id].verifier)(**inputs, **params, tol=tol)
 
 
 def _instance_dims(inputs) -> list:

@@ -282,7 +282,8 @@ def verify_sandwich_isometry(t, p, m: int, tol: Tolerance = DEFAULT_TOL) -> Theo
     a = as_matrix(t)
     p = _psd_weight(as_matrix(p), tol)
     orders = range(max(m - 2, 1), m + 1)
-    *lower, middle, upper = _defect_pass(DefectSpec(t=a, p=p, m=m), orders, tol)
+    spec = DefectSpec(t=a, p=p, m=m)
+    *lower, middle, upper = _defect_pass(spec, _hermitian_gate(spec.p, tol), orders, tol)
     expansive = EXPANSIVE in upper.classification
     contractive = all(result.verdict.is_psd for result in lower)
     lower_verdict = lower[0].verdict.to_json() if lower else None

@@ -389,3 +389,96 @@ def test_matrix_commands_exit_typed_on_any_valid_square_matrix(t, command):
             code = main(command + ["--matrix", path])
     assert code in (0, 2, 3), (code, err.getvalue())
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# The package's public names, by the module the package took each from
+# before its submodules loaded on first access: the API lazy loading keeps.
+_PUBLIC_API = {
+    "matrix_core": (
+        "DEFAULT_TOL", "DefinitenessVerdict", "DimensionError", "DomainError", "HermitianError",
+        "MatrixFormatError", "NumericalFailureError", "OplabError", "PreconditionError", "Tolerance", "adjoint",
+        "block_compose", "definiteness", "eigenvalues", "hermitian_part", "is_hermitian", "matrix_from_json",
+        "matrix_to_json", "moore_penrose", "numerical_rank", "operator_norm", "spectral_radius", "sqrt_psd",
+    ),
+    "expansivity": (
+        "ClassificationReport", "DefectResult", "DefectSpec", "classify", "defect", "defect_series",
+        "defect_tilde", "gram_weight", "is_p_isometric",
+    ),
+    "decompositions": (
+        "CoreNilpotent", "DecompositionError", "IllConditionedWarning", "PolarParts", "RangeKernelSplit",
+        "TransformBundle", "aluthge", "build_transform_bundle", "core_nilpotent", "drazin_index",
+        "drazin_inverse", "drazin_residuals", "duggal", "polar", "range_kernel_split",
+    ),
+    "generators": (
+        "GenerationError", "GenSpec", "gen_coupled_kernel", "gen_drazin_pair", "gen_expansive_invertible",
+        "gen_haar_unitary", "gen_nilpotent", "gen_psd", "generate",
+    ),
+    "theorem_lab": (
+        "TheoremVerdict", "spectral_constraints", "verify_no_singular_expansive", "verify_power_stability",
+        "verify_sandwich_isometry", "verify_transform_bundle", "verify_two_expansive_isometry",
+        "verify_unitary_nilpotent_structure", "verify_weight_decomposition",
+    ),
+    "suite": ("THEOREM_IDS", "replay_quarantine", "run_suite"),
+}
+
+# run in a fresh interpreter: what one-shot queries load, then every public
+# name and submodule reached cold through the package, then star-import
+_FRESH_PACKAGE = """
+import importlib, json, sys
+from oplab import cli
+codes = [cli.main([command, "--matrix", sys.argv[1], "--output", sys.argv[2]]) for command in ("classify", "defect")]
+loaded = sorted(name for name in sys.modules if name.startswith("oplab"))
+import oplab
+api = json.loads(sys.argv[3])
+differ = [module for module in api if getattr(oplab, module) is not importlib.import_module("oplab." + module)]
+differ += [name for module, names in api.items() for name in names
+           if getattr(oplab, name) is not getattr(importlib.import_module("oplab." + module), name)]
+star = {}
+exec("from oplab import *", star)
+print(json.dumps({"codes": codes, "loaded": loaded, "differ": differ,
+                  "star": sorted(name for name in star if name != "__builtins__")}))
+"""
+
+
+def test_one_shot_queries_load_only_what_they_run_and_the_package_api_holds(tmp_path):
+    path = write_matrix(tmp_path / "t.json", [[2, 0], [1, 2]])
+    env = dict(os.environ, PYTHONPATH=str(Path(oplab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_PACKAGE, path, str(tmp_path / "out.json"), json.dumps(_PUBLIC_API)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0]
+    # no decompositions, generators or theorem_lab
+    assert result["loaded"] == ["oplab", "oplab.cli", "oplab.expansivity", "oplab.matrix_core", "oplab.suite"]
+    assert result["differ"] == []
+    public = sorted({name for module, names in _PUBLIC_API.items() for name in (module, *names)})
+    assert result["star"] == public
+    assert sorted(oplab.__all__) == public
+    assert set(public) <= set(dir(oplab))
+
+
+def test_main_builds_one_parser_for_every_call(tmp_path, capsys, monkeypatch):
+    import oplab.cli as cli
+
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(None)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    path = write_matrix(tmp_path / "t.json", [[2, 0], [1, 2]])
+    outcomes = []
+    for argv in (["classify", "--matrix", path], ["defect", "--m", "0", "--matrix", path],
+                 ["classify", "--m-max"], ["nonsense"], ["--version"]):
+        for _ in range(2):
+            code = main(argv)
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[-1] == outcomes[-2], argv
+    assert [code for code, _, _ in outcomes[::2]] == [0, 1, 1, 1, 0]
+    assert len(built) == 1
+    cli._parser.cache_clear()

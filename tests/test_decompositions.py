@@ -116,6 +116,22 @@ def test_drazin_residual_bounds_random_fixtures():
         assert max(drazin_residuals(t, td, p).values()) <= bound
 
 
+def test_drazin_inverse_forms_each_power_once(monkeypatch):
+    # the residuals reuse the inverse's T^k: T^2, T^5 and T^3 at index 2
+    import oplab.decompositions as decompositions_mod
+
+    powers = []
+    real = decompositions_mod._matrix_power
+
+    def counting(a, n):
+        powers.append(n)
+        return real(a, n)
+
+    monkeypatch.setattr(decompositions_mod, "_matrix_power", counting)
+    drazin_inverse(np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+    assert powers == [2, 5, 3]
+
+
 def test_core_nilpotent_diagonal_example():
     core = core_nilpotent(np.diag([2.0, 0.0]))
     assert core.index == 1

@@ -277,6 +277,22 @@ def test_classify_order_guard_runs_before_any_defect(monkeypatch):
             classify([[2]], [[1]], m_max=m_max)
 
 
+def test_classify_gates_the_weight_once(monkeypatch):
+    # the defect table and p_isometric share one Hermitian gate of P
+    gates = []
+    real = expansivity_mod._hermitian_gate
+
+    def counting(a, tol):
+        gates.append(None)
+        return real(a, tol)
+
+    monkeypatch.setattr(expansivity_mod, "_hermitian_gate", counting)
+    # Hermitian within the gate, not exactly, so the gate does its full check
+    report = classify(np.eye(2), [[2.0, 1e-14], [0.0, 1.0]], m_max=3)
+    assert len(gates) == 1
+    assert report.p_isometric is True
+
+
 def assert_same_result(got, expected):
     """Bit-for-bit equality of two DefectResults."""
     assert got.delta.shape == expected.delta.shape

@@ -2,8 +2,10 @@
 blocks and the JSON wire format."""
 
 import ast
+import importlib
 import json
 import math
+import pkgutil
 import sys
 import types
 from pathlib import Path
@@ -785,6 +787,9 @@ def test_suite_runs_check_each_matrix_at_most_half_as_often(monkeypatch, tmp_pat
         calls.append(None)
         return original(m)
 
+    # submodules load on first use: import them all, so none escapes the count
+    for info in pkgutil.iter_modules(oplab.__path__):
+        importlib.import_module(f"oplab.{info.name}")
     for name, module in list(sys.modules.items()):
         if name.startswith("oplab.") and getattr(module, "as_matrix", None) is original:
             monkeypatch.setattr(module, "as_matrix", counting)
@@ -818,7 +823,9 @@ _ENTRY_CALLS = {
     "definiteness": (lambda m: oplab.definiteness(m), _SQUARE),
     "drazin_index": (lambda m: oplab.drazin_index(m), _SQUARE),
     "drazin_inverse": (lambda m: oplab.drazin_inverse(m), _SQUARE),
-    "drazin_residuals": (lambda m: oplab.drazin_residuals(m, np.eye(2), 1), None),
+    "drazin_residuals": (lambda m: oplab.drazin_residuals(m, np.eye(2), 1), _SQUARE),
+    "drazin_residuals:td": (lambda m: oplab.drazin_residuals(np.eye(2), m, 1),
+                            (DimensionError, "inverse shape (2, 3) does not match operator shape (2, 2)")),
     "duggal": (lambda m: oplab.duggal(m), _SQUARE),
     "eigenvalues": (lambda m: oplab.eigenvalues(m), _SQUARE),
     "gram_weight": (lambda m: oplab.gram_weight(m), _SQUARE),
@@ -858,8 +865,7 @@ _NOT_MATRIX_TAKING = {
 
 
 def test_entry_call_table_covers_every_public_function():
-    functions = {name for name, value in vars(oplab).items()
-                 if not name.startswith("_") and isinstance(value, types.FunctionType)}
+    functions = {name for name in oplab.__all__ if isinstance(getattr(oplab, name), types.FunctionType)}
     assert functions | {"DefectSpec"} == {key.split(":")[0] for key in _ENTRY_CALLS} | _NOT_MATRIX_TAKING
 
 

@@ -320,16 +320,16 @@ def test_fixture_streams_are_pinned(tmp_path):
 @pytest.fixture
 def generate_calls(monkeypatch):
     """Counts the suite's ``generate`` calls per GenSpec."""
-    import oplab.suite as suite_mod
+    import oplab.generators as generators_mod
 
     calls = Counter()
-    real = suite_mod.generate
+    real = generators_mod.generate
 
     def counting(spec):
         calls[spec] += 1
         return real(spec)
 
-    monkeypatch.setattr(suite_mod, "generate", counting)
+    monkeypatch.setattr(generators_mod, "generate", counting)
     return calls
 
 
