@@ -54,9 +54,8 @@ __all__ = [
     "classify",
 ]
 
-# The largest defect order accepted as input (`DefectSpec`, so the CLI's --m
-# and --m-max).  It bounds the work of one call at 2 * MAX_ORDER matrix
-# products; no part of the evaluation depends on its value.
+# The largest defect order `_defect_order` accepts.  It bounds the work of one
+# call at 2 * MAX_ORDER matrix products; nothing in the evaluation depends on it.
 MAX_ORDER = 62
 
 EXPANSIVE = "expansive"
@@ -64,14 +63,25 @@ CONTRACTIVE = "contractive"
 ISOMETRIC = "isometric"
 
 
+def _defect_order(m) -> int:
+    """The order rule: ``m`` as an int in [1, MAX_ORDER], else DomainError."""
+    m = _as_integer(m, "defect order")
+    if not 1 <= m <= MAX_ORDER:
+        raise DomainError(f"defect order must be in [1, {MAX_ORDER}], got {m}")
+    return m
+
+
+def _require_weight(t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``p`` if it is square of the square ``t``'s shape, else DimensionError."""
+    if _require_square(p).shape != t.shape:
+        raise DimensionError(f"weight shape {p.shape} does not match operator shape {t.shape}")
+    return p
+
+
 @dataclass(frozen=True)
 class DefectSpec:
-    """Inputs of a defect computation.
-
-    ``n`` raises the operator to a power before the defect is formed, which
-    is how power-stability statements about T^n are evaluated.  The weight
-    must be Hermitian but is not required to be PSD.
-    """
+    """Inputs of a defect of T^n against a Hermitian (not necessarily PSD)
+    weight, checked where a caller's matrices enter."""
 
     t: np.ndarray
     p: np.ndarray
@@ -79,22 +89,14 @@ class DefectSpec:
     n: int = 1
 
     def __post_init__(self):
-        t = as_matrix(self.t)
-        p = as_matrix(self.p)
-        if t.shape[0] != t.shape[1]:
-            raise DomainError(f"operator must be square, got {t.shape}")
-        if p.shape != t.shape:
-            raise DomainError(f"weight shape {p.shape} does not match operator shape {t.shape}")
-        m = _as_integer(self.m, "defect order")
+        t = _require_square(as_matrix(self.t))
+        p = _require_weight(t, as_matrix(self.p))
+        m = _defect_order(self.m)
         n = _as_integer(self.n, "operator power")
-        if not 1 <= m <= MAX_ORDER:
-            raise DomainError(f"defect order must be in [1, {MAX_ORDER}], got {m}")
         if n < 1:
             raise DomainError(f"operator power must be >= 1, got {n}")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
+        for name, value in (("t", t), ("p", p), ("m", m), ("n", n)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -133,19 +135,16 @@ def _classes_for(verdict: DefinitenessVerdict) -> frozenset:
 # a non-finite defect raises NumericalFailureError below, so numpy's overflow
 # and invalid-value warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
-def _defect_pass(spec: DefectSpec, p: np.ndarray, orders, tol: Tolerance) -> tuple:
-    """Defects of T^n against P at each of ``orders`` (ascending, in [1, spec.m]),
-    where ``p`` is spec.p through `_hermitian_gate`.
-
-    One pass forms the iterates of S -> S - T* S T from P, two matrix
-    products per order, and decides each requested order as its iterate
-    appears.  A defect that is not finite raises NumericalFailureError
-    ("defect overflows") at the lowest failing requested order, with
-    residuals ``{"order": k}``; a power T^n that overflows raises it too.
+def _defect_pass(t: np.ndarray, h: np.ndarray, orders, tol: Tolerance) -> tuple:
+    """The one defect kernel: the defects of a finite square ``t``, already
+    raised to its power, against an exactly self-adjoint ``h`` of its shape
+    at each of ``orders`` (ascending, in [1, MAX_ORDER]), from one pass of
+    S -> S - T* S T started at h, two matrix products per order.  A defect
+    that is not finite raises NumericalFailureError ("defect overflows",
+    residuals ``{"order": k}``) at the lowest such order.
     """
-    t = spec.t if spec.n == 1 else _matrix_power(spec.t, spec.n)
     ta = adjoint(t)
-    iterated = p
+    iterated = h
     results = []
     for k in range(1, max(orders) + 1):
         iterated = iterated - ta @ iterated @ t
@@ -158,6 +157,12 @@ def _defect_pass(spec: DefectSpec, p: np.ndarray, orders, tol: Tolerance) -> tup
     return tuple(results)
 
 
+def _spec_pass(spec: DefectSpec, orders, tol: Tolerance) -> tuple:
+    """`_defect_pass` of T^n (NumericalFailureError if it overflows) and gated P."""
+    t = spec.t if spec.n == 1 else _matrix_power(spec.t, spec.n)
+    return _defect_pass(t, _hermitian_gate(spec.p, tol), orders, tol)
+
+
 def defect(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> DefectResult:
     """Compute the order-m defect of T^n against the weight P.
 
@@ -166,7 +171,7 @@ def defect(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> DefectResult:
     ("defect overflows", residuals ``{"order": m}``); a power T^n that
     overflows raises it too.
     """
-    return _defect_pass(spec, _hermitian_gate(spec.p, tol), (spec.m,), tol)[0]
+    return _spec_pass(spec, (spec.m,), tol)[0]
 
 
 def defect_series(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> tuple:
@@ -176,7 +181,16 @@ def defect_series(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> tuple:
     costs what order m alone costs: 2m matrix products.  A defect that is not
     finite raises NumericalFailureError at the lowest failing order.
     """
-    return _defect_pass(spec, _hermitian_gate(spec.p, tol), range(1, spec.m + 1), tol)
+    return _spec_pass(spec, range(1, spec.m + 1), tol)
+
+
+def _tilde(result: DefectResult, m: int) -> DefectResult:
+    """The order-m ``result`` times (-1)^m, with its classification kept."""
+    if m % 2 == 0:
+        return result
+    lo, hi, verdict = result.verdict.min_eig, result.verdict.max_eig, result.verdict.verdict
+    flipped = DefinitenessVerdict(-hi, -lo, {"PSD": "NSD", "NSD": "PSD"}.get(verdict, verdict))
+    return DefectResult(-result.delta, flipped, result.classification)
 
 
 def defect_tilde(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> DefectResult:
@@ -186,15 +200,7 @@ def defect_tilde(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> DefectResult
     and its verdict flip sign while the classification still reports the
     operator's (m, P)-classes.
     """
-    base = defect(spec, tol)
-    if spec.m % 2 == 0:
-        return base
-    flipped = DefinitenessVerdict(
-        min_eig=-base.verdict.max_eig,
-        max_eig=-base.verdict.min_eig,
-        verdict={"PSD": "NSD", "NSD": "PSD"}.get(base.verdict.verdict, base.verdict.verdict),
-    )
-    return DefectResult(-base.delta, flipped, base.classification)
+    return _tilde(_spec_pass(spec, (spec.m,), tol)[0], spec.m)
 
 
 def _p_isometric(t: np.ndarray, p: np.ndarray, h: np.ndarray, tol: Tolerance) -> bool:
@@ -210,9 +216,7 @@ def is_p_isometric(t, p, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff T*PT = P within rel_eps * (1 + ||P||), for a square T and a
     Hermitian PSD P of its shape."""
     t = _require_square(as_matrix(t))
-    p = _require_square(as_matrix(p))
-    if p.shape != t.shape:
-        raise DimensionError(f"weight shape {p.shape} does not match operator shape {t.shape}")
+    p = _require_weight(t, as_matrix(p))
     return _p_isometric(t, p, _hermitian_gate(p, tol), tol)
 
 
@@ -220,7 +224,12 @@ def gram_weight(t, n: int = 1) -> np.ndarray:
     """The canonical weight T*^n T^n of a square T and an integer n >= 0; a
     negative or non-integral n raises DomainError, and a power T^n or a weight
     that overflows raises NumericalFailureError."""
-    tn = _matrix_power(_require_square(as_matrix(t)), n)
+    return _gram_weight(_require_square(as_matrix(t)), n)
+
+
+def _gram_weight(t: np.ndarray, n: int) -> np.ndarray:
+    """`gram_weight` of a finite square ``t``, exactly self-adjoint."""
+    tn = _matrix_power(t, n)
     # T*^n T^n can overflow where T^n does not, and that is a numerical
     # failure, not a bad input
     with np.errstate(over="ignore", invalid="ignore"):
@@ -269,18 +278,16 @@ class ClassificationReport:
 def classify(t, p, m_max: int, tol: Tolerance = DEFAULT_TOL) -> ClassificationReport:
     """Tabulate defect verdicts for every order up to ``m_max``.
 
-    All orders come from one pass, as in `defect_series`, so the table costs
-    2 * m_max matrix products; ``m_max`` is validated as a defect order
-    before any of them, and P passes the Hermitian gate once, for the table
-    and for ``p_isometric``.  ``p_isometric`` is reported only for PSD weights
-    (None otherwise, since the P-isometry notion presumes a nonnegative
-    weight).
+    All orders come from one pass, 2 * m_max matrix products, after ``m_max``
+    is checked as a defect order; P passes the Hermitian gate once, for the
+    table and for ``p_isometric``, which is reported only for PSD weights
+    (None otherwise: the P-isometry notion presumes a nonnegative weight).
     """
     spec = DefectSpec(t=t, p=p, m=m_max)
     h = _hermitian_gate(spec.p, tol)
     rows = tuple(
         ClassificationRow(m, result.verdict, result.classification)
-        for m, result in enumerate(_defect_pass(spec, h, range(1, m_max + 1), tol), start=1)
+        for m, result in enumerate(_defect_pass(spec.t, h, range(1, spec.m + 1), tol), start=1)
     )
     try:
         p_isometric = _p_isometric(spec.t, spec.p, h, tol)

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expansivity import EXPANSIVE, DefectSpec, defect, gram_weight
+from .expansivity import EXPANSIVE, _defect_order, _defect_pass, _gram_weight
 from .matrix_core import (
     DEFAULT_TOL,
     ZERO,
@@ -274,6 +274,7 @@ def gen_drazin_pair(seed: int, d1: int, d2: int, m: int = 1, weight: str = "iden
         raise PreconditionError(f"block dimensions must be >= 1, got ({d1}, {d2})")
     if weight not in _WEIGHT_SCHEMES:
         raise PreconditionError(f"unknown weight scheme {weight!r}")
+    m = _defect_order(m)
     rng = _rng(seed, stream)
     if weight == "identity":
         u = _haar(rng, d1)
@@ -291,7 +292,7 @@ def gen_drazin_pair(seed: int, d1: int, d2: int, m: int = 1, weight: str = "iden
     z21 = np.zeros((d2, d1), dtype=np.complex128)
     t = _block_compose([[u, z12], [z21, n]])
     p = _block_compose([[p11, z12], [z21, np.zeros((d2, d2), dtype=np.complex128)]])
-    result = defect(DefectSpec(t=t, p=p, m=m))
+    result = _defect_pass(t, p, (m,), DEFAULT_TOL)[0]
     if EXPANSIVE not in result.classification:
         raise GenerationError(f"drazin pair failed expansivity certification ({result.verdict.verdict})")
     return t, p
@@ -309,7 +310,7 @@ def gen_coupled_kernel(seed: int, d1: int, d2: int, x_scale: float = 1.0, stream
         [u, x],
         [np.zeros((d2, d1), dtype=np.complex128), np.zeros((d2, d2), dtype=np.complex128)],
     ])
-    result = defect(DefectSpec(t=t, p=gram_weight(t, 1), m=1))
+    result = _defect_pass(t, _gram_weight(t, 1), (1,), DEFAULT_TOL)[0]
     if result.verdict.verdict != ZERO:
         raise GenerationError(f"coupled-kernel fixture is not weight-isometric ({result.verdict.verdict})")
     return t
@@ -327,6 +328,7 @@ def gen_expansive_invertible(seed: int, d: int, m: int = 1, scale: float = 2.0, 
     """
     if d < 1 or m < 1:
         raise PreconditionError(f"dimension and order must be >= 1, got d = {d}, m = {m}")
+    m = _defect_order(m)
     if scale < 1:
         raise PreconditionError(f"scaling must be >= 1, got {scale}")
     if m % 2 == 0:
@@ -345,7 +347,7 @@ def gen_expansive_invertible(seed: int, d: int, m: int = 1, scale: float = 2.0, 
         sigma_min = float(np.linalg.svd(t, compute_uv=False)[-1])
         if sigma_min < 1.0:
             continue
-        if m > 1 and EXPANSIVE not in defect(DefectSpec(t=t, p=identity, m=m)).classification:
+        if m > 1 and EXPANSIVE not in _defect_pass(t, identity, (m,), DEFAULT_TOL)[0].classification:
             continue
         return t
     raise GenerationError(f"resampling budget ({_MAX_RESAMPLES}) exhausted")

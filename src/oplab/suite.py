@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .expansivity import gram_weight
+from .expansivity import _gram_weight
 from .matrix_core import (
     DEFAULT_TOL,
     Tolerance,
@@ -126,7 +126,7 @@ def _draw_weight(draw, rng, t):
     if kind == 0:
         return _identity(d)
     if kind == 1:
-        return gram_weight(t, int(rng.integers(1, 3)))
+        return _gram_weight(t, int(rng.integers(1, 3)))
     return draw("psd", (d,), sub=1, condition_cap=float(rng.uniform(1.0, 100.0)))["p"]
 
 
@@ -146,7 +146,7 @@ def _verify_power_stability_instance(draw, seed, stream, dims):
         m = 1 + (stream // 3) % 3
     elif variant == 1:
         t = draw("coupled_kernel", (d1, d2))["t"]
-        inputs = {"t": t, "p": gram_weight(t, 1)}
+        inputs = {"t": t, "p": _gram_weight(t, 1)}
         m = 1 + (stream // 3) % 4
     else:
         m = 1 + 2 * ((stream // 3) % 2)

@@ -28,20 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompositions import (
-    _power_rank,
-    build_transform_bundle,
-    core_nilpotent,
-    drazin_inverse,
-)
-from .expansivity import (
-    DefectSpec,
-    EXPANSIVE,
-    _defect_pass,
-    defect,
-    defect_tilde,
-    gram_weight,
-)
+from .decompositions import _power_rank, build_transform_bundle, core_nilpotent, drazin_inverse
+from .expansivity import EXPANSIVE, DefectSpec, _defect_order, _defect_pass, _gram_weight, _tilde
 from .matrix_core import (
     DEFAULT_TOL,
     ZERO,
@@ -115,14 +103,16 @@ def verify_power_stability(t, p, m: int, n_max: int, tol: Tolerance = DEFAULT_TO
     n_max = _as_integer(n_max, "n_max")
     if n_max < 2:
         raise PreconditionError(f"n_max must be >= 2, got {n_max}")
-    base = defect(DefectSpec(t=t, p=p, m=m), tol)
+    spec = DefectSpec(t=t, p=p, m=m)
+    h = _hermitian_gate(spec.p, tol)
+    base = _defect_pass(spec.t, h, (spec.m,), tol)[0]
     witness = {"m": m, "n_max": n_max, "base_verdict": base.verdict.to_json()}
     if EXPANSIVE not in base.classification:
         return _conclude("power_stability", False, True, witness)
     per_power = []
     holds = True
     for n in range(2, n_max + 1):
-        result = defect(DefectSpec(t=t, p=p, m=m, n=n), tol)
+        result = _defect_pass(_matrix_power(spec.t, n), h, (spec.m,), tol)[0]
         expansive = EXPANSIVE in result.classification
         per_power.append({"n": n, "verdict": result.verdict.to_json(), "expansive": expansive})
         holds = holds and expansive
@@ -137,10 +127,11 @@ def verify_no_singular_expansive(t, m: int, tol: Tolerance = DEFAULT_TOL) -> The
     m-expansive (any unitary is), the exclusion needs a nontrivial kernel
     summand.
     """
+    m = _defect_order(m)
     a = _require_square(as_matrix(t))
     index, _, rank, _, _ = _power_rank(a, tol)
     kernel_dim = a.shape[0] - rank
-    result = defect(DefectSpec(t=a, p=np.eye(a.shape[0], dtype=np.complex128), m=m), tol)
+    result = _defect_pass(a, np.eye(a.shape[0], dtype=np.complex128), (m,), tol)[0]
     witness = {
         "m": m,
         "drazin_index": index,
@@ -162,11 +153,12 @@ def _nilpotency_index(t2: np.ndarray, tol: Tolerance) -> int:
 
 
 def _psd_weight(p: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """A finite 2-D ``p``; DimensionError unless it is square, and
-    PreconditionError unless it is Hermitian PSD."""
-    if not _sign_verdict(_hermitian_gate(_require_square(p), tol), tol).is_psd:
+    """``p`` through `_hermitian_gate`, for a finite 2-D ``p``; DimensionError
+    unless it is square, and PreconditionError unless it is Hermitian PSD."""
+    h = _hermitian_gate(_require_square(p), tol)
+    if not _sign_verdict(h, tol).is_psd:
         raise PreconditionError("weight must be Hermitian PSD")
-    return p
+    return h
 
 
 def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL) -> TheoremVerdict:
@@ -178,9 +170,8 @@ def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL)
     antecedent fails.  The nilpotent induction anchor
     t2^{*(q-1)} P22 t2^{q-1} <= 0 is checked alongside the forward direction.
     """
-    a1 = as_matrix(t1)
-    a2 = as_matrix(t2)
-    p = as_matrix(p)
+    m = _defect_order(m)
+    a1, a2, p = map(as_matrix, (t1, t2, p))
     d1, d2 = a1.shape[0], a2.shape[0]
     if a1.shape != (d1, d1) or a2.shape != (d2, d2):
         raise PreconditionError("blocks must be square")
@@ -189,16 +180,16 @@ def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL)
     if _rank(_singular_values(a1), tol) < d1:
         raise PreconditionError("invertible block is numerically singular")
     q = _nilpotency_index(a2, tol)
-    _psd_weight(p, tol)
+    h = _psd_weight(p, tol)
 
     z12 = np.zeros((d1, d2), dtype=np.complex128)
     z21 = np.zeros((d2, d1), dtype=np.complex128)
     t = _block_compose([[a1, z12], [z21, a2]])
     scale_p = 1.0 + _norm2(p)
 
-    expansive = EXPANSIVE in defect(DefectSpec(t=t, p=p, m=m), tol).classification
+    expansive = EXPANSIVE in _defect_pass(t, h, (m,), tol)[0].classification
     td = drazin_inverse(t, tol)
-    tilde = defect_tilde(DefectSpec(t=td, p=p, m=m), tol)
+    tilde = _tilde(_defect_pass(td, h, (m,), tol)[0], m)
     tilde_nsd = tilde.verdict.is_nsd
 
     p22 = p[d1:, d1:]
@@ -237,9 +228,9 @@ def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL)
 def verify_two_expansive_isometry(t, p, tol: Tolerance = DEFAULT_TOL) -> TheoremVerdict:
     """A (2, P)-expansive operator with orthogonal core-nilpotent splitting
     is P-isometric: T*PT = P."""
-    a = as_matrix(t)
-    p = _psd_weight(as_matrix(p), tol)
-    result = defect(DefectSpec(t=a, p=p, m=2), tol)
+    spec = DefectSpec(t=t, p=p, m=2)
+    a, p = spec.t, spec.p
+    result = _defect_pass(a, _psd_weight(p, tol), (2,), tol)[0]
     core = core_nilpotent(a, tol)
     expansive = EXPANSIVE in result.classification
     residual = _norm2(adjoint(a) @ p @ a - p)
@@ -257,8 +248,8 @@ def verify_two_expansive_isometry(t, p, tol: Tolerance = DEFAULT_TOL) -> Theorem
 def verify_unitary_nilpotent_structure(t, tol: Tolerance = DEFAULT_TOL) -> TheoremVerdict:
     """A (2, T*T)-expansive operator with orthogonal core-nilpotent splitting
     has a unitary invertible block, i.e. it is a unitary plus a nilpotent."""
-    a = as_matrix(t)
-    result = defect(DefectSpec(t=a, p=gram_weight(a, 1), m=2), tol)
+    a = _require_square(as_matrix(t))
+    result = _defect_pass(a, _gram_weight(a, 1), (2,), tol)[0]
     core = core_nilpotent(a, tol)
     expansive = EXPANSIVE in result.classification
     t1 = core.t1
@@ -279,15 +270,13 @@ def verify_sandwich_isometry(t, p, m: int, tol: Tolerance = DEFAULT_TOL) -> Theo
     m = _as_integer(m, "defect order")
     if m < 2:
         raise PreconditionError(f"order must be >= 2, got {m}")
-    a = as_matrix(t)
-    p = _psd_weight(as_matrix(p), tol)
+    spec = DefectSpec(t=t, p=p, m=m)
     orders = range(max(m - 2, 1), m + 1)
-    spec = DefectSpec(t=a, p=p, m=m)
-    *lower, middle, upper = _defect_pass(spec, _hermitian_gate(spec.p, tol), orders, tol)
+    *lower, middle, upper = _defect_pass(spec.t, _psd_weight(spec.p, tol), orders, tol)
     expansive = EXPANSIVE in upper.classification
     contractive = all(result.verdict.is_psd for result in lower)
     lower_verdict = lower[0].verdict.to_json() if lower else None
-    core = core_nilpotent(a, tol)
+    core = core_nilpotent(spec.t, tol)
     witness = {
         "m": m,
         "upper_verdict": upper.verdict.to_json(),
@@ -304,12 +293,12 @@ def spectral_constraints(t, p, m: int, tol: Tolerance = DEFAULT_TOL) -> TheoremV
     """Spectral picture of (m, P)-expansive operators with invertible weight:
     no zero eigenvalue, every modulus >= 1 for odd m and = 1 for even m, and
     operator norm >= 1."""
-    a = as_matrix(t)
-    p = _require_square(as_matrix(p))
-    p_verdict = _sign_verdict(_hermitian_gate(p, tol), tol)
+    spec = DefectSpec(t=t, p=p, m=m)
+    a, h = spec.t, _hermitian_gate(spec.p, tol)
+    p_verdict = _sign_verdict(h, tol)
     if not p_verdict.is_psd or p_verdict.max_eig <= 0 or p_verdict.min_eig <= tol.gate(p_verdict.max_eig):
         raise PreconditionError("weight must be invertible PSD (0 outside its spectrum)")
-    result = defect(DefectSpec(t=a, p=p, m=m), tol)
+    result = _defect_pass(a, h, (spec.m,), tol)[0]
     moduli = np.abs(np.linalg.eigvals(a))
     norm = _norm2(a)
     threshold = _gate(tol, 1.0 + norm)
@@ -349,13 +338,14 @@ def verify_transform_bundle(t, n: int, m: int, tol: Tolerance = DEFAULT_TOL) -> 
     The bundle itself is ``build_transform_bundle(t, n, tol)``, which
     computes the same bits as the one checked here.
     """
-    a = as_matrix(t)
-    premise = defect(DefectSpec(t=a, p=gram_weight(a, n), m=m), tol)
+    m = _defect_order(m)
+    a = _require_square(as_matrix(t))
+    premise = _defect_pass(a, _gram_weight(a, n), (m,), tol)[0]
     bundle = build_transform_bundle(a, n, tol)
 
-    defect_a = defect(DefectSpec(t=bundle.a, p=bundle.c, m=m), tol)
-    defect_b = defect(DefectSpec(t=bundle.b, p=bundle.d, m=m), tol)
-    # bundle.d is a _hermitian_part result, so it is exactly self-adjoint
+    # the weights c, d (_hermitian_part results) and q = p1 (+) I are exactly self-adjoint
+    defect_a = _defect_pass(bundle.a, bundle.c, (m,), tol)[0]
+    defect_b = _defect_pass(bundle.b, bundle.d, (m,), tol)[0]
     d_psd = _sign_verdict(bundle.d, tol).is_psd
 
     residuals = bundle.identity_residuals(tol)
@@ -391,8 +381,8 @@ def verify_transform_bundle(t, n: int, m: int, tol: Tolerance = DEFAULT_TOL) -> 
         identities_ok,
     ]
     if side_satisfied:
-        plain_b = defect(DefectSpec(t=bundle.b, p=np.eye(dim, dtype=np.complex128), m=m), tol)
-        weighted_a = defect(DefectSpec(t=bundle.a, p=bundle.q, m=m), tol)
+        plain_b = _defect_pass(bundle.b, np.eye(dim, dtype=np.complex128), (m,), tol)[0]
+        weighted_a = _defect_pass(bundle.a, bundle.q, (m,), tol)[0]
         witness["b_identity_verdict"] = plain_b.verdict.to_json()
         witness["a_equivalent_norm_verdict"] = weighted_a.verdict.to_json()
         conclusions.append(EXPANSIVE in plain_b.classification)

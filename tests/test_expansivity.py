@@ -185,7 +185,7 @@ def test_is_p_isometric_rejects_indefinite_weight():
         is_p_isometric(I2, [[0, 1], [1, 0]])
 
 
-@pytest.mark.parametrize(
+_MISMATCHED_SHAPES = pytest.mark.parametrize(
     "t, p, message",
     [
         (np.eye(2), np.eye(3), r"weight shape \(3, 3\) does not match operator shape \(2, 2\)"),
@@ -194,10 +194,20 @@ def test_is_p_isometric_rejects_indefinite_weight():
     ],
     ids=["larger-weight", "smaller-weight", "non-square-operator"],
 )
+
+
+@_MISMATCHED_SHAPES
 def test_is_p_isometric_rejects_mismatched_shapes(t, p, message):
     # typed before any product, not numpy's matmul ValueError
     with pytest.raises(DimensionError, match=message):
         is_p_isometric(t, p)
+
+
+@_MISMATCHED_SHAPES
+def test_defect_spec_rejects_mismatched_shapes_as_is_p_isometric_does(t, p, message):
+    # one squareness rule: the same DimensionError and message
+    with pytest.raises(DimensionError, match=message):
+        DefectSpec(t=t, p=p, m=1)
 
 
 def is_mp_isometric(spec):

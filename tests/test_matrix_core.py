@@ -2,12 +2,10 @@
 blocks and the JSON wire format."""
 
 import ast
-import importlib
 import json
 import math
-import pkgutil
-import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +38,7 @@ from oplab import (
 from oplab.generators import gen_haar_unitary, gen_psd
 from oplab.matrix_core import dumps_json
 
-from conftest import ginibre, philox, rank_deficient
+from conftest import ginibre, patch_everywhere, philox, rank_deficient
 
 # 2x2 eigenvalue oracle lambda = (tr +- sqrt(tr^2 - 4 det)) / 2 applied to
 # [[-4,-2],[-2,-3]] (tr = -7, det = 8): both roots negative.
@@ -777,9 +775,53 @@ def test_matrices_are_checked_once_where_they_enter():
     assert found == {("matrix_core.py", "_dump", "as_matrix")}
 
 
+class _NameCalls(ast.NodeVisitor):
+    """Every call of a plain name, as (enclosing function, name)."""
+
+    def __init__(self):
+        self.scope = ["<module>"]
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name):
+            self.found.append((self.scope[-1], node.func.id))
+        self.generic_visit(node)
+
+
+def test_defect_specs_are_built_only_where_matrices_enter():
+    # _defect_pass is the one defect kernel: it takes a checked square T,
+    # already raised to its power, and an exactly self-adjoint weight.  A
+    # DefectSpec checks a caller's matrices, so it is built once at each
+    # entry handed them (classify, the CLI's defect command and the four
+    # verifiers handed a weight) and nowhere else; the public functions that
+    # check their arguments again are called only by the CLI.
+    checking = {"DefectSpec", "defect", "defect_series", "defect_tilde", "gram_weight", "is_p_isometric"}
+    found = Counter()
+    for path in sorted(Path(oplab.__file__).parent.glob("*.py")):
+        visitor = _NameCalls()
+        visitor.visit(ast.parse(path.read_text()))
+        found.update((path.name, scope, name) for scope, name in visitor.found if name in checking)
+    assert found == Counter({
+        ("expansivity.py", "classify", "DefectSpec"): 1,
+        ("cli.py", "_cmd_defect", "DefectSpec"): 1,
+        ("theorem_lab.py", "verify_power_stability", "DefectSpec"): 1,
+        ("theorem_lab.py", "verify_two_expansive_isometry", "DefectSpec"): 1,
+        ("theorem_lab.py", "verify_sandwich_isometry", "DefectSpec"): 1,
+        ("theorem_lab.py", "spectral_constraints", "DefectSpec"): 1,
+        ("cli.py", "_cmd_defect", "defect"): 1,
+        ("cli.py", "_resolve_weight", "gram_weight"): 1,
+    })
+
+
 def test_suite_runs_check_each_matrix_at_most_half_as_often(monkeypatch, tmp_path):
     # before matrices were checked once where they enter, these runs made
-    # 7,562 and 5,833 as_matrix calls; they now make 2,959 and 2,373
+    # 7,562 and 5,833 as_matrix calls, and 2,959 and 2,373 while every defect
+    # built a DefectSpec; with DefectSpec only at the entries they make 1,000
     calls = []
     original = matrix_core.as_matrix
 
@@ -787,13 +829,8 @@ def test_suite_runs_check_each_matrix_at_most_half_as_often(monkeypatch, tmp_pat
         calls.append(None)
         return original(m)
 
-    # submodules load on first use: import them all, so none escapes the count
-    for info in pkgutil.iter_modules(oplab.__path__):
-        importlib.import_module(f"oplab.{info.name}")
-    for name, module in list(sys.modules.items()):
-        if name.startswith("oplab.") and getattr(module, "as_matrix", None) is original:
-            monkeypatch.setattr(module, "as_matrix", counting)
-    for mode, bound in (("verify", 3781), ("fuzz", 2916)):
+    patch_everywhere(monkeypatch, original, counting)
+    for mode, bound in (("verify", 1300), ("fuzz", 1300)):
         calls.clear()
         oplab.run_suite(mode, seed=7, count=50, dims=(4, 3), quarantine_dir=tmp_path / mode)
         assert len(calls) <= bound, mode
@@ -803,8 +840,6 @@ _NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
 _FLAT = np.ones(2)
 _WIDE = np.ones((2, 3))
 _SQUARE = (DimensionError, "expected a square matrix, got shape (2, 3)")
-_DEFECT_SQUARE = (DomainError, "operator must be square, got (2, 3)")
-_DEFECT_WEIGHT = (DomainError, "weight shape (2, 3) does not match operator shape (2, 2)")
 
 # every public oplab function (and DefectSpec) that takes a matrix: the call
 # with the bad matrix in one argument, and the error a 2x3 matrix there
@@ -815,11 +850,11 @@ _ENTRY_CALLS = {
     "block_compose": (lambda m: oplab.block_compose([[m, np.zeros((2, 1))], [np.zeros((1, 2)), np.zeros((1, 1))]]),
                       None),
     "build_transform_bundle": (lambda m: oplab.build_transform_bundle(m, 1), _SQUARE),
-    "classify": (lambda m: oplab.classify(m, np.eye(2), 2), _DEFECT_SQUARE),
-    "classify:p": (lambda m: oplab.classify(np.eye(2), m, 2), _DEFECT_WEIGHT),
+    "classify": (lambda m: oplab.classify(m, np.eye(2), 2), _SQUARE),
+    "classify:p": (lambda m: oplab.classify(np.eye(2), m, 2), _SQUARE),
     "core_nilpotent": (lambda m: oplab.core_nilpotent(m), _SQUARE),
-    "DefectSpec": (lambda m: oplab.DefectSpec(t=m, p=np.eye(2), m=1), _DEFECT_SQUARE),
-    "DefectSpec:p": (lambda m: oplab.DefectSpec(t=np.eye(2), p=m, m=1), _DEFECT_WEIGHT),
+    "DefectSpec": (lambda m: oplab.DefectSpec(t=m, p=np.eye(2), m=1), _SQUARE),
+    "DefectSpec:p": (lambda m: oplab.DefectSpec(t=np.eye(2), p=m, m=1), _SQUARE),
     "definiteness": (lambda m: oplab.definiteness(m), _SQUARE),
     "drazin_index": (lambda m: oplab.drazin_index(m), _SQUARE),
     "drazin_inverse": (lambda m: oplab.drazin_inverse(m), _SQUARE),
@@ -838,17 +873,17 @@ _ENTRY_CALLS = {
     "operator_norm": (lambda m: oplab.operator_norm(m), None),
     "polar": (lambda m: oplab.polar(m), _SQUARE),
     "range_kernel_split": (lambda m: oplab.range_kernel_split(m, 1), _SQUARE),
-    "spectral_constraints": (lambda m: oplab.spectral_constraints(m, np.eye(2), 1), _DEFECT_SQUARE),
+    "spectral_constraints": (lambda m: oplab.spectral_constraints(m, np.eye(2), 1), _SQUARE),
     "spectral_constraints:p": (lambda m: oplab.spectral_constraints(np.eye(2), m, 1), _SQUARE),
     "spectral_radius": (lambda m: oplab.spectral_radius(m), _SQUARE),
     "sqrt_psd": (lambda m: oplab.sqrt_psd(m), _SQUARE),
     "verify_no_singular_expansive": (lambda m: oplab.verify_no_singular_expansive(m, 1), _SQUARE),
-    "verify_power_stability": (lambda m: oplab.verify_power_stability(m, np.eye(2), 1, 2), _DEFECT_SQUARE),
-    "verify_power_stability:p": (lambda m: oplab.verify_power_stability(np.eye(2), m, 1, 2), _DEFECT_WEIGHT),
-    "verify_sandwich_isometry": (lambda m: oplab.verify_sandwich_isometry(m, np.eye(2), 2), _DEFECT_SQUARE),
+    "verify_power_stability": (lambda m: oplab.verify_power_stability(m, np.eye(2), 1, 2), _SQUARE),
+    "verify_power_stability:p": (lambda m: oplab.verify_power_stability(np.eye(2), m, 1, 2), _SQUARE),
+    "verify_sandwich_isometry": (lambda m: oplab.verify_sandwich_isometry(m, np.eye(2), 2), _SQUARE),
     "verify_sandwich_isometry:p": (lambda m: oplab.verify_sandwich_isometry(np.eye(2), m, 2), _SQUARE),
     "verify_transform_bundle": (lambda m: oplab.verify_transform_bundle(m, 1, 1), _SQUARE),
-    "verify_two_expansive_isometry": (lambda m: oplab.verify_two_expansive_isometry(m, np.eye(2)), _DEFECT_SQUARE),
+    "verify_two_expansive_isometry": (lambda m: oplab.verify_two_expansive_isometry(m, np.eye(2)), _SQUARE),
     "verify_two_expansive_isometry:p": (lambda m: oplab.verify_two_expansive_isometry(np.eye(2), m), _SQUARE),
     "verify_unitary_nilpotent_structure": (lambda m: oplab.verify_unitary_nilpotent_structure(m), _SQUARE),
     "verify_weight_decomposition": (lambda m: oplab.verify_weight_decomposition(m, [[0]], np.eye(3), 1),
@@ -856,9 +891,13 @@ _ENTRY_CALLS = {
     "verify_weight_decomposition:p": (lambda m: oplab.verify_weight_decomposition([[1]], [[0]], m, 1),
                                       (PreconditionError, "weight shape (2, 3) does not match block dimensions (2,)")),
 }
+# the public functions that take no matrix: the defect functions take a
+# DefectSpec, whose checks are its rows above; matrix_from_json takes a JSON
+# payload (see the wire-format tests); the generators and the suite take
+# seeds, specs and paths, and read matrices only through matrix_from_json
 _NOT_MATRIX_TAKING = {
-    "defect", "defect_series", "defect_tilde",  # take a checked DefectSpec
-    "matrix_from_json",  # takes a JSON payload, see the wire-format tests
+    "defect", "defect_series", "defect_tilde",
+    "matrix_from_json",
     "gen_coupled_kernel", "gen_drazin_pair", "gen_expansive_invertible", "gen_haar_unitary", "gen_nilpotent",
     "gen_psd", "generate", "replay_quarantine", "run_suite",
 }

@@ -17,6 +17,8 @@ from oplab import THEOREM_IDS, DomainError, TheoremVerdict, replay_quarantine, r
 from oplab.generators import GenSpec
 from oplab.matrix_core import matrix_from_json
 
+from conftest import patch_everywhere
+
 
 def strip_timestamp(report: dict) -> str:
     return json.dumps({k: v for k, v in report.items() if k != "generated_at"}, sort_keys=True)
@@ -264,8 +266,6 @@ def test_quarantine_files_of_different_runs_do_not_collide(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("mode", ["verify", "fuzz"])
 def test_reports_unchanged_by_the_spectral_norm_kernel(tmp_path, monkeypatch, mode):
-    import oplab.decompositions as decompositions_mod
-    import oplab.expansivity as expansivity_mod
     import oplab.matrix_core as matrix_core_mod
 
     def report_text(quarantine):
@@ -277,9 +277,46 @@ def test_reports_unchanged_by_the_spectral_norm_kernel(tmp_path, monkeypatch, mo
     def reference_norm2(a):
         return float(np.linalg.norm(a, 2))
 
-    for module in (matrix_core_mod, expansivity_mod, decompositions_mod, theorem_lab):
-        monkeypatch.setattr(module, "_norm2", reference_norm2)
+    patch_everywhere(monkeypatch, matrix_core_mod._norm2, reference_norm2)
     assert report_text("reference") == fast
+
+
+def test_suite_defects_compute_on_checked_arrays(monkeypatch, tmp_path):
+    # A DefectSpec is built where a caller's matrices enter, once per
+    # instance of the four verifiers handed a weight, and each verifier gates
+    # a weight once: 950 specs and 1,150 gates in verify, 650 and 850 in
+    # fuzz, while every defect built its own spec.  Every other defect runs
+    # the kernel on arrays oplab checked or built, with a weight that is
+    # exactly self-adjoint.
+    import oplab.expansivity as expansivity_mod
+    import oplab.matrix_core as matrix_core_mod
+
+    specs, gates, weights = [], [], []
+    post_init = expansivity_mod.DefectSpec.__post_init__
+    gate = matrix_core_mod._hermitian_gate
+    kernel = expansivity_mod._defect_pass
+
+    def counting_spec(spec):
+        specs.append(None)
+        post_init(spec)
+
+    def counting_gate(a, tol):
+        gates.append(None)
+        return gate(a, tol)
+
+    def recording_kernel(t, h, orders, tol):
+        weights.append(np.array_equal(h, h.conj().T))
+        return kernel(t, h, orders, tol)
+
+    monkeypatch.setattr(expansivity_mod.DefectSpec, "__post_init__", counting_spec)
+    patch_everywhere(monkeypatch, gate, counting_gate)
+    patch_everywhere(monkeypatch, kernel, recording_kernel)
+    for mode in ("verify", "fuzz"):
+        for log in (specs, gates, weights):
+            log.clear()
+        run_suite(mode, seed=7, count=50, dims=(4, 3), quarantine_dir=tmp_path / mode)
+        assert (len(specs), len(gates)) == (200, 250), mode
+        assert weights and all(weights), mode
 
 
 def test_verifiers_make_no_linalg_norm_call(monkeypatch):

@@ -15,6 +15,7 @@ from oplab import (
     PreconditionError,
     block_compose,
     build_transform_bundle,
+    classify,
     defect,
     DefectSpec,
     gen_coupled_kernel,
@@ -33,8 +34,13 @@ from oplab import (
     verify_unitary_nilpotent_structure,
     verify_weight_decomposition,
 )
+import oplab.generators as generators
+import oplab.matrix_core as matrix_core
+import oplab.theorem_lab as theorem_lab
 from oplab.matrix_core import DEFAULT_TOL
 from oplab.theorem_lab import _nilpotency_index
+
+from conftest import patch_everywhere
 
 I2 = np.eye(2)
 IDEMPOTENT = np.array([[1, 1], [0, 0]], dtype=complex)
@@ -172,6 +178,85 @@ def test_integer_params_reject_non_integers(verify, kwargs, message):
     u = gen_haar_unitary(2, 3)
     with pytest.raises(DomainError, match=f"^{message}$"):
         verify(u, np.eye(3), **kwargs)
+
+
+_RANGE = (DomainError, "defect order must be in [1, 62], got {}")
+_INTEGRAL = (DomainError, "defect order must be an integer, got {}")
+
+# every entry that takes a defect order, called with order m
+_ORDER_ENTRIES = {
+    "DefectSpec": lambda m: DefectSpec(t=I2, p=I2, m=m),
+    "classify": lambda m: classify(I2, I2, m),
+    "verify_power_stability": lambda m: verify_power_stability(I2, I2, m, 2),
+    "verify_no_singular_expansive": lambda m: verify_no_singular_expansive(I2, m),
+    "verify_weight_decomposition": lambda m: verify_weight_decomposition([[1]], [[0]], np.diag([1.0, 0.0]), m),
+    "verify_sandwich_isometry": lambda m: verify_sandwich_isometry(I2, I2, m),
+    "spectral_constraints": lambda m: spectral_constraints(I2, I2, m),
+    "verify_transform_bundle": lambda m: verify_transform_bundle(I2, 1, m),
+    "gen_drazin_pair": lambda m: gen_drazin_pair(1, 2, 2, m=m),
+    "gen_expansive_invertible@2": lambda m: gen_expansive_invertible(1, 2, m=m, scale=1.5),
+    "gen_expansive_invertible@64": lambda m: gen_expansive_invertible(1, 64, m=m, scale=1.5),
+}
+# the error of each rejected order; an order below 1 keeps the entry's own
+# precondition where it has one
+_ORDER_ERRORS = {0: _RANGE, 63: _RANGE, 2.5: _INTEGRAL, True: _INTEGRAL}
+_ORDER_PRECONDITIONS = {
+    ("verify_sandwich_isometry", 0): "order must be >= 2, got 0",
+    ("gen_expansive_invertible@2", 0): "dimension and order must be >= 1, got d = 2, m = 0",
+    ("gen_expansive_invertible@64", 0): "dimension and order must be >= 1, got d = 64, m = 0",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ORDER_ENTRIES))
+@pytest.mark.parametrize("m", [0, 63, 2.5, True], ids=["zero", "above-max", "fraction", "bool"])
+def test_every_order_taking_entry_rejects_a_bad_order(monkeypatch, entry, m):
+    # one order rule, checked before any draw or product: at d = 64 the
+    # generator used to spend its resampling budget and raise GenerationError
+    def forbidden(*args):
+        raise AssertionError("an order was used before it was checked")
+
+    monkeypatch.setattr(generators, "_rng", forbidden)
+    monkeypatch.setattr(theorem_lab, "_power_rank", forbidden)
+    if (entry, m) in _ORDER_PRECONDITIONS:
+        kind, message = PreconditionError, _ORDER_PRECONDITIONS[entry, m]
+    else:
+        kind, template = _ORDER_ERRORS[m]
+        message = template.format(m)
+    with pytest.raises(kind) as caught:
+        _ORDER_ENTRIES[entry](m)
+    assert (type(caught.value), str(caught.value)) == (kind, message)
+
+
+_NEARLY_HERMITIAN = np.array([[1.0, 1e-14, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "verify, inputs",
+    [
+        (verify_power_stability, {"p": _NEARLY_HERMITIAN, "m": 1, "n_max": 3}),
+        (verify_two_expansive_isometry, {"p": _NEARLY_HERMITIAN}),
+        (verify_sandwich_isometry, {"p": _NEARLY_HERMITIAN, "m": 3}),
+        (spectral_constraints, {"p": _NEARLY_HERMITIAN, "m": 2}),
+        (verify_weight_decomposition, {"t2": np.zeros((1, 1)), "p": _NEARLY_HERMITIAN * [1, 1, 0], "m": 1}),
+    ],
+    ids=["power_stability", "two_expansive_isometry", "sandwich_isometry", "spectral_constraints",
+         "weight_decomposition"],
+)
+def test_each_verifier_gates_its_weight_once(monkeypatch, verify, inputs):
+    # P is Hermitian within the gate but not exactly, so the gate does its
+    # full check; every defect of the verifier reuses its result
+    gates = []
+    real = matrix_core._hermitian_gate
+
+    def counting(a, tol):
+        gates.append(None)
+        return real(a, tol)
+
+    patch_everywhere(monkeypatch, real, counting)
+    u = gen_haar_unitary(2, 2 if "t2" in inputs else 3)
+    verdict = verify(u, **inputs)
+    assert len(gates) == 1
+    assert verdict.premises_met and verdict.holds
 
 
 def _gated_nilpotency_index(x, tol=DEFAULT_TOL):
