@@ -21,6 +21,7 @@ Numerical conventions shared with `matrix_core`:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -78,8 +79,9 @@ def _power_rank(a: np.ndarray, tol: Tolerance, n: int | None = None) -> tuple:
     None, to T^p at the Drazin index p (the least p with rank T^{p+1} =
     rank T^p): (k, T^k, rank T^k, g_k, ||T||), the rank counting singular
     values above g_k (T^0: None, rank d, gate 0).  One within 10x of g_k
-    warns IllConditionedWarning; only public functions call this, and the
-    warning names their caller."""
+    warns IllConditionedWarning, naming the caller of the function that
+    called this (a public function, a verifier or `_build_transform_bundle`),
+    which hands the result to a kernel such as `_core_nilpotent`."""
     step = (0, None, a.shape[0], 0.0)
     for k, (power, s, gate) in enumerate(_power_walk(a, tol), 1):
         norm = _largest(s) if k == 1 else norm
@@ -156,6 +158,33 @@ def _drazin_inverse(a: np.ndarray, k: int, tol: Tolerance) -> tuple[np.ndarray, 
     return td, residuals
 
 
+def _block_drazin_inverse(t1: np.ndarray, d2: int, tol: Tolerance) -> np.ndarray:
+    """The Drazin inverse t1^-1 (+) 0 of T = t1 (+) t2, for a finite square
+    ``t1`` of full rank and a nilpotent t2 of dimension ``d2``.
+
+    The three identities of T^D on T reduce to t1 X = I for X = t1^-1, one
+    solve; a residual ||t1 X - I|| more than 1000x beyond tolerance (at
+    scale 1 + ||t1|| ||X||) raises NumericalFailureError carrying it.
+    """
+    d1 = t1.shape[0]
+    eye = np.eye(d1, dtype=np.complex128)
+    # a singular pivot or an overflow leaves a non-finite residual, typed below
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            x = np.linalg.solve(t1, eye)
+        except np.linalg.LinAlgError:
+            x = np.full_like(eye, np.nan)
+        r = t1 @ x - eye
+    residual = _norm2(r) if np.isfinite(r).all() else math.inf
+    # a finite residual means a finite X: t1 has no zero column, so a
+    # non-finite entry of X makes t1 X non-finite
+    if residual == math.inf or residual > 1e3 * tol.gate(1.0 + _norm2(t1) * _norm2(x)):
+        raise NumericalFailureError("Drazin identities failed", {"inverse": residual})
+    td = np.zeros((d1 + d2, d1 + d2), dtype=np.complex128)
+    td[:d1, :d1] = x
+    return td
+
+
 @dataclass(frozen=True)
 class CoreNilpotent:
     """Similarity T = basis . diag(t1, t2) . basis^{-1} with t1 invertible and
@@ -172,8 +201,14 @@ class CoreNilpotent:
 def core_nilpotent(t, tol: Tolerance = DEFAULT_TOL) -> CoreNilpotent:
     """Split T along range(T^p) and ker(T^p), p the Drazin index."""
     a = _require_square(as_matrix(t))
+    return _core_nilpotent(a, _power_rank(a, tol), tol)
+
+
+def _core_nilpotent(a: np.ndarray, step: tuple, tol: Tolerance) -> CoreNilpotent:
+    """`core_nilpotent` of a validated square ``a``, given its walk ``step``
+    = `_power_rank(a, tol)`."""
     d = a.shape[0]
-    p, _, r, gate, _ = _power_rank(a, tol)
+    p, _, r, gate, _ = step
     if p == 0:
         return CoreNilpotent(
             index=0,
@@ -237,11 +272,24 @@ def range_kernel_split(t, n: int, tol: Tolerance = DEFAULT_TOL) -> RangeKernelSp
     overflows raises NumericalFailureError.  A non-integral n raises
     DomainError before any product.
     """
+    n = _split_power(n)
+    a = _require_square(as_matrix(t))
+    return _range_kernel_split(a, n, _power_rank(a, tol, n), tol)
+
+
+def _split_power(n) -> int:
+    """The power of a range-kernel split: an integer >= 1, else DomainError
+    (not integral) or PreconditionError."""
     n = _as_integer(n, "power")
     if n < 1:
         raise PreconditionError(f"power must be >= 1, got {n}")
-    a = _require_square(as_matrix(t))
-    _, tn, d1, gate, norm = _power_rank(a, tol, n)
+    return n
+
+
+def _range_kernel_split(a: np.ndarray, n: int, step: tuple, tol: Tolerance) -> RangeKernelSplit:
+    """`range_kernel_split` of a validated square ``a`` at a power ``n`` >= 1,
+    given its walk ``step`` = `_power_rank(a, tol, n)`."""
+    _, tn, d1, gate, norm = step
     basis = _canonical_phases(np.linalg.svd(tn)[0])
     bn = adjoint(basis) @ tn @ basis
     bt = adjoint(basis) @ a @ basis
@@ -300,7 +348,11 @@ def polar(m, tol: Tolerance = DEFAULT_TOL) -> PolarParts:
     kept by the rank cutoff.  A |M| whose entries or Hermitian part overflow
     (sigma_max near the float maximum) raises NumericalFailureError.
     """
-    a = _require_square(as_matrix(m))
+    return _polar(_require_square(as_matrix(m)), tol)
+
+
+def _polar(a: np.ndarray, tol: Tolerance) -> PolarParts:
+    """`polar` of a validated square ``a``."""
     if a.size == 0:
         return PolarParts(a.copy(), a.copy(), a.copy())
     w, s, vh = np.linalg.svd(a)
@@ -363,16 +415,22 @@ class TransformBundle:
         }
 
 
-# a block that overflows raises NumericalFailureError below, so numpy's
-# warnings would only repeat it
-@np.errstate(over="ignore", invalid="ignore")
 def build_transform_bundle(t, n: int, tol: Tolerance = DEFAULT_TOL) -> TransformBundle:
     """Assemble the coupled-transform bundle from the range-kernel split; a
     block that overflows raises NumericalFailureError."""
-    split = range_kernel_split(t, n, tol)
+    n = _split_power(n)
+    return _build_transform_bundle(_require_square(as_matrix(t)), n, tol)
+
+
+# a block that overflows raises NumericalFailureError below, so numpy's
+# warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
+def _build_transform_bundle(a: np.ndarray, n: int, tol: Tolerance) -> TransformBundle:
+    """`build_transform_bundle` of a validated square ``a`` at a power ``n`` >= 1."""
+    split = _range_kernel_split(a, n, _power_rank(a, tol, n), tol)
     d = split.basis.shape[0]
     d1, d2 = split.d1, d - split.d1
-    parts = polar(split.t1n, tol)
+    parts = _polar(split.t1n, tol)
     u1, p1, p1_half = parts.u, parts.p, parts.p_half
     x = split.x
     i1 = np.eye(d1, dtype=np.complex128)

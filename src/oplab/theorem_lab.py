@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompositions import _power_rank, build_transform_bundle, core_nilpotent, drazin_inverse
+from .decompositions import _block_drazin_inverse, _build_transform_bundle, _core_nilpotent, _power_rank, _split_power
 from .expansivity import EXPANSIVE, DefectSpec, _defect_order, _defect_pass, _gram_weight, _tilde
 from .matrix_core import (
     DEFAULT_TOL,
@@ -169,6 +169,9 @@ def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL)
     Both implications are evaluated on the instance; each is vacuous when its
     antecedent fails.  The nilpotent induction anchor
     t2^{*(q-1)} P22 t2^{q-1} <= 0 is checked alongside the forward direction.
+    q, the nilpotency index of t2, comes from the one power walk, of t2; the
+    Drazin inverse is t1^-1 (+) 0, taken from the blocks
+    (`_block_drazin_inverse`), so no power of the composed T is formed.
     """
     m = _defect_order(m)
     a1, a2, p = map(as_matrix, (t1, t2, p))
@@ -188,7 +191,7 @@ def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL)
     scale_p = 1.0 + _norm2(p)
 
     expansive = EXPANSIVE in _defect_pass(t, h, (m,), tol)[0].classification
-    td = drazin_inverse(t, tol)
+    td = _block_drazin_inverse(a1, d2, tol)
     tilde = _tilde(_defect_pass(td, h, (m,), tol)[0], m)
     tilde_nsd = tilde.verdict.is_nsd
 
@@ -231,7 +234,7 @@ def verify_two_expansive_isometry(t, p, tol: Tolerance = DEFAULT_TOL) -> Theorem
     spec = DefectSpec(t=t, p=p, m=2)
     a, p = spec.t, spec.p
     result = _defect_pass(a, _psd_weight(p, tol), (2,), tol)[0]
-    core = core_nilpotent(a, tol)
+    core = _core_nilpotent(a, _power_rank(a, tol), tol)
     expansive = EXPANSIVE in result.classification
     residual = _norm2(adjoint(a) @ p @ a - p)
     threshold = _gate(tol, 1.0 + _norm2(p))
@@ -250,7 +253,7 @@ def verify_unitary_nilpotent_structure(t, tol: Tolerance = DEFAULT_TOL) -> Theor
     has a unitary invertible block, i.e. it is a unitary plus a nilpotent."""
     a = _require_square(as_matrix(t))
     result = _defect_pass(a, _gram_weight(a, 1), (2,), tol)[0]
-    core = core_nilpotent(a, tol)
+    core = _core_nilpotent(a, _power_rank(a, tol), tol)
     expansive = EXPANSIVE in result.classification
     t1 = core.t1
     residual = _norm2(adjoint(t1) @ t1 - np.eye(t1.shape[0]))
@@ -276,7 +279,7 @@ def verify_sandwich_isometry(t, p, m: int, tol: Tolerance = DEFAULT_TOL) -> Theo
     expansive = EXPANSIVE in upper.classification
     contractive = all(result.verdict.is_psd for result in lower)
     lower_verdict = lower[0].verdict.to_json() if lower else None
-    core = core_nilpotent(spec.t, tol)
+    core = _core_nilpotent(spec.t, _power_rank(spec.t, tol), tol)
     witness = {
         "m": m,
         "upper_verdict": upper.verdict.to_json(),
@@ -341,7 +344,7 @@ def verify_transform_bundle(t, n: int, m: int, tol: Tolerance = DEFAULT_TOL) -> 
     m = _defect_order(m)
     a = _require_square(as_matrix(t))
     premise = _defect_pass(a, _gram_weight(a, n), (m,), tol)[0]
-    bundle = build_transform_bundle(a, n, tol)
+    bundle = _build_transform_bundle(a, _split_power(n), tol)
 
     # the weights c, d (_hermitian_part results) and q = p1 (+) I are exactly self-adjoint
     defect_a = _defect_pass(bundle.a, bundle.c, (m,), tol)[0]

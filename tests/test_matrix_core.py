@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import oplab
 import oplab.cli as cli
+import oplab.decompositions as decompositions
 import oplab.matrix_core as matrix_core
 from oplab import (
     DimensionError,
@@ -692,9 +693,11 @@ def test_spectral_norms_and_powers_go_through_matrix_core():
     # every decision on a power; power_gate is gone and must not return.
     # Each other decision rule has one home too: X^q = 0 in `_nilpotency`,
     # ||M - M*|| within the gate in
-    # `_hermitian_defect`, an overflow in `_finite` (the other
-    # NumericalFailureError is the Drazin identity check), and a verifier's
-    # PSD weight in theorem_lab's `_psd_weight`.
+    # `_hermitian_defect`, an overflow in `_finite` (the other two
+    # NumericalFailureErrors are the Drazin identity checks, both in
+    # decompositions: the rank-stabilization formula for an arbitrary T and
+    # the block formula t1^-1 (+) 0 for the verifier's T = t1 (+) t2), and a
+    # verifier's PSD weight in theorem_lab's `_psd_weight`.
     # gen_haar_unitary's unitarity gate keeps np.linalg.norm because
     # perfbench/selftest.py proves that tracing recorded calls with
     # linalg.norm.calls > 0; every other spectral norm is matrix_core._norm2.
@@ -710,6 +713,7 @@ def test_spectral_norms_and_powers_go_through_matrix_core():
         ("matrix_core.py", "_hermitian_defect", "M - M*"),
         ("matrix_core.py", "_finite", "NumericalFailureError"),
         ("decompositions.py", "_drazin_inverse", "NumericalFailureError"),
+        ("decompositions.py", "_block_drazin_inverse", "NumericalFailureError"),
         ("theorem_lab.py", "_psd_weight", "psd weight"),
         ("generators.py", "gen_haar_unitary", "norm"),
         ("matrix_core.py", "matrix_to_json", "tolist"),
@@ -760,19 +764,32 @@ def test_matrices_are_checked_once_where_they_enter():
     # A matrix is checked where it enters oplab: a public function's
     # argument, a DefectSpec or a loaded file.  Internal code calls the
     # kernels (_norm2, _rank(_singular_values(.)), _sign_verdict(...),
-    # _hermitian_part, _pinv, _block_compose, np.linalg.eigvals), never a
-    # public helper that checks its argument again; only the writer's
-    # _dump checks the arrays of a payload it is handed.
+    # _hermitian_part, _pinv, _block_compose, np.linalg.eigvals,
+    # _core_nilpotent, _range_kernel_split, _polar,
+    # _build_transform_bundle), never a public helper that checks its
+    # argument again; only the writer's _dump checks the arrays of a payload
+    # it is handed.  Every public function of decompositions checks its
+    # argument: the CLI commands hand one the matrix they read, aluthge and
+    # duggal are polar's public wrappers, and nothing else calls one.
     sources = {path.name: path.read_text() for path in sorted(Path(oplab.__file__).parent.glob("*.py"))}
     helpers = _checking_helpers(sources["matrix_core.py"])
     assert {"operator_norm", "definiteness", "hermitian_part", "numerical_rank", "eigenvalues", "moore_penrose",
             "block_compose", "sqrt_psd", "spectral_radius", "is_hermitian"} <= helpers
+    helpers |= {name for name in decompositions.__all__
+                if isinstance(getattr(decompositions, name), types.FunctionType)}
     found = set()
     for name, source in sources.items():
         visitor = _CheckedAgain(helpers)
         visitor.visit(ast.parse(source))
         found |= {(name, scope, used) for scope, used in visitor.found}
-    assert found == {("matrix_core.py", "_dump", "as_matrix")}
+    assert found == {
+        ("matrix_core.py", "_dump", "as_matrix"),
+        ("decompositions.py", "aluthge", "polar"),
+        ("decompositions.py", "duggal", "polar"),
+        ("cli.py", "_cmd_drazin", "core_nilpotent"),
+        ("cli.py", "_cmd_transform", "polar"),
+        ("cli.py", "_cmd_split", "range_kernel_split"),
+    }
 
 
 class _NameCalls(ast.NodeVisitor):
@@ -821,7 +838,9 @@ def test_defect_specs_are_built_only_where_matrices_enter():
 def test_suite_runs_check_each_matrix_at_most_half_as_often(monkeypatch, tmp_path):
     # before matrices were checked once where they enter, these runs made
     # 7,562 and 5,833 as_matrix calls, and 2,959 and 2,373 while every defect
-    # built a DefectSpec; with DefectSpec only at the entries they make 1,000
+    # built a DefectSpec; with DefectSpec only at the entries they made 1,000,
+    # and with the verifiers reaching decompositions through its kernels 700,
+    # each a check of a matrix handed to a verifier
     calls = []
     original = matrix_core.as_matrix
 
@@ -830,7 +849,7 @@ def test_suite_runs_check_each_matrix_at_most_half_as_often(monkeypatch, tmp_pat
         return original(m)
 
     patch_everywhere(monkeypatch, original, counting)
-    for mode, bound in (("verify", 1300), ("fuzz", 1300)):
+    for mode, bound in (("verify", 700), ("fuzz", 700)):
         calls.clear()
         oplab.run_suite(mode, seed=7, count=50, dims=(4, 3), quarantine_dir=tmp_path / mode)
         assert len(calls) <= bound, mode

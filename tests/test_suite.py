@@ -354,6 +354,32 @@ def test_fixture_streams_are_pinned(tmp_path):
     assert digest == "5f5c3d4146c05ffd367c3283a58caaf12c8cd18171d3c441eaf50f6f71759fdd"
 
 
+def _without_floats(value):
+    """``value`` with every float dropped, at any depth of dicts and lists."""
+    if isinstance(value, dict):
+        return {key: _without_floats(item) for key, item in value.items() if not isinstance(item, float)}
+    if isinstance(value, list):
+        return [_without_floats(item) for item in value if not isinstance(item, float)]
+    return value
+
+
+def test_weight_decomposition_verdicts_are_pinned_beyond_the_fixture_dims(tmp_path):
+    # A digest of each instance's decision, taken before the verifier took
+    # T^D = t1^-1 (+) 0 from its blocks instead of the rank-stabilization
+    # formula on the composed T: the verdicts, the nilpotency index and every
+    # non-float witness field, at dims where the Drazin index reaches 32.
+    # Floats (eigenvalues, residual norms) may move in their last bits.
+    columns = ("theorem_id", "stream", "premises_met", "holds", "witness")
+    rows = []
+    for mode, dims, seed, count in (("fuzz", (16, 8), 1, 40), ("verify", (64, 32), 7, 3)):
+        report = run_suite(mode, seed=seed, count=count, dims=dims, suites="weight_decomposition",
+                           quarantine_dir=tmp_path / mode)
+        rows += [{name: _without_floats(row[name]) for name in columns} for row in report["rows"]]
+    assert sum(row["premises_met"] for row in rows) == 25
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "ac9c55bf6b01be06db0f9418e3a9205947ae1c4dc169f9e59d451a9cb89213aa"
+
+
 @pytest.fixture
 def generate_calls(monkeypatch):
     """Counts the suite's ``generate`` calls per GenSpec."""

@@ -18,6 +18,7 @@ from oplab import (
     classify,
     defect,
     DefectSpec,
+    drazin_residuals,
     gen_coupled_kernel,
     gen_drazin_pair,
     gen_expansive_invertible,
@@ -154,6 +155,76 @@ def test_weight_decomposition_overflowing_chain_anchor_is_typed():
     t2 = np.diag([1e100, 1e100], k=1)
     with pytest.raises(NumericalFailureError, match=r"chain anchor overflows: \{'power': 2\}"):
         verify_weight_decomposition(I2, t2, np.eye(5), m=1)
+
+
+def _block_drazin_pairs():
+    yield gen_drazin_pair(5, 3, 2, m=2), 3
+    yield gen_drazin_pair(2, 16, 8, m=1), 16
+    yield gen_drazin_pair(1, 4, 30, m=1, nil_index=30), 4
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_weight_decomposition_takes_the_drazin_inverse_from_its_blocks(monkeypatch, case):
+    # T^D = t1^-1 (+) 0: it satisfies the three Drazin identities on the
+    # composed T at the nilpotency index q of t2
+    (t, p), d1 = list(_block_drazin_pairs())[case]
+    inverses = []
+    real = theorem_lab._block_drazin_inverse
+
+    def keeping(*args):
+        inverses.append(real(*args))
+        return inverses[-1]
+
+    monkeypatch.setattr(theorem_lab, "_block_drazin_inverse", keeping)
+    v = verify_weight_decomposition(t[:d1, :d1], t[d1:, d1:], p, m=1)
+    [td] = inverses
+    d2 = t.shape[0] - d1
+    expected = block_compose([[np.linalg.inv(t[:d1, :d1]), np.zeros((d1, d2))],
+                              [np.zeros((d2, d1)), np.zeros((d2, d2))]])
+    assert np.allclose(td, expected, rtol=0.0, atol=1e-12)
+    assert not td[d1:].any() and not td[:, d1:].any()
+    # ||T|| <= 1.5 and ||T^D|| = 1 here, and the residuals are about 1e-15
+    assert max(drazin_residuals(t, td, v.witness["nilpotency_index"]).values()) <= 1e-13
+
+
+def test_weight_decomposition_walks_only_the_nilpotent_block(monkeypatch):
+    # one power walk per instance, of t2, and no pseudo-inverse or power of
+    # the composed T
+    t, p = gen_drazin_pair(2, 16, 8, m=1)
+    t1, t2 = t[:16, :16], t[16:, 16:]
+    walked, powers, pinvs = [], [], []
+
+    def recording(calls, real):
+        def call(a, *args):
+            calls.append(a.shape)
+            return real(a, *args)
+        return call
+
+    for name, calls in (("_power_walk", walked), ("_matrix_power", powers), ("_pinv", pinvs)):
+        real = getattr(matrix_core, name)
+        patch_everywhere(monkeypatch, real, recording(calls, real))
+    v = verify_weight_decomposition(t1, t2, p, m=1)
+    assert v.premises_met and v.holds
+    assert walked == [t2.shape]
+    assert pinvs == []
+    assert powers == [t2.shape]  # the chain anchor's t2^(q-1)
+
+
+@pytest.mark.parametrize("failure", ["inaccurate", "singular"])
+def test_weight_decomposition_bad_block_inverse_is_typed(monkeypatch, failure):
+    t, p = gen_drazin_pair(5, 3, 2, m=2)
+    real = np.linalg.solve
+
+    def bad_solve(a, b):
+        if failure == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return 1.01 * real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", bad_solve)
+    with pytest.raises(NumericalFailureError, match=r"Drazin identities failed: \{'inverse': ") as caught:
+        verify_weight_decomposition(t[:3, :3], t[3:, 3:], p, m=2)
+    residual = caught.value.residuals["inverse"]
+    assert residual == math.inf if failure == "singular" else 0.005 < residual < 0.02
 
 
 def test_transform_bundle_overflowing_block_is_typed():
