@@ -29,8 +29,9 @@ from .matrix_core import (
     NumericalFailureError,
     OplabError,
     Tolerance,
-    dumps_json,
+    _require_square,
     matrix_from_json,
+    write_json,
 )
 from .suite import THEOREM_IDS, run_suite
 
@@ -68,14 +69,38 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(rel_eps=args.rel_eps, abs_eps=args.abs_eps)
 
 
+class _OutputFile:
+    """The ``--output`` file as a text sink that opens it, creating or
+    truncating it, at the first write.  `write_json` checks a whole payload
+    before it writes, so a payload it rejects leaves the file as it was;
+    writing a temporary file and renaming it would break ``/dev/stdout``."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.handle = None
+
+    def write(self, text: str) -> None:
+        if self.handle is None:
+            self.handle = open(self.path, "w")
+        self.handle.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.handle is not None:
+            self.handle.close()
+
+
 def _emit(payload: dict, output: str | None) -> None:
-    text = dumps_json(payload)
+    """Stream ``payload``'s JSON text and a newline to ``output`` or stdout."""
     if output:
-        with open(output, "w") as handle:
-            handle.write(text)
-            handle.write("\n")
+        with _OutputFile(output) as sink:
+            write_json(payload, sink)
+            sink.write("\n")
     else:
-        print(text)
+        write_json(payload, sys.stdout)
+        sys.stdout.write("\n")
 
 
 def _cmd_classify(args) -> int:
@@ -97,12 +122,14 @@ def _cmd_defect(args) -> int:
 # decompositions is imported by the three commands that run it, so the others
 # never load it
 def _cmd_drazin(args) -> int:
-    from .decompositions import _drazin_inverse, core_nilpotent
+    from .decompositions import _core_nilpotent, _drazin_inverse, _power_rank
 
-    t = _load_matrix(args.matrix)
+    a = _require_square(_load_matrix(args.matrix))
     tol = _tolerance(args)
-    core = core_nilpotent(t, tol)
-    td, residuals = _drazin_inverse(t, core.index, tol)
+    # one walk of T, T^2, ... gives the index, rank T^p, its gate and ||T||
+    step = _power_rank(a, tol)
+    core = _core_nilpotent(a, step, tol)
+    td, residuals = _drazin_inverse(a, step, tol)
     _emit(
         {
             "index": core.index,

@@ -80,8 +80,9 @@ def _power_rank(a: np.ndarray, tol: Tolerance, n: int | None = None) -> tuple:
     rank T^p): (k, T^k, rank T^k, g_k, ||T||), the rank counting singular
     values above g_k (T^0: None, rank d, gate 0).  One within 10x of g_k
     warns IllConditionedWarning, naming the caller of the function that
-    called this (a public function, a verifier or `_build_transform_bundle`),
-    which hands the result to a kernel such as `_core_nilpotent`."""
+    called this (a public function, a verifier, `_build_transform_bundle` or
+    `cli._cmd_drazin`), which hands the result to a kernel such as
+    `_core_nilpotent`."""
     step = (0, None, a.shape[0], 0.0)
     for k, (power, s, gate) in enumerate(_power_walk(a, tol), 1):
         norm = _largest(s) if k == 1 else norm
@@ -141,18 +142,20 @@ def drazin_inverse(t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     NumericalFailureError carrying the residual norms.
     """
     a = _require_square(as_matrix(t))
-    return _drazin_inverse(a, _power_rank(a, tol)[0], tol)[0]
+    return _drazin_inverse(a, _power_rank(a, tol), tol)[0]
 
 
-def _drazin_inverse(a: np.ndarray, k: int, tol: Tolerance) -> tuple[np.ndarray, dict]:
-    """`drazin_inverse` of a validated square ``a`` of Drazin index ``k``,
-    with the residuals of its three identities."""
+def _drazin_inverse(a: np.ndarray, step: tuple, tol: Tolerance) -> tuple[np.ndarray, dict]:
+    """`drazin_inverse` of a validated square ``a``, given its walk ``step``
+    = `_power_rank(a, tol)` (its Drazin index k and ||T||), with the
+    residuals of its three identities."""
+    k, norm = step[0], step[4]
     tk = _matrix_power(a, k)
     td = tk @ _pinv(_matrix_power(a, 2 * k + 1), tol) @ tk
     residuals = _drazin_residuals(a, td, k, tk)
     # in float64, so an overflow gives an infinite scale without a warning
     with np.errstate(over="ignore"):
-        scale = 1.0 + float(np.float64(_norm2(a)) ** (2 * k + 1))
+        scale = 1.0 + float(np.float64(norm) ** (2 * k + 1))
     if max(residuals.values(), default=0.0) > 1e3 * tol.gate(scale):
         raise NumericalFailureError("Drazin identities failed", residuals)
     return td, residuals

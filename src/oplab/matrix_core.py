@@ -23,11 +23,13 @@ shared conventions:
   Hermiticity in `_hermitian_defect` and overflow in `_finite`,
 * definiteness decisions, PSD square roots and the Moore-Penrose inverse,
 * 2x2 block composition,
-* the JSON wire format for matrices and the one writer of JSON text,
-  `dumps_json`: payloads carry complex arrays, which it writes as their
-  `matrix_to_json` objects straight from the array's floats, one ``%r``
-  template per matrix; `matrix_to_json` builds those objects in Python for
-  library users and round trips.
+* the JSON wire format for matrices and the one writer of JSON text:
+  `write_json` streams a payload to a text sink in pieces, and `dumps_json`
+  is the join of those pieces.  Payloads carry complex arrays, which are
+  written as their `matrix_to_json` objects straight from the array's
+  floats, a row at a time from one ``%r`` template per matrix, so the text
+  held at once is one row, not the result; `matrix_to_json` builds those
+  objects in Python for library users and round trips.
 
 All functions are pure: inputs are never mutated and there is no module
 state, so values can be shared freely across threads.
@@ -36,7 +38,7 @@ state, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
@@ -72,6 +74,7 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
     "dumps_json",
+    "write_json",
 ]
 
 PSD = "PSD"
@@ -426,7 +429,7 @@ def _block_compose(blocks) -> np.ndarray:
 def matrix_to_json(m) -> dict:
     """The wire format {"rows", "cols", "data": [[[re, im], ...], ...]} as
     Python objects, for library users and round trips.  Payloads written by
-    `dumps_json` carry the array itself, which it writes as these bytes."""
+    `write_json` carry the array itself, which it writes as these bytes."""
     a = as_matrix(m)
     rows, cols = a.shape
     return {"rows": rows, "cols": cols, "data": _pairs(a).tolist()}
@@ -498,23 +501,88 @@ def _raise_first_bad_entry(data: list, cols: int) -> None:
                 raise MatrixFormatError(f"entry ({i},{j}) is not finite")
 
 
+def write_json(payload, handle) -> None:
+    """Write exactly ``dumps_json(payload)`` to the text stream ``handle``,
+    piece by piece: each dict's punctuation and sorted items, each array row
+    by row, and every other value (a list, a scalar) as the one string
+    `dumps_json` makes of it.
+
+    Every array is checked, and every other value turned into its string,
+    before the first ``handle.write``, so a payload that raises writes
+    nothing.  The largest text held at once is one row of a matrix or one
+    such string, not the whole result.
+    """
+    for piece in _pieces(payload):
+        handle.write(piece)
+
+
 def dumps_json(payload) -> str:
     """Return exactly ``json.dumps(payload, sort_keys=True, indent=2)``, where
     every complex ``ndarray`` in the payload is written as its
-    `matrix_to_json` object would be.
+    `matrix_to_json` object would be: the join of the pieces `write_json`
+    writes.
 
     The stdlib uses its C encoder only without ``indent``, so indented
     output runs every value through Python generator frames.  This writer
     uses the same C-level pieces per scalar (``encode_basestring_ascii``,
-    ``int.__repr__``, ``float.__repr__``).  A matrix, and any list that is
-    a rectangular nest of floats, is written with one ``%r`` template for
-    the whole block, so no per-entry list is built.  An array is validated
-    as `matrix_to_json` validates it and raises the same errors.  Whatever
-    ``json`` rejects raises ``TypeError``; a payload that contains itself
-    exceeds the recursion limit instead of raising ``json``'s
-    ``ValueError``.
+    ``int.__repr__``, ``float.__repr__``).  A matrix is written a row at a
+    time, with one ``%r`` template for all its rows, and any list that is a
+    rectangular nest of floats with one template for the whole block, so no
+    per-entry list is built.  An array is validated as `matrix_to_json`
+    validates it and raises the same errors.  Whatever ``json`` rejects
+    raises ``TypeError``; a payload that contains itself exceeds the
+    recursion limit instead of raising ``json``'s ``ValueError``.
     """
-    return _dump(payload, "\n")
+    return "".join(_pieces(payload))
+
+
+def _pieces(payload) -> Iterator[str]:
+    """The text of ``payload`` in pieces; whatever can raise has run when this returns."""
+    return chain.from_iterable(_parts(payload, "\n"))
+
+
+def _parts(value, newline: str) -> list:
+    """The text of ``value``, first line indented by ``newline``, as a list of
+    iterables of pieces: a dict's punctuation and sorted items, an array's
+    `_matrix_rows` and any other value's one `_dump` string."""
+    if isinstance(value, np.ndarray):
+        return [_matrix_rows(value, newline)]
+    if not (isinstance(value, dict) and value):
+        return [(_dump(value, newline),)]
+    inner = newline + "  "
+    parts = []
+    separator = "{" + inner
+    for key, item in sorted(value.items()):
+        parts.append((separator + encode_basestring_ascii(_json_key(key)) + ": ",))
+        parts += _parts(item, inner)
+        separator = "," + inner
+    parts.append((newline + "}",))
+    return parts
+
+
+def _matrix_rows(value, newline: str) -> Iterable[str]:
+    """The row writer: the text of an array as its `matrix_to_json` object,
+    keys sorted and first line indented by ``newline``.  The array is checked
+    on the call, as `matrix_to_json` checks it; its rows are formatted one
+    piece each, from one ``%r`` template, as the pieces are read."""
+    a = as_matrix(value)
+    rows, cols = a.shape
+    inner = newline + "  "
+    head = f'{{{inner}"cols": {cols},{inner}"data": '
+    tail = f',{inner}"rows": {rows}{newline}}}'
+    if not rows:
+        return (head + "[]" + tail,)
+    return chain((head,), _row_text(a, inner + "  "), (inner + "]" + tail,))
+
+
+def _row_text(a: np.ndarray, newline: str) -> Iterator[str]:
+    """The rows of a finite ``a`` as the items of its "data" list, each after
+    its "[" or "," and ``newline``; ``_pairs(a)`` is formed on the first read."""
+    template = _float_template((a.shape[1], 2), newline)
+    separator = "[" + newline
+    for row in _pairs(a):
+        yield separator + template % tuple(row.ravel().tolist())
+        separator = "," + newline
 
 
 def _json_floats(text: str) -> str:
@@ -532,21 +600,22 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _float_block(shape, floats: list, newline: str) -> str:
-    """JSON text, first line indented by ``newline``, of the rectangular nest
-    of lists of the given shape whose leaves in row-major order are ``floats``:
-    one ``%r`` template for the whole block, filled in one step."""
+def _float_template(shape, newline: str) -> str:
+    """The ``%r`` template, first line indented by ``newline``, of the JSON
+    text of a rectangular nest of lists of the given shape whose leaves are
+    floats, filled with the leaves in row-major order."""
     template = "%r"
     for depth in reversed(range(len(shape))):
         outer = newline + "  " * depth
         inner = outer + "  "
         items = ("," + inner).join(repeat(template, shape[depth]))
         template = "[" + inner + items + outer + "]" if items else "[]"
-    return _json_floats(template % tuple(floats))
+    return template
 
 
 def _float_table(items, newline: str) -> str | None:
-    """`_float_block` of a list of floats or a rectangular nest of float lists, else None."""
+    """The text of a list of floats or a rectangular nest of float lists,
+    from one `_float_template` filled in one step, else None."""
     shape = [len(items)]
     leaves = items
     while (kinds := set(map(type, leaves))) == {list}:
@@ -555,7 +624,7 @@ def _float_table(items, newline: str) -> str | None:
             return None
         shape.append(sizes.pop())
         leaves = list(chain.from_iterable(leaves))
-    return _float_block(shape, leaves, newline) if kinds == {float} else None
+    return _json_floats(_float_template(shape, newline) % tuple(leaves)) if kinds == {float} else None
 
 
 def _dump(value, newline: str) -> str:
@@ -588,8 +657,5 @@ def _dump(value, newline: str) -> str:
         )
         return "{" + inner + body + newline + "}"
     if isinstance(value, np.ndarray):
-        # the keys of matrix_to_json(value), sorted
-        a = as_matrix(value)
-        data = _float_block(a.shape + (2,), _pairs(a).ravel().tolist(), inner)
-        return f'{{{inner}"cols": {a.shape[1]},{inner}"data": {data},{inner}"rows": {a.shape[0]}{newline}}}'
+        return "".join(_matrix_rows(value, newline))
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")

@@ -41,8 +41,8 @@ from .matrix_core import (
     Tolerance,
     _hermitian_part,
     adjoint,
-    dumps_json,
     matrix_from_json,
+    write_json,
 )
 
 __all__ = [
@@ -412,7 +412,8 @@ def write_quarantine(directory, mode, row, inputs, tol: Tolerance) -> Path:
         "witness": row["witness"],
     }
     path = directory / f"{mode}-{row['theorem_id']}-{row['seed']}-{row['stream']:06d}.json"
-    path.write_text(dumps_json(payload))
+    with path.open("w") as handle:
+        write_json(payload, handle)
     return path
 
 

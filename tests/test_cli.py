@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -250,6 +251,52 @@ def test_drazin_of_a_scaled_shift_exits_zero(capsys, tmp_path, s):
     assert code == 0
     assert payload["index"] == 4
     assert payload["core"] == {"orthogonal": True, "invertible_dim": 0, "nilpotent_dim": 4}
+
+
+@pytest.mark.parametrize("command", ["defect", "verify"])
+def test_stdout_and_output_file_get_the_same_bytes(tmp_path, capsys, command):
+    if command == "defect":
+        t = write_matrix(tmp_path / "t.json", [[1, 2j, 0], [0.5, 1, 0], [0, 3, -1e-3]])
+        argv = ["defect", "--matrix", t, "--m", "2", "--weight", "gram"]
+    else:
+        argv = ["verify", "--seed", "3", "--count", "2", "--dims", "3,2", "--quarantine", str(tmp_path / "q")]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert main(argv + ["--output", str(tmp_path / "out.json")]) == 0
+    written = (tmp_path / "out.json").read_bytes()
+    # the one field that may differ between two runs
+    stamp = re.compile(rb'"generated_at": "[^"]*"')
+    assert stamp.sub(b"", stdout) == stamp.sub(b"", written)
+
+
+@pytest.mark.parametrize("duggal,code,message", [
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), 1, "oplab: error: matrix entries must be finite\n"),
+    (object(), None, "Object of type object is not JSON serializable"),
+])
+@pytest.mark.parametrize("existing", [None, "earlier result\n"])
+def test_a_rejected_payload_leaves_output_as_it_was(tmp_path, capsys, monkeypatch, duggal, code, message, existing):
+    # the payload is checked before --output is opened: no partial file, no truncation
+    import oplab.decompositions as decompositions_mod
+
+    monkeypatch.setattr(decompositions_mod.PolarParts, "duggal", lambda parts: duggal)
+    out = tmp_path / "out.json"
+    if existing is not None:
+        out.write_text(existing)
+    argv = ["transform", "--matrix", write_matrix(tmp_path / "t.json", [[2, 1], [0, 1]]), "--output", str(out)]
+    if code is None:
+        with pytest.raises(TypeError, match=message):
+            main(argv)
+    else:
+        assert main(argv) == code
+        assert capsys.readouterr().err == message
+    assert (out.read_text() if out.exists() else None) == existing
+
+
+@pytest.mark.parametrize("command", ["classify", "defect", "drazin", "transform", "split"])
+def test_a_non_square_matrix_is_a_usage_error(tmp_path, capsys, command):
+    path = write_matrix(tmp_path / "wide.json", np.ones((2, 3)))
+    assert main([command, "--matrix", path]) == 1
+    assert capsys.readouterr().err == "oplab: error: expected a square matrix, got shape (2, 3)\n"
 
 
 def test_defect_overflow_exits_three(tmp_path, capsys):

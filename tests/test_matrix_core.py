@@ -4,13 +4,15 @@ blocks and the JSON wire format."""
 import ast
 import json
 import math
+import os
+import tracemalloc
 import types
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oplab
@@ -37,7 +39,7 @@ from oplab import (
     sqrt_psd,
 )
 from oplab.generators import gen_haar_unitary, gen_psd
-from oplab.matrix_core import dumps_json
+from oplab.matrix_core import dumps_json, write_json
 
 from conftest import ginibre, patch_everywhere, philox, rank_deficient
 
@@ -389,6 +391,16 @@ def stdlib_dumps(payload):
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+class _Pieces:
+    """A text sink that keeps each piece written to it."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+
+
 def wire(payload):
     """``payload`` with every array replaced by its `matrix_to_json` object."""
     if isinstance(payload, np.ndarray):
@@ -403,13 +415,12 @@ def wire(payload):
 def test_dumps_json_matches_stdlib_on_every_cli_payload(tmp_path, monkeypatch):
     payloads = []
 
-    def checked(payload):
-        text = dumps_json(payload)
-        assert text == stdlib_dumps(wire(payload))
+    def checked(payload, handle):
+        assert dumps_json(payload) == stdlib_dumps(wire(payload))
         payloads.append(wire(payload))
-        return text
+        write_json(payload, handle)
 
-    monkeypatch.setattr(cli, "dumps_json", checked)
+    monkeypatch.setattr(cli, "write_json", checked)
     rng = philox(91)
     for d in (1, 4):
         t = ginibre(rng, d)
@@ -431,6 +442,23 @@ def test_dumps_json_matches_stdlib_on_every_cli_payload(tmp_path, monkeypatch):
             assert cli.main(argv + ["--output", str(tmp_path / "out.json")]) == 0, argv
             assert (tmp_path / "out.json").read_text() == stdlib_dumps(payloads[-1]) + "\n"
     assert len(payloads) == 16
+
+
+def test_write_json_holds_one_row_of_text_not_the_result():
+    # four 128 x 128 matrices, one in a nested dict: the whole text at once
+    # peaked at 20.4 MB; a row at a time holds one row and _pairs of one matrix
+    rng = philox(92)
+    payload = {"a": ginibre(rng, 128), "b": {"c": ginibre(rng, 128), "d": 1.5}, "e": ginibre(rng, 128),
+               "f": ginibre(rng, 128)}
+    one_matrix = len(dumps_json(payload["a"]))
+    with open(os.devnull, "w") as handle:
+        tracemalloc.start()
+        try:
+            write_json(payload, handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < one_matrix
 
 
 NAN, INF = float("nan"), float("inf")
@@ -525,10 +553,17 @@ def test_dumps_json_property(payload):
     try:
         expected = stdlib_dumps(payload)
     except TypeError:
+        sink = _Pieces()
         with pytest.raises(TypeError):
             dumps_json(payload)
+        with pytest.raises(TypeError):
+            write_json(payload, sink)
+        assert sink.pieces == []
         return
     assert dumps_json(payload) == expected
+    sink = _Pieces()
+    write_json(payload, sink)
+    assert "".join(sink.pieces) == expected
 
 
 SPECIAL_FLOATS = [-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -557,8 +592,17 @@ def nested(leaf, depth):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, 3).flatmap(lambda depth: nested(complex_arrays(), depth)))
+@example(np.zeros((0, 3), dtype=complex))
+@example({"m": np.zeros((3, 0), dtype=complex), "n": [np.ones((1, 3), dtype=complex)]})
+@example({"m": {"m": np.full((1, 3), 0.5 - 2j)}, "x": 1})
 def test_dumps_json_writes_arrays_as_their_wire_format(payload):
-    assert dumps_json(payload) == stdlib_dumps(wire(payload))
+    text = dumps_json(payload)
+    assert text == stdlib_dumps(wire(payload))
+    sink = _Pieces()
+    write_json(payload, sink)
+    assert "".join(sink.pieces) == text
+    if isinstance(payload, np.ndarray) and len(payload):
+        assert len(sink.pieces) == len(payload) + 2  # a head, one piece per row, a tail
 
 
 @pytest.mark.parametrize(
@@ -574,10 +618,14 @@ def test_dumps_json_writes_arrays_as_their_wire_format(payload):
 def test_dumps_json_rejects_arrays_as_matrix_to_json_does(array):
     with pytest.raises((DomainError, DimensionError)) as expected:
         matrix_to_json(array)
-    for payload in (array, {"a": [array]}):
+    for payload in (array, {"a": [array]}, {"a": 1, "b": {"c": array}}):
         with pytest.raises(expected.type) as got:
             dumps_json(payload)
         assert str(got.value) == str(expected.value)
+        sink = _Pieces()
+        with pytest.raises(expected.type):
+            write_json(payload, sink)
+        assert sink.pieces == []  # checked before the first piece is written
 
 
 def norm2_inputs():
@@ -702,9 +750,10 @@ def test_spectral_norms_and_powers_go_through_matrix_core():
     # perfbench/selftest.py proves that tracing recorded calls with
     # linalg.norm.calls > 0; every other spectral norm is matrix_core._norm2.
     # No binomial coefficient is used: a defect has one evaluation, the
-    # iterated map in expansivity.  Payloads carry arrays, which dumps_json
-    # writes straight from their floats: only the codec builds the per-entry
-    # lists of the wire format, and nothing calls matrix_to_json.
+    # iterated map in expansivity.  Payloads carry arrays, which the writer
+    # writes straight from their floats, a row at a time: only the codec
+    # builds the per-entry lists of the wire format, and nothing calls
+    # matrix_to_json.
     allowed = {
         ("matrix_core.py", "_matrix_power", "matrix_power"),
         ("matrix_core.py", "_power_walk", "x @ x"),
@@ -717,7 +766,7 @@ def test_spectral_norms_and_powers_go_through_matrix_core():
         ("theorem_lab.py", "_psd_weight", "psd weight"),
         ("generators.py", "gen_haar_unitary", "norm"),
         ("matrix_core.py", "matrix_to_json", "tolist"),
-        ("matrix_core.py", "_dump", "tolist"),
+        ("matrix_core.py", "_row_text", "tolist"),
     }
     found = set()
     for path in sorted(Path(oplab.__file__).parent.glob("*.py")):
@@ -767,10 +816,12 @@ def test_matrices_are_checked_once_where_they_enter():
     # _hermitian_part, _pinv, _block_compose, np.linalg.eigvals,
     # _core_nilpotent, _range_kernel_split, _polar,
     # _build_transform_bundle), never a public helper that checks its
-    # argument again; only the writer's _dump checks the arrays of a payload
-    # it is handed.  Every public function of decompositions checks its
-    # argument: the CLI commands hand one the matrix they read, aluthge and
-    # duggal are polar's public wrappers, and nothing else calls one.
+    # argument again; only the writer's row writer, _matrix_rows, checks the
+    # arrays of a payload it is handed.  Every public function of
+    # decompositions checks its argument: the transform and split commands
+    # hand one the matrix they read, aluthge and duggal are polar's public
+    # wrappers, and nothing else calls one; the drazin command checks the
+    # matrix it read for squareness and runs the kernels on one walk.
     sources = {path.name: path.read_text() for path in sorted(Path(oplab.__file__).parent.glob("*.py"))}
     helpers = _checking_helpers(sources["matrix_core.py"])
     assert {"operator_norm", "definiteness", "hermitian_part", "numerical_rank", "eigenvalues", "moore_penrose",
@@ -783,10 +834,9 @@ def test_matrices_are_checked_once_where_they_enter():
         visitor.visit(ast.parse(source))
         found |= {(name, scope, used) for scope, used in visitor.found}
     assert found == {
-        ("matrix_core.py", "_dump", "as_matrix"),
+        ("matrix_core.py", "_matrix_rows", "as_matrix"),
         ("decompositions.py", "aluthge", "polar"),
         ("decompositions.py", "duggal", "polar"),
-        ("cli.py", "_cmd_drazin", "core_nilpotent"),
         ("cli.py", "_cmd_transform", "polar"),
         ("cli.py", "_cmd_split", "range_kernel_split"),
     }
