@@ -30,8 +30,8 @@ from .matrix_core import (
     OplabError,
     Tolerance,
     _require_square,
+    json_pieces,
     matrix_from_json,
-    write_json,
 )
 from .suite import THEOREM_IDS, run_suite
 
@@ -69,37 +69,18 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(rel_eps=args.rel_eps, abs_eps=args.abs_eps)
 
 
-class _OutputFile:
-    """The ``--output`` file as a text sink that opens it, creating or
-    truncating it, at the first write.  `write_json` checks a whole payload
-    before it writes, so a payload it rejects leaves the file as it was;
-    writing a temporary file and renaming it would break ``/dev/stdout``."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self.handle = None
-
-    def write(self, text: str) -> None:
-        if self.handle is None:
-            self.handle = open(self.path, "w")
-        self.handle.write(text)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self.handle is not None:
-            self.handle.close()
-
-
 def _emit(payload: dict, output: str | None) -> None:
-    """Stream ``payload``'s JSON text and a newline to ``output`` or stdout."""
+    """Write ``payload``'s JSON text and a newline to ``output`` or stdout, a
+    piece at a time.  `json_pieces` checks the payload before ``output`` is
+    opened, so a payload it rejects leaves the file as it was; writing a
+    temporary file and renaming it would break ``/dev/stdout``."""
+    pieces = json_pieces(payload)
     if output:
-        with _OutputFile(output) as sink:
-            write_json(payload, sink)
-            sink.write("\n")
+        with open(output, "w") as handle:
+            handle.writelines(pieces)
+            handle.write("\n")
     else:
-        write_json(payload, sys.stdout)
+        sys.stdout.writelines(pieces)
         sys.stdout.write("\n")
 
 

@@ -113,7 +113,7 @@ class DefectResult:
     classification: frozenset
 
     def to_json(self) -> dict:
-        """The payload for `write_json`, which streams ``delta`` (an array) in the matrix wire format, row by row."""
+        """The payload for `json_pieces`, which streams ``delta`` (an array) in the matrix wire format, row by row."""
         return {
             "delta": self.delta,
             "verdict": self.verdict.to_json(),

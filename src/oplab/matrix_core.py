@@ -24,8 +24,8 @@ shared conventions:
 * definiteness decisions, PSD square roots and the Moore-Penrose inverse,
 * 2x2 block composition,
 * the JSON wire format for matrices and the one writer of JSON text:
-  `write_json` streams a payload to a text sink in pieces, and `dumps_json`
-  is the join of those pieces.  Payloads carry complex arrays, which are
+  `json_pieces` gives a payload's text in pieces to stream to a sink, and
+  `dumps_json` is their join.  Payloads carry complex arrays, which are
   written as their `matrix_to_json` objects straight from the array's
   floats, a row at a time from one ``%r`` template per matrix, so the text
   held at once is one row, not the result; `matrix_to_json` builds those
@@ -74,7 +74,7 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
     "dumps_json",
-    "write_json",
+    "json_pieces",
 ]
 
 PSD = "PSD"
@@ -429,7 +429,7 @@ def _block_compose(blocks) -> np.ndarray:
 def matrix_to_json(m) -> dict:
     """The wire format {"rows", "cols", "data": [[[re, im], ...], ...]} as
     Python objects, for library users and round trips.  Payloads written by
-    `write_json` carry the array itself, which it writes as these bytes."""
+    `json_pieces` carry the array itself, which it writes as these bytes."""
     a = as_matrix(m)
     rows, cols = a.shape
     return {"rows": rows, "cols": cols, "data": _pairs(a).tolist()}
@@ -501,26 +501,10 @@ def _raise_first_bad_entry(data: list, cols: int) -> None:
                 raise MatrixFormatError(f"entry ({i},{j}) is not finite")
 
 
-def write_json(payload, handle) -> None:
-    """Write exactly ``dumps_json(payload)`` to the text stream ``handle``,
-    piece by piece: each dict's punctuation and sorted items, each array row
-    by row, and every other value (a list, a scalar) as the one string
-    `dumps_json` makes of it.
-
-    Every array is checked, and every other value turned into its string,
-    before the first ``handle.write``, so a payload that raises writes
-    nothing.  The largest text held at once is one row of a matrix or one
-    such string, not the whole result.
-    """
-    for piece in _pieces(payload):
-        handle.write(piece)
-
-
 def dumps_json(payload) -> str:
     """Return exactly ``json.dumps(payload, sort_keys=True, indent=2)``, where
     every complex ``ndarray`` in the payload is written as its
-    `matrix_to_json` object would be: the join of the pieces `write_json`
-    writes.
+    `matrix_to_json` object would be: the join of `json_pieces`.
 
     The stdlib uses its C encoder only without ``indent``, so indented
     output runs every value through Python generator frames.  This writer
@@ -533,18 +517,28 @@ def dumps_json(payload) -> str:
     raises ``TypeError``; a payload that contains itself exceeds the
     recursion limit instead of raising ``json``'s ``ValueError``.
     """
-    return "".join(_pieces(payload))
+    return "".join(json_pieces(payload))
 
 
-def _pieces(payload) -> Iterator[str]:
-    """The text of ``payload`` in pieces; whatever can raise has run when this returns."""
+def json_pieces(payload) -> Iterator[str]:
+    """The text of ``dumps_json(payload)`` in pieces, to write to a sink one
+    at a time: each dict's punctuation and sorted items, each array row by
+    row, and every other value (a list, a scalar) as the one string
+    `dumps_json` makes of it.
+
+    Every array is checked, and every other value turned into its string,
+    before this returns, so a payload that raises does so before the caller
+    opens its sink.  The largest text held at once is one row of a matrix or
+    one such string, not the whole result.
+    """
     return chain.from_iterable(_parts(payload, "\n"))
 
 
 def _parts(value, newline: str) -> list:
     """The text of ``value``, first line indented by ``newline``, as a list of
     iterables of pieces: a dict's punctuation and sorted items, an array's
-    `_matrix_rows` and any other value's one `_dump` string."""
+    `_matrix_rows` and any other value's one `_dump` string.  It is the one
+    dict writer; `_dump` joins it for a dict inside a list."""
     if isinstance(value, np.ndarray):
         return [_matrix_rows(value, newline)]
     if not (isinstance(value, dict) and value):
@@ -650,12 +644,7 @@ def _dump(value, newline: str) -> str:
             return table
         return "[" + inner + ("," + inner).join([_dump(item, inner) for item in value]) + newline + "]"
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = ("," + inner).join(
-            [encode_basestring_ascii(_json_key(key)) + ": " + _dump(item, inner) for key, item in sorted(value.items())]
-        )
-        return "{" + inner + body + newline + "}"
+        return "".join(chain.from_iterable(_parts(value, newline))) if value else "{}"
     if isinstance(value, np.ndarray):
         return "".join(_matrix_rows(value, newline))
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")

@@ -41,8 +41,8 @@ from .matrix_core import (
     Tolerance,
     _hermitian_part,
     adjoint,
+    json_pieces,
     matrix_from_json,
-    write_json,
 )
 
 __all__ = [
@@ -412,8 +412,9 @@ def write_quarantine(directory, mode, row, inputs, tol: Tolerance) -> Path:
         "witness": row["witness"],
     }
     path = directory / f"{mode}-{row['theorem_id']}-{row['seed']}-{row['stream']:06d}.json"
+    pieces = json_pieces(payload)  # checked before the file is opened
     with path.open("w") as handle:
-        write_json(payload, handle)
+        handle.writelines(pieces)
     return path
 
 

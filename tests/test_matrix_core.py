@@ -39,7 +39,7 @@ from oplab import (
     sqrt_psd,
 )
 from oplab.generators import gen_haar_unitary, gen_psd
-from oplab.matrix_core import dumps_json, write_json
+from oplab.matrix_core import dumps_json, json_pieces
 
 from conftest import ginibre, patch_everywhere, philox, rank_deficient
 
@@ -391,16 +391,6 @@ def stdlib_dumps(payload):
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-class _Pieces:
-    """A text sink that keeps each piece written to it."""
-
-    def __init__(self):
-        self.pieces = []
-
-    def write(self, text):
-        self.pieces.append(text)
-
-
 def wire(payload):
     """``payload`` with every array replaced by its `matrix_to_json` object."""
     if isinstance(payload, np.ndarray):
@@ -415,12 +405,12 @@ def wire(payload):
 def test_dumps_json_matches_stdlib_on_every_cli_payload(tmp_path, monkeypatch):
     payloads = []
 
-    def checked(payload, handle):
+    def checked(payload):
         assert dumps_json(payload) == stdlib_dumps(wire(payload))
         payloads.append(wire(payload))
-        write_json(payload, handle)
+        return json_pieces(payload)
 
-    monkeypatch.setattr(cli, "write_json", checked)
+    monkeypatch.setattr(cli, "json_pieces", checked)
     rng = philox(91)
     for d in (1, 4):
         t = ginibre(rng, d)
@@ -444,7 +434,7 @@ def test_dumps_json_matches_stdlib_on_every_cli_payload(tmp_path, monkeypatch):
     assert len(payloads) == 16
 
 
-def test_write_json_holds_one_row_of_text_not_the_result():
+def test_json_pieces_hold_one_row_of_text_not_the_result():
     # four 128 x 128 matrices, one in a nested dict: the whole text at once
     # peaked at 20.4 MB; a row at a time holds one row and _pairs of one matrix
     rng = philox(92)
@@ -454,7 +444,7 @@ def test_write_json_holds_one_row_of_text_not_the_result():
     with open(os.devnull, "w") as handle:
         tracemalloc.start()
         try:
-            write_json(payload, handle)
+            handle.writelines(json_pieces(payload))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -553,17 +543,13 @@ def test_dumps_json_property(payload):
     try:
         expected = stdlib_dumps(payload)
     except TypeError:
-        sink = _Pieces()
         with pytest.raises(TypeError):
             dumps_json(payload)
         with pytest.raises(TypeError):
-            write_json(payload, sink)
-        assert sink.pieces == []
+            json_pieces(payload)  # on the call, before a piece is read
         return
     assert dumps_json(payload) == expected
-    sink = _Pieces()
-    write_json(payload, sink)
-    assert "".join(sink.pieces) == expected
+    assert "".join(json_pieces(payload)) == expected
 
 
 SPECIAL_FLOATS = [-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -598,11 +584,10 @@ def nested(leaf, depth):
 def test_dumps_json_writes_arrays_as_their_wire_format(payload):
     text = dumps_json(payload)
     assert text == stdlib_dumps(wire(payload))
-    sink = _Pieces()
-    write_json(payload, sink)
-    assert "".join(sink.pieces) == text
+    pieces = list(json_pieces(payload))
+    assert "".join(pieces) == text
     if isinstance(payload, np.ndarray) and len(payload):
-        assert len(sink.pieces) == len(payload) + 2  # a head, one piece per row, a tail
+        assert len(pieces) == len(payload) + 2  # a head, one piece per row, a tail
 
 
 @pytest.mark.parametrize(
@@ -622,10 +607,8 @@ def test_dumps_json_rejects_arrays_as_matrix_to_json_does(array):
         with pytest.raises(expected.type) as got:
             dumps_json(payload)
         assert str(got.value) == str(expected.value)
-        sink = _Pieces()
         with pytest.raises(expected.type):
-            write_json(payload, sink)
-        assert sink.pieces == []  # checked before the first piece is written
+            json_pieces(payload)  # checked on the call, before a piece is read
 
 
 def norm2_inputs():

@@ -235,6 +235,26 @@ def test_quarantine_file_is_stdlib_json_and_replays(tmp_path, monkeypatch):
         }
 
 
+@pytest.mark.parametrize("inputs,witness,error", [
+    ({"t": np.array([[np.inf, 0.0], [0.0, 1.0]])}, {}, DomainError),
+    ({"t": np.eye(2, dtype=complex)}, {"x": object()}, TypeError),
+])
+@pytest.mark.parametrize("existing", [None, "earlier file\n"])
+def test_a_rejected_quarantine_payload_leaves_the_file_as_it_was(tmp_path, inputs, witness, error, existing):
+    # the payload is checked before the file is opened: no empty or cut-short file
+    from oplab.matrix_core import DEFAULT_TOL
+    from oplab.suite import write_quarantine
+
+    row = {"theorem_id": "power_stability", "seed": 1, "stream": 2, "gen": {}, "params": {}, "witness": witness}
+    path = tmp_path / "verify-power_stability-1-000002.json"
+    if existing is not None:
+        path.write_text(existing)
+    with pytest.raises(error):
+        write_quarantine(tmp_path, "verify", row, inputs, DEFAULT_TOL)
+    assert (path.read_text() if path.exists() else None) == existing
+    assert len(list(tmp_path.iterdir())) == (existing is not None)
+
+
 def test_quarantine_files_of_different_runs_do_not_collide(tmp_path, monkeypatch):
     # a verify and a fuzz run at different seeds quarantine the same streams
     # of one theorem into one directory; every file survives and replays to
