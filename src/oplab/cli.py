@@ -29,8 +29,8 @@ from .matrix_core import (
     NumericalFailureError,
     OplabError,
     Tolerance,
+    _forked_json_pieces,
     _require_square,
-    json_pieces,
     matrix_from_json,
 )
 from .suite import THEOREM_IDS, run_suite
@@ -71,10 +71,11 @@ def _tolerance(args) -> Tolerance:
 
 def _emit(payload: dict, output: str | None) -> None:
     """Write ``payload``'s JSON text and a newline to ``output`` or stdout, a
-    piece at a time.  `json_pieces` checks the payload before ``output`` is
-    opened, so a payload it rejects leaves the file as it was; writing a
-    temporary file and renaming it would break ``/dev/stdout``."""
-    pieces = json_pieces(payload)
+    piece at a time, a large matrix on two cores (`_forked_json_pieces`).
+    The payload is checked before ``output`` is opened, so a payload it
+    rejects leaves the file as it was; writing a temporary file and renaming
+    it would break ``/dev/stdout``."""
+    pieces = _forked_json_pieces(payload)
     if output:
         with open(output, "w") as handle:
             handle.writelines(pieces)

@@ -121,24 +121,39 @@ def drazin_residuals(t, td, index: int) -> dict:
     td = as_matrix(td)
     if td.shape != a.shape:
         raise DimensionError(f"inverse shape {td.shape} does not match operator shape {a.shape}")
-    return _drazin_residuals(a, td, index, _matrix_power(a, index))
+    return _drazin_residuals(a, td, index, _matrix_power(a, index))[0]
 
 
-def _drazin_residuals(a: np.ndarray, td: np.ndarray, index: int, tp: np.ndarray) -> dict:
+def _drazin_residuals(a: np.ndarray, td: np.ndarray, index: int, tp: np.ndarray) -> tuple[dict, dict]:
     """`drazin_residuals` of a finite square ``a``, a finite ``td`` of its
-    shape and ``tp`` = `_matrix_power(a, index)`."""
-    return {
+    shape and ``tp`` = `_matrix_power(a, index)`, and the scale of each
+    identity: the sum over its terms of the product of their factors'
+    Frobenius norms, which bound the spectral norms without an SVD."""
+    tq = _matrix_power(a, index + 1)
+    # in float64, so an overflow gives an infinite scale without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        fa, fd, fp, fq = (float(np.linalg.norm(x)) for x in (a, td, tp, tq))
+    residuals = {
         "commutator": _norm2(td @ a - a @ td),
         "inner_inverse": _norm2(td @ td @ a - td),
-        "core_projection": _norm2(_matrix_power(a, index + 1) @ td - tp),
+        "core_projection": _norm2(tq @ td - tp),
     }
+    scales = {
+        "commutator": 2.0 * fd * fa,
+        "inner_inverse": fd * fd * fa + fd,
+        "core_projection": fq * fd + fp,
+    }
+    return residuals, scales
 
 
 def drazin_inverse(t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Drazin inverse via rank stabilization: T^k (T^{2k+1})^+ T^k.
 
-    The three defining identities are verified on the result; residuals more
-    than 1000x beyond tolerance (at scale 1 + ||T||^{2k+1}) raise
+    The pseudo-inverse keeps rank T^k singular values, the rank the walk
+    decided.  The three defining identities are verified on the result: a
+    residual more than 1000x beyond tolerance at the scale of its own
+    factors (their Frobenius norms, capped at 1 + ||T||^{2k+1}), the
+    core projection's also beyond the walk's gate g_k, raises
     NumericalFailureError carrying the residual norms.
     """
     a = _require_square(as_matrix(t))
@@ -147,16 +162,21 @@ def drazin_inverse(t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def _drazin_inverse(a: np.ndarray, step: tuple, tol: Tolerance) -> tuple[np.ndarray, dict]:
     """`drazin_inverse` of a validated square ``a``, given its walk ``step``
-    = `_power_rank(a, tol)` (its Drazin index k and ||T||), with the
-    residuals of its three identities."""
-    k, norm = step[0], step[4]
+    = `_power_rank(a, tol)` (its Drazin index k, rank T^k, gate g_k and
+    ||T||), with the residuals of its three identities."""
+    k, rank, gate, norm = step[0], step[2], step[3], step[4]
     tk = _matrix_power(a, k)
-    td = tk @ _pinv(_matrix_power(a, 2 * k + 1), tol) @ tk
-    residuals = _drazin_residuals(a, td, k, tk)
+    # rank T^{2k+1} = rank T^k: the walk's decision, not a second cutoff
+    td = tk @ _pinv(_matrix_power(a, 2 * k + 1), tol, rank) @ tk
+    residuals, scales = _drazin_residuals(a, td, k, tk)
     # in float64, so an overflow gives an infinite scale without a warning
     with np.errstate(over="ignore"):
-        scale = 1.0 + float(np.float64(norm) ** (2 * k + 1))
-    if max(residuals.values(), default=0.0) > 1e3 * tol.gate(scale):
+        ceiling = 1.0 + float(np.float64(norm) ** (2 * k + 1))
+    # min keeps the ceiling when a scale is NaN (0 * inf)
+    limits = {name: 1e3 * tol.gate(min(ceiling, scale)) for name, scale in scales.items()}
+    # T^k - T^{k+1} T^D is T^k's nilpotent part, which the walk counted as zero at g_k
+    limits["core_projection"] += gate
+    if any(residuals[name] > limits[name] for name in residuals):
         raise NumericalFailureError("Drazin identities failed", residuals)
     return td, residuals
 

@@ -132,6 +132,44 @@ def test_drazin_inverse_forms_each_power_once(monkeypatch):
     assert powers == [2, 5, 3]
 
 
+def _index_30_pair():
+    return gen_drazin_pair(1, 4, 30, m=1, nil_index=30)[0]
+
+
+def test_drazin_identities_are_judged_at_their_factors_scale():
+    import oplab.decompositions as decompositions_mod
+
+    t = _index_30_pair()
+    tol = Tolerance()
+    step = decompositions_mod._power_rank(t, tol)
+    assert step[0] == 30
+    td, residuals = decompositions_mod._drazin_inverse(t, step, tol)
+    assert max(residuals.values()) < 1e-12
+    # an inverse 1e-3 off has residuals of about 1e-2, which the former gate
+    # 1e3 * gate(1 + ||T||^61), about 4.7e3, passed
+    tk = np.linalg.matrix_power(t, 30)
+    wrong, _ = decompositions_mod._drazin_residuals(t, td + 1e-3, 30, tk)
+    assert 1e-3 < max(wrong.values()) < 1e3 * tol.gate(1.0 + step[4] ** 61)
+
+
+def test_a_wrong_drazin_inverse_exits_three(monkeypatch, capsys, tmp_path):
+    import json
+
+    import oplab.decompositions as decompositions_mod
+    from oplab import matrix_to_json
+    from oplab.cli import main
+
+    real = decompositions_mod._pinv
+    monkeypatch.setattr(decompositions_mod, "_pinv", lambda a, tol, rank=None: real(a, tol, rank) + 1e-3)
+    t = _index_30_pair()
+    with pytest.raises(NumericalFailureError, match="Drazin identities failed"):
+        drazin_inverse(t)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(matrix_to_json(t)))
+    assert main(["drazin", "--matrix", str(path)]) == 3
+    assert "numerical failure: Drazin identities failed" in capsys.readouterr().err
+
+
 def test_core_nilpotent_diagonal_example():
     core = core_nilpotent(np.diag([2.0, 0.0]))
     assert core.index == 1

@@ -405,12 +405,14 @@ def wire(payload):
 def test_dumps_json_matches_stdlib_on_every_cli_payload(tmp_path, monkeypatch):
     payloads = []
 
+    real = cli._forked_json_pieces
+
     def checked(payload):
         assert dumps_json(payload) == stdlib_dumps(wire(payload))
         payloads.append(wire(payload))
-        return json_pieces(payload)
+        return real(payload)
 
-    monkeypatch.setattr(cli, "json_pieces", checked)
+    monkeypatch.setattr(cli, "_forked_json_pieces", checked)
     rng = philox(91)
     for d in (1, 4):
         t = ginibre(rng, d)
