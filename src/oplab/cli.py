@@ -3,9 +3,10 @@
 Subcommands: classify, defect, drazin, transform, split, verify, fuzz.
 Results are emitted as JSON (stdout or --output); diagnostics go to stderr.
 
-Exit codes: 0 success / all conclusions hold, 1 usage error, 2 parse error,
-3 numerical failure, 4 counterexample found (a premise-met instance whose
-conclusion failed; the instance is quarantined for replay).
+Exit codes: 0 success / all conclusions hold, 1 usage error or a result that
+cannot be written, 2 parse error, 3 numerical failure, 4 counterexample found
+(a premise-met instance whose conclusion failed; the instance is quarantined
+for replay).
 
 Weight sugar: ``--weight identity`` uses I, ``--weight gram --n k`` uses
 T*^k T^k, anything else is read as a path to a matrix JSON file.
@@ -21,7 +22,15 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .expansivity import DefectSpec, classify, defect, gram_weight
+from .expansivity import (
+    ClassificationReport,
+    DefectSpec,
+    _classification_report,
+    _classification_rows,
+    _spectral_summary,
+    defect,
+    gram_weight,
+)
 from .matrix_core import (
     DecompositionError,
     GenerationError,
@@ -30,8 +39,9 @@ from .matrix_core import (
     OplabError,
     Tolerance,
     _forked_json_pieces,
+    _forked_matrix_from_text,
+    _hermitian_gate,
     _require_square,
-    matrix_from_json,
 )
 from .suite import THEOREM_IDS, run_suite
 
@@ -51,10 +61,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+class _OutputError(OplabError):
+    """The result could not be written: a usage error, not a parse error."""
+
+
 def _load_matrix(path: str) -> np.ndarray:
+    """The matrix in the JSON file ``path``, a large one parsed in two
+    processes (`_forked_matrix_from_text`)."""
     with open(path) as handle:
-        payload = json.load(handle)
-    return matrix_from_json(payload)
+        text = handle.read()
+    return _forked_matrix_from_text(text)
 
 
 def _resolve_weight(spec: str, t: np.ndarray, n: int) -> np.ndarray:
@@ -74,22 +90,49 @@ def _emit(payload: dict, output: str | None) -> None:
     piece at a time, a large matrix on two cores (`_forked_json_pieces`).
     The payload is checked before ``output`` is opened, so a payload it
     rejects leaves the file as it was; writing a temporary file and renaming
-    it would break ``/dev/stdout``."""
+    it would break ``/dev/stdout``.  An OSError while opening or writing the
+    sink raises `_OutputError`, which names the sink."""
     pieces = _forked_json_pieces(payload)
-    if output:
-        with open(output, "w") as handle:
-            handle.writelines(pieces)
-            handle.write("\n")
-    else:
-        sys.stdout.writelines(pieces)
-        sys.stdout.write("\n")
+    try:
+        if output:
+            with open(output, "w") as handle:
+                handle.writelines(pieces)
+                handle.write("\n")
+        else:
+            sys.stdout.writelines(pieces)
+            sys.stdout.write("\n")
+    except OSError as exc:
+        raise _OutputError(f"cannot write the result to {output or 'stdout'}: {exc}") from exc
+
+
+# `_classify` computes the spectral summary in a forked child for an operator
+# of at least this many entries.  On a 2-core x86_64 host (1 BLAS thread, 12
+# interleaved pairs each, a 1.2-scaled Haar unitary), the split won at d = 256
+# for every m_max from 1 (198 -> 172 ms at m_max 1, 382 -> 227 ms at 8) and at
+# d = 128 from m_max 4 (56 -> 47 ms; 112 -> 87 ms at 20), and lost at d = 128,
+# m_max 2 (43 -> 54 ms); below that the table and the summary are each
+# within a few times the 4.4 ms a fork and its reaping cost.
+_CLASSIFY_SPLIT = 128 * 128
+
+
+def _classify(t: np.ndarray, p: np.ndarray, m_max: int, tol: Tolerance) -> ClassificationReport:
+    """`expansivity.classify`, with its spectral summary computed by a child
+    while this process tabulates the defects (`_forking._split_classify`)
+    when T has at least `_CLASSIFY_SPLIT` entries."""
+    spec = DefectSpec(t=t, p=p, m=m_max)
+    h = _hermitian_gate(spec.p, tol)
+    if spec.t.size < _CLASSIFY_SPLIT:
+        rows = _classification_rows(spec.t, h, spec.m, tol)
+        return _classification_report(rows, _spectral_summary(spec.t, spec.p, h, tol))
+    from ._forking import _split_classify  # on first use: see `_forking`
+
+    return _split_classify(spec.t, spec.p, h, spec.m, tol)
 
 
 def _cmd_classify(args) -> int:
     t = _load_matrix(args.matrix)
     p = _resolve_weight(args.weight, t, args.n)
-    report = classify(t, p, args.m_max, _tolerance(args))
-    _emit(report.to_json(), args.output)
+    _emit(_classify(t, p, args.m_max, _tolerance(args)).to_json(), args.output)
     return EXIT_OK
 
 

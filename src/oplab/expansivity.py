@@ -285,20 +285,38 @@ def classify(t, p, m_max: int, tol: Tolerance = DEFAULT_TOL) -> ClassificationRe
     """
     spec = DefectSpec(t=t, p=p, m=m_max)
     h = _hermitian_gate(spec.p, tol)
-    rows = tuple(
+    rows = _classification_rows(spec.t, h, spec.m, tol)
+    return _classification_report(rows, _spectral_summary(spec.t, spec.p, h, tol))
+
+
+def _classification_rows(t: np.ndarray, h: np.ndarray, m_max: int, tol: Tolerance) -> tuple:
+    """The table of `classify`: a row per order 1..m_max of the defects of a
+    finite square ``t`` against the exactly self-adjoint ``h``."""
+    return tuple(
         ClassificationRow(m, result.verdict, result.classification)
-        for m, result in enumerate(_defect_pass(spec.t, h, range(1, spec.m + 1), tol), start=1)
+        for m, result in enumerate(_defect_pass(t, h, range(1, m_max + 1), tol), start=1)
     )
+
+
+def _spectral_summary(t: np.ndarray, p: np.ndarray, h: np.ndarray, tol: Tolerance) -> tuple:
+    """The rest of `classify`, which does not depend on its table:
+    (`_p_isometric`, None for a weight that is not PSD, the spectrum of ``t``
+    and ||t||), for ``t``, ``p`` and ``h`` as `_p_isometric` takes them."""
     try:
-        p_isometric = _p_isometric(spec.t, spec.p, h, tol)
+        p_isometric = _p_isometric(t, p, h, tol)
     except DomainError:
         p_isometric = None
-    spectrum = np.linalg.eigvals(spec.t)
+    return p_isometric, np.linalg.eigvals(t), _norm2(t)
+
+
+def _classification_report(rows: tuple, summary: tuple) -> ClassificationReport:
+    """The report of `classify` from its table and `_spectral_summary`."""
+    p_isometric, spectrum, norm = summary
     moduli = tuple(sorted((float(abs(z)) for z in spectrum), reverse=True))
     return ClassificationReport(
         rows=rows,
         p_isometric=p_isometric,
-        operator_norm=_norm2(spec.t),
+        operator_norm=norm,
         spectral_radius=float(np.max(np.abs(spectrum), initial=0.0)),
         eigenvalue_moduli=moduli,
     )

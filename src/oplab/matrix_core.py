@@ -32,18 +32,20 @@ shared conventions:
   objects in Python for library users and round trips.  The CLI writes
   with `_forked_json_pieces`, the same pieces but with a large matrix's
   lower half formatted by a forked child while this process formats the
-  upper half, by the same row formatter.
+  upper half, by the same row formatter, and reads with
+  `_forked_matrix_from_text`, `matrix_from_json` of a large text whose two
+  halves of rows are parsed in two processes; both hand a large matrix or
+  text to `oplab._forking`, which holds the one fork helper.
 
-All functions but `_forked_row_text`, which forks, are pure: inputs are
-never mutated and there is no module state, so values can be shared freely
-across threads.
+All functions but `_forked_row_text` and `_forked_matrix_from_text`, which
+may fork, are pure: inputs are never mutated and there is no module state,
+so values can be shared freely across threads.
 """
 
 from __future__ import annotations
 
+import json
 import math
-import os
-import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, count, repeat
@@ -598,119 +600,35 @@ def _row_text(a: np.ndarray, newline: str, opening: str = "[") -> Iterator[str]:
 # about 5 ms in a 150 MB process); at 96 x 96 the split saved about 6 of
 # 24 ms, within the host's noise.  Suite reports hold no matrices.
 _SPLIT_ENTRIES = 128 * 128
-# the longest float.__repr__ of a finite float64, as in -2.2250738585072014e-308
-_REPR_MAX = 24
-# the bytes of the child's text decoded and handed on at once; the child's
-# mmap holds its length in its first chunk and its text from the second, so
-# each chunk of text starts on a page
-_CHUNK = 1 << 16
+# `_forked_matrix_from_text` splits a text of at least this many characters.
+# On a 2-core x86_64 host, in a process holding 150k tracked objects, the
+# 749 kB text of a 128 x 128 matrix (compact `json.dump`) took 28-29 ms to
+# read in one process and 23-25 ms split, 573 kB (112 x 112) 16-20 against
+# 21-24 ms, and 3.0 MB (256 x 256) 108-145 against 81-86 ms.
+_SPLIT_TEXT = 640 * 1024
 
 
 def _forked_row_text(a: np.ndarray, newline: str) -> Iterator[str]:
-    """`_row_text` of ``a``, formatted by two processes when it is large.
+    """`_row_text` of ``a``, formatted by two processes
+    (`_forking._split_row_text`) when it has at least `_SPLIT_ENTRIES`
+    entries and 2 rows."""
+    if a.size < _SPLIT_ENTRIES or a.shape[0] < 2:
+        return _row_text(a, newline)
+    from ._forking import _split_row_text  # on first use: see `_forking`
 
-    A matrix of at least `_SPLIT_ENTRIES` entries and 2 rows, in a process
-    that can fork, may run on 2 CPUs and runs no other Python thread (whose
-    locks a child could find held), is split at its middle row: a
-    forked child formats the lower half (`_format_in_child`) on one CPU
-    while this thread formats and yields the upper half on the others.  It
-    then waits for the child, and only when the child exited 0 with a length
-    that fits does it yield the child's text, `_CHUNK` bytes at a time,
-    freeing each chunk's pages once read; otherwise, or when no child could
-    be started, it formats those rows itself, so the text is the same either
-    way.  A child still running when the pieces are closed early is killed
-    and reaped, and this thread gets back its CPU affinity.
-    """
-    rows, cols = a.shape
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
-    threads = sys.modules.get("threading")
-    child = None
-    if (a.size >= _SPLIT_ENTRIES and rows >= 2 and hasattr(os, "fork") and len(cpus) >= 2
-            and (threads is None or threads.active_count() == 1)):
-        half = rows // 2
-        row_bound = 1 + len(newline) + len(_float_template((cols, 2), newline)) + 2 * cols * (_REPR_MAX - 2)
-        child = _start_child(a[half:], newline, _CHUNK + (rows - half) * row_bound, max(cpus))
-    if child is None:
-        yield from _row_text(a, newline)
-        return
-    pid, shared = child
-    # the scheduler can leave both processes on one CPU and the other idle
-    # for a whole matrix (seen on a 2-core VM), so each gets its own
-    _pin(cpus - {max(cpus)})
-    with shared:
-        ok = False
-        try:
-            yield from _row_text(a[:half], newline)
-            _, status = os.waitpid(pid, 0)
-            pid = 0
-            length = int.from_bytes(shared[:8], "little")
-            ok = os.waitstatus_to_exitcode(status) == 0 and 0 < length <= len(shared) - _CHUNK
-        except ChildProcessError:  # reaped elsewhere, as when SIGCHLD is ignored: its status is lost
-            pid = 0
-        finally:
-            if pid:
-                from signal import SIGKILL
-
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-            _pin(cpus)
-        if not ok:
-            yield from _row_text(a[half:], newline, ",")
-            return
-        import mmap
-
-        for start in range(_CHUNK, _CHUNK + length, _CHUNK):
-            yield shared[start : min(start + _CHUNK, _CHUNK + length)].decode("ascii")
-            try:
-                shared.madvise(mmap.MADV_REMOVE, start, _CHUNK)
-            except (AttributeError, OSError):  # not on Linux: the pages stay until the mmap closes
-                pass
+    return _split_row_text(a, newline)
 
 
-def _pin(cpus: set) -> None:
-    """Run the calling thread on ``cpus``; a CPU that cannot be had leaves
-    it where it was."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
+def _forked_matrix_from_text(text: str) -> np.ndarray:
+    """``matrix_from_json(json.loads(text))``, parsed by two processes
+    (`_forking._split_matrix_from_text`) when ``text`` has at least
+    `_SPLIT_TEXT` characters; the CLI reads its input files with it, and no
+    library function does."""
+    if len(text) < _SPLIT_TEXT:
+        return matrix_from_json(json.loads(text))
+    from ._forking import _split_matrix_from_text
 
-
-def _start_child(lower: np.ndarray, newline: str, size: int, cpu: int) -> tuple[int, mmap.mmap] | None:
-    """Fork a child that runs `_format_in_child` on ``lower`` and a new
-    anonymous shared mmap of ``size`` bytes, pinned to ``cpu``: (its pid,
-    the mmap), or None when the mmap or the process cannot be had."""
-    import mmap  # on first use, as one-shot commands under the split size never need it
-
-    try:
-        shared = mmap.mmap(-1, size)
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        shared.close()
-        return None
-    if pid == 0:
-        _format_in_child(lower, newline, shared, cpu)
-    return pid, shared
-
-
-def _format_in_child(lower: np.ndarray, newline: str, shared: mmap.mmap, cpu: int) -> None:
-    """In a forked child, pinned to ``cpu``: write `_row_text` of ``lower``,
-    continuing rows already written, to ``shared`` from its second chunk and
-    its length to the first 8 bytes, then exit, with status 0 only if every
-    row fitted; it never returns."""
-    code = 1
-    try:
-        _pin({cpu})
-        shared.seek(_CHUNK)
-        for piece in _row_text(lower, newline, ","):
-            shared.write(piece.encode("ascii"))
-        shared[:8] = (shared.tell() - _CHUNK).to_bytes(8, "little")
-        code = 0
-    finally:
-        os._exit(code)
+    return _split_matrix_from_text(text)
 
 
 def _json_floats(text: str) -> str:

@@ -1,6 +1,8 @@
 import importlib
+import os
 import pkgutil
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -49,3 +51,41 @@ def patch_everywhere(monkeypatch, original, replacement) -> None:
 @pytest.fixture
 def rng():
     return philox(20240817)
+
+
+@pytest.fixture
+def children(monkeypatch):
+    """Two CPUs whatever the host has, the pids of the children that the
+    fork helper (`_forking._forked`) starts, and the shapes of the lower
+    halves of matrices that the split writer formatted itself.
+
+    The helper pins this thread off the child's CPU while the child runs;
+    here the pins are recorded, not made, and each must be undone.  No child
+    may outlive the test."""
+    # imported here: tests/report_diff.py runs test_cli.py, and so this file,
+    # on trees that do not have the module
+    import oplab._forking as _forking
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pins = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(set(cpus)))
+    seen = types.SimpleNamespace(pids=[], fallbacks=[])
+    start, row_text, parent = _forking._start_child, _forking._row_text, os.getpid()
+
+    def counting_start(*args):
+        child = start(*args)
+        if child is not None:
+            seen.pids.append(child[0])
+        return child
+
+    def counting_rows(a, newline, opening="["):
+        if opening == "," and os.getpid() == parent:
+            seen.fallbacks.append(a.shape)
+        return row_text(a, newline, opening)
+
+    monkeypatch.setattr(_forking, "_start_child", counting_start)
+    monkeypatch.setattr(_forking, "_row_text", counting_rows)
+    yield seen
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert pins == [{0}, {0, 1}] * len(seen.pids)

@@ -13,7 +13,9 @@ run side by side.  The full matrix is:
   with count 15 and at 64,32 with count 6, the calls that abort included,
   and ``fuzz --suite unitary_nilpotent_structure`` at 16,8 with count 40;
 * the six ``queries-large`` calls of ``perfbench/workloads.py`` (seed 1,
-  d = 256, m_max = 20), their inputs written by that module;
+  d = 256, m_max = 20), their inputs written by that module, and
+  ``classify`` (of 1.2 U) and ``defect --m 4`` (of K) with ``--weight`` a
+  d = 256 PSD matrix file written in oplab's indent-2 layout;
 * every in-process ``oplab.cli.main`` call of ``tests/test_cli.py`` (the file
   next to this script), Hypothesis derandomized, keyed by test and call.
 
@@ -101,8 +103,23 @@ def _query_cells(matrix: str, directory: Path) -> list:
     d, m_max = (16, 4) if matrix == "smoke" else (256, 20)
     ops = workloads.query_ops(1, d, m_max, directory)
     if matrix == "smoke":
-        ops = [op for op in ops if op.cell == "drazin"]
-    return [(f"query:{op.cell}", op.argv) for op in ops]
+        return [(f"query:{op.cell}", op.argv) for op in ops if op.cell == "drazin"]
+    # a PSD weight in oplab's own indent-2 layout: the reader's second layout,
+    # and classify's summary with a weight that is not I
+    import numpy as np
+
+    rng = np.random.default_rng(1)
+    g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    weight = g.conj().T @ g / d
+    weight_path = directory / "weight.json"
+    weight_path.write_text(json.dumps(workloads.encode((weight + weight.conj().T) / 2.0), sort_keys=True, indent=2))
+    weighted = [
+        ("classify:weight-file", ("classify", "--matrix", str(directory / "u1.2.json"), "--weight", str(weight_path),
+                                  "--m-max", str(m_max))),
+        ("defect:weight-file", ("defect", "--matrix", str(directory / "k.json"), "--weight", str(weight_path),
+                                "--m", "4")),
+    ]
+    return [(f"query:{op.cell}", op.argv) for op in ops] + [(f"query:{cell}", argv) for cell, argv in weighted]
 
 
 _TEMP_DIR = re.compile(re.escape(os.path.join(tempfile.gettempdir(), "tmp")) + r"\w+")

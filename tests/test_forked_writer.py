@@ -1,9 +1,10 @@
 """The CLI's two-process matrix writer: `matrix_core._forked_row_text`.
 
-A large matrix's lower half is formatted by a forked child into a shared
-mmap while the parent formats the upper half; the text must be the
-one-process text byte for byte, no child may outlive the write, and a child
-that fails must leave the parent to format its rows.
+A large matrix's lower half is formatted by a child of the fork helper
+(`_forking._forked`) into a shared mmap while the parent formats the
+upper half; the text must be the one-process text byte for byte, no child
+may outlive the write, and a child that fails must leave the parent to
+format its rows.
 """
 
 import json
@@ -11,11 +12,11 @@ import os
 import signal
 import threading
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
 
+import oplab._forking as _forking
 import oplab.cli as cli
 import oplab.matrix_core as matrix_core
 from oplab.matrix_core import dumps_json, json_pieces, matrix_to_json
@@ -25,38 +26,6 @@ from conftest import ginibre, philox
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split writer needs os.fork")
 
 SIDE = 128  # _SPLIT_ENTRIES = SIDE * SIDE
-
-
-@pytest.fixture
-def children(monkeypatch):
-    """Two CPUs whatever the host has, the pids of the children forked, and
-    the shapes of the lower halves this process formatted itself.
-
-    The writer pins this thread off the child's CPU while the child runs;
-    here the pins are recorded, not made, and each must be undone."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    pins = []
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(set(cpus)))
-    seen = types.SimpleNamespace(pids=[], fallbacks=[])
-    start, row_text, parent = matrix_core._start_child, matrix_core._row_text, os.getpid()
-
-    def counting_start(*args):
-        child = start(*args)
-        if child is not None:
-            seen.pids.append(child[0])
-        return child
-
-    def counting_rows(a, newline, opening="["):
-        if opening == "," and os.getpid() == parent:
-            seen.fallbacks.append(a.shape)
-        return row_text(a, newline, opening)
-
-    monkeypatch.setattr(matrix_core, "_start_child", counting_start)
-    monkeypatch.setattr(matrix_core, "_row_text", counting_rows)
-    yield seen
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert pins == [{0}, {0, 1}] * len(seen.pids)
 
 
 def forked_text(payload) -> str:
@@ -112,7 +81,7 @@ def test_nested_matrices_each_split_in_turn(children):
 def test_one_cpu_or_no_fork_writes_in_one_process(monkeypatch):
     a = ginibre(philox(303), SIDE)
     started = []
-    monkeypatch.setattr(matrix_core, "_start_child", lambda *args: started.append(args))
+    monkeypatch.setattr(_forking, "_start_child", lambda *args: started.append(args))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert forked_text({"a": a}) == dumps_json({"a": a})
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -163,7 +132,9 @@ def test_library_writers_never_fork(monkeypatch):
 
 
 @pytest.fixture
-def transform_input(tmp_path):
+def transform_input(tmp_path, monkeypatch):
+    # read in one process: these tests count the writer's children only
+    monkeypatch.setattr(matrix_core, "_SPLIT_TEXT", float("inf"))
     t = ginibre(philox(305), SIDE)
     path = tmp_path / "t.json"
     path.write_text(json.dumps(matrix_to_json(t)))
@@ -219,7 +190,7 @@ def test_a_sink_failing_mid_write_leaves_no_child(children, monkeypatch, capsys,
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_a_full_output_file_leaves_no_child(children, capsys, transform_input):
-    assert cli.main(["transform", "--matrix", transform_input, "--output", "/dev/full"]) != 0
+    assert cli.main(["transform", "--matrix", transform_input, "--output", "/dev/full"]) == 1
     assert "No space left on device" in capsys.readouterr().err
     assert len(children.pids) >= 1
 
@@ -246,13 +217,13 @@ def _killed(*args):
     os._exit(0)  # not reached
 
 
-def _no_length(lower, newline, shared, cpu):
-    shared.seek(matrix_core._CHUNK)
+def _no_length(shared):
+    shared.seek(_forking._CHUNK)
     shared.write(b"garbage")
     os._exit(0)
 
 
-def _too_long(lower, newline, shared, cpu):
+def _too_long(shared):
     shared[:8] = len(shared).to_bytes(8, "little")
     os._exit(0)
 
@@ -262,7 +233,8 @@ def test_a_failed_child_leaves_the_parent_to_format_its_rows(children, monkeypat
                                                               transform_input, child):
     argv = ["transform", "--matrix", transform_input]
     expected = one_process_output(monkeypatch, capsys, argv)
-    monkeypatch.setattr(matrix_core, "_format_in_child", child)
+    forked = _forking._forked
+    monkeypatch.setattr(_forking, "_forked", lambda work, size: forked(child, size))
     out = tmp_path / "out.json"
     assert cli.main(argv + ["--output", str(out)]) == 0
     assert out.read_text() == expected
@@ -289,7 +261,7 @@ def test_the_parent_holds_one_row_or_chunk_not_the_childs_half(children):
     payload = {"a": ginibre(rng, SIDE), "b": {"c": ginibre(rng, SIDE), "d": 1.5}, "e": ginibre(rng, SIDE),
                "f": ginibre(rng, SIDE)}
     half_matrix = len(dumps_json(payload["a"])) // 2
-    assert half_matrix > 4 * matrix_core._CHUNK
+    assert half_matrix > 4 * _forking._CHUNK
     with open(os.devnull, "w") as handle:
         tracemalloc.start()
         try:

@@ -438,7 +438,7 @@ def test_dumps_json_matches_stdlib_on_every_cli_payload(tmp_path, monkeypatch):
 
 def test_json_pieces_hold_one_row_of_text_not_the_result():
     # four 128 x 128 matrices, one in a nested dict: the whole text at once
-    # peaked at 20.4 MB; a row at a time holds one row and _pairs of one matrix
+    # peaked at 20.4 MB; a row at a time holds one row's floats and text
     rng = philox(92)
     payload = {"a": ginibre(rng, 128), "b": {"c": ginibre(rng, 128), "d": 1.5}, "e": ginibre(rng, 128),
                "f": ginibre(rng, 128)}
@@ -849,8 +849,8 @@ def test_defect_specs_are_built_only_where_matrices_enter():
     # _defect_pass is the one defect kernel: it takes a checked square T,
     # already raised to its power, and an exactly self-adjoint weight.  A
     # DefectSpec checks a caller's matrices, so it is built once at each
-    # entry handed them (classify, the CLI's defect command and the four
-    # verifiers handed a weight) and nowhere else; the public functions that
+    # entry handed them (classify, the CLI's classify and defect commands and
+    # the four verifiers handed a weight) and nowhere else; the public functions that
     # check their arguments again are called only by the CLI.
     checking = {"DefectSpec", "defect", "defect_series", "defect_tilde", "gram_weight", "is_p_isometric"}
     found = Counter()
@@ -860,6 +860,7 @@ def test_defect_specs_are_built_only_where_matrices_enter():
         found.update((path.name, scope, name) for scope, name in visitor.found if name in checking)
     assert found == Counter({
         ("expansivity.py", "classify", "DefectSpec"): 1,
+        ("cli.py", "_classify", "DefectSpec"): 1,
         ("cli.py", "_cmd_defect", "DefectSpec"): 1,
         ("theorem_lab.py", "verify_power_stability", "DefectSpec"): 1,
         ("theorem_lab.py", "verify_two_expansive_isometry", "DefectSpec"): 1,
