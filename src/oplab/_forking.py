@@ -1,13 +1,14 @@
 """The CLI's work on a second CPU: the one fork helper, `_forked`, and the
-three splits that use it, to write a large result matrix
-(`_split_row_text`), to read a large input file (`_split_matrix_from_text`)
-and to compute `classify`'s spectral summary beside its table
-(`_split_classify`).
+four splits that use it, to write a large result matrix
+(`_split_row_text`), to read a large input file (`_split_matrix_from_text`),
+to compute `classify`'s spectral summary beside its table
+(`_split_classify`) and to share a suite run's streams (`_split_streams`).
 
-`matrix_core._forked_row_text`, `matrix_core._forked_matrix_from_text` and
-`cli._classify` import this module on first use, for a matrix, a text or an
-operator at or above their split sizes, so suites, one-shot queries of small
-matrices and the library never compile or load it.
+`matrix_core._forked_row_text`, `matrix_core._forked_matrix_from_text`,
+`cli._classify` and `cli._cmd_suite` import this module on first use, for a
+matrix, a text, an operator or a suite run at or above their split sizes, so
+small suites, one-shot queries of small matrices and the library never
+compile or load it.
 """
 
 from __future__ import annotations
@@ -213,12 +214,65 @@ def _split_classify(t: np.ndarray, p: np.ndarray, h: np.ndarray, m_max: int, tol
     return _classification_report(rows, summary or _spectral_summary(t, p, h, tol))
 
 
+# room for the child's records; a stream that does not fit is left to the parent
+_SUITE_SHARED = 1 << 24
+
+
+def _split_streams(stream_records: Callable[[int], list], count: int) -> list | None:
+    """``[stream_records(k) for k in range(count)]``, the child (`_forked`)
+    taking streams upward from 0 and this process downward from the last,
+    each claiming a stream's byte in a shared map before it starts it and
+    stopping at the first the other claimed, so a child on a busy CPU just
+    does fewer.  Claims are hints: where they meet, both may do a stream,
+    and this process keeps its own.  The child pickles each finished
+    stream into its mmap and stops at one that raises or warns; this
+    process does every stream not sent.  None when no child was started or
+    a stream raises or warns here: the caller then runs in one process."""
+    import mmap
+    import pickle
+
+    def send(shared) -> None:
+        for stream in range(count):
+            if claims[stream]:
+                return
+            claims[stream] = 1
+            try:
+                data = pickle.dumps((stream, stream_records(stream)), pickle.HIGHEST_PROTOCOL)
+                shared.write(len(data).to_bytes(8, "little") + data)  # ValueError if it does not fit
+            except Exception:
+                return
+
+    try:
+        claims = mmap.mmap(-1, count)
+    except OSError:
+        return None
+    done = {}
+    with claims, _forked(send, _SUITE_SHARED) as wait:
+        if wait is None:
+            return None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for stream in reversed(range(count)):
+                    if claims[stream]:
+                        break
+                    claims[stream] = 1
+                    done[stream] = stream_records(stream)
+                shared = wait()
+                while shared is not None and (size := int.from_bytes(shared.read(8), "little")):
+                    stream, records = pickle.loads(shared.read(size))
+                    done.setdefault(stream, records)
+                return [done[stream] if stream in done else stream_records(stream) for stream in range(count)]
+        except Exception:
+            return None
+
+
 @contextmanager
 def _forked(work: Callable[[mmap.mmap], None], size: int) -> Iterator[Callable[[], mmap.mmap | None] | None]:
     """Run ``work(shared)`` in a forked child on one CPU, ``shared`` a new
     anonymous shared mmap of ``size`` bytes, while the caller goes on on the
     other CPUs: the one way this package forks, for the CLI's large inputs
-    and results and `classify`'s spectral summary.
+    and results, `classify`'s spectral summary and suite streams.
 
     Yields ``wait``, which reaps the child, gives the calling thread back its
     CPUs and returns ``shared`` if the child exited 0, else None; or yields

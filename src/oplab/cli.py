@@ -220,15 +220,30 @@ def _parse_dims(text: str):
     return d1, d2
 
 
+# `_cmd_suite` shares a run of at least 2 streams with a child when count x
+# theorems x (d1 + d2) reaches this.  On a 2-core x86_64 host (1 BLAS thread,
+# 11 interleaved pairs each) the split drew level at 224-240 (--suite all at
+# count 4 and (4,3)), lost at 288 (fuzz weight_decomposition, count 12,
+# (16,8): 16.9 -> 20.4 ms) and won from 336 (verify --suite all, count 6,
+# (4,3): 36.9 -> 31.7 ms); a fork and the pages it makes both copy cost ~5 ms.
+_SUITE_SPLIT = 320
+
+
 def _cmd_suite(args, mode: str) -> int:
+    dims = _parse_dims(args.dims)
+    theorems = len(THEOREM_IDS) if args.suite == "all" else 1
+    split = None
+    if args.count >= 2 and args.count * theorems * (dims[0] + dims[1]) >= _SUITE_SPLIT:
+        from ._forking import _split_streams as split  # on first use: see `_forking`
     report = run_suite(
         mode,
         seed=args.seed,
         count=args.count,
-        dims=_parse_dims(args.dims),
+        dims=dims,
         suites=args.suite,
         tol=_tolerance(args),
         quarantine_dir=args.quarantine,
+        _split=split,
     )
     _emit(report, args.output)
     if report["failures"] > 0:

@@ -22,6 +22,11 @@ needs several independent draws, ``draw(..., sub=j)`` uses stream
 ``k + j * 2**32``.  The theorems run once each in sorted id order and their
 streams in ascending order, so rows come out keyed by (theorem_id, stream)
 in order and reports are byte-identical across repeated runs.
+
+A run draws its streams (`_instances`), evaluates each instance (`_record`)
+and assembles the report.  The library quarantines a failure once evaluated;
+the CLI, splitting the streams between two processes (`_split_streams`),
+quarantines its failures as it assembles the report, in the same order.
 """
 
 from __future__ import annotations
@@ -319,6 +324,8 @@ def run_suite(
     suites=None,
     tol: Tolerance = DEFAULT_TOL,
     quarantine_dir="quarantine",
+    *,
+    _split=None,
 ) -> dict:
     """Run ``count`` instances per theorem and assemble the report.
 
@@ -327,6 +334,9 @@ def run_suite(
     or None runs every theorem); a repeated id runs once.  Premise-met
     failures are quarantined under ``quarantine_dir`` as they are found and
     counted in the report's ``failures`` field.
+
+    The CLI's ``_split(stream_records, count)`` returns every stream's
+    `_stream_records`, or None, and then the run is this function's own.
     """
     if mode not in ("verify", "fuzz"):
         raise ValueError(f"unknown suite mode {mode!r}")
@@ -341,44 +351,27 @@ def run_suite(
         if theorem_id not in _THEOREMS:
             raise KeyError(f"unknown theorem id {theorem_id!r}")
 
-    # one memo per run: theorems ask for the same spec (7 of the 8 fuzz
-    # recipes draw stream k's operator alike) and generate is a pure function
-    # of its spec, so each spec is drawn once and shared read-only; the memo
-    # dies with the run.  Each instance's draw records the specs it names.
-    memo = {}
-    instances = []
-    for theorem_id in ids:
-        build = getattr(_THEOREMS[theorem_id], mode)
-        for stream in range(count):
-            gens = []
-            inputs, params = build(partial(_draw, memo, gens, seed, stream), seed, stream, dims)
-            instances.append((theorem_id, stream, gens, inputs, params))
-    del memo
+    streams = None
+    if _split is not None:
+        _module("generators"), _module("theorem_lab")  # once, before the split forks
+        streams = _split(partial(_stream_records, mode, seed, dims, tol, ids), count)
+    if streams is None:
+        # every fixture is drawn first; each record is evaluated as it is taken
+        records = (_record(seed, tol, *instance) for instance in _instances(mode, seed, dims, ids, range(count)))
+    else:
+        records = [streams[stream][i] for i in range(len(ids)) for stream in range(count)]
 
     summary = {theorem_id: dict.fromkeys(("instances", "premises_met", "holds", "failures"), 0)
                for theorem_id in ids}
     rows = []
     quarantined = []
-    for theorem_id, stream, gens, inputs, params in instances:
-        verdict = _verdict(theorem_id, inputs, params, tol)
-        failed = verdict.premises_met and not verdict.holds
-        tally = summary[theorem_id]
+    for row, inputs in records:
+        tally = summary[row["theorem_id"]]
         tally["instances"] += 1
-        tally["premises_met"] += verdict.premises_met
-        tally["holds"] += verdict.premises_met and verdict.holds
-        tally["failures"] += failed
-        row = {
-            "theorem_id": theorem_id,
-            "seed": seed,
-            "stream": stream,
-            "gen": [g.to_json() for g in gens],
-            "dims": _instance_dims(inputs),
-            "params": params,
-            "premises_met": verdict.premises_met,
-            "holds": verdict.holds,
-            "witness": verdict.witness,
-        }
-        if failed:
+        tally["premises_met"] += row["premises_met"]
+        tally["holds"] += row["premises_met"] and row["holds"]
+        if inputs is not None:
+            tally["failures"] += 1
             row["quarantine"] = str(write_quarantine(quarantine_dir, mode, row, inputs, tol))
             quarantined.append(row["quarantine"])
         rows.append(row)
@@ -395,6 +388,44 @@ def run_suite(
         "quarantine": quarantined,
         "rows": rows,
     }
+
+
+def _instances(mode, seed, dims, ids, streams) -> list:
+    """(theorem_id, stream, gens, inputs, params) of ``streams`` of each of
+    ``ids``, in that order, with one memo: theorems ask for the same spec (7
+    of the 8 fuzz recipes draw stream k's operator alike) and generate is a
+    pure function of its spec, so each spec is drawn once, shared read-only."""
+    memo = {}
+    instances = []
+    for theorem_id in ids:
+        build = getattr(_THEOREMS[theorem_id], mode)
+        for stream in streams:
+            gens = []
+            inputs, params = build(partial(_draw, memo, gens, seed, stream), seed, stream, dims)
+            instances.append((theorem_id, stream, gens, inputs, params))
+    return instances
+
+
+def _record(seed, tol, theorem_id, stream, gens, inputs, params) -> tuple[dict, dict | None]:
+    """An instance's report row and, for a premise-met failure, its inputs."""
+    verdict = _verdict(theorem_id, inputs, params, tol)
+    row = {
+        "theorem_id": theorem_id,
+        "seed": seed,
+        "stream": stream,
+        "gen": [g.to_json() for g in gens],
+        "dims": _instance_dims(inputs),
+        "params": params,
+        "premises_met": verdict.premises_met,
+        "holds": verdict.holds,
+        "witness": verdict.witness,
+    }
+    return row, inputs if verdict.premises_met and not verdict.holds else None
+
+
+def _stream_records(mode, seed, dims, tol, ids, stream) -> list:
+    """The `_record` of one stream of each theorem of ``ids``, drawn alone."""
+    return [_record(seed, tol, *instance) for instance in _instances(mode, seed, dims, ids, (stream,))]
 
 
 def write_quarantine(directory, mode, row, inputs, tol: Tolerance) -> Path:

@@ -17,7 +17,9 @@ run side by side.  The full matrix is:
   ``classify`` (of 1.2 U) and ``defect --m 4`` (of K) with ``--weight`` a
   d = 256 PSD matrix file written in oplab's indent-2 layout;
 * every in-process ``oplab.cli.main`` call of ``tests/test_cli.py`` (the file
-  next to this script), Hypothesis derandomized, keyed by test and call.
+  next to this script), Hypothesis derandomized, keyed by test and call,
+  collected first; a tree under which pytest cannot collect or run that file
+  is a tree that could not be run.
 
 A call's record is its exit code, its stderr, its stdout (parsed as JSON
 when it is JSON), its ``--output`` file and its quarantine files, with the
@@ -160,7 +162,11 @@ def _call(main, argv, tmp: str, cwd: Path) -> tuple:
 
 
 def _cli_test_calls(tmp: Path) -> dict:
-    """Every in-process ``cli.main`` call made by ``tests/test_cli.py``."""
+    """Every in-process ``cli.main`` call made by ``tests/test_cli.py``.
+
+    Raises RuntimeError when pytest did not run the file's tests: a
+    collection or internal error, a usage error or no test collected.
+    Failing tests are allowed, since the two trees may differ."""
     import pytest
     from hypothesis import settings
 
@@ -188,10 +194,12 @@ def _cli_test_calls(tmp: Path) -> dict:
     # test_cli binds main at import, so the wrapper goes in before collection
     cli.main = recording
     try:
-        pytest.main([str(HERE / "test_cli.py"), "-q", "-p", "no:cacheprovider", f"--basetemp={tmp / 'pytest'}"],
-                    plugins=[Recorder()])
+        code = pytest.main([str(HERE / "test_cli.py"), "-q", "-p", "no:cacheprovider", f"--basetemp={tmp / 'pytest'}"],
+                           plugins=[Recorder()])
     finally:
         cli.main = real
+    if code not in (pytest.ExitCode.OK, pytest.ExitCode.TESTS_FAILED):
+        raise RuntimeError(f"pytest did not run {HERE / 'test_cli.py'}: {pytest.ExitCode(code).name}")
     return calls
 
 
@@ -204,6 +212,11 @@ def collect(matrix: str) -> dict:
     records = {}
     with tempfile.TemporaryDirectory() as scratch:
         tmp = Path(scratch).resolve()
+        # first, so that a tree the file cannot be collected under fails at once
+        if matrix == "full":
+            for test, calls in _cli_test_calls(tmp).items():
+                for number, record in enumerate(calls):
+                    records[f"test_cli:{test}#{number}"] = record
         # the IllConditionedWarning of a rank decision is not a report field
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -212,10 +225,6 @@ def collect(matrix: str) -> dict:
                 if argv[0] in ("verify", "fuzz"):
                     extra += ["--quarantine", str(tmp / f"q{index}")]
                 records[name] = _call(main, [*argv, *extra], str(tmp), tmp)[0]
-        if matrix == "full":
-            for test, calls in _cli_test_calls(tmp).items():
-                for number, record in enumerate(calls):
-                    records[f"test_cli:{test}#{number}"] = record
     return records
 
 

@@ -1,7 +1,8 @@
 """Tests for tests/report_diff.py, the verdict-level audit of two source
 trees: it finds no difference between a tree and itself, lists a float that
-moved with the gate of the decision it feeds, and calls a flipped decision a
-verdict difference."""
+moved with the gate of the decision it feeds, calls a flipped decision a
+verdict difference, and fails on a tree under which tests/test_cli.py cannot
+be collected."""
 
 import shutil
 from pathlib import Path
@@ -61,3 +62,14 @@ def test_a_planted_verdict_flip_is_a_verdict_difference(records):
     assert "verify:weight_decomposition@3,2/output/rows/0/holds" in verdicts
     assert "verify:weight_decomposition@3,2/exit" in verdicts
     assert not any(item["kind"] == "float" for item in found)
+
+
+def test_a_tree_that_test_cli_cannot_be_collected_under_fails_the_audit(tmp_path):
+    # test_cli.py imports oplab.generators, which raises here: pytest collects
+    # no call, and the audit must fail instead of reporting each call of the
+    # other tree as a structural difference
+    broken = _planted(tmp_path, "broken", "generators.py", "GENERATOR_VERSION = 2\n",
+                      "GENERATOR_VERSION = 2\nraise ImportError('planted')\n")
+    with pytest.raises(RuntimeError, match="pytest did not run .*test_cli.py: INTERRUPTED"):
+        report_diff.collect_trees((broken,), "full")
+    assert report_diff.main([str(broken), str(broken)]) == 2

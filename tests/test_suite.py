@@ -13,7 +13,7 @@ import pytest
 
 import oplab
 import oplab.theorem_lab as theorem_lab
-from oplab import THEOREM_IDS, DomainError, TheoremVerdict, replay_quarantine, run_suite
+from oplab import THEOREM_IDS, DomainError, GenerationError, TheoremVerdict, replay_quarantine, run_suite
 from oplab.generators import GenSpec
 from oplab.matrix_core import matrix_from_json
 
@@ -372,6 +372,40 @@ def test_fixture_streams_are_pinned(tmp_path):
         rows += [{name: row[name] for name in columns} for row in report["rows"]]
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == "5f5c3d4146c05ffd367c3283a58caaf12c8cd18171d3c441eaf50f6f71759fdd"
+
+
+def _drawn(build, memo, seed, stream, dims) -> tuple:
+    """The specs, params and input bits of one instance drawn through
+    ``memo``, or the message of the GenerationError that stopped it."""
+    from oplab.suite import _draw
+
+    gens = []
+    try:
+        inputs, params = build(partial(_draw, memo, gens, seed, stream), seed, stream, dims)
+    except GenerationError as exc:
+        return gens, str(exc)
+    return gens, params, {name: (a.dtype, a.shape, a.tobytes()) for name, a in inputs.items()}
+
+
+@pytest.mark.parametrize("dims", [(4, 3), (3, 2), (16, 8)])
+@pytest.mark.parametrize("mode", ["verify", "fuzz"])
+def test_each_stream_draws_alone_what_the_whole_run_draws(mode, dims):
+    # The CLI's split evaluates some streams in a child, each drawn with a
+    # memo of its own: that gives the report's bits only while instance k
+    # names fixtures of its own sub-streams k + j * 2**32 alone, and a
+    # builder keeps no state across streams.  A builder that shares a
+    # fixture across streams must fail here, not in a report.
+    from oplab.suite import _THEOREMS
+
+    count, seed = 8, 7
+    run_memo = {}
+    for theorem_id in THEOREM_IDS:
+        build = getattr(_THEOREMS[theorem_id], mode)
+        for stream in range(count):
+            whole = _drawn(build, run_memo, seed, stream, dims)
+            assert whole[0], (theorem_id, stream)
+            assert all(gs.stream % 2**32 == stream for gs in whole[0]), (theorem_id, stream)
+            assert _drawn(build, {}, seed, stream, dims) == whole, (theorem_id, stream)
 
 
 def _without_floats(value):
