@@ -46,7 +46,7 @@ def _split_row_text(a: np.ndarray, newline: str) -> Iterator[str]:
     """
     rows, cols = a.shape
     half = rows // 2
-    row_bound = 1 + len(newline) + len(_float_template((cols, 2), newline)) + 2 * cols * (_REPR_MAX - 2)
+    row_bound = 1 + len(newline) + len(_float_template(cols, newline)) + 2 * cols * (_REPR_MAX - 2)
 
     def write_lower(shared) -> None:
         # its length goes to the first 8 bytes, its text from the second chunk

@@ -43,7 +43,11 @@ from .matrix_core import (
     _hermitian_gate,
     _require_square,
 )
-from .suite import THEOREM_IDS, run_suite
+
+# the --suite choices, `suite.THEOREM_IDS` (a test holds them equal), written
+# out so that a command that runs no suite never loads `suite`
+_THEOREM_IDS = ("no_singular_expansive", "power_stability", "sandwich_isometry", "spectral_constraints",
+                "transform_bundle", "two_expansive_isometry", "unitary_nilpotent_structure", "weight_decomposition")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -220,21 +224,30 @@ def _parse_dims(text: str):
     return d1, d2
 
 
-# `_cmd_suite` shares a run of at least 2 streams with a child when count x
-# theorems x (d1 + d2) reaches this.  On a 2-core x86_64 host (1 BLAS thread,
-# 11 interleaved pairs each) the split drew level at 224-240 (--suite all at
-# count 4 and (4,3)), lost at 288 (fuzz weight_decomposition, count 12,
-# (16,8): 16.9 -> 20.4 ms) and won from 336 (verify --suite all, count 6,
-# (4,3): 36.9 -> 31.7 ms); a fork and the pages it makes both copy cost ~5 ms.
-_SUITE_SPLIT = 320
+# `_cmd_suite` shares a run of at least 2 streams with a child from this many
+# `_suite_ms`.  On a 2-core x86_64 host (1 BLAS thread, 11 interleaved pairs
+# each) the split lost up to 20 (verify --suite all, count 4, (4,3): 26.4 ->
+# 28.6 ms), drew level from 24 to 33 (count 6: 35.9 -> 37.1 ms; fuzz
+# weight_decomposition, count 20, (16,8): 29.1 -> 30.2 ms) and won from 33.5
+# (verify --suite all, count 7: 46.9 -> 39.4 ms; verify sandwich_isometry,
+# count 3, (64,32): 128 -> 83 ms).
+_SUITE_SPLIT = 30.0
+
+
+def _suite_ms(count: int, theorems: int, dims) -> float:
+    """A run's one-process ms there, at 0.5 + d^2 / 500 ms an instance for
+    d = d1 + d2 (the theorems' mean: 0.63 at d = 7, 2.1 at 24, 19 at 96)."""
+    return count * theorems * (0.5 + (dims[0] + dims[1]) ** 2 / 500)
 
 
 def _cmd_suite(args, mode: str) -> int:
     dims = _parse_dims(args.dims)
-    theorems = len(THEOREM_IDS) if args.suite == "all" else 1
+    theorems = len(_THEOREM_IDS) if args.suite == "all" else 1
     split = None
-    if args.count >= 2 and args.count * theorems * (dims[0] + dims[1]) >= _SUITE_SPLIT:
+    if args.count >= 2 and _suite_ms(args.count, theorems, dims) >= _SUITE_SPLIT:
         from ._forking import _split_streams as split  # on first use: see `_forking`
+    from .suite import run_suite  # on first use: see _THEOREM_IDS
+
     report = run_suite(
         mode,
         seed=args.seed,
@@ -311,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                 else "run randomized instances hunting for counterexamples"
             ),
         )
-        p_mode.add_argument("--suite", default="all", choices=("all",) + THEOREM_IDS)
+        p_mode.add_argument("--suite", default="all", choices=("all",) + _THEOREM_IDS)
         p_mode.add_argument("--seed", type=int, default=0)
         p_mode.add_argument("--count", type=int, default=25,
                             help="instances per theorem (default %(default)s)")

@@ -23,14 +23,14 @@ shared conventions:
   Hermiticity in `_hermitian_defect` and overflow in `_finite`,
 * definiteness decisions, PSD square roots and the Moore-Penrose inverse,
 * 2x2 block composition,
-* the JSON wire format for matrices and the one writer of JSON text:
-  `json_pieces` gives a payload's text in pieces to stream to a sink, and
-  `dumps_json` is their join.  Payloads carry complex arrays, which are
-  written as their `matrix_to_json` objects straight from the array's
-  floats, a row at a time from one ``%r`` template per matrix, so the text
-  held at once is one row, not the result; `matrix_to_json` builds those
-  objects in Python for library users and round trips.  The CLI writes
-  with `_forked_json_pieces`, the same pieces but with a large matrix's
+* the JSON wire format for matrices and the one writer of JSON text,
+  `_write`: `json_pieces` gives a payload's text in pieces to stream to a
+  sink, and `dumps_json` is their join.  Payloads carry complex arrays,
+  which are written as their `matrix_to_json` objects straight from the
+  array's floats, a row at a time from one ``%r`` template per matrix, so
+  the text held at once is one row, not the result; `matrix_to_json` builds
+  those objects in Python for library users and round trips.  The CLI
+  writes with `_forked_json_pieces`, the same pieces but with a large matrix's
   lower half formatted by a forked child while this process formats the
   upper half, by the same row formatter, and reads with
   `_forked_matrix_from_text`, `matrix_from_json` of a large text whose two
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
@@ -508,77 +508,97 @@ def _raise_first_bad_entry(data: list, cols: int) -> None:
 def dumps_json(payload) -> str:
     """Return exactly ``json.dumps(payload, sort_keys=True, indent=2)``, where
     every complex ``ndarray`` in the payload is written as its
-    `matrix_to_json` object would be: the join of `json_pieces`.
-
-    The stdlib uses its C encoder only without ``indent``, so indented
-    output runs every value through Python generator frames.  This writer
-    uses the same C-level pieces per scalar (``encode_basestring_ascii``,
-    ``int.__repr__``, ``float.__repr__``).  A matrix is written a row at a
-    time, with one ``%r`` template for all its rows, and any list that is a
-    rectangular nest of floats with one template for the whole block, so no
-    per-entry list is built.  An array is validated as `matrix_to_json`
-    validates it and raises the same errors.  Whatever ``json`` rejects
-    raises ``TypeError``; a payload that contains itself exceeds the
-    recursion limit instead of raising ``json``'s ``ValueError``.
-    """
+    `matrix_to_json` object would be: the join of `json_pieces`.  Unlike the
+    stdlib's indented output, the writer runs no generator frame per value.
+    An array is checked as `matrix_to_json` checks it, with the same errors.
+    Whatever ``json`` rejects raises ``TypeError``; a payload that contains
+    itself exceeds the recursion limit instead of raising ``ValueError``."""
     return "".join(json_pieces(payload))
 
 
 def json_pieces(payload) -> Iterator[str]:
     """The text of ``dumps_json(payload)`` in pieces, to write to a sink one
-    at a time: each dict's punctuation and sorted items, each array row by
-    row, and every other value (a list, a scalar) as the one string
-    `dumps_json` makes of it.
-
-    Every array is checked, and every other value turned into its string,
-    before this returns, so a payload that raises does so before the caller
-    opens its sink.  The largest text held at once is one row of a matrix or
-    one such string, not the whole result.
-    """
-    return chain.from_iterable(_parts(payload, "\n", _row_text))
+    at a time: a dict's keys and scalar items, one string per item of a list,
+    and each array row by row.  All but the arrays' rows is written, and
+    every array checked, before this returns, so a payload that raises does
+    so before the caller opens its sink."""
+    return _pieces(payload, _row_text)
 
 
 def _forked_json_pieces(payload) -> Iterator[str]:
     """`json_pieces` with each matrix's rows written by `_forked_row_text`,
     which may fork this process; the CLI writes its results with it, and no
     library function does."""
-    return chain.from_iterable(_parts(payload, "\n", _forked_row_text))
+    return _pieces(payload, _forked_row_text)
 
 
-def _parts(value, newline: str, rows) -> list:
-    """The text of ``value``, first line indented by ``newline``, as a list of
-    iterables of pieces: a dict's punctuation and sorted items, an array's
-    `_matrix_rows`, its rows written by ``rows``, and any other value's one
-    `_dump` string.  It is the one dict writer; `_dump` joins it for a dict
-    inside a list."""
-    if isinstance(value, np.ndarray):
-        return [_matrix_rows(value, newline, rows)]
-    if not (isinstance(value, dict) and value):
-        return [(_dump(value, newline),)]
+def _pieces(payload, rows) -> Iterator[str]:
+    out = []
+    _write(payload, "\n", out, rows)
+    # anything but a string is an array's rows, formatted as they are read
+    return chain.from_iterable((piece,) if isinstance(piece, str) else piece for piece in out)
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    # float.__repr__ spells non-finite values nan / inf / -inf; no finite repr holds an "n"
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+
+
+# how `_write` converts a scalar: by its exact type first, else by isinstance
+# in this order (a bool is an int; np.float64 is a float)
+_SCALARS = {str: encode_basestring_ascii, bool: lambda value: "true" if value else "false", int: int.__repr__,
+            float: _json_float, type(None): lambda value: "null"}
+
+
+def _scalar(value) -> str:
+    for kind, convert in _SCALARS.items():
+        if isinstance(value, kind):
+            return convert(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _write(value, newline: str, out: list, rows) -> None:
+    """The one JSON writer: append the text of ``value``, first line indented
+    by ``newline``, to ``out``; an array's, checked on the call, with its rows
+    written by ``rows`` (`_row_text` or `_forked_row_text`) as the pieces are
+    read, or now where ``rows`` is None."""
     inner = newline + "  "
-    parts = []
-    separator = "{" + inner
-    for key, item in sorted(value.items()):
-        parts.append((separator + encode_basestring_ascii(_json_key(key)) + ": ",))
-        parts += _parts(item, inner, rows)
-        separator = "," + inner
-    parts.append((newline + "}",))
-    return parts
-
-
-def _matrix_rows(value, newline: str, rows) -> Iterable[str]:
-    """The row writer: the text of an array as its `matrix_to_json` object,
-    keys sorted and first line indented by ``newline``.  The array is checked
-    on the call, as `matrix_to_json` checks it; its rows are formatted by
-    ``rows``, `_row_text` or `_forked_row_text`, as the pieces are read."""
-    a = as_matrix(value)
-    n, cols = a.shape
-    inner = newline + "  "
-    head = f'{{{inner}"cols": {cols},{inner}"data": '
-    tail = f',{inner}"rows": {n}{newline}}}'
-    if not n:
-        return (head + "[]" + tail,)
-    return chain((head,), rows(a, inner + "  "), (inner + "]" + tail,))
+    if isinstance(value, dict) and value:
+        separator, following = "{" + inner, "," + inner
+        for key, item in sorted(value.items()):
+            head = separator + encode_basestring_ascii(key if type(key) is str else _json_key(key)) + ": "
+            convert = _SCALARS.get(type(item))
+            if convert is None:
+                out.append(head)
+                _write(item, inner, out, rows)
+            else:
+                out.append(head + convert(item))
+            separator = following
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        separator, following = "[" + inner, "," + inner
+        for item in value:
+            convert = _SCALARS.get(type(item))
+            if convert is not None:
+                out.append(separator + convert(item))
+            else:
+                part = [separator]
+                _write(item, inner, part, None)
+                out.append("".join(part))
+            separator = following
+        out.append(newline + "]")
+    elif isinstance(value, (dict, list, tuple)):
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, np.ndarray):
+        a = as_matrix(value)
+        n, cols = a.shape
+        out.append(f'{{{inner}"cols": {cols},{inner}"data": ' + ("[]" if not n else ""))
+        if n:
+            out.append(rows(a, inner + "  ") if rows else "".join(_row_text(a, inner + "  ")))
+        out.append(f'{inner + "]" if n else ""},{inner}"rows": {n}{newline}}}')
+    else:
+        out.append(_scalar(value))
 
 
 def _row_text(a: np.ndarray, newline: str, opening: str = "[") -> Iterator[str]:
@@ -587,7 +607,7 @@ def _row_text(a: np.ndarray, newline: str, opening: str = "[") -> Iterator[str]:
     the first row ("," when ``a`` continues rows already written) and ","
     for the others.  A row-major complex row viewed as floats is its
     [re, im] pairs in order, so no array of pairs is formed."""
-    template = _float_template((a.shape[1], 2), newline)
+    template = _float_template(a.shape[1], newline)
     separator = opening + newline
     for row in np.ascontiguousarray(a).view(np.float64):
         yield separator + template % tuple(row.tolist())
@@ -631,72 +651,17 @@ def _forked_matrix_from_text(text: str) -> np.ndarray:
     return _split_matrix_from_text(text)
 
 
-def _json_floats(text: str) -> str:
-    # float.__repr__ spells non-finite values nan / inf / -inf; no finite repr holds an "n"
-    if "n" in text:
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    return text
-
-
 def _json_key(key) -> str:
     if isinstance(key, str):
         return key
     if key is None or isinstance(key, (int, float)):
-        return _dump(key, "")
+        return _scalar(key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _float_template(shape, newline: str) -> str:
-    """The ``%r`` template, first line indented by ``newline``, of the JSON
-    text of a rectangular nest of lists of the given shape whose leaves are
-    floats, filled with the leaves in row-major order."""
-    template = "%r"
-    for depth in reversed(range(len(shape))):
-        outer = newline + "  " * depth
-        inner = outer + "  "
-        items = ("," + inner).join(repeat(template, shape[depth]))
-        template = "[" + inner + items + outer + "]" if items else "[]"
-    return template
-
-
-def _float_table(items, newline: str) -> str | None:
-    """The text of a list of floats or a rectangular nest of float lists,
-    from one `_float_template` filled in one step, else None."""
-    shape = [len(items)]
-    leaves = items
-    while (kinds := set(map(type, leaves))) == {list}:
-        sizes = set(map(len, leaves))
-        if len(sizes) != 1:
-            return None
-        shape.append(sizes.pop())
-        leaves = list(chain.from_iterable(leaves))
-    return _json_floats(_float_template(shape, newline) % tuple(leaves)) if kinds == {float} else None
-
-
-def _dump(value, newline: str) -> str:
-    """JSON text of ``value`` whose first line is indented by ``newline``."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_floats(float.__repr__(value))
+def _float_template(cols: int, newline: str) -> str:
+    """The ``%r`` template of a matrix row of ``cols`` [re, im] pairs, first
+    line indented by ``newline``, filled with the row's floats in order."""
     inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        table = _float_table(value, newline)
-        if table is not None:
-            return table
-        return "[" + inner + ("," + inner).join([_dump(item, inner) for item in value]) + newline + "]"
-    if isinstance(value, dict):
-        return "".join(chain.from_iterable(_parts(value, newline, _row_text))) if value else "{}"
-    if isinstance(value, np.ndarray):
-        return "".join(_matrix_rows(value, newline, _row_text))
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    pair = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
+    return "[" + inner + ("," + inner).join(repeat(pair, cols)) + newline + "]" if cols else "[]"

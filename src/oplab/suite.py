@@ -24,9 +24,9 @@ streams in ascending order, so rows come out keyed by (theorem_id, stream)
 in order and reports are byte-identical across repeated runs.
 
 A run draws its streams (`_instances`), evaluates each instance (`_record`)
-and assembles the report.  The library quarantines a failure once evaluated;
-the CLI, splitting the streams between two processes (`_split_streams`),
-quarantines its failures as it assembles the report, in the same order.
+and assembles the report, quarantining failures in (theorem, stream) order.
+The CLI splits the streams between two processes (`_split_streams`); a
+stream's records (`_stream_records`) are the same in either.
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ def _identity(d: int) -> np.ndarray:
 @cache
 def _module(name: str):
     """The oplab submodule ``name``, imported at its first use and not with
-    this module: the CLI imports suite for THEOREM_IDS, and a command that
-    runs no suite never loads generators or theorem_lab."""
+    this module, which ``oplab.THEOREM_IDS`` loads without running a suite."""
     return import_module(f"{__package__}.{name}")
 
 

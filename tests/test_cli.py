@@ -497,13 +497,24 @@ def test_one_shot_queries_load_only_what_they_run_and_the_package_api_holds(tmp_
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0]
-    # no decompositions, generators or theorem_lab
-    assert result["loaded"] == ["oplab", "oplab.cli", "oplab.expansivity", "oplab.matrix_core", "oplab.suite"]
+    # no decompositions, generators, theorem_lab or suite
+    assert result["loaded"] == ["oplab", "oplab.cli", "oplab.expansivity", "oplab.matrix_core"]
     assert result["differ"] == []
     public = sorted({name for module, names in _PUBLIC_API.items() for name in (module, *names)})
     assert result["star"] == public
     assert sorted(oplab.__all__) == public
     assert set(public) <= set(dir(oplab))
+
+
+def test_the_suite_choices_are_the_theorem_ids(capsys):
+    import oplab.cli as cli
+    import oplab.suite as suite
+
+    for mode in ("verify", "fuzz"):
+        assert main([mode, "--suite", "no_such_theorem"]) == 1
+        err = capsys.readouterr().err
+        assert f"invalid choice: 'no_such_theorem' (choose from 'all', {', '.join(map(repr, suite.THEOREM_IDS))})" in err
+    assert cli._THEOREM_IDS == suite.THEOREM_IDS
 
 
 def test_main_builds_one_parser_for_every_call(tmp_path, capsys, monkeypatch):

@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,15 @@ def wire():
     return a, obj, [json.dumps(row) for row in obj["data"]]
 
 
+@pytest.fixture(scope="module")
+def texts(wire):
+    """The matrix's compact text, its one-process outcome and its text in
+    oplab's indent-2 layout: built once, as each takes 0.1 s or more."""
+    a, obj, rows = wire
+    text = compact(rows)
+    return types.SimpleNamespace(compact=text, read=("array", (D, D), a.tobytes()), indented=dumps_json(a))
+
+
 def compact(rows: list, changed: dict = {}, claimed: int = D) -> str:
     """``json.dumps`` of a wire-format object with these row texts, the rows
     in ``changed`` (index: row) replaced and ``claimed`` as its rows."""
@@ -60,10 +70,12 @@ def outcome(read) -> tuple:
     return ("array", a.shape, a.tobytes())
 
 
-def assert_reads_as_one_process(text: str, forks: int, children) -> tuple:
-    """The one-process outcome of ``text``, after checking that the reader
-    gives it too, with ``forks`` children started so far and none left."""
-    expected = outcome(lambda: matrix_from_json(json.loads(text)))
+def assert_reads_as_one_process(text: str, forks: int, children, expected: tuple | None = None) -> tuple:
+    """The one-process outcome of ``text`` (``expected`` where it is known),
+    after checking that the reader gives it too, with ``forks`` children
+    started so far and none left."""
+    if expected is None:
+        expected = outcome(lambda: matrix_from_json(json.loads(text)))
     assert outcome(lambda: matrix_core._forked_matrix_from_text(text)) == expected
     assert len(children.pids) == forks
     with pytest.raises(ChildProcessError):
@@ -105,37 +117,35 @@ def test_rows_that_do_not_add_up_give_the_one_process_error(children, wire):
         assert expected[2] == f"expected {claimed} rows, got {D}"
 
 
-LAYOUTS = {  # name: (text from the matrix, its object and its compact text; whether it is split)
-    "compact": (lambda a, obj, text: text, True),
-    "no_spaces": (lambda a, obj, text: json.dumps(obj, separators=(",", ":")), True),
-    "oplab_indent_2": (lambda a, obj, text: dumps_json(a), True),
-    "data_first": (lambda a, obj, text: json.dumps({"data": obj["data"], "rows": D, "cols": D}), True),
-    "data_between": (lambda a, obj, text: json.dumps({"cols": D, "data": obj["data"], "rows": D}), True),
-    "crlf": (lambda a, obj, text: dumps_json(a).replace("\n", "\r\n"), True),
-    "bom": (lambda a, obj, text: "\ufeff" + text, False),
-    "escaped_key": (lambda a, obj, text: text.replace('"data"', '"d\\u0061ta"'), False),
-    "duplicated_data": (lambda a, obj, text: '{"data": [], ' + text[1:], False),
-    "extra_key": (lambda a, obj, text: '{"extra": 1, ' + text[1:], False),
+LAYOUTS = {  # name: (text from the matrix's object and its `texts`; whether it is split)
+    "compact": (lambda obj, texts: texts.compact, True),
+    "no_spaces": (lambda obj, texts: json.dumps(obj, separators=(",", ":")), True),
+    "oplab_indent_2": (lambda obj, texts: texts.indented, True),
+    "data_first": (lambda obj, texts: json.dumps({"data": obj["data"], "rows": D, "cols": D}), True),
+    "data_between": (lambda obj, texts: json.dumps({"cols": D, "data": obj["data"], "rows": D}), True),
+    "crlf": (lambda obj, texts: texts.indented.replace("\n", "\r\n"), True),
+    "bom": (lambda obj, texts: "\ufeff" + texts.compact, False),
+    "escaped_key": (lambda obj, texts: texts.compact.replace('"data"', '"d\\u0061ta"'), False),
+    "duplicated_data": (lambda obj, texts: '{"data": [], ' + texts.compact[1:], False),
+    "extra_key": (lambda obj, texts: '{"extra": 1, ' + texts.compact[1:], False),
 }
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_every_layout_reads_as_one_process(children, wire, layout):
+def test_every_layout_reads_as_one_process(children, wire, texts, layout):
     a, obj, rows = wire
-    text = compact(rows)
-    assert text == json.dumps(obj)
+    assert texts.compact == json.dumps(obj)
     write, splits = LAYOUTS[layout]
-    expected = assert_reads_as_one_process(write(a, obj, text), int(splits), children)
+    expected = assert_reads_as_one_process(write(obj, texts), int(splits), children)
     if layout == "bom":
         assert expected[:2] == ("error", json.JSONDecodeError)
     else:
-        assert expected == ("array", (D, D), a.tobytes())
+        assert expected == texts.read
 
 
 @pytest.mark.parametrize("space", ["\f", "\u00a0"])
-def test_space_json_forbids_at_the_row_break_is_an_error(children, wire, space):
-    a, _, rows = wire
-    for forks, text in enumerate((compact(rows), dumps_json(a)), start=1):
+def test_space_json_forbids_at_the_row_break_is_an_error(children, texts, space):
+    for forks, text in enumerate((texts.compact, texts.indented), start=1):
         comma = _forking._data_split(text)[3]
         text = text[: comma + 1] + space + text[comma + 1 :]
         expected = assert_reads_as_one_process(text, forks, children)
@@ -170,32 +180,29 @@ def _killed(shared):
 
 
 @pytest.mark.parametrize("child", [_exit_3, _killed])
-def test_a_failed_reader_child_leaves_the_parent_to_parse_its_rows(children, monkeypatch, wire, child):
-    a, _, rows = wire
+def test_a_failed_reader_child_leaves_the_parent_to_parse_its_rows(children, monkeypatch, texts, child):
     forked = _forking._forked
     monkeypatch.setattr(_forking, "_forked", lambda work, size: forked(child, size))
-    assert assert_reads_as_one_process(compact(rows), 1, children) == ("array", (D, D), a.tobytes())
+    assert assert_reads_as_one_process(texts.compact, 1, children, texts.read) == texts.read
 
 
-def test_one_cpu_no_fork_or_another_thread_reads_in_one_process(children, monkeypatch, wire):
-    a, _, rows = wire
-    text = compact(rows)
-    expected = ("array", (D, D), a.tobytes())
+def test_one_cpu_no_fork_or_another_thread_reads_in_one_process(children, monkeypatch, texts):
+    text, expected = texts.compact, texts.read
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60,))
     other.start()
     try:
-        assert assert_reads_as_one_process(text, 0, children) == expected
+        assert assert_reads_as_one_process(text, 0, children, expected) == expected
     finally:
         release.set()
         other.join(60)
     with monkeypatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert assert_reads_as_one_process(text, 0, children) == expected
+        assert assert_reads_as_one_process(text, 0, children, expected) == expected
     with monkeypatch.context() as patch:
         patch.delattr(os, "fork")
-        assert assert_reads_as_one_process(text, 0, children) == expected
-    assert assert_reads_as_one_process(text, 1, children) == expected
+        assert assert_reads_as_one_process(text, 0, children, expected) == expected
+    assert assert_reads_as_one_process(text, 1, children, expected) == expected
 
 
 def test_a_bad_input_file_exits_as_in_one_process(children, monkeypatch, capsys, tmp_path, wire):
@@ -326,15 +333,17 @@ def test_classify_with_a_weight_file_reads_and_classifies_as_one_process(childre
 
 # -- what never forks ---------------------------------------------------------
 
-def test_library_readers_and_classify_never_fork(monkeypatch):
+def test_library_readers_and_classify_never_fork(monkeypatch, wire, texts):
     # json_pieces and dumps_json: test_forked_writer.py::test_library_writers_never_fork
     def no_fork():
         raise AssertionError("a library function forked")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", no_fork)
-    a = ginibre(philox(408), D)
-    assert matrix_from_json(json.loads(json.dumps(matrix_to_json(a)))).tobytes() == a.tobytes()
+    a = wire[0]
+    text = json.dumps(matrix_to_json(a))
+    assert text == texts.compact
+    assert matrix_from_json(json.loads(text)).tobytes() == a.tobytes()
     assert len(classify(a / 16.0, np.eye(D), 4).rows) == 4
 
 

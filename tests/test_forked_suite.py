@@ -89,7 +89,7 @@ SPLIT_CALLS = [
     suite_argv("fuzz", "all", 8, "4,3"),
     suite_argv("verify", "all", 10, "3,2"),
     suite_argv("fuzz", "all", 10, "3,2"),
-    suite_argv("verify", "transform_bundle", 14, "16,8"),
+    suite_argv("verify", "transform_bundle", 20, "16,8"),
     suite_argv("fuzz", "weight_decomposition", 20, "16,8"),
 ]
 
@@ -245,9 +245,9 @@ def test_one_cpu_no_fork_or_another_thread_runs_in_one_process(children, streams
 
 
 def test_a_run_under_the_split_minimum_runs_in_one_process(children, streams, monkeypatch, capsys, tmp_path):
-    # 5 streams of 8 theorems at (4,3): 5 * 8 * 7 = 280 < 320
-    argv = suite_argv("verify", "all", 5, "4,3")
-    assert 5 * 8 * 7 < cli._SUITE_SPLIT <= 6 * 8 * 7
+    # 6 streams of 8 theorems at (4,3) are under the minimum, 7 reach it
+    argv = suite_argv("verify", "all", 6, "4,3")
+    assert cli._suite_ms(6, 8, (4, 3)) < cli._SUITE_SPLIT <= cli._suite_ms(7, 8, (4, 3))
     expected = one_process(monkeypatch, argv, tmp_path, capsys)
     assert call(argv, tmp_path, capsys) == expected
     assert children.pids == [] and streams.parent == []
@@ -268,3 +268,22 @@ def test_the_library_run_suite_never_forks(monkeypatch, tmp_path):
     monkeypatch.setattr(os, "fork", no_fork)
     report = run_suite("verify", seed=7, count=25, dims=(4, 3), quarantine_dir=tmp_path / "q")
     assert report["failures"] == 0 and len(report["rows"]) == 200
+
+
+def test_few_streams_at_large_dims_split(children, streams, monkeypatch, capsys, tmp_path):
+    # an instance's cost grows faster than d1 + d2: 3 streams at (64,32)
+    # took about 128 ms in one process and 83 ms split
+    argv = suite_argv("verify", "sandwich_isometry", 3, "64,32")
+    expected = one_process(monkeypatch, argv, tmp_path, capsys)
+    assert expected[0] == 0
+    assert call(argv, tmp_path, capsys) == expected
+    assert len(children.pids) == 1
+    assert streams.parent[0] == 2 and 0 not in streams.parent
+
+
+@pytest.mark.parametrize("count,theorems,dims", [(25, 8, (4, 3)), (25, 1, (16, 8)), (400, 1, (16, 8)),
+                                                 (15, 1, (64, 32))])
+def test_every_benchmark_suite_call_splits(count, theorems, dims):
+    # perfbench's suite calls: --suite all at (4,3), and each theorem at
+    # (16,8) and (64,32)
+    assert cli._suite_ms(count, theorems, dims) >= cli._SUITE_SPLIT

@@ -131,27 +131,31 @@ def test_library_writers_never_fork(monkeypatch):
     assert "".join(json_pieces(payload)) == dumps_json(payload)
 
 
+@pytest.fixture(scope="module")
+def transform_run(tmp_path_factory):
+    """A SIDE x SIDE input file and the output of ``oplab transform`` on it
+    in one process, made once for the module."""
+    path = tmp_path_factory.mktemp("transform") / "t.json"
+    path.write_text(json.dumps(matrix_to_json(ginibre(philox(305), SIDE))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix_core, "_SPLIT_TEXT", float("inf"))
+        patch.setattr(matrix_core, "_SPLIT_ENTRIES", float("inf"))
+        patch.delattr(os, "fork")
+        assert cli.main(["transform", "--matrix", str(path), "--output", str(path.parent / "out.json")]) == 0
+    return str(path), (path.parent / "out.json").read_text()
+
+
 @pytest.fixture
-def transform_input(tmp_path, monkeypatch):
+def transform_input(transform_run, monkeypatch):
     # read in one process: these tests count the writer's children only
     monkeypatch.setattr(matrix_core, "_SPLIT_TEXT", float("inf"))
-    t = ginibre(philox(305), SIDE)
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(matrix_to_json(t)))
-    return str(path)
-
-
-def one_process_output(monkeypatch, capsys, argv) -> str:
-    with monkeypatch.context() as patch:
-        patch.setattr(matrix_core, "_SPLIT_ENTRIES", float("inf"))
-        assert cli.main(argv) == 0
-    return capsys.readouterr().out
+    return transform_run[0]
 
 
 @pytest.mark.parametrize("to_file", [True, False])
-def test_cli_output_is_byte_identical(children, monkeypatch, capsys, tmp_path, transform_input, to_file):
+def test_cli_output_is_byte_identical(children, capsys, tmp_path, transform_run, transform_input, to_file):
     argv = ["transform", "--matrix", transform_input]
-    expected = one_process_output(monkeypatch, capsys, argv)
+    expected = transform_run[1]
     assert children.pids == []
     if to_file:
         out = tmp_path / "out.json"
@@ -230,9 +234,9 @@ def _too_long(shared):
 
 @pytest.mark.parametrize("child", [_exit_3, _killed, _no_length, _too_long])
 def test_a_failed_child_leaves_the_parent_to_format_its_rows(children, monkeypatch, capsys, tmp_path,
-                                                              transform_input, child):
+                                                              transform_run, transform_input, child):
     argv = ["transform", "--matrix", transform_input]
-    expected = one_process_output(monkeypatch, capsys, argv)
+    expected = transform_run[1]
     forked = _forking._forked
     monkeypatch.setattr(_forking, "_forked", lambda work, size: forked(child, size))
     out = tmp_path / "out.json"

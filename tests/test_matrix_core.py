@@ -801,7 +801,7 @@ def test_matrices_are_checked_once_where_they_enter():
     # _hermitian_part, _pinv, _block_compose, np.linalg.eigvals,
     # _core_nilpotent, _range_kernel_split, _polar,
     # _build_transform_bundle), never a public helper that checks its
-    # argument again; only the writer's row writer, _matrix_rows, checks the
+    # argument again; only the JSON writer, _write, checks the
     # arrays of a payload it is handed.  Every public function of
     # decompositions checks its argument: the transform and split commands
     # hand one the matrix they read, aluthge and duggal are polar's public
@@ -819,7 +819,7 @@ def test_matrices_are_checked_once_where_they_enter():
         visitor.visit(ast.parse(source))
         found |= {(name, scope, used) for scope, used in visitor.found}
     assert found == {
-        ("matrix_core.py", "_matrix_rows", "as_matrix"),
+        ("matrix_core.py", "_write", "as_matrix"),
         ("decompositions.py", "aluthge", "polar"),
         ("decompositions.py", "duggal", "polar"),
         ("cli.py", "_cmd_transform", "polar"),

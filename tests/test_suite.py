@@ -4,7 +4,8 @@ determinism, and the quarantine/replay loop."""
 import ast
 import hashlib
 import json
-from collections import Counter
+import tracemalloc
+from collections import Counter, deque
 from functools import partial
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import oplab
 import oplab.theorem_lab as theorem_lab
 from oplab import THEOREM_IDS, DomainError, GenerationError, TheoremVerdict, replay_quarantine, run_suite
 from oplab.generators import GenSpec
-from oplab.matrix_core import matrix_from_json
+from oplab.matrix_core import dumps_json, json_pieces, matrix_from_json
 
 from conftest import patch_everywhere
 
@@ -529,3 +530,30 @@ def test_specs_and_verdicts_are_built_in_one_place_each():
         ("suite.py", "_draw", "generate"),
         ("theorem_lab.py", "_conclude", "TheoremVerdict"),
     }
+
+
+def _writer_peak(payload) -> tuple[int, int]:
+    """(memory held once ``json_pieces(payload)`` returns, peak while its
+    pieces are also read), by tracemalloc, into a sink that keeps none."""
+    tracemalloc.start()
+    try:
+        pieces = json_pieces(payload)
+        held = tracemalloc.get_traced_memory()[0]
+        deque(pieces, maxlen=0)
+        return held, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_suite_report_is_written_a_row_at_a_time(tmp_path):
+    # Every non-array value is written before the sink opens, so the report's
+    # text is held once, one string a row; a string for each of a row's ~40
+    # values held about 3 kB more a row.  Reading the pieces then adds no
+    # more than a few rows' text.
+    report = run_suite("fuzz", seed=5, count=400, dims=(4, 3), suites="weight_decomposition",
+                       quarantine_dir=tmp_path / "q")
+    text = dumps_json(report)
+    rows, row = len(report["rows"]), len(dumps_json(report["rows"][0]))
+    held, peak = _writer_peak(report)
+    assert held - len(text) < 96 * rows
+    assert peak - held < 4 * row
