@@ -26,18 +26,8 @@ from .matrix_core import (
     PreconditionError,
     Tolerance,
     adjoint,
-    block_compose,
-    definiteness,
-    eigenvalues,
-    hermitian_part,
-    is_hermitian,
     matrix_from_json,
     matrix_to_json,
-    moore_penrose,
-    numerical_rank,
-    operator_norm,
-    spectral_radius,
-    sqrt_psd,
 )
 from .expansivity import (
     ClassificationReport,
@@ -46,9 +36,7 @@ from .expansivity import (
     classify,
     defect,
     defect_series,
-    defect_tilde,
     gram_weight,
-    is_p_isometric,
 )
 
 __version__ = "0.1.0"
@@ -56,8 +44,7 @@ __version__ = "0.1.0"
 # The module of each lazily loaded public name; a submodule maps to itself.
 _LAZY = {name: module for module, names in {
     "decompositions": ("CoreNilpotent", "IllConditionedWarning", "PolarParts", "RangeKernelSplit", "TransformBundle",
-                       "aluthge", "build_transform_bundle", "core_nilpotent", "drazin_index", "drazin_inverse",
-                       "drazin_residuals", "duggal", "polar", "range_kernel_split"),
+                       "build_transform_bundle", "core_nilpotent", "drazin_inverse", "polar", "range_kernel_split"),
     "generators": ("GenSpec", "gen_coupled_kernel", "gen_drazin_pair", "gen_expansive_invertible",
                    "gen_haar_unitary", "gen_nilpotent", "gen_psd", "generate"),
     "theorem_lab": ("TheoremVerdict", "spectral_constraints", "verify_no_singular_expansive",

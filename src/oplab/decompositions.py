@@ -30,7 +30,6 @@ import numpy as np
 from .matrix_core import (
     DEFAULT_TOL,
     DecompositionError,
-    DimensionError,
     NumericalFailureError,
     PreconditionError,
     Tolerance,
@@ -58,14 +57,10 @@ __all__ = [
     "PolarParts",
     "RangeKernelSplit",
     "TransformBundle",
-    "drazin_index",
     "drazin_inverse",
-    "drazin_residuals",
     "core_nilpotent",
     "range_kernel_split",
     "polar",
-    "aluthge",
-    "duggal",
     "build_transform_bundle",
 ]
 
@@ -80,9 +75,8 @@ def _power_rank(a: np.ndarray, tol: Tolerance, n: int | None = None) -> tuple:
     rank T^p): (k, T^k, rank T^k, g_k, ||T||), the rank counting singular
     values above g_k (T^0: None, rank d, gate 0).  One within 10x of g_k
     warns IllConditionedWarning, naming the caller of the function that
-    called this (a public function, a verifier, `_build_transform_bundle` or
-    `cli._cmd_drazin`), which hands the result to a kernel such as
-    `_core_nilpotent`."""
+    called this (a public function, a verifier or `cli._cmd_drazin`), which
+    hands the result to a kernel such as `_core_nilpotent`."""
     step = (0, None, a.shape[0], 0.0)
     for k, (power, s, gate) in enumerate(_power_walk(a, tol), 1):
         norm = _largest(s) if k == 1 else norm
@@ -109,26 +103,14 @@ def _canonical_phases(cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def drazin_index(t, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Smallest k >= 0 with rank(T^{k+1}) = rank(T^k); 0 iff T is invertible."""
-    return _power_rank(_require_square(as_matrix(t)), tol)[0]
-
-
-def drazin_residuals(t, td, index: int) -> dict:
-    """Norms of the three defining identities of the Drazin inverse, for a
-    square T and a ``td`` of its shape."""
-    a = _require_square(as_matrix(t))
-    td = as_matrix(td)
-    if td.shape != a.shape:
-        raise DimensionError(f"inverse shape {td.shape} does not match operator shape {a.shape}")
-    return _drazin_residuals(a, td, index, _matrix_power(a, index))[0]
-
-
 def _drazin_residuals(a: np.ndarray, td: np.ndarray, index: int, tp: np.ndarray) -> tuple[dict, dict]:
-    """`drazin_residuals` of a finite square ``a``, a finite ``td`` of its
-    shape and ``tp`` = `_matrix_power(a, index)`, and the scale of each
-    identity: the sum over its terms of the product of their factors'
-    Frobenius norms, which bound the spectral norms without an SVD."""
+    """The norms of the three defining identities of the Drazin inverse
+    (commutator T^D T - T T^D, inner inverse T^D T T^D - T^D and core
+    projection T^{k+1} T^D - T^k, k = ``index``) for a finite square ``a``,
+    a finite ``td`` of its shape and ``tp`` = `_matrix_power(a, index)`, and
+    the scale of each identity: the sum over its terms of the product of
+    their factors' Frobenius norms, which bound the spectral norms without
+    an SVD."""
     tq = _matrix_power(a, index + 1)
     # in float64, so an overflow gives an infinite scale without a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -391,16 +373,6 @@ def _polar(a: np.ndarray, tol: Tolerance) -> PolarParts:
     )
 
 
-def aluthge(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """The balanced transform p^{1/2} u p^{1/2} of the polar factors."""
-    return polar(m, tol).aluthge()
-
-
-def duggal(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """The swapped-factor transform p u of the polar factors."""
-    return polar(m, tol).duggal()
-
-
 @dataclass(frozen=True)
 class TransformBundle:
     """Operators derived from the splitting T^n = [[t1n, x], [0, 0]] and the
@@ -442,15 +414,17 @@ def build_transform_bundle(t, n: int, tol: Tolerance = DEFAULT_TOL) -> Transform
     """Assemble the coupled-transform bundle from the range-kernel split; a
     block that overflows raises NumericalFailureError."""
     n = _split_power(n)
-    return _build_transform_bundle(_require_square(as_matrix(t)), n, tol)
+    a = _require_square(as_matrix(t))
+    return _build_transform_bundle(a, n, _power_rank(a, tol, n), tol)
 
 
 # a block that overflows raises NumericalFailureError below, so numpy's
 # warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
-def _build_transform_bundle(a: np.ndarray, n: int, tol: Tolerance) -> TransformBundle:
-    """`build_transform_bundle` of a validated square ``a`` at a power ``n`` >= 1."""
-    split = _range_kernel_split(a, n, _power_rank(a, tol, n), tol)
+def _build_transform_bundle(a: np.ndarray, n: int, step: tuple, tol: Tolerance) -> TransformBundle:
+    """`build_transform_bundle` of a validated square ``a`` at a power ``n``
+    >= 1, given its walk ``step`` = `_power_rank(a, tol, n)`."""
+    split = _range_kernel_split(a, n, step, tol)
     d = split.basis.shape[0]
     d1, d2 = split.d1, d - split.d1
     parts = _polar(split.t1n, tol)

@@ -46,8 +46,6 @@ __all__ = [
     "DefectResult",
     "defect",
     "defect_series",
-    "defect_tilde",
-    "is_p_isometric",
     "gram_weight",
     "ClassificationRow",
     "ClassificationReport",
@@ -71,13 +69,6 @@ def _defect_order(m) -> int:
     return m
 
 
-def _require_weight(t: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``p`` if it is square of the square ``t``'s shape, else DimensionError."""
-    if _require_square(p).shape != t.shape:
-        raise DimensionError(f"weight shape {p.shape} does not match operator shape {t.shape}")
-    return p
-
-
 @dataclass(frozen=True)
 class DefectSpec:
     """Inputs of a defect of T^n against a Hermitian (not necessarily PSD)
@@ -90,7 +81,9 @@ class DefectSpec:
 
     def __post_init__(self):
         t = _require_square(as_matrix(self.t))
-        p = _require_weight(t, as_matrix(self.p))
+        p = as_matrix(self.p)
+        if _require_square(p).shape != t.shape:
+            raise DimensionError(f"weight shape {p.shape} does not match operator shape {t.shape}")
         m = _defect_order(self.m)
         n = _as_integer(self.n, "operator power")
         if n < 1:
@@ -104,8 +97,8 @@ class DefectResult:
     """A defect matrix with its sign verdict and derived classification.
 
     ``classification`` always describes the operator's (m, P)-classes in the
-    standard sign convention, also on results produced by `defect_tilde`
-    where ``delta`` itself carries a flipped sign for odd m.
+    standard sign convention, also on results produced by `_tilde` where
+    ``delta`` itself carries a flipped sign for odd m.
     """
 
     delta: np.ndarray
@@ -193,31 +186,14 @@ def _tilde(result: DefectResult, m: int) -> DefectResult:
     return DefectResult(-result.delta, flipped, result.classification)
 
 
-def defect_tilde(spec: DefectSpec, tol: Tolerance = DEFAULT_TOL) -> DefectResult:
-    """The sign-flipped defect (-1)^m * delta, without recomputation.
-
-    For even m this coincides with `defect`; for odd m the returned matrix
-    and its verdict flip sign while the classification still reports the
-    operator's (m, P)-classes.
-    """
-    return _tilde(_spec_pass(spec, (spec.m,), tol)[0], spec.m)
-
-
-def _p_isometric(t: np.ndarray, p: np.ndarray, h: np.ndarray, tol: Tolerance) -> bool:
-    """`is_p_isometric` of a finite square ``t``, a finite ``p`` of its shape
-    and ``h``, ``p`` through `_hermitian_gate`; DomainError unless ``h`` is PSD."""
-    verdict = _sign_verdict(h, tol)
-    if not verdict.is_psd:
-        raise DomainError(f"weight must be PSD, got verdict {verdict.verdict}")
+def _p_isometric(t: np.ndarray, p: np.ndarray, h: np.ndarray, tol: Tolerance) -> bool | None:
+    """Whether T*PT = P within rel_eps * (1 + ||P||), for a finite square
+    ``t``, a finite ``p`` of its shape and ``h``, ``p`` through
+    `_hermitian_gate`; None unless ``h`` is PSD (the P-isometry notion
+    presumes a nonnegative weight)."""
+    if not _sign_verdict(h, tol).is_psd:
+        return None
     return _norm2(adjoint(t) @ p @ t - p) <= tol.rel_eps * (1.0 + _norm2(p))
-
-
-def is_p_isometric(t, p, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff T*PT = P within rel_eps * (1 + ||P||), for a square T and a
-    Hermitian PSD P of its shape."""
-    t = _require_square(as_matrix(t))
-    p = _require_weight(t, as_matrix(p))
-    return _p_isometric(t, p, _hermitian_gate(p, tol), tol)
 
 
 def gram_weight(t, n: int = 1) -> np.ndarray:
@@ -300,13 +276,9 @@ def _classification_rows(t: np.ndarray, h: np.ndarray, m_max: int, tol: Toleranc
 
 def _spectral_summary(t: np.ndarray, p: np.ndarray, h: np.ndarray, tol: Tolerance) -> tuple:
     """The rest of `classify`, which does not depend on its table:
-    (`_p_isometric`, None for a weight that is not PSD, the spectrum of ``t``
-    and ||t||), for ``t``, ``p`` and ``h`` as `_p_isometric` takes them."""
-    try:
-        p_isometric = _p_isometric(t, p, h, tol)
-    except DomainError:
-        p_isometric = None
-    return p_isometric, np.linalg.eigvals(t), _norm2(t)
+    (`_p_isometric`, the spectrum of ``t`` and ||t||), for ``t``, ``p`` and
+    ``h`` as `_p_isometric` takes them."""
+    return _p_isometric(t, p, h, tol), np.linalg.eigvals(t), _norm2(t)
 
 
 def _classification_report(rows: tuple, summary: tuple) -> ClassificationReport:

@@ -20,9 +20,10 @@ shared conventions:
   goes through: rank in `_rank` (singular values at or below
   `Tolerance.cutoff`, ``max(rel_eps * sigma_max, abs_eps)``, are zero; on
   T^k, at or below g_k), X^q = 0 in `_nilpotency` (``||X^q|| <= g_q``),
-  Hermiticity in `_hermitian_defect` and overflow in `_finite`,
-* definiteness decisions, PSD square roots and the Moore-Penrose inverse,
-* 2x2 block composition,
+  Hermiticity in `_hermitian_gate`, a sign in `_sign_verdict` and overflow
+  in `_finite`,
+* the Moore-Penrose inverse, `_pinv`, and 2x2 block composition,
+  `_block_compose`,
 * the JSON wire format for matrices and the one writer of JSON text,
   `_write`: `json_pieces` gives a payload's text in pieces to stream to a
   sink, and `dumps_json` is their join.  Payloads carry complex arrays,
@@ -69,16 +70,6 @@ __all__ = [
     "DefinitenessVerdict",
     "as_matrix",
     "adjoint",
-    "operator_norm",
-    "spectral_radius",
-    "eigenvalues",
-    "is_hermitian",
-    "hermitian_part",
-    "definiteness",
-    "sqrt_psd",
-    "moore_penrose",
-    "numerical_rank",
-    "block_compose",
     "matrix_to_json",
     "matrix_from_json",
     "dumps_json",
@@ -245,43 +236,12 @@ def _power_walk(a: np.ndarray, tol: Tolerance) -> Iterator[tuple[np.ndarray, np.
         _finite(power, "operator power", {"power": k + 1})
 
 
-def operator_norm(m) -> float:
-    """Largest singular value (0.0 for an empty matrix)."""
-    return _norm2(as_matrix(m))
-
-
 def _nilpotency(s: np.ndarray, gate: float) -> tuple[float, bool]:
     """The nilpotency rule, on the singular values ``s`` of a power X^q (or
     of a block of one) and its gate g_q from `_power_walk`: ||X^q|| and
     whether X^q = 0, i.e. ||X^q|| <= g_q."""
     residual = _largest(s)
     return residual, residual <= gate
-
-
-def spectral_radius(m) -> float:
-    """max |lambda| over the spectrum (0.0 for an empty matrix)."""
-    a = _require_square(as_matrix(m))
-    return float(np.max(np.abs(np.linalg.eigvals(a)), initial=0.0))
-
-
-def eigenvalues(m) -> np.ndarray:
-    """Full spectrum of a square matrix, unordered."""
-    a = _require_square(as_matrix(m))
-    return np.linalg.eigvals(a)
-
-
-def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return _hermitian_defect(_require_square(as_matrix(m)), tol)[1]
-
-
-def _hermitian_defect(a: np.ndarray, tol: Tolerance) -> tuple[float, bool]:
-    """The Hermiticity rule: ||a - a*|| and whether it is at most ``tol.gate(||a||)``."""
-    defect = _norm2(a - adjoint(a))
-    return defect, defect <= tol.gate(_norm2(a))
-
-
-def hermitian_part(m) -> np.ndarray:
-    return _hermitian_part(_require_square(as_matrix(m)))
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -318,32 +278,23 @@ class DefinitenessVerdict:
         }
 
 
-def definiteness(m, tol: Tolerance = DEFAULT_TOL) -> DefinitenessVerdict:
-    """Classify a Hermitian matrix as PSD / NSD / ZERO / INDEFINITE.
-
-    The matrix is symmetrized as (M + M*)/2 before the eigenanalysis; inputs
-    whose Hermiticity defect exceeds the tolerance are rejected.  The verdict
-    thresholds are relative to the spectral scale max(|min_eig|, |max_eig|, 1).
-    """
-    a = _require_square(as_matrix(m))
-    return _sign_verdict(_hermitian_gate(a, tol), tol)
-
-
 def _hermitian_gate(a: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """The Hermitian part of a finite square ``a``; raises HermitianError
-    when ||a - a*|| exceeds the gate at the scale ||a||."""
+    """The Hermiticity rule: the Hermitian part of a finite square ``a`` if
+    ||a - a*|| is at most ``tol.gate(||a||)``, else HermitianError."""
     # an exactly self-adjoint input (every _hermitian_part result) has defect 0
     # and is already its own Hermitian part
     if np.array_equal(a, adjoint(a)):
         return a
-    defect, hermitian = _hermitian_defect(a, tol)
-    if not hermitian:
+    defect = _norm2(a - adjoint(a))
+    if not defect <= tol.gate(_norm2(a)):
         raise HermitianError(defect)
     return _hermitian_part(a)
 
 
 def _sign_verdict(h: np.ndarray, tol: Tolerance) -> DefinitenessVerdict:
-    """`definiteness` of a finite, exactly self-adjoint matrix."""
+    """The sign of a finite, exactly self-adjoint ``h``: PSD, NSD, ZERO
+    (both) or INDEFINITE, with eigenvalues beyond ``tol.gate`` of the
+    spectral scale max(|min_eig|, |max_eig|, 1) counting as nonzero."""
     if h.size == 0:
         return DefinitenessVerdict(0.0, 0.0, ZERO)
     w = np.linalg.eigvalsh(h)
@@ -362,35 +313,10 @@ def _sign_verdict(h: np.ndarray, tol: Tolerance) -> DefinitenessVerdict:
     return DefinitenessVerdict(lo, hi, verdict)
 
 
-def sqrt_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues negative within tolerance are clamped.
-
-    Raises DomainError on indefinite or negative input.
-    """
-    a = _require_square(as_matrix(m))
-    verdict = _sign_verdict(_hermitian_gate(a, tol), tol)
-    if not verdict.is_psd:
-        raise DomainError(f"matrix is not PSD (verdict {verdict.verdict}, min_eig {verdict.min_eig:.3e})")
-    return _psd_sqrt(a)
-
-
-def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Square root of the Hermitian part of a square ``a``, with negative
-    eigenvalues clamped to 0; `sqrt_psd` without its PSD check."""
-    if a.size == 0:
-        return a.copy()
-    w, v = np.linalg.eigh(_hermitian_part(a))
-    return _hermitian_part((v * np.sqrt(np.clip(w, 0.0, None))) @ adjoint(v))
-
-
-def moore_penrose(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with the shared rank cutoff."""
-    return _pinv(as_matrix(m), tol)
-
-
 def _pinv(a: np.ndarray, tol: Tolerance, rank: int | None = None) -> np.ndarray:
-    """`moore_penrose` of a finite 2-D ``a``, or its truncation to the
-    largest ``rank`` singular values when a caller has decided that rank."""
+    """The Moore-Penrose inverse of a finite 2-D ``a`` with the rank rule's
+    cutoff, or its truncation to the largest ``rank`` singular values when a
+    caller has decided that rank."""
     if a.size == 0:
         return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
     u, s, vh = np.linalg.svd(a)
@@ -401,30 +327,14 @@ def _pinv(a: np.ndarray, tol: Tolerance, rank: int | None = None) -> np.ndarray:
     return adjoint(vh)[:, :k] @ (inv[:, None] * adjoint(u)[:k, :])
 
 
-def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above the rank cutoff `Tolerance.cutoff`."""
-    return _rank(_singular_values(as_matrix(m)), tol)
-
-
 def _rank(s: np.ndarray, tol: Tolerance) -> int:
     """The rank rule: how many of the descending singular values ``s`` lie
     above `Tolerance.cutoff` of the largest, the gate g_1 of `_power_walk`."""
     return int(np.count_nonzero(s > tol.cutoff(_largest(s))))
 
 
-def block_compose(blocks) -> np.ndarray:
-    """Assemble [[a, b], [c, d]] into one matrix; blocks may be empty."""
-    (a, b), (c, d) = blocks
-    a, b, c, d = (as_matrix(x) for x in (a, b, c, d))
-    if b.shape != (a.shape[0], d.shape[1]) or c.shape != (d.shape[0], a.shape[1]):
-        raise DimensionError(
-            f"non-conformable blocks: {a.shape}, {b.shape}, {c.shape}, {d.shape}"
-        )
-    return _block_compose([[a, b], [c, d]])
-
-
 def _block_compose(blocks) -> np.ndarray:
-    """`block_compose` of conformable 2-D arrays."""
+    """[[a, b], [c, d]] of conformable 2-D arrays as one matrix; blocks may be empty."""
     (a, b), (c, d) = blocks
     r0, c0 = a.shape
     out = np.zeros((r0 + d.shape[0], c0 + d.shape[1]), dtype=np.complex128)

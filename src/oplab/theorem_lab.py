@@ -344,7 +344,8 @@ def verify_transform_bundle(t, n: int, m: int, tol: Tolerance = DEFAULT_TOL) -> 
     m = _defect_order(m)
     a = _require_square(as_matrix(t))
     premise = _defect_pass(a, _gram_weight(a, n), (m,), tol)[0]
-    bundle = _build_transform_bundle(a, _split_power(n), tol)
+    n = _split_power(n)
+    bundle = _build_transform_bundle(a, n, _power_rank(a, tol, n), tol)
 
     # the weights c, d (_hermitian_part results) and q = p1 (+) I are exactly self-adjoint
     defect_a = _defect_pass(bundle.a, bundle.c, (m,), tol)[0]

@@ -444,17 +444,15 @@ _PUBLIC_API = {
     "matrix_core": (
         "DEFAULT_TOL", "DefinitenessVerdict", "DimensionError", "DomainError", "HermitianError",
         "MatrixFormatError", "NumericalFailureError", "OplabError", "PreconditionError", "Tolerance", "adjoint",
-        "block_compose", "definiteness", "eigenvalues", "hermitian_part", "is_hermitian", "matrix_from_json",
-        "matrix_to_json", "moore_penrose", "numerical_rank", "operator_norm", "spectral_radius", "sqrt_psd",
+        "matrix_from_json", "matrix_to_json",
     ),
     "expansivity": (
-        "ClassificationReport", "DefectResult", "DefectSpec", "classify", "defect", "defect_series",
-        "defect_tilde", "gram_weight", "is_p_isometric",
+        "ClassificationReport", "DefectResult", "DefectSpec", "classify", "defect", "defect_series", "gram_weight",
     ),
     "decompositions": (
         "CoreNilpotent", "DecompositionError", "IllConditionedWarning", "PolarParts", "RangeKernelSplit",
-        "TransformBundle", "aluthge", "build_transform_bundle", "core_nilpotent", "drazin_index",
-        "drazin_inverse", "drazin_residuals", "duggal", "polar", "range_kernel_split",
+        "TransformBundle", "build_transform_bundle", "core_nilpotent", "drazin_inverse", "polar",
+        "range_kernel_split",
     ),
     "generators": (
         "GenerationError", "GenSpec", "gen_coupled_kernel", "gen_drazin_pair", "gen_expansive_invertible",

@@ -10,26 +10,32 @@ from oplab import (
     DomainError,
     IllConditionedWarning,
     NumericalFailureError,
+    PolarParts,
     Tolerance,
-    aluthge,
-    block_compose,
     build_transform_bundle,
     core_nilpotent,
-    drazin_index,
     drazin_inverse,
-    drazin_residuals,
-    duggal,
-    moore_penrose,
-    numerical_rank,
-    operator_norm,
     polar,
     range_kernel_split,
 )
+from oplab.decompositions import _drazin_residuals, _power_rank
 from oplab.generators import gen_coupled_kernel, gen_drazin_pair, gen_haar_unitary, gen_nilpotent, gen_psd
+from oplab.matrix_core import _pinv, _rank, _singular_values
 
 from conftest import ginibre, philox
 
 IDEMPOTENT = np.array([[1, 1], [0, 0]], dtype=complex)
+
+
+def drazin_index(t, tol=Tolerance()):
+    """The Drazin index as the one power walk decides it, the ``index`` of
+    ``oplab drazin``: the least k with rank T^{k+1} = rank T^k."""
+    return _power_rank(np.asarray(t, dtype=complex), tol)[0]
+
+
+def drazin_residuals(t, td, index):
+    """The norms of the three Drazin identities that `drazin_inverse` judges."""
+    return _drazin_residuals(t, td, index, np.linalg.matrix_power(t, index))[0]
 
 
 def oblique_core(seed: int, d1: int, d2: int, nil_index: int):
@@ -52,12 +58,12 @@ def oblique_core(seed: int, d1: int, d2: int, nil_index: int):
         [core, np.zeros((d1, d2))],
         [np.zeros((d2, d1)), n],
     ]
-    t = s @ block_compose(blocks) @ s_inv
+    t = s @ np.block(blocks) @ s_inv
     td_blocks = [
         [np.linalg.inv(core), np.zeros((d1, d2))],
         [np.zeros((d2, d1)), np.zeros((d2, d2))],
     ]
-    return t, s @ block_compose(td_blocks) @ s_inv, nil_index
+    return t, s @ np.block(td_blocks) @ s_inv, nil_index
 
 
 def test_drazin_index_warns_near_rank_cliff():
@@ -99,7 +105,7 @@ def test_drazin_closed_form_oracle():
     for seed, d1, d2, q in [(10, 2, 2, 2), (11, 3, 2, 1), (12, 1, 3, 3), (13, 4, 1, 1)]:
         t, expected, _ = oblique_core(seed, d1, d2, q)
         got = drazin_inverse(t)
-        assert operator_norm(got - expected) <= 1e-8 * (1 + operator_norm(expected))
+        assert np.linalg.norm(got - expected, 2) <= 1e-8 * (1 + np.linalg.norm(expected, 2))
 
 
 def test_drazin_residual_bounds_random_fixtures():
@@ -109,10 +115,10 @@ def test_drazin_residual_bounds_random_fixtures():
         d2 = int(rng.integers(1, 5))
         u = gen_haar_unitary(100 + trial, d1)
         n = gen_nilpotent(200 + trial, d2, index=int(rng.integers(1, d2 + 1)))
-        t = block_compose([[u, np.zeros((d1, d2))], [np.zeros((d2, d1)), n]])
+        t = np.block([[u, np.zeros((d1, d2))], [np.zeros((d2, d1)), n]])
         p = drazin_index(t)
         td = drazin_inverse(t)
-        bound = 1e-8 * (1 + operator_norm(t) ** (2 * p + 1))
+        bound = 1e-8 * (1 + np.linalg.norm(t, 2) ** (2 * p + 1))
         assert max(drazin_residuals(t, td, p).values()) <= bound
 
 
@@ -181,14 +187,14 @@ def test_core_nilpotent_diagonal_example():
 def test_core_nilpotent_block_diagonal_fixture():
     u = gen_haar_unitary(17, 3)
     n = gen_nilpotent(18, 2, index=2)
-    t = block_compose([[u, np.zeros((3, 2))], [np.zeros((2, 3)), n]])
+    t = np.block([[u, np.zeros((3, 2))], [np.zeros((2, 3)), n]])
     core = core_nilpotent(t)
     assert core.index == 2
     assert core.orthogonal
     assert sorted(np.abs(np.linalg.eigvals(core.t1))) == pytest.approx(
         sorted(np.abs(np.linalg.eigvals(u))), abs=1e-10
     )
-    assert operator_norm(np.linalg.matrix_power(core.t2, core.index)) <= 1e-10
+    assert np.linalg.norm(np.linalg.matrix_power(core.t2, core.index), 2) <= 1e-10
 
 
 def test_core_nilpotent_oblique_example():
@@ -206,11 +212,11 @@ def test_core_nilpotent_reassembles():
         t, _, _ = oblique_core(seed, d1, d2, q)
         core = core_nilpotent(t)
         d1, d2 = core.t1.shape[0], core.t2.shape[0]
-        blocks = block_compose([[core.t1, np.zeros((d1, d2))], [np.zeros((d2, d1)), core.t2]])
+        blocks = np.block([[core.t1, np.zeros((d1, d2))], [np.zeros((d2, d1)), core.t2]])
         rebuilt = core.basis @ blocks @ np.linalg.inv(core.basis)
-        assert operator_norm(rebuilt - t) <= 1e-8 * (1 + operator_norm(t))
+        assert np.linalg.norm(rebuilt - t, 2) <= 1e-8 * (1 + np.linalg.norm(t, 2))
         if core.t2.size:
-            assert operator_norm(np.linalg.matrix_power(core.t2, core.index)) <= 1e-10
+            assert np.linalg.norm(np.linalg.matrix_power(core.t2, core.index), 2) <= 1e-10
 
 
 def test_range_kernel_split_example():
@@ -235,7 +241,7 @@ def test_range_kernel_split_nilpotent_collapses():
     split = range_kernel_split(n, 2)
     assert split.d1 == 0
     assert split.t1n.shape == (0, 0)
-    assert operator_norm(np.linalg.matrix_power(split.t2, 2)) <= 1e-10
+    assert np.linalg.norm(np.linalg.matrix_power(split.t2, 2), 2) <= 1e-10
 
 
 def test_range_kernel_split_basis_unitary_and_reconstructs():
@@ -247,15 +253,15 @@ def test_range_kernel_split_basis_unitary_and_reconstructs():
         if trial % 2:
             a[:, : d // 2 + 1] = 0  # force singularity
         split = range_kernel_split(a, n)
-        assert operator_norm(split.basis.conj().T @ split.basis - np.eye(d)) <= 1e-12
+        assert np.linalg.norm(split.basis.conj().T @ split.basis - np.eye(d), 2) <= 1e-12
         an = np.linalg.matrix_power(a, n)
         d1, d2 = split.d1, d - split.d1
         power_grid = [[split.t1n, split.x], [np.zeros((d2, d1)), np.zeros((d2, d2))]]
-        rebuilt = split.basis @ block_compose(power_grid) @ split.basis.conj().T
-        assert operator_norm(rebuilt - an) <= 1e-9 * (1 + operator_norm(an))
+        rebuilt = split.basis @ np.block(power_grid) @ split.basis.conj().T
+        assert np.linalg.norm(rebuilt - an, 2) <= 1e-9 * (1 + np.linalg.norm(an, 2))
         triangular_grid = [[split.t1, split.coupling], [np.zeros((d2, d1)), split.t2]]
-        tri = split.basis @ block_compose(triangular_grid) @ split.basis.conj().T
-        assert operator_norm(tri - a) <= 1e-9 * (1 + operator_norm(a))
+        tri = split.basis @ np.block(triangular_grid) @ split.basis.conj().T
+        assert np.linalg.norm(tri - a, 2) <= 1e-9 * (1 + np.linalg.norm(a, 2))
 
 
 def test_polar_examples():
@@ -280,10 +286,10 @@ def test_polar_reconstruction_and_partial_isometry():
         if trial % 3 == 0 and d > 1:
             a[:, 0] = 0
         parts = polar(a)
-        assert operator_norm(parts.u @ parts.p - a) <= 1e-10 * (1 + operator_norm(a))
+        assert np.linalg.norm(parts.u @ parts.p - a, 2) <= 1e-10 * (1 + np.linalg.norm(a, 2))
         gram = parts.u.conj().T @ parts.u
-        assert operator_norm(gram @ gram - gram) <= 1e-10
-        assert operator_norm(gram - gram.conj().T) <= 1e-10
+        assert np.linalg.norm(gram @ gram - gram, 2) <= 1e-10
+        assert np.linalg.norm(gram - gram.conj().T, 2) <= 1e-10
 
 
 @pytest.mark.parametrize("entry", [1.7e308, 1.7e308j], ids=["real", "imaginary"])
@@ -302,16 +308,17 @@ def test_polar_near_the_float_maximum_is_still_computed():
 
 def test_transforms_fix_normal_matrices():
     p = gen_psd(15, 4, condition_cap=10.0)
-    np.testing.assert_allclose(aluthge(p), p, atol=1e-10)
-    np.testing.assert_allclose(duggal(p), p, atol=1e-10)
+    np.testing.assert_allclose(polar(p).aluthge(), p, atol=1e-10)
+    np.testing.assert_allclose(polar(p).duggal(), p, atol=1e-10)
     u = 2.0 * gen_haar_unitary(16, 3)
-    np.testing.assert_allclose(aluthge(u), u, atol=1e-10)
-    np.testing.assert_allclose(duggal(u), u, atol=1e-10)
+    np.testing.assert_allclose(polar(u).aluthge(), u, atol=1e-10)
+    np.testing.assert_allclose(polar(u).duggal(), u, atol=1e-10)
 
 
 def test_duggal_example_vanishes():
-    np.testing.assert_allclose(duggal([[0, 2], [0, 0]]), np.zeros((2, 2)), atol=1e-12)
-    np.testing.assert_allclose(aluthge([[0, 2], [0, 0]]), np.zeros((2, 2)), atol=1e-12)
+    parts = polar([[0, 2], [0, 0]])
+    np.testing.assert_allclose(parts.duggal(), np.zeros((2, 2)), atol=1e-12)
+    np.testing.assert_allclose(parts.aluthge(), np.zeros((2, 2)), atol=1e-12)
 
 
 def test_transforms_preserve_spectrum_of_invertible():
@@ -320,9 +327,9 @@ def test_transforms_preserve_spectrum_of_invertible():
         d = int(rng.integers(2, 7))
         a = ginibre(rng, d) + 2.5 * np.eye(d)
         reference = np.sort_complex(np.linalg.eigvals(a))
-        for transform in (aluthge, duggal):
-            eigs = np.sort_complex(np.linalg.eigvals(transform(a)))
-            assert float(np.max(np.abs(eigs - reference))) <= 1e-8 * (1 + operator_norm(a))
+        for transform in (PolarParts.aluthge, PolarParts.duggal):
+            eigs = np.sort_complex(np.linalg.eigvals(transform(polar(a))))
+            assert float(np.max(np.abs(eigs - reference))) <= 1e-8 * (1 + np.linalg.norm(a, 2))
 
 
 def test_split_rejects_bad_power():
@@ -371,12 +378,17 @@ def test_drazin_index_matches_full_svd_rank_loop(name, t):
     assert drazin_index(t) == full_svd_drazin_index(t)
 
 
-def test_drazin_index_warning_names_the_cutoff():
-    from oplab import IllConditionedWarning
-
+@pytest.mark.parametrize("entry", [
+    drazin_inverse,
+    core_nilpotent,
+    lambda t: range_kernel_split(t, 1),
+    lambda t: build_transform_bundle(t, 1),
+], ids=["drazin_inverse", "core_nilpotent", "range_kernel_split", "build_transform_bundle"])
+def test_rank_warning_names_the_cutoff_and_the_caller(entry):
+    # every public entry that walks the powers of T attributes the warning
+    # to its caller, here this file, not to oplab's or numpy's frames
     with pytest.warns(IllConditionedWarning, match=r"within 10x of the rank cutoff 1\.000e-10") as caught:
-        drazin_index(np.diag([1.0, 3e-10, 0.0]))
-    # attributed to the caller of drazin_index, as before
+        entry(np.diag([1.0, 3e-10, 0.0]))
     assert caught[0].filename == __file__
 
 
@@ -387,7 +399,7 @@ def test_range_kernel_split_gates_the_power_at_its_own_scale():
     t = 1e6 * (w @ gen_coupled_kernel(3, 4, 4) @ w.conj().T)
     split = range_kernel_split(t, 2)
     assert split.d1 == 4
-    assert 1e-6 < split.residuals["power_lower"] <= Tolerance().gate(1.0 + operator_norm(t @ t))
+    assert 1e-6 < split.residuals["power_lower"] <= Tolerance().gate(1.0 + np.linalg.norm(t @ t, 2))
 
 
 def test_large_drazin_index_is_decided_without_warning():
@@ -433,7 +445,7 @@ def test_splittings_are_scale_invariant(c):
     assert (core.index, core.t1.shape) == (1, (4, 4))
     split = range_kernel_split(t, 1)
     assert split.d1 == 4
-    assert split.residuals["t2_nilpotency"] <= 1e-10 * operator_norm(t)
+    assert split.residuals["t2_nilpotency"] <= 1e-10 * np.linalg.norm(t, 2)
 
 
 def test_range_kernel_split_rejects_an_overflowing_power():
@@ -449,9 +461,9 @@ def test_rank_decisions_share_one_cutoff(scale, rank):
     u, _ = np.linalg.qr(ginibre(rng, 3))
     v, _ = np.linalg.qr(ginibre(rng, 3))
     a = scale * (u * np.array([1.0, 1e-8, 1e-12])) @ v.conj().T
-    assert numerical_rank(a) == rank
+    assert _rank(_singular_values(a), Tolerance()) == rank
     # A^+ A projects onto the kept right singular vectors
-    assert round(np.trace(moore_penrose(a) @ a).real) == rank
+    assert round(np.trace(_pinv(a, Tolerance()) @ a).real) == rank
     # the polar factor is a partial isometry on the kept directions
     assert round(np.linalg.norm(polar(a).u) ** 2) == rank
     assert range_kernel_split(a, 1).d1 == rank
@@ -464,10 +476,9 @@ def test_empty_operator_results_are_pinned():
         classify,
         defect,
         defect_series,
-        is_hermitian,
         spectral_constraints,
-        spectral_radius,
     )
+    from oplab.matrix_core import _hermitian_gate
 
     empty = np.zeros((0, 0), dtype=complex)
     result = defect(DefectSpec(t=empty, p=empty, m=2))
@@ -480,13 +491,11 @@ def test_empty_operator_results_are_pinned():
     assert [row["verdict"] for row in report["rows"]] == ["ZERO"] * 3
     assert report["p_isometric"] is True
     assert report["spectral"] == {"operator_norm": 0.0, "spectral_radius": 0.0, "eigenvalue_moduli": []}
-    assert operator_norm(empty) == 0.0
-    assert spectral_radius(empty) == 0.0
     # an empty weight is not invertible, so the spectral checks never see an empty spectrum
     with pytest.raises(PreconditionError, match="invertible"):
         spectral_constraints(empty, empty, 1)
-    assert is_hermitian(empty)
-    assert numerical_rank(np.zeros((3, 0))) == 0
+    assert _hermitian_gate(empty, Tolerance()) is empty
+    assert _rank(_singular_values(np.zeros((3, 0))), Tolerance()) == 0
     assert drazin_inverse(empty).shape == (0, 0)
     core = core_nilpotent(empty)
     assert (core.index, core.basis.shape, core.t1.shape, core.t2.shape, core.orthogonal) == (0, (0, 0), (0, 0), (0, 0), True)

@@ -17,14 +17,10 @@ from oplab import (
     classify,
     defect,
     defect_series,
-    defect_tilde,
-    eigenvalues,
     gram_weight,
-    is_p_isometric,
-    operator_norm,
-    spectral_radius,
 )
-from oplab.expansivity import ClassificationReport, ClassificationRow
+from oplab.expansivity import ClassificationReport, ClassificationRow, _tilde
+from oplab.matrix_core import _hermitian_gate, _sign_verdict
 from oplab.generators import gen_coupled_kernel, gen_haar_unitary
 
 from conftest import ginibre, philox, random_hermitian
@@ -54,7 +50,7 @@ def test_unitary_collapse_all_classes():
     for m in (1, 2, 3, 5):
         u = gen_haar_unitary(40 + m, 5)
         result = defect(DefectSpec(t=u, p=np.eye(5), m=m))
-        assert operator_norm(result.delta) <= 1e-10
+        assert np.linalg.norm(result.delta, 2) <= 1e-10
         assert result.classification == {"expansive", "contractive", "isometric"}
 
 
@@ -75,8 +71,8 @@ def test_defect_matches_brute_oracle():
         p = random_hermitian(rng, d)
         expected = brute_defects(t, p, m)[-1]
         got = defect(DefectSpec(t=t, p=p, m=m)).delta
-        scale = (1 + operator_norm(p)) * (1 + operator_norm(t) ** 2) ** m
-        assert operator_norm(got - expected) <= 1e-12 * scale
+        scale = (1 + np.linalg.norm(p, 2)) * (1 + np.linalg.norm(t, 2) ** 2) ** m
+        assert np.linalg.norm(got - expected, 2) <= 1e-12 * scale
     # every order of a series: powers T^n, d up to 256, and a weight that is
     # not exactly self-adjoint
     specs = list(series_fixtures()) + [DefectSpec(t=gen_haar_unitary(1001, 256), p=np.eye(256), m=12)]
@@ -84,8 +80,8 @@ def test_defect_matches_brute_oracle():
         tn = np.linalg.matrix_power(spec.t, spec.n)
         expected = brute_defects(tn, spec.p, spec.m)
         for k, (result, oracle) in enumerate(zip(defect_series(spec), expected), start=1):
-            scale = (1 + operator_norm(spec.p)) * (1 + operator_norm(tn) ** 2) ** k
-            assert operator_norm(result.delta - oracle) <= 1e-12 * scale
+            scale = (1 + np.linalg.norm(spec.p, 2)) * (1 + np.linalg.norm(tn, 2) ** 2) ** k
+            assert np.linalg.norm(result.delta - oracle, 2) <= 1e-12 * scale
 
 
 def test_defect_requires_hermitian_weight():
@@ -126,8 +122,8 @@ def test_defect_linear_in_weight():
         separate = alpha * defect(DefectSpec(t=t, p=p, m=m)).delta + beta * defect(
             DefectSpec(t=t, p=q, m=m)
         ).delta
-        scale = (1 + operator_norm(p) + operator_norm(q)) * (1 + operator_norm(t) ** 2) ** m
-        assert operator_norm(combined - separate) <= 1e-10 * scale
+        scale = (1 + np.linalg.norm(p, 2) + np.linalg.norm(q, 2)) * (1 + np.linalg.norm(t, 2) ** 2) ** m
+        assert np.linalg.norm(combined - separate, 2) <= 1e-10 * scale
 
 
 def test_defect_unitary_conjugation_covariance():
@@ -140,8 +136,8 @@ def test_defect_unitary_conjugation_covariance():
         v = gen_haar_unitary(900 + trial, d)
         direct = defect(DefectSpec(t=v.conj().T @ t @ v, p=v.conj().T @ p @ v, m=m))
         pushed = v.conj().T @ defect(DefectSpec(t=t, p=p, m=m)).delta @ v
-        scale = (1 + operator_norm(p)) * (1 + operator_norm(t) ** 2) ** m
-        assert operator_norm(direct.delta - pushed) <= 1e-10 * scale
+        scale = (1 + np.linalg.norm(p, 2)) * (1 + np.linalg.norm(t, 2) ** 2) ** m
+        assert np.linalg.norm(direct.delta - pushed, 2) <= 1e-10 * scale
         assert direct.verdict.verdict == defect(DefectSpec(t=t, p=p, m=m)).verdict.verdict
 
 
@@ -150,7 +146,12 @@ def test_defect_delta_is_hermitian():
     t = ginibre(rng, 6)
     p = random_hermitian(rng, 6)
     delta = defect(DefectSpec(t=t, p=p, m=4)).delta
-    assert operator_norm(delta - delta.conj().T) <= 1e-12
+    assert np.linalg.norm(delta - delta.conj().T, 2) <= 1e-12
+
+
+def defect_tilde(spec):
+    """The sign-flipped defect (-1)^m delta, as the weight-decomposition verifier forms it."""
+    return _tilde(defect(spec), spec.m)
 
 
 def test_defect_tilde_even_matches_defect():
@@ -173,16 +174,17 @@ def test_defect_tilde_odd_flips_sign():
 
 
 def test_is_p_isometric_examples():
+    # classify reports whether T*PT = P as p_isometric
     u = gen_haar_unitary(7, 4)
-    assert is_p_isometric(u, np.eye(4))
-    assert not is_p_isometric([[2]], [[1]])
+    assert classify(u, np.eye(4), 1).p_isometric is True
+    assert classify([[2]], [[1]], 1).p_isometric is False
     t = np.array([[1, 1], [0, 0]], dtype=complex)
-    assert is_p_isometric(t, gram_weight(t))
+    assert classify(t, gram_weight(t), 1).p_isometric is True
 
 
 def test_is_p_isometric_rejects_indefinite_weight():
-    with pytest.raises(DomainError):
-        is_p_isometric(I2, [[0, 1], [1, 0]])
+    # the P-isometry notion presumes a nonnegative weight: no answer otherwise
+    assert classify(I2, [[0, 1], [1, 0]], 1).p_isometric is None
 
 
 _MISMATCHED_SHAPES = pytest.mark.parametrize(
@@ -198,9 +200,10 @@ _MISMATCHED_SHAPES = pytest.mark.parametrize(
 
 @_MISMATCHED_SHAPES
 def test_is_p_isometric_rejects_mismatched_shapes(t, p, message):
-    # typed before any product, not numpy's matmul ValueError
+    # classify, which answers the P-isometry question, types a mismatch
+    # before any product, not as numpy's matmul ValueError
     with pytest.raises(DimensionError, match=message):
-        is_p_isometric(t, p)
+        classify(t, p, 1)
 
 
 @_MISMATCHED_SHAPES
@@ -365,16 +368,18 @@ def reference_classify(t, p, m_max):
     for m in range(1, m_max + 1):
         result = defect(DefectSpec(t=t, p=p, m=m))
         rows.append(ClassificationRow(m, result.verdict, result.classification))
-    try:
-        p_isometric = is_p_isometric(t, p)
-    except DomainError:
-        p_isometric = None
+    t, p = np.asarray(t, dtype=complex), np.asarray(p, dtype=complex)
+    p_isometric = None
+    if _sign_verdict(_hermitian_gate(p, DEFAULT_TOL), DEFAULT_TOL).is_psd:
+        residual = np.linalg.norm(t.conj().T @ p @ t - p, 2)
+        p_isometric = bool(residual <= DEFAULT_TOL.rel_eps * (1.0 + np.linalg.norm(p, 2)))
+    spectrum = np.linalg.eigvals(t)
     return ClassificationReport(
         rows=tuple(rows),
         p_isometric=p_isometric,
-        operator_norm=operator_norm(t),
-        spectral_radius=spectral_radius(t),
-        eigenvalue_moduli=tuple(sorted((float(abs(z)) for z in eigenvalues(t)), reverse=True)),
+        operator_norm=float(np.linalg.norm(t, 2)),
+        spectral_radius=float(np.max(np.abs(spectrum), initial=0.0)),
+        eigenvalue_moduli=tuple(sorted((float(abs(z)) for z in spectrum), reverse=True)),
     )
 
 

@@ -1,5 +1,5 @@
-"""Tests for the matrix substrate: definiteness, roots, pseudo-inverse,
-blocks and the JSON wire format."""
+"""Tests for the matrix substrate: the Hermitian gate and sign verdicts,
+pseudo-inverse, blocks and the JSON wire format."""
 
 import ast
 import json
@@ -26,20 +26,22 @@ from oplab import (
     MatrixFormatError,
     PreconditionError,
     Tolerance,
-    block_compose,
-    definiteness,
-    eigenvalues,
-    hermitian_part,
-    is_hermitian,
+    classify,
     matrix_from_json,
     matrix_to_json,
-    moore_penrose,
-    operator_norm,
-    spectral_radius,
-    sqrt_psd,
 )
-from oplab.generators import gen_haar_unitary, gen_psd
-from oplab.matrix_core import dumps_json, json_pieces
+from oplab.generators import gen_haar_unitary
+from oplab.matrix_core import (
+    _block_compose,
+    _hermitian_gate,
+    _hermitian_part,
+    _pinv,
+    _require_square,
+    _sign_verdict,
+    as_matrix,
+    dumps_json,
+    json_pieces,
+)
 
 from conftest import ginibre, patch_everywhere, philox, rank_deficient
 
@@ -48,6 +50,21 @@ from conftest import ginibre, patch_everywhere, philox, rank_deficient
 NSD_EXAMPLE_EIGS = ((-7 - math.sqrt(17)) / 2, (-7 + math.sqrt(17)) / 2)
 # sigma_max of [[2,0],[1,2]]: largest eigenvalue of T*T = [[5,2],[2,4]].
 NORM_EXAMPLE = math.sqrt((9 + math.sqrt(17)) / 2)
+
+
+def definiteness(m, tol=Tolerance()):
+    """The sign verdict every defect gets: its Hermitian gate, then
+    `_sign_verdict` of the gated matrix."""
+    return _sign_verdict(_hermitian_gate(_require_square(as_matrix(m)), tol), tol)
+
+
+def is_hermitian(m, tol=Tolerance()):
+    """Whether ``m`` passes the Hermitian gate."""
+    try:
+        _hermitian_gate(_require_square(as_matrix(m)), tol)
+    except HermitianError:
+        return False
+    return True
 
 
 def test_is_hermitian_identity():
@@ -90,7 +107,7 @@ def test_definiteness_rejects_non_hermitian():
 
 def test_definiteness_accepts_near_hermitian_within_gate():
     rng = philox(12)
-    h = hermitian_part(ginibre(rng, 5)) + 3.0 * np.eye(5)
+    h = _hermitian_part(ginibre(rng, 5)) + 3.0 * np.eye(5)
     skew = ginibre(rng, 5)
     near = h + 1e-14 * (skew - skew.conj().T)
     assert not np.array_equal(near, near.conj().T)
@@ -102,22 +119,22 @@ def test_definiteness_accepts_near_hermitian_within_gate():
 @pytest.mark.parametrize("tol", [Tolerance(), Tolerance(rel_eps=1e-6, abs_eps=0.0)])
 def test_is_hermitian_agrees_with_the_definiteness_gate_at_its_edge(tol):
     # a = h + eps * skew has ||a - a*|| = 2 * eps * ||skew||; eps puts that
-    # at a factor of the gate tol.gate(||h||), on either side of it
+    # at a factor of the gate tol.gate(||h||), on either side of it, where
+    # the gate passes a or raises HermitianError
     rng = philox(31)
-    h = hermitian_part(ginibre(rng, 4))
+    h = _hermitian_part(ginibre(rng, 4))
     skew = ginibre(rng, 4)
     skew = skew - skew.conj().T
-    unit = tol.gate(operator_norm(h)) / (2.0 * operator_norm(skew))
+    unit = tol.gate(np.linalg.norm(h, 2)) / (2.0 * np.linalg.norm(skew, 2))
     accepted = []
     for factor in (0.5, 0.99, 1.01, 2.0):
         a = h + factor * unit * skew
         try:
-            definiteness(a, tol)
+            _hermitian_gate(a, tol)
         except HermitianError:
             accepted.append(False)
         else:
             accepted.append(True)
-        assert is_hermitian(a, tol) == accepted[-1]
     assert accepted == [True, True, False, False]
 
 
@@ -135,39 +152,18 @@ def test_definiteness_unitary_conjugation_invariant():
     loose = Tolerance(rel_eps=10 * tol.rel_eps, abs_eps=10 * tol.abs_eps)
     for trial in range(25):
         d = int(rng.integers(2, 9))
-        h = hermitian_part(ginibre(rng, d))
+        h = _hermitian_part(ginibre(rng, d))
         u = gen_haar_unitary(500 + trial, d)
         base = definiteness(h, tol).verdict
         conjugated = definiteness(u.conj().T @ h @ u, loose).verdict
         assert base == conjugated
 
 
-def test_sqrt_psd_identity_and_diagonal():
-    np.testing.assert_allclose(sqrt_psd(np.eye(4)), np.eye(4), atol=1e-14)
-    np.testing.assert_allclose(sqrt_psd([[4, 0], [0, 9]]), [[2, 0], [0, 3]], atol=1e-14)
-    np.testing.assert_allclose(sqrt_psd([[0, 0], [0, 4]]), [[0, 0], [0, 2]], atol=1e-14)
-
-
-def test_sqrt_psd_rejects_indefinite_and_negative():
-    with pytest.raises(DomainError):
-        sqrt_psd([[0, 1], [1, 0]])
-    with pytest.raises(DomainError):
-        sqrt_psd([[-1, 0], [0, -2]])
-
-
-def test_sqrt_psd_squares_back():
-    for trial in range(20):
-        d = int(philox(trial).integers(1, 17))
-        p = gen_psd(trial, d, condition_cap=1e8)
-        s = sqrt_psd(p)
-        assert operator_norm(s @ s - p) <= 1e-8 * (1 + operator_norm(p))
-
-
 def test_moore_penrose_invertible_and_zero():
     rng = philox(5)
     a = ginibre(rng, 4) + 2 * np.eye(4)
-    np.testing.assert_allclose(moore_penrose(a), np.linalg.inv(a), atol=1e-10)
-    np.testing.assert_allclose(moore_penrose(np.zeros((3, 3))), np.zeros((3, 3)))
+    np.testing.assert_allclose(_pinv(a, Tolerance()), np.linalg.inv(a), atol=1e-10)
+    np.testing.assert_allclose(_pinv(np.zeros((3, 3), dtype=complex), Tolerance()), np.zeros((3, 3)))
 
 
 def test_moore_penrose_example():
@@ -178,7 +174,7 @@ def test_moore_penrose_example():
     np.testing.assert_allclose(claimed @ a @ claimed, claimed, atol=1e-15)
     np.testing.assert_allclose((a @ claimed).conj().T, a @ claimed, atol=1e-15)
     np.testing.assert_allclose((claimed @ a).conj().T, claimed @ a, atol=1e-15)
-    np.testing.assert_allclose(moore_penrose(a), claimed, atol=1e-12)
+    np.testing.assert_allclose(_pinv(a, Tolerance()), claimed, atol=1e-12)
 
 
 def test_moore_penrose_identities_rank_deficient():
@@ -186,42 +182,34 @@ def test_moore_penrose_identities_rank_deficient():
     for trial in range(15):
         d = int(rng.integers(2, 17))
         a = rank_deficient(rng, d, rank=int(rng.integers(1, d)))
-        pinv = moore_penrose(a)
-        scale = 1e-8 * (1 + operator_norm(a) + operator_norm(pinv))
-        assert operator_norm(a @ pinv @ a - a) <= scale
-        assert operator_norm(pinv @ a @ pinv - pinv) <= scale
-        assert operator_norm(a @ pinv - (a @ pinv).conj().T) <= scale
-        assert operator_norm(pinv @ a - (pinv @ a).conj().T) <= scale
+        pinv = _pinv(a, Tolerance())
+        scale = 1e-8 * (1 + np.linalg.norm(a, 2) + np.linalg.norm(pinv, 2))
+        assert np.linalg.norm(a @ pinv @ a - a, 2) <= scale
+        assert np.linalg.norm(pinv @ a @ pinv - pinv, 2) <= scale
+        assert np.linalg.norm(a @ pinv - (a @ pinv).conj().T, 2) <= scale
+        assert np.linalg.norm(pinv @ a - (pinv @ a).conj().T, 2) <= scale
 
 
 def test_norms_and_spectrum_examples():
-    assert operator_norm(np.eye(5)) == pytest.approx(1.0)
-    assert spectral_radius(np.eye(5)) == pytest.approx(1.0)
-    nil = [[0, 1], [0, 0]]
-    assert operator_norm(nil) == pytest.approx(1.0)
-    assert spectral_radius(nil) == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(sorted(eigenvalues(nil)), [0, 0], atol=1e-12)
-    t = [[2, 0], [1, 2]]
-    assert spectral_radius(t) == pytest.approx(2.0)
-    assert operator_norm(t) == pytest.approx(NORM_EXAMPLE)
+    # the spectral summary of classify: ||T||, the spectral radius and the
+    # moduli of the spectrum
+    def summary(t):
+        return classify(t, np.eye(len(t)), 1)
 
-
-def test_eigenvalues_of_symmetrized_are_real():
-    rng = philox(13)
-    for _ in range(10):
-        d = int(rng.integers(2, 10))
-        h = hermitian_part(ginibre(rng, d))
-        eigs = eigenvalues(h)
-        assert float(np.max(np.abs(eigs.imag))) <= 1e-12 * max(1.0, operator_norm(h))
-
-
-def test_norm_requires_square_for_spectrum():
-    with pytest.raises(DimensionError):
-        spectral_radius(np.zeros((2, 3)))
+    eye = summary(np.eye(5))
+    assert eye.operator_norm == pytest.approx(1.0)
+    assert eye.spectral_radius == pytest.approx(1.0)
+    nil = summary([[0, 1], [0, 0]])
+    assert nil.operator_norm == pytest.approx(1.0)
+    assert nil.spectral_radius == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(nil.eigenvalue_moduli, [0, 0], atol=1e-12)
+    t = summary([[2, 0], [1, 2]])
+    assert t.spectral_radius == pytest.approx(2.0)
+    assert t.operator_norm == pytest.approx(NORM_EXAMPLE)
 
 
 def test_block_compose_examples():
-    composed = block_compose([[np.eye(1), np.zeros((1, 1))], [np.zeros((1, 1)), np.zeros((1, 1))]])
+    composed = _block_compose([[np.eye(1), np.zeros((1, 1))], [np.zeros((1, 1)), np.zeros((1, 1))]])
     np.testing.assert_allclose(composed, np.diag([1.0, 0.0]))
 
 
@@ -229,12 +217,7 @@ def test_block_round_trip_exact():
     rng = philox(21)
     m = ginibre(rng, 4)
     grid = [[m[:3, :3], m[:3, 3:]], [m[3:, :3], m[3:, 3:]]]
-    assert np.array_equal(block_compose(grid), m)
-
-
-def test_block_compose_rejects_non_conformable():
-    with pytest.raises(DimensionError):
-        block_compose([[np.eye(2), np.zeros((1, 1))], [np.zeros((1, 2)), np.eye(1)]])
+    assert np.array_equal(_block_compose(grid), m)
 
 
 def test_matrix_json_round_trip():
@@ -632,21 +615,19 @@ def test_norm2_equals_linalg_norm_bitwise(name, a):
 
     assert _norm2(a) == float(np.linalg.norm(a, 2))
     assert math.copysign(1.0, _norm2(a)) == math.copysign(1.0, float(np.linalg.norm(a, 2)))
-    if np.iscomplexobj(a):
-        assert operator_norm(a) == float(np.linalg.norm(a, 2))
 
 
 def test_definiteness_of_self_adjoint_input_skips_symmetrizing_bitwise():
     rng = philox(4343)
     for d in (1, 3, 7):
-        h = hermitian_part(ginibre(rng, d))
+        h = _hermitian_part(ginibre(rng, d))
         verdict = definiteness(h)
-        w = np.linalg.eigvalsh(hermitian_part(h))
+        w = np.linalg.eigvalsh(_hermitian_part(h))
         assert (verdict.min_eig, verdict.max_eig) == (float(w[0]), float(w[-1]))
     # a nearly self-adjoint input is still symmetrized before the eigenanalysis
     skew = ginibre(rng, 4)
-    a = hermitian_part(ginibre(rng, 4)) + 1e-14 * (skew - skew.conj().T)
-    w = np.linalg.eigvalsh(hermitian_part(a))
+    a = _hermitian_part(ginibre(rng, 4)) + 1e-14 * (skew - skew.conj().T)
+    w = np.linalg.eigvalsh(_hermitian_part(a))
     assert (definiteness(a).min_eig, definiteness(a).max_eig) == (float(w[0]), float(w[-1]))
 
 
@@ -726,7 +707,7 @@ def test_spectral_norms_and_powers_go_through_matrix_core():
     # every decision on a power; power_gate is gone and must not return.
     # Each other decision rule has one home too: X^q = 0 in `_nilpotency`,
     # ||M - M*|| within the gate in
-    # `_hermitian_defect`, an overflow in `_finite` (the other two
+    # `_hermitian_gate`, an overflow in `_finite` (the other two
     # NumericalFailureErrors are the Drazin identity checks, both in
     # decompositions: the rank-stabilization formula for an arbitrary T and
     # the block formula t1^-1 (+) 0 for the verifier's T = t1 (+) t2), and a
@@ -744,7 +725,7 @@ def test_spectral_norms_and_powers_go_through_matrix_core():
         ("matrix_core.py", "_power_walk", "x @ x"),
         ("matrix_core.py", "_rank", "cutoff"),
         ("matrix_core.py", "_power_walk", "cutoff"),
-        ("matrix_core.py", "_hermitian_defect", "M - M*"),
+        ("matrix_core.py", "_hermitian_gate", "M - M*"),
         ("matrix_core.py", "_finite", "NumericalFailureError"),
         ("decompositions.py", "_drazin_inverse", "NumericalFailureError"),
         ("decompositions.py", "_block_drazin_inverse", "NumericalFailureError"),
@@ -804,13 +785,12 @@ def test_matrices_are_checked_once_where_they_enter():
     # argument again; only the JSON writer, _write, checks the
     # arrays of a payload it is handed.  Every public function of
     # decompositions checks its argument: the transform and split commands
-    # hand one the matrix they read, aluthge and duggal are polar's public
-    # wrappers, and nothing else calls one; the drazin command checks the
-    # matrix it read for squareness and runs the kernels on one walk.
+    # hand one the matrix they read, and nothing else calls one; the drazin
+    # command checks the matrix it read for squareness and runs the kernels
+    # on one walk.
     sources = {path.name: path.read_text() for path in sorted(Path(oplab.__file__).parent.glob("*.py"))}
     helpers = _checking_helpers(sources["matrix_core.py"])
-    assert {"operator_norm", "definiteness", "hermitian_part", "numerical_rank", "eigenvalues", "moore_penrose",
-            "block_compose", "sqrt_psd", "spectral_radius", "is_hermitian"} <= helpers
+    assert helpers == {"matrix_to_json"}
     helpers |= {name for name in decompositions.__all__
                 if isinstance(getattr(decompositions, name), types.FunctionType)}
     found = set()
@@ -820,8 +800,6 @@ def test_matrices_are_checked_once_where_they_enter():
         found |= {(name, scope, used) for scope, used in visitor.found}
     assert found == {
         ("matrix_core.py", "_write", "as_matrix"),
-        ("decompositions.py", "aluthge", "polar"),
-        ("decompositions.py", "duggal", "polar"),
         ("cli.py", "_cmd_transform", "polar"),
         ("cli.py", "_cmd_split", "range_kernel_split"),
     }
@@ -852,7 +830,7 @@ def test_defect_specs_are_built_only_where_matrices_enter():
     # entry handed them (classify, the CLI's classify and defect commands and
     # the four verifiers handed a weight) and nowhere else; the public functions that
     # check their arguments again are called only by the CLI.
-    checking = {"DefectSpec", "defect", "defect_series", "defect_tilde", "gram_weight", "is_p_isometric"}
+    checking = {"DefectSpec", "defect", "defect_series", "gram_weight"}
     found = Counter()
     for path in sorted(Path(oplab.__file__).parent.glob("*.py")):
         visitor = _NameCalls()
@@ -901,37 +879,19 @@ _SQUARE = (DimensionError, "expected a square matrix, got shape (2, 3)")
 # raises, None where a non-square matrix is valid or not checked
 _ENTRY_CALLS = {
     "adjoint": None,  # conjugate transpose of an array; checks nothing
-    "aluthge": (lambda m: oplab.aluthge(m), _SQUARE),
-    "block_compose": (lambda m: oplab.block_compose([[m, np.zeros((2, 1))], [np.zeros((1, 2)), np.zeros((1, 1))]]),
-                      None),
     "build_transform_bundle": (lambda m: oplab.build_transform_bundle(m, 1), _SQUARE),
     "classify": (lambda m: oplab.classify(m, np.eye(2), 2), _SQUARE),
     "classify:p": (lambda m: oplab.classify(np.eye(2), m, 2), _SQUARE),
     "core_nilpotent": (lambda m: oplab.core_nilpotent(m), _SQUARE),
     "DefectSpec": (lambda m: oplab.DefectSpec(t=m, p=np.eye(2), m=1), _SQUARE),
     "DefectSpec:p": (lambda m: oplab.DefectSpec(t=np.eye(2), p=m, m=1), _SQUARE),
-    "definiteness": (lambda m: oplab.definiteness(m), _SQUARE),
-    "drazin_index": (lambda m: oplab.drazin_index(m), _SQUARE),
     "drazin_inverse": (lambda m: oplab.drazin_inverse(m), _SQUARE),
-    "drazin_residuals": (lambda m: oplab.drazin_residuals(m, np.eye(2), 1), _SQUARE),
-    "drazin_residuals:td": (lambda m: oplab.drazin_residuals(np.eye(2), m, 1),
-                            (DimensionError, "inverse shape (2, 3) does not match operator shape (2, 2)")),
-    "duggal": (lambda m: oplab.duggal(m), _SQUARE),
-    "eigenvalues": (lambda m: oplab.eigenvalues(m), _SQUARE),
     "gram_weight": (lambda m: oplab.gram_weight(m), _SQUARE),
-    "hermitian_part": (lambda m: oplab.hermitian_part(m), _SQUARE),
-    "is_hermitian": (lambda m: oplab.is_hermitian(m), _SQUARE),
-    "is_p_isometric": (lambda m: oplab.is_p_isometric(np.eye(2), m), _SQUARE),
     "matrix_to_json": (lambda m: oplab.matrix_to_json(m), None),
-    "moore_penrose": (lambda m: oplab.moore_penrose(m), None),
-    "numerical_rank": (lambda m: oplab.numerical_rank(m), None),
-    "operator_norm": (lambda m: oplab.operator_norm(m), None),
     "polar": (lambda m: oplab.polar(m), _SQUARE),
     "range_kernel_split": (lambda m: oplab.range_kernel_split(m, 1), _SQUARE),
     "spectral_constraints": (lambda m: oplab.spectral_constraints(m, np.eye(2), 1), _SQUARE),
     "spectral_constraints:p": (lambda m: oplab.spectral_constraints(np.eye(2), m, 1), _SQUARE),
-    "spectral_radius": (lambda m: oplab.spectral_radius(m), _SQUARE),
-    "sqrt_psd": (lambda m: oplab.sqrt_psd(m), _SQUARE),
     "verify_no_singular_expansive": (lambda m: oplab.verify_no_singular_expansive(m, 1), _SQUARE),
     "verify_power_stability": (lambda m: oplab.verify_power_stability(m, np.eye(2), 1, 2), _SQUARE),
     "verify_power_stability:p": (lambda m: oplab.verify_power_stability(np.eye(2), m, 1, 2), _SQUARE),
@@ -951,7 +911,7 @@ _ENTRY_CALLS = {
 # payload (see the wire-format tests); the generators and the suite take
 # seeds, specs and paths, and read matrices only through matrix_from_json
 _NOT_MATRIX_TAKING = {
-    "defect", "defect_series", "defect_tilde",
+    "defect", "defect_series",
     "matrix_from_json",
     "gen_coupled_kernel", "gen_drazin_pair", "gen_expansive_invertible", "gen_haar_unitary", "gen_nilpotent",
     "gen_psd", "generate", "replay_quarantine", "run_suite",
