@@ -1,14 +1,21 @@
 """The CLI's work on a second CPU: the one fork helper, `_forked`, and the
-four splits that use it, to write a large result matrix
-(`_split_row_text`), to read a large input file (`_split_matrix_from_text`),
-to compute `classify`'s spectral summary beside its table
-(`_split_classify`) and to share a suite run's streams (`_split_streams`).
+splits that use it, one child each: to write a result's large matrices
+(`_split_pieces`), to read a large input file (`_split_matrix_from_text`),
+to share `classify`'s sign verdicts beside its spectral summary
+(`_split_classify`), to compute `drazin`'s core split beside its inverse
+(`_split_pair`) and to share a suite run's streams (`_split_streams`).
 
-`matrix_core._forked_row_text`, `matrix_core._forked_matrix_from_text`,
-`cli._classify` and `cli._cmd_suite` import this module on first use, for a
-matrix, a text, an operator or a suite run at or above their split sizes, so
-small suites, one-shot queries of small matrices and the library never
-compile or load it.
+From a process's first fork on, the loaded OpenBLAS runs one thread in it
+and in each child (`_forked`), so the two processes never share the CPUs
+among more BLAS threads than there are CPUs; where no thread setter is
+found and the pool is not known to run one thread, the splits whose child
+calls BLAS run in one process.
+
+`matrix_core._forked_json_pieces`, `matrix_core._forked_matrix_from_text`,
+`cli._classify`, `cli._cmd_drazin` and `cli._cmd_suite` import this module
+on first use, for a payload, a text, an operator or a suite run at or above
+their split sizes, so small suites, one-shot queries of small matrices and
+the library never compile or load it.
 """
 
 from __future__ import annotations
@@ -21,58 +28,72 @@ import sys
 import warnings
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
+from functools import cache
 
 import numpy as np
 
-from .expansivity import ClassificationReport, _classification_report, _classification_rows, _spectral_summary
-from .matrix_core import Tolerance, _finite_numbers, _float_template, _row_text, matrix_from_json
+from .expansivity import (ClassificationReport, ClassificationRow, _classes_for, _classification_report,
+                          _classification_rows, _defect_pass, _spectral_summary)
+from .matrix_core import (Tolerance, _finite_numbers, _float_template, _row_text, _sign_rule, _sign_verdict,
+                          matrix_from_json)
 
 # the longest float.__repr__ of a finite float64, as in -2.2250738585072014e-308
 _REPR_MAX = 24
-# the bytes of the child's text decoded and handed on at once; the child's
-# mmap holds its length in its first chunk and its text from the second, so
-# each chunk of text starts on a page
+# the bytes of the child's text decoded and handed on at once; each matrix's
+# text starts on a chunk, so each chunk starts on a page
 _CHUNK = 1 << 16
 
 
-def _split_row_text(a: np.ndarray, newline: str) -> Iterator[str]:
-    """`_row_text` of a matrix ``a`` of at least 2 rows, split at its middle
-    row: a child (`_forked`) writes the lower half's text to a shared mmap
-    while this thread formats and yields the upper half.  Only when the
-    child exited 0 with a length that fits does it yield the child's text,
-    `_CHUNK` bytes at a time, freeing each chunk's pages once read;
-    otherwise, or when no child was started, it formats those rows itself,
-    so the text is the same either way.
+def _split_pieces(out: list, large: list) -> Iterator[str]:
+    """The pieces of `matrix_core._forked_json_pieces`: those in ``out``,
+    an int i standing for the rows of ``large[i]`` = (matrix, newline), a
+    matrix of at least 2 rows.  One child (`_forked`) formats the lower half
+    of each such matrix in turn, into its own `_CHUNK`-aligned run of one
+    shared mmap, and sends its text's length down a pipe once it is
+    written.  This process formats each upper half, then reads that length
+    and yields the child's text `_CHUNK` bytes at a time, freeing each
+    chunk's pages once read.  From the first matrix whose length does not
+    come (the child failed or died) or does not fit its run, or when no
+    child was started, it formats the lower halves itself, so the text is
+    the same either way.
     """
-    rows, cols = a.shape
-    half = rows // 2
-    row_bound = 1 + len(newline) + len(_float_template(cols, newline)) + 2 * cols * (_REPR_MAX - 2)
+    import mmap
+
+    starts = [0]
+    for a, newline in large:
+        rows, cols = a.shape
+        row_bound = 1 + len(newline) + len(_float_template(cols, newline)) + 2 * cols * (_REPR_MAX - 2)
+        # the lower half's run, its bound rounded up to whole chunks
+        starts.append(starts[-1] + -(-(rows - rows // 2) * row_bound // _CHUNK) * _CHUNK)
+    readable, writable = os.pipe()
 
     def write_lower(shared) -> None:
-        # its length goes to the first 8 bytes, its text from the second chunk
-        shared.seek(_CHUNK)
-        for piece in _row_text(a[half:], newline, ","):
-            shared.write(piece.encode("ascii"))
-        shared[:8] = (shared.tell() - _CHUNK).to_bytes(8, "little")
+        for (a, newline), start in zip(large, starts):
+            shared.seek(start)
+            for piece in _row_text(a[a.shape[0] // 2 :], newline, ","):
+                shared.write(piece.encode("ascii"))
+            os.write(writable, (shared.tell() - start).to_bytes(8, "little"))
 
-    with _forked(write_lower, _CHUNK + (rows - half) * row_bound) as wait:
-        if wait is None:
-            yield from _row_text(a, newline)
-            return
-        yield from _row_text(a[:half], newline)
-        shared = wait()
-        length = int.from_bytes(shared[:8], "little") if shared is not None else 0
-        if not 0 < length <= len(shared) - _CHUNK:
-            yield from _row_text(a[half:], newline, ",")
-            return
-        import mmap
-
-        for start in range(_CHUNK, _CHUNK + length, _CHUNK):
-            yield shared[start : min(start + _CHUNK, _CHUNK + length)].decode("ascii")
-            try:
-                shared.madvise(mmap.MADV_REMOVE, start, _CHUNK)
-            except (AttributeError, OSError):  # not on Linux: the pages stay until the mmap closes
-                pass
+    with open(readable, "rb", buffering=0) as lengths, _forked(write_lower, starts[-1]) as child:
+        os.close(writable)  # the pipe ends when the child does
+        for piece in out:
+            if type(piece) is not int:
+                yield from (piece,) if type(piece) is str else piece
+                continue
+            (a, newline), start = large[piece], starts[piece]
+            half = a.shape[0] // 2
+            yield from _row_text(a[:half], newline)
+            length = int.from_bytes(lengths.read(8), "little") if child is not None else 0
+            if not 0 < length <= starts[piece + 1] - start:
+                child = None
+                yield from _row_text(a[half:], newline, ",")
+                continue
+            for begin in range(start, start + length, _CHUNK):
+                yield child[0][begin : min(begin + _CHUNK, start + length)].decode("ascii")
+                try:
+                    child[0].madvise(mmap.MADV_REMOVE, begin, _CHUNK)
+                except (AttributeError, OSError):  # not on Linux: the pages stay until the mmap closes
+                    pass
 
 
 # JSON's whitespace is these four characters, not those of the regex \s
@@ -111,9 +132,9 @@ def _split_matrix_from_text(text: str) -> np.ndarray:
 
         # a number takes at least 2 of the text's characters, with its
         # separator: 8 bytes for every 2 characters hold the child's values
-        with _forked(parse_lower, 8 + 4 * (end - comma)) as wait:
+        with _forked(parse_lower, 8 + 4 * (end - comma)) as child:
             upper = _half_rows(text[start:comma] + "]", cols)
-            shared = wait() if upper is not None and wait is not None else None
+            shared = child[1]() if upper is not None and child is not None else None
             lower = None
             if shared is not None:
                 count = int.from_bytes(shared[:8], "little")
@@ -189,29 +210,102 @@ def _half_rows(text: str, cols: int) -> tuple[int, np.ndarray] | None:
 
 
 def _split_classify(t: np.ndarray, p: np.ndarray, h: np.ndarray, m_max: int, tol: Tolerance) -> ClassificationReport:
-    """`expansivity.classify` of a checked ``t``, ``p`` and the gated ``h``:
-    a child (`_forked`) computes `_spectral_summary` while this process
-    tabulates the defects (`_classification_rows`), and sends back ||T||, the
-    P-isometry verdict and the spectrum as float64 bits.  If it failed, or
-    none was started, this process computes the summary itself, so the
-    report is `classify`'s either way; an error in the table leaves the
+    """`expansivity.classify` of a checked ``t``, ``p`` and the gated ``h``,
+    its work shared with a child (`_forked`).  This process runs the defect
+    iteration, writing each defect straight into the shared mmap, while the
+    child computes `_spectral_summary`.  Then this process takes the orders'
+    sign verdicts (`_sign_verdict`) from order 1 up and the child from
+    m_max down, each claiming an order's byte before it starts it and
+    stopping at the first the other claimed; claims are hints, and where
+    both did an order this process keeps its own.  The child sends an
+    order's least and largest eigenvalues, which `_sign_rule` makes its
+    verdict.  What the child did not finish this process does, so the
+    report is `classify`'s either way; an error in the iteration leaves the
     child killed."""
-    d = t.shape[0]
+    d, n = t.shape[0], m_max
+    # the defects, then per order (least, largest) and the summary as
+    # float64 bits, then the claims and the orders the child finished
+    found, summary_at = 16 * n * d * d, 16 * n * (d * d + 1)
+    claims = summary_at + 16 * (d + 1)
+    done = claims + n
+    ready, go = os.pipe()
 
-    def summarize(shared) -> None:
+    def summarize_and_claim(shared) -> None:
         p_isometric, spectrum, norm = _spectral_summary(t, p, h, tol)
-        shared[:16] = np.array([norm, (False, True, None).index(p_isometric)], dtype=np.float64).tobytes()
-        shared[16:] = np.asarray(spectrum, dtype=np.complex128).tobytes()
+        shared[summary_at : summary_at + 16] = np.array([norm, (False, True, None).index(p_isometric)]).tobytes()
+        shared[summary_at + 16 : claims] = np.asarray(spectrum, dtype=np.complex128).tobytes()
+        os.read(ready, 1)  # every defect is written
+        defects = np.frombuffer(shared, np.complex128, n * d * d).reshape(n, d, d)
+        for k in reversed(range(n)):
+            if shared[claims + k]:
+                return
+            shared[claims + k] = 1
+            verdict = _sign_verdict(defects[k], tol)
+            shared[found + 16 * k : found + 16 * k + 16] = np.array([verdict.min_eig, verdict.max_eig]).tobytes()
+            shared[done + k] = 1
 
-    summary = None
-    with _forked(summarize, 16 * (d + 1)) as wait:
-        rows = _classification_rows(t, h, m_max, tol)
-        shared = wait() if wait is not None else None
-        if shared is not None:
-            norm, p_isometric = np.frombuffer(shared, np.float64, 2)
-            spectrum = np.frombuffer(shared, np.complex128, d, 16).copy()
-            summary = (False, True, None)[int(p_isometric)], spectrum, float(norm)
-    return _classification_report(rows, summary or _spectral_summary(t, p, h, tol))
+    try:
+        with _forked(summarize_and_claim, done + n, blas=True) as child:
+            if child is None:
+                rows = _classification_rows(t, h, m_max, tol)
+                return _classification_report(rows, _spectral_summary(t, p, h, tol))
+            shared, wait = child
+            defects = np.frombuffer(shared, np.complex128, n * d * d).reshape(n, d, d)
+            _defect_pass(t, h, range(1, n + 1), tol, defects)
+            os.write(go, b"\0")
+            verdicts = {}
+            for k in range(n):
+                if shared[claims + k]:
+                    break
+                shared[claims + k] = 1
+                verdicts[k] = _sign_verdict(defects[k], tol)
+            summary = None
+            if wait() is not None:
+                norm, p_isometric = np.frombuffer(shared, np.float64, 2, summary_at)
+                spectrum = np.frombuffer(shared, np.complex128, d, summary_at + 16).copy()
+                summary = (False, True, None)[int(p_isometric)], spectrum, float(norm)
+                for k in range(n):
+                    if shared[done + k] and k not in verdicts:
+                        lo, hi = np.frombuffer(shared, np.float64, 2, found + 16 * k)
+                        verdicts[k] = _sign_rule(float(lo), float(hi), tol)
+            rows = []
+            for k in range(n):
+                verdict = verdicts[k] if k in verdicts else _sign_verdict(defects[k], tol)
+                rows.append(ClassificationRow(k + 1, verdict, _classes_for(verdict)))
+            del defects  # a view of the mmap, which closes with the block
+    finally:
+        os.close(ready)
+        os.close(go)
+    return _classification_report(tuple(rows), summary or _spectral_summary(t, p, h, tol))
+
+
+def _split_pair(first: Callable[[], tuple], second: Callable[[], object]) -> tuple:
+    """``(first(), second())``, neither of which returns None, ``first()``
+    computed by a child (`_forked`), which pickles it back, while this
+    process computes ``second()`` with warnings raised.  Where the child
+    failed, or none was started, this process computes ``first()`` itself,
+    and where ``second()`` raised or warned it computes it again after
+    that, so errors and warnings come in the one-process order."""
+    import pickle
+
+    def send(shared) -> None:
+        data = pickle.dumps(first(), pickle.HIGHEST_PROTOCOL)
+        shared[:8] = len(data).to_bytes(8, "little")
+        shared[8 : 8 + len(data)] = data  # ValueError if it does not fit
+
+    sent = result = None
+    with _forked(send, 1 << 12, blas=True) as child:
+        if child is not None:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    result = second()
+            except Exception:
+                pass
+            shared = child[1]()
+            if shared is not None:
+                sent = pickle.loads(shared[8 : 8 + int.from_bytes(shared[:8], "little")])
+    return first() if sent is None else sent, second() if result is None else result
 
 
 # room for the child's records; a stream that does not fit is left to the parent
@@ -247,8 +341,8 @@ def _split_streams(stream_records: Callable[[int], list], count: int) -> list | 
     except OSError:
         return None
     done = {}
-    with claims, _forked(send, _SUITE_SHARED) as wait:
-        if wait is None:
+    with claims, _forked(send, _SUITE_SHARED, blas=True) as child:
+        if child is None:
             return None
         try:
             with warnings.catch_warnings():
@@ -258,7 +352,7 @@ def _split_streams(stream_records: Callable[[int], list], count: int) -> list | 
                         break
                     claims[stream] = 1
                     done[stream] = stream_records(stream)
-                shared = wait()
+                shared = child[1]()
                 while shared is not None and (size := int.from_bytes(shared.read(8), "little")):
                     stream, records = pickle.loads(shared.read(size))
                     done.setdefault(stream, records)
@@ -268,20 +362,29 @@ def _split_streams(stream_records: Callable[[int], list], count: int) -> list | 
 
 
 @contextmanager
-def _forked(work: Callable[[mmap.mmap], None], size: int) -> Iterator[Callable[[], mmap.mmap | None] | None]:
+def _forked(work: Callable[[mmap.mmap], None], size: int, blas: bool = False) -> Iterator[tuple | None]:
     """Run ``work(shared)`` in a forked child on one CPU, ``shared`` a new
     anonymous shared mmap of ``size`` bytes, while the caller goes on on the
     other CPUs: the one way this package forks, for the CLI's large inputs
-    and results, `classify`'s spectral summary and suite streams.
+    and results, `classify`'s and `drazin`'s queries and suite streams.
 
-    Yields ``wait``, which reaps the child, gives the calling thread back its
-    CPUs and returns ``shared`` if the child exited 0, else None; or yields
-    None when no child was started: where ``os`` has no ``fork``, the process
-    may run on fewer than 2 CPUs (``os.sched_getaffinity``), another Python
-    thread runs (whose locks a child could find held), or the mmap or the
-    process cannot be had.  Either way the caller does the child's work
-    itself.  ``shared`` closes when the block is left, and a child still
-    running then is killed and reaped.
+    Yields ``(shared, wait)``: ``wait`` reaps the child, gives the calling
+    thread back its CPUs and returns ``shared`` if the child exited 0, else
+    None.  Or yields None when no child was started: where ``os`` has no
+    ``fork``, the process may run on fewer than 2 CPUs
+    (``os.sched_getaffinity``), another Python thread runs (whose locks a
+    child could find held), the mmap or the process cannot be had, or
+    ``work`` calls BLAS (``blas``) and the loaded BLAS has no known thread
+    setter (`_blas_pool`) and is not known to run 1 thread.  Either way the
+    caller does the child's work itself.  ``shared`` closes when the block
+    is left (or once the last view of it goes), and a child still running
+    then is killed and reaped.
+
+    From its first fork on, the process runs the BLAS pool at 1 thread,
+    and so does each child: with a thread per CPU in each process, their
+    threads outnumber the CPUs, and a d = 256 `classify` took 33 s, not
+    0.8 s.  Keeping 1 thread after the reap too beat setting the pool back
+    there (`classify --m-max 20` at d = 256: 0.58 against 0.64 s).
 
     The child exits 0 only if ``work`` returns.  It runs with its cyclic GC
     off, as a collection would walk every inherited object and copy its
@@ -293,7 +396,11 @@ def _forked(work: Callable[[mmap.mmap], None], size: int) -> Iterator[Callable[[
     threads = sys.modules.get("threading")
     child = None
     if hasattr(os, "fork") and len(cpus) >= 2 and (threads is None or threads.active_count() == 1):
-        child = _start_child(work, size, max(cpus))
+        pool = _blas_pool()
+        if pool is not None:
+            pool(1)
+        if pool is not None or not blas or {os.environ.get(name) for name in _BLAS_VARIABLES} - {None} == {"1"}:
+            child = _start_child(work, size, max(cpus))
     if child is None:
         yield None
         return
@@ -313,19 +420,48 @@ def _forked(work: Callable[[mmap.mmap], None], size: int) -> Iterator[Callable[[
         _pin(cpus)
         return shared if ok else None
 
-    with shared:
-        try:
-            yield wait
-        finally:
-            if pid:
-                from signal import SIGKILL
+    try:
+        yield shared, wait
+    finally:
+        if pid:
+            from signal import SIGKILL
 
-                os.kill(pid, SIGKILL)
-                try:
-                    os.waitpid(pid, 0)
-                except ChildProcessError:
-                    pass
-                _pin(cpus)
+            os.kill(pid, SIGKILL)
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass
+            _pin(cpus)
+        try:
+            shared.close()
+        except BufferError:  # a caller's view of it is still held, as in an error's traceback
+            pass
+
+
+# the thread-count setters of the OpenBLAS builds numpy ships with: scipy-openblas
+# (64-bit ints) and others; `nm -D` on the library lists them
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+# the variables OpenBLAS and MKL read their thread count from; where those set
+# all say 1, the pool runs 1 thread
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@cache
+def _blas_pool() -> Callable[[int], None] | None:
+    """The thread-count setter of the BLAS that numpy loaded, found by
+    symbol through numpy's core extension, which links it; None where there
+    is none of `_BLAS_SETTERS`.  Looked up at a process's first fork, so a
+    command that forks nothing never looks it up."""
+    try:
+        import ctypes
+
+        library = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    for name in _BLAS_SETTERS:
+        if hasattr(library, name):
+            return getattr(library, name)
+    return None
 
 
 def _pin(cpus: set) -> None:

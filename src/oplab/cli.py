@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -109,20 +109,21 @@ def _emit(payload: dict, output: str | None) -> None:
         raise _OutputError(f"cannot write the result to {output or 'stdout'}: {exc}") from exc
 
 
-# `_classify` computes the spectral summary in a forked child for an operator
-# of at least this many entries.  On a 2-core x86_64 host (1 BLAS thread, 12
-# interleaved pairs each, a 1.2-scaled Haar unitary), the split won at d = 256
-# for every m_max from 1 (198 -> 172 ms at m_max 1, 382 -> 227 ms at 8) and at
-# d = 128 from m_max 4 (56 -> 47 ms; 112 -> 87 ms at 20), and lost at d = 128,
-# m_max 2 (43 -> 54 ms); below that the table and the summary are each
-# within a few times the 4.4 ms a fork and its reaping cost.
+# `_classify` and `_cmd_drazin` share their work with a forked child for an
+# operator of at least this many entries.  On a 2-core x86_64 host (1 BLAS
+# thread, 12 interleaved pairs each, in a small process), `drazin` of
+# [[U', X], [0, 0]] took 40.4 -> 29.9 ms split at d = 128 (11 of 12) and
+# 19.8 -> 21.8 ms at d = 96; `classify` of a 1.2-scaled Haar unitary drew
+# level at d = 128 (39.2 -> 40.1 ms at m_max 2, 45.5 -> 44.6 ms at 4), won
+# at d = 192 (108 -> 101 and 127 -> 101 ms) and lost at d = 96 (20.0 ->
+# 27.2 ms at m_max 2).
 _CLASSIFY_SPLIT = 128 * 128
 
 
 def _classify(t: np.ndarray, p: np.ndarray, m_max: int, tol: Tolerance) -> ClassificationReport:
-    """`expansivity.classify`, with its spectral summary computed by a child
-    while this process tabulates the defects (`_forking._split_classify`)
-    when T has at least `_CLASSIFY_SPLIT` entries."""
+    """`expansivity.classify`, its sign verdicts and spectral summary shared
+    with a child (`_forking._split_classify`) when T has at least
+    `_CLASSIFY_SPLIT` entries."""
     spec = DefectSpec(t=t, p=p, m=m_max)
     h = _hermitian_gate(spec.p, tol)
     if spec.t.size < _CLASSIFY_SPLIT:
@@ -157,18 +158,24 @@ def _cmd_drazin(args) -> int:
     tol = _tolerance(args)
     # one walk of T, T^2, ... gives the index, rank T^p, its gate and ||T||
     step = _power_rank(a, tol)
-    core = _core_nilpotent(a, step, tol)
-    td, residuals = _drazin_inverse(a, step, tol)
+
+    def core() -> tuple:
+        split = _core_nilpotent(a, step, tol)
+        return split.index, split.orthogonal, int(split.t1.shape[0]), int(split.t2.shape[0])
+
+    inverse = partial(_drazin_inverse, a, step, tol)
+    if a.size < _CLASSIFY_SPLIT:
+        (index, orthogonal, invertible, nilpotent), (td, residuals) = core(), inverse()
+    else:  # the core split in a child, beside the inverse
+        from ._forking import _split_pair  # on first use: see `_forking`
+
+        (index, orthogonal, invertible, nilpotent), (td, residuals) = _split_pair(core, inverse)
     _emit(
         {
-            "index": core.index,
+            "index": index,
             "drazin_inverse": td,
             "residuals": residuals,
-            "core": {
-                "orthogonal": core.orthogonal,
-                "invertible_dim": int(core.t1.shape[0]),
-                "nilpotent_dim": int(core.t2.shape[0]),
-            },
+            "core": {"orthogonal": orthogonal, "invertible_dim": invertible, "nilpotent_dim": nilpotent},
         },
         args.output,
     )
@@ -230,19 +237,29 @@ def _parse_dims(text: str):
 # 28.6 ms), drew level from 24 to 33 (count 6: 35.9 -> 37.1 ms; fuzz
 # weight_decomposition, count 20, (16,8): 29.1 -> 30.2 ms) and won from 33.5
 # (verify --suite all, count 7: 46.9 -> 39.4 ms; verify sandwich_isometry,
-# count 3, (64,32): 128 -> 83 ms).
+# count 3, (64,32): 128 -> 83 ms; verify transform_bundle, count 12, (16,8):
+# 43.6 -> 32.2 ms).
 _SUITE_SPLIT = 30.0
+# Each theorem's cost against the theorems' mean: `verify` at (16,8) on that
+# host, 1 BLAS thread, medians of 5 runs of 20 instances, in ms an instance:
+# no_singular_expansive 2.03, sandwich_isometry 2.31, transform_bundle 3.58,
+# two_expansive_isometry 2.20, unitary_nilpotent_structure 1.86,
+# weight_decomposition 2.44.  power_stability and spectral_constraints,
+# whose fixtures cannot be drawn there, take their share at (4,3) (0.83 and
+# 0.71 of the mean of 0.87 ms), so the factors add up to 8.
+_THEOREM_COST = dict(zip(_THEOREM_IDS, (0.90, 0.88, 1.02, 0.75, 1.58, 0.97, 0.82, 1.08)))
 
 
-def _suite_ms(count: int, theorems: int, dims) -> float:
+def _suite_ms(count: int, theorems, dims) -> float:
     """A run's one-process ms there, at 0.5 + d^2 / 500 ms an instance for
-    d = d1 + d2 (the theorems' mean: 0.63 at d = 7, 2.1 at 24, 19 at 96)."""
-    return count * theorems * (0.5 + (dims[0] + dims[1]) ** 2 / 500)
+    d = d1 + d2 (the theorems' mean: 0.63 at d = 7, 2.1 at 24, 19 at 96)
+    times each theorem's `_THEOREM_COST`."""
+    return count * sum(_THEOREM_COST[theorem] for theorem in theorems) * (0.5 + (dims[0] + dims[1]) ** 2 / 500)
 
 
 def _cmd_suite(args, mode: str) -> int:
     dims = _parse_dims(args.dims)
-    theorems = len(_THEOREM_IDS) if args.suite == "all" else 1
+    theorems = _THEOREM_IDS if args.suite == "all" else (args.suite,)
     split = None
     if args.count >= 2 and _suite_ms(args.count, theorems, dims) >= _SUITE_SPLIT:
         from ._forking import _split_streams as split  # on first use: see `_forking`

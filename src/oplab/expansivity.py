@@ -128,13 +128,15 @@ def _classes_for(verdict: DefinitenessVerdict) -> frozenset:
 # a non-finite defect raises NumericalFailureError below, so numpy's overflow
 # and invalid-value warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
-def _defect_pass(t: np.ndarray, h: np.ndarray, orders, tol: Tolerance) -> tuple:
+def _defect_pass(t: np.ndarray, h: np.ndarray, orders, tol: Tolerance, out: np.ndarray | None = None) -> tuple:
     """The one defect kernel: the defects of a finite square ``t``, already
     raised to its power, against an exactly self-adjoint ``h`` of its shape
     at each of ``orders`` (ascending, in [1, MAX_ORDER]), from one pass of
     S -> S - T* S T started at h, two matrix products per order.  A defect
     that is not finite raises NumericalFailureError ("defect overflows",
-    residuals ``{"order": k}``) at the lowest such order.
+    residuals ``{"order": k}``) at the lowest such order.  Given ``out``,
+    each order-k defect is written to ``out[k - 1]``, its only copy, and
+    no verdict is taken.
     """
     ta = adjoint(t)
     iterated = h
@@ -144,9 +146,10 @@ def _defect_pass(t: np.ndarray, h: np.ndarray, orders, tol: Tolerance) -> tuple:
         if k not in orders:
             continue
         # a finite iterate can still overflow when it is added to its adjoint
-        delta = _finite(_hermitian_part(iterated), "defect", {"order": k})
-        verdict = _sign_verdict(delta, tol)
-        results.append(DefectResult(delta, verdict, _classes_for(verdict)))
+        delta = _finite(_hermitian_part(iterated, None if out is None else out[k - 1]), "defect", {"order": k})
+        if out is None:
+            verdict = _sign_verdict(delta, tol)
+            results.append(DefectResult(delta, verdict, _classes_for(verdict)))
     return tuple(results)
 
 

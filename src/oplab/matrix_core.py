@@ -31,16 +31,16 @@ shared conventions:
   array's floats, a row at a time from one ``%r`` template per matrix, so
   the text held at once is one row, not the result; `matrix_to_json` builds
   those objects in Python for library users and round trips.  The CLI
-  writes with `_forked_json_pieces`, the same pieces but with a large matrix's
-  lower half formatted by a forked child while this process formats the
-  upper half, by the same row formatter, and reads with
-  `_forked_matrix_from_text`, `matrix_from_json` of a large text whose two
-  halves of rows are parsed in two processes; both hand a large matrix or
-  text to `oplab._forking`, which holds the one fork helper.
+  writes with `_forked_json_pieces`, the same pieces but with the lower
+  halves of a payload's large matrices formatted by one forked child while
+  this process formats their upper halves, by the same row formatter, and
+  reads with `_forked_matrix_from_text`, `matrix_from_json` of a large text
+  whose two halves of rows are parsed in two processes; both hand a large
+  payload or text to `oplab._forking`, which holds the one fork helper.
 
-All functions but `_forked_row_text` and `_forked_matrix_from_text`, which
-may fork, are pure: inputs are never mutated and there is no module state,
-so values can be shared freely across threads.
+All functions but `_forked_json_pieces` and `_forked_matrix_from_text`,
+which may fork, are pure: inputs are never mutated and there is no module
+state, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -244,9 +244,10 @@ def _nilpotency(s: np.ndarray, gate: float) -> tuple[float, bool]:
     return residual, residual <= gate
 
 
-def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a*) / 2 of a square ``a``, bitwise its own adjoint."""
-    return (a + adjoint(a)) / 2.0
+def _hermitian_part(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(a + a*) / 2 of a square ``a``, bitwise its own adjoint, written to
+    ``out`` where it is given."""
+    return np.divide(a + adjoint(a), 2.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -299,6 +300,11 @@ def _sign_verdict(h: np.ndarray, tol: Tolerance) -> DefinitenessVerdict:
         return DefinitenessVerdict(0.0, 0.0, ZERO)
     w = np.linalg.eigvalsh(h)
     lo, hi = float(w[0]), float(w[-1])
+    return _sign_rule(lo, hi, tol)
+
+
+def _sign_rule(lo: float, hi: float, tol: Tolerance) -> DefinitenessVerdict:
+    """`_sign_verdict`'s rule, on the least and largest eigenvalues."""
     thr = tol.gate(max(abs(lo), abs(hi), 1.0))
     psd = lo >= -thr
     nsd = hi <= thr
@@ -432,19 +438,34 @@ def json_pieces(payload) -> Iterator[str]:
     and each array row by row.  All but the arrays' rows is written, and
     every array checked, before this returns, so a payload that raises does
     so before the caller opens its sink."""
-    return _pieces(payload, _row_text)
+    out = []
+    _write(payload, "\n", out, _row_text)
+    return _joined(out)
 
 
 def _forked_json_pieces(payload) -> Iterator[str]:
-    """`json_pieces` with each matrix's rows written by `_forked_row_text`,
-    which may fork this process; the CLI writes its results with it, and no
+    """`json_pieces`, with the lower halves of the payload's matrices of at
+    least `_SPLIT_ENTRIES` entries and 2 rows formatted by one forked child
+    (`_forking._split_pieces`); the CLI writes its results with it, and no
     library function does."""
-    return _pieces(payload, _forked_row_text)
+    large = []
 
+    def rows(a: np.ndarray, newline: str):
+        if a.size < _SPLIT_ENTRIES or a.shape[0] < 2:
+            return _row_text(a, newline)
+        large.append((a, newline))
+        return len(large) - 1  # where `_split_pieces` puts that matrix's rows
 
-def _pieces(payload, rows) -> Iterator[str]:
     out = []
     _write(payload, "\n", out, rows)
+    if not large:
+        return _joined(out)
+    from ._forking import _split_pieces  # on first use: see `_forking`
+
+    return _split_pieces(out, large)
+
+
+def _joined(out: list) -> Iterator[str]:
     # anything but a string is an array's rows, formatted as they are read
     return chain.from_iterable((piece,) if isinstance(piece, str) else piece for piece in out)
 
@@ -471,8 +492,8 @@ def _scalar(value) -> str:
 def _write(value, newline: str, out: list, rows) -> None:
     """The one JSON writer: append the text of ``value``, first line indented
     by ``newline``, to ``out``; an array's, checked on the call, with its rows
-    written by ``rows`` (`_row_text` or `_forked_row_text`) as the pieces are
-    read, or now where ``rows`` is None."""
+    written by ``rows`` (`_row_text`, or what `_forked_json_pieces` puts in
+    their place) as the pieces are read, or now where ``rows`` is None."""
     inner = newline + "  "
     if isinstance(value, dict) and value:
         separator, following = "{" + inner, "," + inner
@@ -524,7 +545,7 @@ def _row_text(a: np.ndarray, newline: str, opening: str = "[") -> Iterator[str]:
         separator = "," + newline
 
 
-# `_forked_row_text` splits a matrix of at least this many entries.  On a
+# `_forked_json_pieces` splits a matrix of at least this many entries.  On a
 # 2-core x86_64 host, formatting a 128 x 128 matrix took 43-46 ms in one
 # process and 31-36 ms split (a fork, the child's start and its reaping cost
 # about 5 ms in a 150 MB process); at 96 x 96 the split saved about 6 of
@@ -536,17 +557,6 @@ _SPLIT_ENTRIES = 128 * 128
 # read in one process and 23-25 ms split, 573 kB (112 x 112) 16-20 against
 # 21-24 ms, and 3.0 MB (256 x 256) 108-145 against 81-86 ms.
 _SPLIT_TEXT = 640 * 1024
-
-
-def _forked_row_text(a: np.ndarray, newline: str) -> Iterator[str]:
-    """`_row_text` of ``a``, formatted by two processes
-    (`_forking._split_row_text`) when it has at least `_SPLIT_ENTRIES`
-    entries and 2 rows."""
-    if a.size < _SPLIT_ENTRIES or a.shape[0] < 2:
-        return _row_text(a, newline)
-    from ._forking import _split_row_text  # on first use: see `_forking`
-
-    return _split_row_text(a, newline)
 
 
 def _forked_matrix_from_text(text: str) -> np.ndarray:

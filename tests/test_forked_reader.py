@@ -1,7 +1,8 @@
 """The CLI's two other splits through the fork helper `_forking._forked`:
 reading a large matrix file (`matrix_core._forked_matrix_from_text`, which
-`cli._load_matrix` calls for --matrix and --weight) and computing
-`classify`'s spectral summary beside its defect table (`cli._classify`).
+`cli._load_matrix` calls for --matrix and --weight) and sharing
+`classify`'s sign verdicts and spectral summary with a child
+(`cli._classify`; more cases in test_forked_queries.py).
 
 Each must give what the one-process path gives, bit for bit, or the same
 error; no child may outlive its command (the `children` fixture checks that
@@ -45,6 +46,15 @@ def wire():
     return a, obj, [json.dumps(row) for row in obj["data"]]
 
 
+@pytest.fixture
+def narrow(monkeypatch):
+    """A D x 4 matrix as `wire` gives one, its text split as a D x D one's
+    is: its fault cases reach the reader's branches at a 50th of the text."""
+    monkeypatch.setattr(matrix_core, "_SPLIT_TEXT", 4096)
+    obj = matrix_to_json(ginibre(philox(408), D, 4))
+    return None, obj, [json.dumps(row) for row in obj["data"]]
+
+
 @pytest.fixture(scope="module")
 def texts(wire):
     """The matrix's compact text, its one-process outcome and its text in
@@ -57,8 +67,9 @@ def texts(wire):
 def compact(rows: list, changed: dict = {}, claimed: int = D) -> str:
     """``json.dumps`` of a wire-format object with these row texts, the rows
     in ``changed`` (index: row) replaced and ``claimed`` as its rows."""
+    cols = len(json.loads(rows[0]))
     rows = [json.dumps(changed[i]) if i in changed else row for i, row in enumerate(rows)]
-    return f'{{"rows": {claimed}, "cols": {D}, "data": [' + ", ".join(rows) + "]}"
+    return f'{{"rows": {claimed}, "cols": {cols}, "data": [' + ", ".join(rows) + "]}"
 
 
 def outcome(read) -> tuple:
@@ -101,8 +112,8 @@ FAULTS = {
 
 @pytest.mark.parametrize("where", [UPPER, LOWER])
 @pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_a_fault_in_either_half_gives_the_one_process_error(children, wire, fault, where):
-    _, obj, rows = wire
+def test_a_fault_in_either_half_gives_the_one_process_error(children, narrow, fault, where):
+    _, obj, rows = narrow
     text = compact(rows, {where: FAULTS[fault](obj["data"][where])}).replace(repr(SENTINEL), "1e400")
     # a string entry adds quotes, so that text is not split
     expected = assert_reads_as_one_process(text, 0 if fault == "string" else 1, children)
@@ -110,8 +121,8 @@ def test_a_fault_in_either_half_gives_the_one_process_error(children, wire, faul
     assert f"({where}," in expected[2] or f"row {where}" in expected[2]
 
 
-def test_rows_that_do_not_add_up_give_the_one_process_error(children, wire):
-    _, _, rows = wire
+def test_rows_that_do_not_add_up_give_the_one_process_error(children, narrow):
+    _, _, rows = narrow
     for forks, claimed in enumerate((D - 1, D + 1), start=1):
         expected = assert_reads_as_one_process(compact(rows, claimed=claimed), forks, children)
         assert expected[2] == f"expected {claimed} rows, got {D}"
@@ -152,8 +163,8 @@ def test_space_json_forbids_at_the_row_break_is_an_error(children, texts, space)
         assert expected[:2] == ("error", json.JSONDecodeError)
 
 
-def test_integer_minus_zero_reads_as_plus_zero(children, wire):
-    _, obj, rows = wire
+def test_integer_minus_zero_reads_as_plus_zero(children, narrow):
+    _, obj, rows = narrow
     changed = {i: first_entry(obj["data"][i], [SENTINEL, SENTINEL]) for i in (UPPER, LOWER)}
     text = compact(rows, changed).replace(repr(SENTINEL), "-0")
     assert text.count("[-0, -0]") == 2
@@ -182,7 +193,7 @@ def _killed(shared):
 @pytest.mark.parametrize("child", [_exit_3, _killed])
 def test_a_failed_reader_child_leaves_the_parent_to_parse_its_rows(children, monkeypatch, texts, child):
     forked = _forking._forked
-    monkeypatch.setattr(_forking, "_forked", lambda work, size: forked(child, size))
+    monkeypatch.setattr(_forking, "_forked", lambda work, size, **kw: forked(child, size, **kw))
     assert assert_reads_as_one_process(texts.compact, 1, children, texts.read) == texts.read
 
 
@@ -266,7 +277,7 @@ def test_a_failed_classify_child_leaves_the_parent_to_compute_the_summary(childr
     p = np.eye(SIDE, dtype=complex)
     expected = report_bits(classify(t, p, 4, Tolerance()))
     forked = _forking._forked
-    monkeypatch.setattr(_forking, "_forked", lambda work, size: forked(child, size))
+    monkeypatch.setattr(_forking, "_forked", lambda work, size, **kw: forked(child, size, **kw))
     assert report_bits(cli._classify(t, p, 4, Tolerance())) == expected
     assert len(children.pids) == 1
 

@@ -247,7 +247,7 @@ def test_one_cpu_no_fork_or_another_thread_runs_in_one_process(children, streams
 def test_a_run_under_the_split_minimum_runs_in_one_process(children, streams, monkeypatch, capsys, tmp_path):
     # 6 streams of 8 theorems at (4,3) are under the minimum, 7 reach it
     argv = suite_argv("verify", "all", 6, "4,3")
-    assert cli._suite_ms(6, 8, (4, 3)) < cli._SUITE_SPLIT <= cli._suite_ms(7, 8, (4, 3))
+    assert cli._suite_ms(6, cli._THEOREM_IDS, (4, 3)) < cli._SUITE_SPLIT <= cli._suite_ms(7, cli._THEOREM_IDS, (4, 3))
     expected = one_process(monkeypatch, argv, tmp_path, capsys)
     assert call(argv, tmp_path, capsys) == expected
     assert children.pids == [] and streams.parent == []
@@ -286,4 +286,17 @@ def test_few_streams_at_large_dims_split(children, streams, monkeypatch, capsys,
 def test_every_benchmark_suite_call_splits(count, theorems, dims):
     # perfbench's suite calls: --suite all at (4,3), and each theorem at
     # (16,8) and (64,32)
-    assert cli._suite_ms(count, theorems, dims) >= cli._SUITE_SPLIT
+    runs = [cli._THEOREM_IDS] if theorems == 8 else [(theorem,) for theorem in cli._THEOREM_IDS]
+    for run in runs:
+        assert cli._suite_ms(count, run, dims) >= cli._SUITE_SPLIT
+
+
+def test_theorems_are_priced_each_at_its_cost(children, streams, monkeypatch, capsys, tmp_path):
+    # transform_bundle costs about 1.6 times the theorems' mean at (16,8):
+    # 12 streams of it split (43.6 -> 32.2 ms), and the factors keep the
+    # mean, so --suite all is priced as before
+    assert sum(cli._THEOREM_COST.values()) == pytest.approx(len(cli._THEOREM_IDS))
+    argv = suite_argv("verify", "transform_bundle", 12, "16,8")
+    expected = one_process(monkeypatch, argv, tmp_path, capsys)
+    assert call(argv, tmp_path, capsys) == expected
+    assert len(children.pids) == 1

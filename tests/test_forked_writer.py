@@ -1,10 +1,10 @@
-"""The CLI's two-process matrix writer: `matrix_core._forked_row_text`.
+"""The CLI's two-process writer: `matrix_core._forked_json_pieces`.
 
-A large matrix's lower half is formatted by a child of the fork helper
-(`_forking._forked`) into a shared mmap while the parent formats the
-upper half; the text must be the one-process text byte for byte, no child
-may outlive the write, and a child that fails must leave the parent to
-format its rows.
+The lower halves of a payload's large matrices are formatted by one child
+of the fork helper (`_forking._forked`) into a shared mmap while the parent
+formats their upper halves; the text must be the one-process text byte for
+byte, no child may outlive the write, and a child that fails or dies must
+leave the parent to format the rows it did not finish.
 """
 
 import json
@@ -66,6 +66,7 @@ def test_the_childs_bound_holds_the_longest_floats(children):
 
 
 def test_nested_matrices_each_split_in_turn(children):
+    # one child formats the lower halves of a, c and h, in that order
     rng = philox(302)
     payload = {
         "a": ginibre(rng, SIDE),
@@ -74,7 +75,7 @@ def test_nested_matrices_each_split_in_turn(children):
         "i": np.zeros((0, 3), dtype=complex),
     }
     assert forked_text(payload) == dumps_json(payload)
-    assert len(children.pids) == 3
+    assert len(children.pids) == 1
     assert children.fallbacks == []
 
 
@@ -95,11 +96,11 @@ def test_one_cpu_or_no_fork_writes_in_one_process(monkeypatch):
 def test_the_split_keeps_this_threads_cpus():
     cpus = os.sched_getaffinity(0)
     a = ginibre(philox(308), SIDE)
-    rows = matrix_core._forked_row_text(a, "\n")
-    pieces = [next(rows)]
+    pieces = matrix_core._forked_json_pieces({"a": a})
+    text = [next(pieces)]
     assert os.sched_getaffinity(0) == cpus - {max(cpus)}
-    pieces += rows
-    assert "".join(pieces) == "".join(matrix_core._row_text(a, "\n"))
+    text += pieces
+    assert "".join(text) == dumps_json({"a": a})
     assert os.sched_getaffinity(0) == cpus
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -164,7 +165,7 @@ def test_cli_output_is_byte_identical(children, capsys, tmp_path, transform_run,
     else:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == expected
-    assert len(children.pids) == 4  # u, p, aluthge, duggal
+    assert len(children.pids) == 1  # for u, p, aluthge and duggal
     assert children.fallbacks == []
 
 
@@ -201,10 +202,10 @@ def test_a_full_output_file_leaves_no_child(children, capsys, transform_input):
 
 def test_pieces_closed_early_leave_no_child(children):
     a = ginibre(philox(306), SIDE)
-    rows = matrix_core._forked_row_text(a, "\n      ")
-    assert next(rows).startswith("[")
+    pieces = matrix_core._forked_json_pieces({"a": a})
+    assert next(pieces).startswith("{")
     assert len(children.pids) == 1
-    rows.close()
+    pieces.close()
     pieces = matrix_core._forked_json_pieces({"a": a, "b": a})
     for _, piece in zip(range(5), pieces):
         pass
@@ -221,14 +222,19 @@ def _killed(*args):
     os._exit(0)  # not reached
 
 
+# the ends of the pipes made in the test, the last the writer's
+PIPES = []
+
+
 def _no_length(shared):
-    shared.seek(_forking._CHUNK)
     shared.write(b"garbage")
     os._exit(0)
 
 
 def _too_long(shared):
-    shared[:8] = len(shared).to_bytes(8, "little")
+    # the first matrix's text, its length one byte past its run
+    shared.write(b"x" * len(shared))
+    os.write(PIPES[-1][1], (len(shared) // 4 + 1).to_bytes(8, "little"))
     os._exit(0)
 
 
@@ -237,14 +243,41 @@ def test_a_failed_child_leaves_the_parent_to_format_its_rows(children, monkeypat
                                                               transform_run, transform_input, child):
     argv = ["transform", "--matrix", transform_input]
     expected = transform_run[1]
-    forked = _forking._forked
-    monkeypatch.setattr(_forking, "_forked", lambda work, size: forked(child, size))
+    forked, pipe = _forking._forked, os.pipe
+    monkeypatch.setattr(_forking, "_forked", lambda work, size, **kw: forked(child, size, **kw))
+    monkeypatch.setattr(os, "pipe", lambda: PIPES.append(pipe()) or PIPES[-1])
     out = tmp_path / "out.json"
     assert cli.main(argv + ["--output", str(out)]) == 0
     assert out.read_text() == expected
     assert capsys.readouterr() == ("", "")
-    assert len(children.pids) == 4
+    assert len(children.pids) == 1
     assert children.fallbacks == [(SIDE - SIDE // 2, SIDE)] * 4
+
+
+@pytest.mark.parametrize("large", [0, 1, 4, 6])
+def test_a_child_dying_after_any_matrix_leaves_the_rest_to_the_parent(children, monkeypatch, large):
+    # the child dies as it starts the lower half of matrix `dies`, so the
+    # parent formats that half and every later one
+    monkeypatch.setattr(matrix_core, "_SPLIT_ENTRIES", 16)
+    rng = philox(310)
+    payload = {f"m{i}": ginibre(rng, 8 + i, 4) for i in range(large)}
+    payload.update(small=ginibre(rng, 3), scalar=2.5)
+    expected, parent, row_text = dumps_json(payload), os.getpid(), _forking._row_text
+
+    for dies in range(large + 1):
+        started = []
+
+        def dying(a, newline, opening="["):
+            if os.getpid() != parent and len(started) == dies:
+                os.kill(os.getpid(), signal.SIGKILL)
+            started.append(a.shape)
+            return row_text(a, newline, opening)
+
+        monkeypatch.setattr(_forking, "_row_text", dying)
+        children.fallbacks.clear()
+        assert forked_text(payload) == expected
+        assert children.fallbacks == [(8 + i - (8 + i) // 2, 4) for i in range(dies, large)]
+    assert len(children.pids) == (large + 1 if large else 0)
 
 
 def test_a_fork_that_fails_leaves_the_parent_to_format_its_rows(monkeypatch):
@@ -273,7 +306,7 @@ def test_the_parent_holds_one_row_or_chunk_not_the_childs_half(children):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert len(children.pids) == 4
+    assert len(children.pids) == 1
     assert children.fallbacks == []
     assert peak < half_matrix
 
