@@ -2,8 +2,9 @@
 splits that use it, one child each: to write a result's large matrices
 (`_split_pieces`), to read a large input file (`_split_matrix_from_text`),
 to share `classify`'s sign verdicts beside its spectral summary
-(`_split_classify`), to compute `drazin`'s core split beside its inverse
-(`_split_pair`) and to share a suite run's streams (`_split_streams`).
+(`_split_classify`) and to share independent streams of work
+(`_split_streams`): a suite run's streams, and `drazin`'s core split
+(stream 0) beside its inverse (stream 1).
 
 From a process's first fork on, the loaded OpenBLAS runs one thread in it
 and in each child (`_forked`), so the two processes never share the CPUs
@@ -279,40 +280,11 @@ def _split_classify(t: np.ndarray, p: np.ndarray, h: np.ndarray, m_max: int, tol
     return _classification_report(tuple(rows), summary or _spectral_summary(t, p, h, tol))
 
 
-def _split_pair(first: Callable[[], tuple], second: Callable[[], object]) -> tuple:
-    """``(first(), second())``, neither of which returns None, ``first()``
-    computed by a child (`_forked`), which pickles it back, while this
-    process computes ``second()`` with warnings raised.  Where the child
-    failed, or none was started, this process computes ``first()`` itself,
-    and where ``second()`` raised or warned it computes it again after
-    that, so errors and warnings come in the one-process order."""
-    import pickle
-
-    def send(shared) -> None:
-        data = pickle.dumps(first(), pickle.HIGHEST_PROTOCOL)
-        shared[:8] = len(data).to_bytes(8, "little")
-        shared[8 : 8 + len(data)] = data  # ValueError if it does not fit
-
-    sent = result = None
-    with _forked(send, 1 << 12, blas=True) as child:
-        if child is not None:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    result = second()
-            except Exception:
-                pass
-            shared = child[1]()
-            if shared is not None:
-                sent = pickle.loads(shared[8 : 8 + int.from_bytes(shared[:8], "little")])
-    return first() if sent is None else sent, second() if result is None else result
-
-
 # room for the child's records; a stream that does not fit is left to the parent
 _SUITE_SHARED = 1 << 24
 
 
-def _split_streams(stream_records: Callable[[int], list], count: int) -> list | None:
+def _split_streams(stream_records: Callable[[int], object], count: int) -> list | None:
     """``[stream_records(k) for k in range(count)]``, the child (`_forked`)
     taking streams upward from 0 and this process downward from the last,
     each claiming a stream's byte in a shared map before it starts it and

@@ -164,12 +164,12 @@ def _cmd_drazin(args) -> int:
         return split.index, split.orthogonal, int(split.t1.shape[0]), int(split.t2.shape[0])
 
     inverse = partial(_drazin_inverse, a, step, tol)
-    if a.size < _CLASSIFY_SPLIT:
-        (index, orthogonal, invertible, nilpotent), (td, residuals) = core(), inverse()
-    else:  # the core split in a child, beside the inverse
-        from ._forking import _split_pair  # on first use: see `_forking`
+    results = None
+    if a.size >= _CLASSIFY_SPLIT:  # the core split in a child, beside the inverse
+        from ._forking import _split_streams  # on first use: see `_forking`
 
-        (index, orthogonal, invertible, nilpotent), (td, residuals) = _split_pair(core, inverse)
+        results = _split_streams(lambda k: (core, inverse)[k](), 2)
+    (index, orthogonal, invertible, nilpotent), (td, residuals) = results or (core(), inverse())
     _emit(
         {
             "index": index,

@@ -10,8 +10,9 @@ Numerical conventions shared with `matrix_core`:
   IllConditionedWarning when one lies within 10x of g_k), and a block of
   T^k, or the k-th power of a block of T, vanishes at norm <= g_k
   (`_nilpotency`): it holds T's rounding, so its radius is ||T||, not its own,
-* powers come from `_matrix_power` (one T^n) and `_power_walk`, and an
-  overflow raises NumericalFailureError via `_finite`,
+* T^k comes from the walk's step, and the Drazin inverse's T^{k+1} and
+  T^{2k+1} one product each from it; `_matrix_power` forms only a block's
+  t2^n.  An overflow raises NumericalFailureError via `_finite`,
 * basis columns are phase-normalized (largest-modulus entry made real
   positive) so repeated runs produce identical bases,
 * on singular input the polar factor ``u`` vanishes on the orthogonal
@@ -103,15 +104,14 @@ def _canonical_phases(cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _drazin_residuals(a: np.ndarray, td: np.ndarray, index: int, tp: np.ndarray) -> tuple[dict, dict]:
+def _drazin_residuals(a: np.ndarray, td: np.ndarray, tp: np.ndarray, tq: np.ndarray) -> tuple[dict, dict]:
     """The norms of the three defining identities of the Drazin inverse
     (commutator T^D T - T T^D, inner inverse T^D T T^D - T^D and core
-    projection T^{k+1} T^D - T^k, k = ``index``) for a finite square ``a``,
-    a finite ``td`` of its shape and ``tp`` = `_matrix_power(a, index)`, and
-    the scale of each identity: the sum over its terms of the product of
-    their factors' Frobenius norms, which bound the spectral norms without
-    an SVD."""
-    tq = _matrix_power(a, index + 1)
+    projection T^{k+1} T^D - T^k, k the index) for a finite square ``a``, a
+    finite ``td`` of its shape and its powers ``tp`` = T^k and ``tq`` =
+    T^{k+1}, and the scale of each identity: the sum over its terms of the
+    product of their factors' Frobenius norms, which bound the spectral
+    norms without an SVD."""
     # in float64, so an overflow gives an infinite scale without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         fa, fd, fp, fq = (float(np.linalg.norm(x)) for x in (a, td, tp, tq))
@@ -144,13 +144,18 @@ def drazin_inverse(t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def _drazin_inverse(a: np.ndarray, step: tuple, tol: Tolerance) -> tuple[np.ndarray, dict]:
     """`drazin_inverse` of a validated square ``a``, given its walk ``step``
-    = `_power_rank(a, tol)` (its Drazin index k, rank T^k, gate g_k and
-    ||T||), with the residuals of its three identities."""
-    k, rank, gate, norm = step[0], step[2], step[3], step[4]
-    tk = _matrix_power(a, k)
+    = `_power_rank(a, tol)` (its Drazin index k, T^k, rank T^k, gate g_k
+    and ||T||), with the residuals of its three identities."""
+    k, tk, rank, gate, norm = step
+    if k == 0:  # T^0 = I, and T^{k+1} = T^{2k+1} = T
+        tk, tq, t2k1 = np.eye(a.shape[0], dtype=np.complex128), a, a
+    else:  # T^{k+1} = T^k T is the product the walk formed, and found finite, to decide k
+        with np.errstate(over="ignore", invalid="ignore"):
+            tq = tk @ a
+            t2k1 = _finite(tq @ tk, "operator power", {"power": 2 * k + 1})
     # rank T^{2k+1} = rank T^k: the walk's decision, not a second cutoff
-    td = tk @ _pinv(_matrix_power(a, 2 * k + 1), tol, rank) @ tk
-    residuals, scales = _drazin_residuals(a, td, k, tk)
+    td = tk @ _pinv(t2k1, tol, rank) @ tk
+    residuals, scales = _drazin_residuals(a, td, tk, tq)
     # in float64, so an overflow gives an infinite scale without a warning
     with np.errstate(over="ignore"):
         ceiling = 1.0 + float(np.float64(norm) ** (2 * k + 1))
@@ -213,7 +218,7 @@ def _core_nilpotent(a: np.ndarray, step: tuple, tol: Tolerance) -> CoreNilpotent
     """`core_nilpotent` of a validated square ``a``, given its walk ``step``
     = `_power_rank(a, tol)`."""
     d = a.shape[0]
-    p, _, r, gate, _ = step
+    p, tp, r, gate, _ = step
     if p == 0:
         return CoreNilpotent(
             index=0,
@@ -222,7 +227,7 @@ def _core_nilpotent(a: np.ndarray, step: tuple, tol: Tolerance) -> CoreNilpotent
             t2=np.zeros((0, 0), dtype=np.complex128),
             orthogonal=True,
         )
-    u, _, vh = np.linalg.svd(_matrix_power(a, p))
+    u, _, vh = np.linalg.svd(tp)
     range_basis = _canonical_phases(u[:, :r])
     null_basis = _canonical_phases(adjoint(vh)[:, r:])
     basis = np.hstack([range_basis, null_basis])

@@ -208,7 +208,11 @@ def gram_weight(t, n: int = 1) -> np.ndarray:
 
 def _gram_weight(t: np.ndarray, n: int) -> np.ndarray:
     """`gram_weight` of a finite square ``t``, exactly self-adjoint."""
-    tn = _matrix_power(t, n)
+    return _gram(_matrix_power(t, n), n)
+
+
+def _gram(tn: np.ndarray, n: int) -> np.ndarray:
+    """T*^n T^n of a finite power ``tn`` = T^n, exactly self-adjoint."""
     # T*^n T^n can overflow where T^n does not, and that is a numerical
     # failure, not a bad input
     with np.errstate(over="ignore", invalid="ignore"):

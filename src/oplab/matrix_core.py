@@ -10,12 +10,13 @@ shared conventions:
   array, which is bit for bit numpy's ``linalg.norm(a, 2)`` without that
   function's axis handling; every spectral norm in the package goes through
   it, so no caller guards against empty blocks,
-* the one way to form a power T^n, `_matrix_power`, which raises
-  DomainError on a negative or non-integral n, and the one walk of powers
-  T, T^2, ..., `_power_walk`, which yields each with its gate g_k =
+* one source per power: `_powers` forms T, T^2, ..., each one product
+  from the last, and `_power_walk` yields each with its gate g_k =
   cutoff(rho * sum_{j<k} ||T^j|| ||T^{k-1-j}||), T^0 = I, rho = ||T||: the
   first-order change of T^k when T moves by rel_eps * rho, a gate at the
-  tolerance and not a certificate (that needs a forward-error bound on T^k),
+  tolerance and not a certificate (that needs a forward-error bound on T^k);
+  `_matrix_power` (DomainError on a negative or non-integral n) squares
+  only where a caller's n enters or a block's power is checked,
 * one home per decision rule, which every such decision in the package
   goes through: rank in `_rank` (singular values at or below
   `Tolerance.cutoff`, ``max(rel_eps * sigma_max, abs_eps)``, are zero; on
@@ -205,35 +206,47 @@ def _as_integer(value, what: str) -> int:
     return int(value)
 
 
+def _exponent(n) -> int:
+    """``n`` as an operator power's exponent: an integer >= 0, else DomainError."""
+    n = _as_integer(n, "operator power")
+    if n < 0:
+        raise DomainError(f"operator power must be >= 0, got {n}")
+    return n
+
+
 def _matrix_power(a: np.ndarray, n: int) -> np.ndarray:
     """``a**n`` of a finite square ``a`` and an integer n >= 0.
 
     A negative n, which numpy would turn into a power of the inverse, raises
     DomainError; a power that overflows raises NumericalFailureError instead
     of numpy's overflow warnings."""
-    n = _as_integer(n, "operator power")
-    if n < 0:
-        raise DomainError(f"operator power must be >= 0, got {n}")
+    n = _exponent(n)
     with np.errstate(over="ignore", invalid="ignore"):
         power = np.linalg.matrix_power(a, n)
     return _finite(power, "operator power", {"power": n})
 
 
-def _power_walk(a: np.ndarray, tol: Tolerance) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
-    """T^k, its singular values and its gate g_k (see the module docstring)
-    for k = 1, 2, ... of a finite square ``a``, each power one product from
-    the last; an overflow raises NumericalFailureError, not numpy warnings."""
-    norms = [1.0]
+def _powers(a: np.ndarray) -> Iterator[np.ndarray]:
+    """T, T^2, ... of a finite square ``a``, each one product from the last
+    when it is asked for; an overflow raises NumericalFailureError."""
     power = a
-    for k in count(1):
+    for k in count(2):
+        yield power
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = power @ a
+        _finite(power, "operator power", {"power": k})
+
+
+def _power_walk(a: np.ndarray, tol: Tolerance) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """T^k from `_powers`, its singular values and its gate g_k (see the
+    module docstring) for k = 1, 2, ... of a finite square ``a``."""
+    norms = [1.0]
+    for k, power in enumerate(_powers(a), 1):
         s = _singular_values(power)
         norms.append(_largest(s))
         lower = norms[:k]
         gate = tol.cutoff(norms[1] * sum(x * y for x, y in zip(lower, reversed(lower))))
         yield power, s, gate
-        with np.errstate(over="ignore", invalid="ignore"):
-            power = power @ a
-        _finite(power, "operator power", {"power": k + 1})
 
 
 def _nilpotency(s: np.ndarray, gate: float) -> tuple[float, bool]:

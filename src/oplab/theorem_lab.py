@@ -25,11 +25,12 @@ premises on the ``orthogonal`` flag of the computed decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .decompositions import _block_drazin_inverse, _build_transform_bundle, _core_nilpotent, _power_rank, _split_power
-from .expansivity import EXPANSIVE, DefectSpec, _defect_order, _defect_pass, _gram_weight, _tilde
+from .expansivity import EXPANSIVE, DefectSpec, _defect_order, _defect_pass, _gram, _gram_weight, _tilde
 from .matrix_core import (
     DEFAULT_TOL,
     ZERO,
@@ -37,13 +38,14 @@ from .matrix_core import (
     Tolerance,
     _as_integer,
     _block_compose,
+    _exponent,
     _finite,
     _hermitian_gate,
     _hermitian_part,
-    _matrix_power,
     _nilpotency,
     _norm2,
     _power_walk,
+    _powers,
     _rank,
     _require_square,
     _sign_verdict,
@@ -111,8 +113,9 @@ def verify_power_stability(t, p, m: int, n_max: int, tol: Tolerance = DEFAULT_TO
         return _conclude("power_stability", False, True, witness)
     per_power = []
     holds = True
-    for n in range(2, n_max + 1):
-        result = _defect_pass(_matrix_power(spec.t, n), h, (spec.m,), tol)[0]
+    # zip asks for no power beyond T^{n_max}
+    for n, power in zip(range(2, n_max + 1), islice(_powers(spec.t), 1, None)):
+        result = _defect_pass(power, h, (spec.m,), tol)[0]
         expansive = EXPANSIVE in result.classification
         per_power.append({"n": n, "verdict": result.verdict.to_json(), "expansive": expansive})
         holds = holds and expansive
@@ -141,14 +144,16 @@ def verify_no_singular_expansive(t, m: int, tol: Tolerance = DEFAULT_TOL) -> The
     return _conclude("no_singular_expansive", kernel_dim >= 1, EXPANSIVE not in result.classification, witness)
 
 
-def _nilpotency_index(t2: np.ndarray, tol: Tolerance) -> int:
-    """Smallest q <= dim t2 with `_nilpotency` deciding t2^q = 0, from one
-    `_power_walk` of t2; else PreconditionError."""
+def _nilpotency_index(t2: np.ndarray, tol: Tolerance) -> tuple[int, np.ndarray]:
+    """The smallest q <= dim t2 with `_nilpotency` deciding t2^q = 0, and
+    t2^{q-1} (I at q <= 1), from one `_power_walk` of t2; else PreconditionError."""
+    edge = np.eye(t2.shape[0], dtype=np.complex128)
     if t2.shape[0] == 0:
-        return 0
-    for q, (_, s, gate) in zip(range(1, t2.shape[0] + 1), _power_walk(t2, tol)):
+        return 0, edge
+    for q, (power, s, gate) in zip(range(1, t2.shape[0] + 1), _power_walk(t2, tol)):
         if _nilpotency(s, gate)[1]:
-            return q
+            return q, edge
+        edge = power
     raise PreconditionError("second block is not nilpotent")
 
 
@@ -169,9 +174,9 @@ def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL)
     Both implications are evaluated on the instance; each is vacuous when its
     antecedent fails.  The nilpotent induction anchor
     t2^{*(q-1)} P22 t2^{q-1} <= 0 is checked alongside the forward direction.
-    q, the nilpotency index of t2, comes from the one power walk, of t2; the
-    Drazin inverse is t1^-1 (+) 0, taken from the blocks
-    (`_block_drazin_inverse`), so no power of the composed T is formed.
+    q, the nilpotency index of t2, and the anchor's t2^{q-1} come from the
+    one power walk, of t2; the Drazin inverse is t1^-1 (+) 0, taken from the
+    blocks (`_block_drazin_inverse`), so no power of the composed T is formed.
     """
     m = _defect_order(m)
     a1, a2, p = map(as_matrix, (t1, t2, p))
@@ -182,7 +187,7 @@ def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL)
         raise PreconditionError(f"weight shape {p.shape} does not match block dimensions {(d1 + d2,)}")
     if _rank(_singular_values(a1), tol) < d1:
         raise PreconditionError("invertible block is numerically singular")
-    q = _nilpotency_index(a2, tol)
+    q, edge = _nilpotency_index(a2, tol)
     h = _psd_weight(p, tol)
 
     z12 = np.zeros((d1, d2), dtype=np.complex128)
@@ -199,12 +204,10 @@ def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL)
     off_norm = max(_norm2(p[:d1, d1:]), _norm2(p[d1:, :d1]), _norm2(p22))
     supported = off_norm <= _gate(tol, scale_p)
 
-    anchor_nsd = True
-    if q >= 1 and d2 >= 1:
-        edge = _matrix_power(a2, q - 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            anchor = _hermitian_part(adjoint(edge) @ p22 @ edge)
-        anchor_nsd = _sign_verdict(_finite(anchor, "chain anchor", {"power": q - 1}), tol).is_nsd
+    # an empty t2 has an empty anchor, which is NSD
+    with np.errstate(over="ignore", invalid="ignore"):
+        anchor = _hermitian_part(adjoint(edge) @ p22 @ edge)
+    anchor_nsd = _sign_verdict(_finite(anchor, "chain anchor", {"power": q - 1}), tol).is_nsd
 
     forward_applicable = expansive
     forward_holds = supported and tilde_nsd and anchor_nsd
@@ -343,9 +346,11 @@ def verify_transform_bundle(t, n: int, m: int, tol: Tolerance = DEFAULT_TOL) -> 
     """
     m = _defect_order(m)
     a = _require_square(as_matrix(t))
-    premise = _defect_pass(a, _gram_weight(a, n), (m,), tol)[0]
-    n = _split_power(n)
-    bundle = _build_transform_bundle(a, n, _power_rank(a, tol, n), tol)
+    # n is checked as the premise weight's power first, then as the split's
+    n = _split_power(_exponent(n))
+    step = _power_rank(a, tol, n)
+    premise = _defect_pass(a, _gram(step[1], n), (m,), tol)[0]
+    bundle = _build_transform_bundle(a, n, step, tol)
 
     # the weights c, d (_hermitian_part results) and q = p1 (+) I are exactly self-adjoint
     defect_a = _defect_pass(bundle.a, bundle.c, (m,), tol)[0]

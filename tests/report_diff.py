@@ -329,9 +329,10 @@ def _collect_in(tree: Path, matrix: str) -> subprocess.Popen:
 def collect_trees(trees, matrix: str) -> list:
     """The records of ``matrix`` under each tree, collected side by side."""
     runs = [_collect_in(Path(tree).resolve(), matrix) for tree in trees]
+    # every collector is reaped before any failure is raised
+    outputs = [run.communicate() for run in runs]
     records = []
-    for tree, run in zip(trees, runs):
-        out, err = run.communicate()
+    for tree, run, (out, err) in zip(trees, runs, outputs):
         if run.returncode != 0:
             raise RuntimeError(f"collecting under {tree} failed (exit {run.returncode}):\n{err[-2000:]}")
         records.append(json.loads(out.splitlines()[-1]))

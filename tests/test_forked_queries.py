@@ -1,8 +1,8 @@
 """The CLI's query splits through the fork helper `_forking._forked`:
 `classify`'s sign verdicts shared with a child that computes the spectral
 summary (`_forking._split_classify`), `drazin`'s core split in a child
-beside the inverse (`_forking._split_pair`), one fork per stage of each
-query, and the BLAS pool they run under.
+beside the inverse (streams 0 and 1 of `_forking._split_streams`), one
+fork per stage of each query, and the BLAS pool they run under.
 
 Each must give what the one-process path gives, bit for bit, or the same
 error and exit code; most cases run on small operators, with the split

@@ -163,6 +163,35 @@ def test_space_json_forbids_at_the_row_break_is_an_error(children, texts, space)
         assert expected[:2] == ("error", json.JSONDecodeError)
 
 
+def test_the_parent_parses_only_the_upper_half(children, monkeypatch, narrow):
+    # a split that quietly parsed everything here would give the same array
+    _, obj, rows = narrow
+    parent, real, parsed = os.getpid(), _forking._half_rows, []
+
+    def half_rows(text, cols):
+        if os.getpid() == parent:
+            parsed.append(text)
+        return real(text, cols)
+
+    monkeypatch.setattr(_forking, "_half_rows", half_rows)
+    expected = assert_reads_as_one_process(compact(rows), 1, children)
+    assert expected[:2] == ("array", (D, 4))
+    [upper] = parsed
+    count, _ = real(upper, 4)
+    assert 0 < count < D and json.loads(upper) == obj["data"][:count]
+
+
+def _beyond_the_map(shared):
+    shared[:8] = len(shared).to_bytes(8, "little")
+
+
+def test_a_child_claiming_rows_beyond_its_map_leaves_the_parent_to_parse_them(children, monkeypatch, narrow):
+    _, _, rows = narrow
+    forked = _forking._forked
+    monkeypatch.setattr(_forking, "_forked", lambda work, size, **kw: forked(_beyond_the_map, size, **kw))
+    assert assert_reads_as_one_process(compact(rows), 1, children)[:2] == ("array", (D, 4))
+
+
 def test_integer_minus_zero_reads_as_plus_zero(children, narrow):
     _, obj, rows = narrow
     changed = {i: first_entry(obj["data"][i], [SENTINEL, SENTINEL]) for i in (UPPER, LOWER)}

@@ -639,8 +639,8 @@ def _matmul_operands(node):
 
 
 class _DirectLinalgCalls(ast.NodeVisitor):
-    """Every ``np.linalg.matrix_power`` call, every ``np.linalg.norm`` call
-    given an ``ord``, every import or attribute named ``comb``, every
+    """Every ``np.linalg.matrix_power`` and ``_matrix_power`` call, every
+    ``np.linalg.norm`` call given an ``ord``, every import or attribute named ``comb``, every
     ``.cutoff(``, ``.power_gate(``, ``.tolist(`` and ``.matrix_to_json(``
     call, every ``NumericalFailureError(`` and ``matrix_to_json(`` call, every difference
     ``x - adjoint(y)`` ("M - M*"), every string
@@ -690,7 +690,7 @@ class _DirectLinalgCalls(ast.NodeVisitor):
         f = node.func
         if isinstance(f, ast.Attribute) and f.attr in ("cutoff", "power_gate", "tolist", "matrix_to_json"):
             self.found.append((self.scope[-1], f.attr))
-        if isinstance(f, ast.Name) and f.id in ("NumericalFailureError", "matrix_to_json"):
+        if isinstance(f, ast.Name) and f.id in ("NumericalFailureError", "matrix_to_json", "_matrix_power"):
             self.found.append((self.scope[-1], f.id))
         if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Attribute) and f.value.attr == "linalg"
                 and isinstance(f.value.value, ast.Name) and f.value.value.id in ("np", "numpy")):
@@ -701,8 +701,11 @@ class _DirectLinalgCalls(ast.NodeVisitor):
 
 
 def test_spectral_norms_and_powers_go_through_matrix_core():
-    # `_matrix_power` forms one power T^n and `_power_walk` is the one walk
-    # of powers T, T^2, ..., the only self-update x = x @ y.  The cutoff is
+    # `_powers` forms T, T^2, ..., each one product from the last, the only
+    # self-update x = x @ y, and `_power_walk` reads it.  `_matrix_power`
+    # forms one T^n by repeated squaring only where a caller's n enters (a
+    # defect's T^n, a gram weight) or a block's power t2^n is checked; every
+    # call site is named below.  The cutoff is
     # read in `_rank` and in the walk alone, which forms the gate g_k of
     # every decision on a power; power_gate is gone and must not return.
     # Each other decision rule has one home too: X^q = 0 in `_nilpotency`,
@@ -722,7 +725,11 @@ def test_spectral_norms_and_powers_go_through_matrix_core():
     # matrix_to_json.
     allowed = {
         ("matrix_core.py", "_matrix_power", "matrix_power"),
-        ("matrix_core.py", "_power_walk", "x @ x"),
+        ("expansivity.py", "_spec_pass", "_matrix_power"),
+        ("expansivity.py", "_gram_weight", "_matrix_power"),
+        ("decompositions.py", "_core_nilpotent", "_matrix_power"),
+        ("decompositions.py", "_range_kernel_split", "_matrix_power"),
+        ("matrix_core.py", "_powers", "x @ x"),
         ("matrix_core.py", "_rank", "cutoff"),
         ("matrix_core.py", "_power_walk", "cutoff"),
         ("matrix_core.py", "_hermitian_gate", "M - M*"),

@@ -4,6 +4,7 @@ moved with the gate of the decision it feeds, calls a flipped decision a
 verdict difference, and fails on a tree under which tests/test_cli.py cannot
 be collected."""
 
+import os
 import shutil
 from pathlib import Path
 
@@ -72,4 +73,10 @@ def test_a_tree_that_test_cli_cannot_be_collected_under_fails_the_audit(tmp_path
                       "GENERATOR_VERSION = 2\nraise ImportError('planted')\n")
     with pytest.raises(RuntimeError, match="pytest did not run .*test_cli.py: INTERRUPTED"):
         report_diff.collect_trees((broken,), "full")
-    assert report_diff.main([str(broken), str(broken)]) == 2
+    # the second tree fails a second later, so its collector still runs when
+    # the first fails; it must be reaped before the audit returns
+    slow = _planted(tmp_path, "slow", "generators.py", "GENERATOR_VERSION = 2\n",
+                    "GENERATOR_VERSION = 2\nimport time\ntime.sleep(1)\nraise ImportError('planted')\n")
+    assert report_diff.main([str(broken), str(slow)]) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -183,7 +183,7 @@ def test_weight_decomposition_takes_the_drazin_inverse_from_its_blocks(monkeypat
     assert not td[d1:].any() and not td[:, d1:].any()
     # ||T|| <= 1.5 and ||T^D|| = 1 here, and the residuals are about 1e-15
     q = v.witness["nilpotency_index"]
-    residuals, _ = _drazin_residuals(t, td, q, np.linalg.matrix_power(t, q))
+    residuals, _ = _drazin_residuals(t, td, *(np.linalg.matrix_power(t, k) for k in (q, q + 1)))
     assert max(residuals.values()) <= 1e-13
 
 
@@ -207,7 +207,7 @@ def test_weight_decomposition_walks_only_the_nilpotent_block(monkeypatch):
     assert v.premises_met and v.holds
     assert walked == [t2.shape]
     assert pinvs == []
-    assert powers == [t2.shape]  # the chain anchor's t2^(q-1)
+    assert powers == []  # the chain anchor's t2^(q-1) comes from the walk
 
 
 @pytest.mark.parametrize("failure", ["inaccurate", "singular"])
@@ -231,6 +231,22 @@ def test_transform_bundle_overflowing_block_is_typed():
     # T = [[0, 1e200], [0, 0]]: the coupling X = 1e200 is finite, X*X is not
     with pytest.raises(NumericalFailureError, match=r"transform bundle overflows: \{'power': 1\}"):
         build_transform_bundle(np.diag([1e200], k=1), 1)
+
+
+@pytest.mark.parametrize(
+    "n, error, message",
+    [
+        (-1, DomainError, "operator power must be >= 0, got -1"),
+        (0, PreconditionError, "power must be >= 1, got 0"),
+        (1.5, DomainError, "operator power must be an integer, got 1.5"),
+        (True, DomainError, "operator power must be an integer, got True"),
+    ],
+)
+def test_transform_bundle_bad_power_is_checked_as_the_premise_weight_checks_it(n, error, message):
+    # the premise weight T*^n T^n takes T^n from the bundle's walk, yet n is
+    # still checked as an operator power first, then as the split's power
+    with pytest.raises(error, match=f"^{message}$"):
+        verify_transform_bundle(np.array([[1.0, 2.0], [0.0, 0.0]]), n, 2)
 
 
 @pytest.mark.parametrize(
@@ -363,7 +379,10 @@ def test_nilpotency_index_of_a_long_jordan_chain(index):
     # the gate must follow the error made in forming N^q, not grow like
     # (1 + ||N||)^q
     t2 = gen_nilpotent(1, 32, index)
-    assert _nilpotency_index(t2, DEFAULT_TOL) == _gated_nilpotency_index(t2) == index
+    q, edge = _nilpotency_index(t2, DEFAULT_TOL)
+    assert q == _gated_nilpotency_index(t2) == index
+    # with it the walk's t2^(q-1), the chain anchor's power
+    np.testing.assert_allclose(edge, np.linalg.matrix_power(t2, index - 1), rtol=0.0, atol=1e-12)
 
 
 def test_two_expansive_isometry_unitary():
