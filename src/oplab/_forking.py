@@ -4,19 +4,20 @@ splits that use it, one child each: to write a result's large matrices
 to share `classify`'s sign verdicts beside its spectral summary
 (`_split_classify`) and to share independent streams of work
 (`_split_streams`): a suite run's streams, and `drazin`'s core split
-(stream 0) beside its inverse (stream 1).
+(stream 0) beside its inverse (stream 1).  The OS scheduler places the
+parent and the child.
 
-From a process's first fork on, the loaded OpenBLAS runs one thread in it
-and in each child (`_forked`), so the two processes never share the CPUs
-among more BLAS threads than there are CPUs; where no thread setter is
-found and the pool is not known to run one thread, the splits whose child
-calls BLAS run in one process.
+From a process's first split on, forked or not, the loaded OpenBLAS runs
+one thread in it and in each child (`_forked`), so the two processes never
+share the CPUs among more BLAS threads than there are CPUs, and a split
+writes the same bytes whether or not it starts a child; where no thread
+setter is found and the pool is not known to run one thread, the splits
+whose child calls BLAS run in one process.
 
-`matrix_core._forked_json_pieces`, `matrix_core._forked_matrix_from_text`,
-`cli._classify`, `cli._cmd_drazin` and `cli._cmd_suite` import this module
-on first use, for a payload, a text, an operator or a suite run at or above
-their split sizes, so small suites, one-shot queries of small matrices and
-the library never compile or load it.
+Only `cli` imports this module, on first use, for a payload, a text, an
+operator or a suite run at or above its split sizes, which all live there,
+so small suites, one-shot queries of small matrices and the library never
+compile or load it.
 """
 
 from __future__ import annotations
@@ -335,28 +336,29 @@ def _split_streams(stream_records: Callable[[int], object], count: int) -> list 
 
 @contextmanager
 def _forked(work: Callable[[mmap.mmap], None], size: int, blas: bool = False) -> Iterator[tuple | None]:
-    """Run ``work(shared)`` in a forked child on one CPU, ``shared`` a new
-    anonymous shared mmap of ``size`` bytes, while the caller goes on on the
-    other CPUs: the one way this package forks, for the CLI's large inputs
-    and results, `classify`'s and `drazin`'s queries and suite streams.
+    """Run ``work(shared)`` in a forked child, ``shared`` a new anonymous
+    shared mmap of ``size`` bytes, while the caller goes on: the one way
+    this package forks, for the CLI's large inputs and results,
+    `classify`'s and `drazin`'s queries and suite streams.
 
-    Yields ``(shared, wait)``: ``wait`` reaps the child, gives the calling
-    thread back its CPUs and returns ``shared`` if the child exited 0, else
-    None.  Or yields None when no child was started: where ``os`` has no
-    ``fork``, the process may run on fewer than 2 CPUs
-    (``os.sched_getaffinity``), another Python thread runs (whose locks a
-    child could find held), the mmap or the process cannot be had, or
-    ``work`` calls BLAS (``blas``) and the loaded BLAS has no known thread
-    setter (`_blas_pool`) and is not known to run 1 thread.  Either way the
-    caller does the child's work itself.  ``shared`` closes when the block
-    is left (or once the last view of it goes), and a child still running
-    then is killed and reaped.
+    Yields ``(shared, wait)``: ``wait`` reaps the child and returns
+    ``shared`` if the child exited 0, else None.  Or yields None when no
+    child was started: where ``os`` has no ``fork``, the process may run on
+    fewer than 2 CPUs (``os.sched_getaffinity``), another Python thread runs
+    (whose locks a child could find held), the mmap or the process cannot
+    be had, or ``work`` calls BLAS (``blas``) and the loaded BLAS has no
+    known thread setter (`_blas_pool`) and is not known to run 1 thread.
+    Either way the caller does the child's work itself.  ``shared`` closes
+    when the block is left (or once the last view of it goes), and a child
+    still running then is killed and reaped.
 
-    From its first fork on, the process runs the BLAS pool at 1 thread,
-    and so does each child: with a thread per CPU in each process, their
-    threads outnumber the CPUs, and a d = 256 `classify` took 33 s, not
-    0.8 s.  Keeping 1 thread after the reap too beat setting the pool back
-    there (`classify --m-max 20` at d = 256: 0.58 against 0.64 s).
+    From its first call on, forked or not, the process runs the BLAS pool
+    at 1 thread, and so does each child: with a thread per CPU in each
+    process, their threads outnumber the CPUs, and a d = 256 `classify`
+    took 33 s, not 0.8 s.  Setting it before the fork decision keeps a
+    split that starts no child on the pool, and so on the bytes, of one
+    that does.  Keeping 1 thread after the reap too beat setting the pool
+    back there (`classify --m-max 20` at d = 256: 0.58 against 0.64 s).
 
     The child exits 0 only if ``work`` returns.  It runs with its cyclic GC
     off, as a collection would walk every inherited object and copy its
@@ -364,22 +366,19 @@ def _forked(work: Callable[[mmap.mmap], None], size: int, blas: bool = False) ->
     raised, not shown: a child that would warn fails, and the caller, doing
     the work itself, shows the warning once.
     """
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    pool = _blas_pool()
+    if pool is not None:
+        pool(1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 0
     threads = sys.modules.get("threading")
     child = None
-    if hasattr(os, "fork") and len(cpus) >= 2 and (threads is None or threads.active_count() == 1):
-        pool = _blas_pool()
-        if pool is not None:
-            pool(1)
+    if hasattr(os, "fork") and cpus >= 2 and (threads is None or threads.active_count() == 1):
         if pool is not None or not blas or {os.environ.get(name) for name in _BLAS_VARIABLES} - {None} == {"1"}:
-            child = _start_child(work, size, max(cpus))
+            child = _start_child(work, size)
     if child is None:
         yield None
         return
     pid, shared = child
-    # the scheduler can leave both processes on one CPU and the other idle
-    # for a whole matrix (seen on a 2-core VM), so each gets its own
-    _pin(cpus - {max(cpus)})
 
     def wait() -> mmap.mmap | None:
         nonlocal pid
@@ -389,7 +388,6 @@ def _forked(work: Callable[[mmap.mmap], None], size: int, blas: bool = False) ->
         except ChildProcessError:  # reaped elsewhere, as when SIGCHLD is ignored: its status is lost
             ok = False
         pid = 0
-        _pin(cpus)
         return shared if ok else None
 
     try:
@@ -403,7 +401,6 @@ def _forked(work: Callable[[mmap.mmap], None], size: int, blas: bool = False) ->
                 os.waitpid(pid, 0)
             except ChildProcessError:
                 pass
-            _pin(cpus)
         try:
             shared.close()
         except BufferError:  # a caller's view of it is still held, as in an error's traceback
@@ -422,8 +419,8 @@ _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 def _blas_pool() -> Callable[[int], None] | None:
     """The thread-count setter of the BLAS that numpy loaded, found by
     symbol through numpy's core extension, which links it; None where there
-    is none of `_BLAS_SETTERS`.  Looked up at a process's first fork, so a
-    command that forks nothing never looks it up."""
+    is none of `_BLAS_SETTERS`.  Looked up at a process's first split, so a
+    command that splits nothing never looks it up."""
     try:
         import ctypes
 
@@ -436,19 +433,10 @@ def _blas_pool() -> Callable[[int], None] | None:
     return None
 
 
-def _pin(cpus: set) -> None:
-    """Run the calling thread on ``cpus``; a CPU that cannot be had leaves
-    it where it was."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
-
-
-def _start_child(work: Callable[[mmap.mmap], None], size: int, cpu: int) -> tuple[int, mmap.mmap] | None:
+def _start_child(work: Callable[[mmap.mmap], None], size: int) -> tuple[int, mmap.mmap] | None:
     """(pid, mmap) of a child running ``work`` on a new anonymous shared mmap
-    of ``size`` bytes, pinned to ``cpu``, or None when the mmap or the
-    process cannot be had.  In the child it never returns."""
+    of ``size`` bytes, or None when the mmap or the process cannot be had.
+    In the child it never returns."""
     import mmap  # on first use: a process may load this module and never fork
 
     try:
@@ -465,7 +453,6 @@ def _start_child(work: Callable[[mmap.mmap], None], size: int, cpu: int) -> tupl
     code = 1
     try:
         gc.disable()
-        _pin({cpu})
         np.seterr(**{kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"})
         warnings.simplefilter("error")
         work(shared)

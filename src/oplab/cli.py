@@ -17,20 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from functools import cache, partial
 
 import numpy as np
 
 from . import __version__
-from .expansivity import (
-    ClassificationReport,
-    DefectSpec,
-    _classification_report,
-    _classification_rows,
-    _spectral_summary,
-    defect,
-    gram_weight,
-)
+from .expansivity import ClassificationReport, DefectSpec, classify, defect, gram_weight
 from .matrix_core import (
     DecompositionError,
     GenerationError,
@@ -38,10 +31,12 @@ from .matrix_core import (
     NumericalFailureError,
     OplabError,
     Tolerance,
-    _forked_json_pieces,
-    _forked_matrix_from_text,
     _hermitian_gate,
+    _joined,
     _require_square,
+    _row_text,
+    _write,
+    matrix_from_json,
 )
 
 # the --suite choices, `suite.THEOREM_IDS` (a test holds them equal), written
@@ -69,6 +64,25 @@ class _OutputError(OplabError):
     """The result could not be written: a usage error, not a parse error."""
 
 
+# `_forked_matrix_from_text` splits a text of at least this many characters.
+# On a 2-core x86_64 host, in a process holding 150k tracked objects, the
+# 749 kB text of a 128 x 128 matrix (compact `json.dump`) took 28-29 ms to
+# read in one process and 23-25 ms split, 573 kB (112 x 112) 16-20 against
+# 21-24 ms, and 3.0 MB (256 x 256) 108-145 against 81-86 ms.
+_SPLIT_TEXT = 640 * 1024
+
+
+def _forked_matrix_from_text(text: str) -> np.ndarray:
+    """``matrix_from_json(json.loads(text))``, parsed by two processes
+    (`_forking._split_matrix_from_text`) when ``text`` has at least
+    `_SPLIT_TEXT` characters."""
+    if len(text) < _SPLIT_TEXT:
+        return matrix_from_json(json.loads(text))
+    from ._forking import _split_matrix_from_text  # on first use: see `_forking`
+
+    return _split_matrix_from_text(text)
+
+
 def _load_matrix(path: str) -> np.ndarray:
     """The matrix in the JSON file ``path``, a large one parsed in two
     processes (`_forked_matrix_from_text`)."""
@@ -87,6 +101,35 @@ def _resolve_weight(spec: str, t: np.ndarray, n: int) -> np.ndarray:
 
 def _tolerance(args) -> Tolerance:
     return Tolerance(rel_eps=args.rel_eps, abs_eps=args.abs_eps)
+
+
+# `_forked_json_pieces` splits a matrix of at least this many entries.  On a
+# 2-core x86_64 host, formatting a 128 x 128 matrix took 43-46 ms in one
+# process and 31-36 ms split (a fork, the child's start and its reaping cost
+# about 5 ms in a 150 MB process); at 96 x 96 the split saved about 6 of
+# 24 ms, within the host's noise.  Suite reports hold no matrices.
+_SPLIT_ENTRIES = 128 * 128
+
+
+def _forked_json_pieces(payload) -> Iterator[str]:
+    """`matrix_core.json_pieces`, with the lower halves of the payload's
+    matrices of at least `_SPLIT_ENTRIES` entries and 2 rows formatted by
+    one forked child (`_forking._split_pieces`)."""
+    large = []
+
+    def rows(a: np.ndarray, newline: str):
+        if a.size < _SPLIT_ENTRIES or a.shape[0] < 2:
+            return _row_text(a, newline)
+        large.append((a, newline))
+        return len(large) - 1  # where `_split_pieces` puts that matrix's rows
+
+    out = []
+    _write(payload, "\n", out, rows)
+    if not large:
+        return _joined(out)
+    from ._forking import _split_pieces  # on first use: see `_forking`
+
+    return _split_pieces(out, large)
 
 
 def _emit(payload: dict, output: str | None) -> None:
@@ -124,14 +167,12 @@ def _classify(t: np.ndarray, p: np.ndarray, m_max: int, tol: Tolerance) -> Class
     """`expansivity.classify`, its sign verdicts and spectral summary shared
     with a child (`_forking._split_classify`) when T has at least
     `_CLASSIFY_SPLIT` entries."""
+    if t.size < _CLASSIFY_SPLIT:
+        return classify(t, p, m_max, tol)
     spec = DefectSpec(t=t, p=p, m=m_max)
-    h = _hermitian_gate(spec.p, tol)
-    if spec.t.size < _CLASSIFY_SPLIT:
-        rows = _classification_rows(spec.t, h, spec.m, tol)
-        return _classification_report(rows, _spectral_summary(spec.t, spec.p, h, tol))
     from ._forking import _split_classify  # on first use: see `_forking`
 
-    return _split_classify(spec.t, spec.p, h, spec.m, tol)
+    return _split_classify(spec.t, spec.p, _hermitian_gate(spec.p, tol), spec.m, tol)
 
 
 def _cmd_classify(args) -> int:

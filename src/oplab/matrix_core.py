@@ -31,22 +31,16 @@ shared conventions:
   which are written as their `matrix_to_json` objects straight from the
   array's floats, a row at a time from one ``%r`` template per matrix, so
   the text held at once is one row, not the result; `matrix_to_json` builds
-  those objects in Python for library users and round trips.  The CLI
-  writes with `_forked_json_pieces`, the same pieces but with the lower
-  halves of a payload's large matrices formatted by one forked child while
-  this process formats their upper halves, by the same row formatter, and
-  reads with `_forked_matrix_from_text`, `matrix_from_json` of a large text
-  whose two halves of rows are parsed in two processes; both hand a large
-  payload or text to `oplab._forking`, which holds the one fork helper.
+  those objects in Python for library users and round trips.  `_write`
+  takes the row formatter as an argument, so the CLI's writer (`cli._emit`)
+  can hand a large matrix's rows to a forked child with the same pieces.
 
-All functions but `_forked_json_pieces` and `_forked_matrix_from_text`,
-which may fork, are pure: inputs are never mutated and there is no module
-state, so values can be shared freely across threads.
+All functions are pure: inputs are never mutated and there is no module
+state, so values can be shared freely across threads.  None of them forks.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -456,28 +450,6 @@ def json_pieces(payload) -> Iterator[str]:
     return _joined(out)
 
 
-def _forked_json_pieces(payload) -> Iterator[str]:
-    """`json_pieces`, with the lower halves of the payload's matrices of at
-    least `_SPLIT_ENTRIES` entries and 2 rows formatted by one forked child
-    (`_forking._split_pieces`); the CLI writes its results with it, and no
-    library function does."""
-    large = []
-
-    def rows(a: np.ndarray, newline: str):
-        if a.size < _SPLIT_ENTRIES or a.shape[0] < 2:
-            return _row_text(a, newline)
-        large.append((a, newline))
-        return len(large) - 1  # where `_split_pieces` puts that matrix's rows
-
-    out = []
-    _write(payload, "\n", out, rows)
-    if not large:
-        return _joined(out)
-    from ._forking import _split_pieces  # on first use: see `_forking`
-
-    return _split_pieces(out, large)
-
-
 def _joined(out: list) -> Iterator[str]:
     # anything but a string is an array's rows, formatted as they are read
     return chain.from_iterable((piece,) if isinstance(piece, str) else piece for piece in out)
@@ -505,8 +477,8 @@ def _scalar(value) -> str:
 def _write(value, newline: str, out: list, rows) -> None:
     """The one JSON writer: append the text of ``value``, first line indented
     by ``newline``, to ``out``; an array's, checked on the call, with its rows
-    written by ``rows`` (`_row_text`, or what `_forked_json_pieces` puts in
-    their place) as the pieces are read, or now where ``rows`` is None."""
+    written by ``rows`` (`_row_text`, or what the CLI's writer puts in their
+    place) as the pieces are read, or now where ``rows`` is None."""
     inner = newline + "  "
     if isinstance(value, dict) and value:
         separator, following = "{" + inner, "," + inner
@@ -556,32 +528,6 @@ def _row_text(a: np.ndarray, newline: str, opening: str = "[") -> Iterator[str]:
     for row in np.ascontiguousarray(a).view(np.float64):
         yield separator + template % tuple(row.tolist())
         separator = "," + newline
-
-
-# `_forked_json_pieces` splits a matrix of at least this many entries.  On a
-# 2-core x86_64 host, formatting a 128 x 128 matrix took 43-46 ms in one
-# process and 31-36 ms split (a fork, the child's start and its reaping cost
-# about 5 ms in a 150 MB process); at 96 x 96 the split saved about 6 of
-# 24 ms, within the host's noise.  Suite reports hold no matrices.
-_SPLIT_ENTRIES = 128 * 128
-# `_forked_matrix_from_text` splits a text of at least this many characters.
-# On a 2-core x86_64 host, in a process holding 150k tracked objects, the
-# 749 kB text of a 128 x 128 matrix (compact `json.dump`) took 28-29 ms to
-# read in one process and 23-25 ms split, 573 kB (112 x 112) 16-20 against
-# 21-24 ms, and 3.0 MB (256 x 256) 108-145 against 81-86 ms.
-_SPLIT_TEXT = 640 * 1024
-
-
-def _forked_matrix_from_text(text: str) -> np.ndarray:
-    """``matrix_from_json(json.loads(text))``, parsed by two processes
-    (`_forking._split_matrix_from_text`) when ``text`` has at least
-    `_SPLIT_TEXT` characters; the CLI reads its input files with it, and no
-    library function does."""
-    if len(text) < _SPLIT_TEXT:
-        return matrix_from_json(json.loads(text))
-    from ._forking import _split_matrix_from_text
-
-    return _split_matrix_from_text(text)
 
 
 def _json_key(key) -> str:

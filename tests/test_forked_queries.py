@@ -261,7 +261,6 @@ import numpy as np
 from oplab import _forking, cli, decompositions, suite
 
 os.sched_getaffinity = lambda pid: {0, 1}
-os.sched_setaffinity = lambda pid, cpus: None
 library = ctypes.CDLL(np._core._multiarray_umath.__file__)
 names = [name for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads") if hasattr(library, name)]
 get = getattr(library, names[0]) if names else lambda: None
@@ -294,15 +293,20 @@ print(json.dumps({"codes": codes, "before": before, "setter": _forking._blas_poo
 """
 
 
-def test_the_splits_run_blas_on_one_thread_in_both_processes(tmp_path, kernel_file):
-    # the BLAS variables removed, as in a shell that sets none: the pool
-    # starts with a thread per CPU
+def fresh_process(script: str, *args) -> subprocess.CompletedProcess:
+    """``script`` run with ``args`` in a new interpreter that imports this
+    tree's oplab, the BLAS variables removed, as in a shell that sets none:
+    the pool starts with a thread per CPU."""
     env = {name: value for name, value in os.environ.items()
            if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join([str(Path(oplab.__file__).parents[1]), str(Path(__file__).parent)])
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
+def test_the_splits_run_blas_on_one_thread_in_both_processes(tmp_path, kernel_file):
     log = tmp_path / "log"
-    proc = subprocess.run([sys.executable, "-c", _BLAS_RUN, str(kernel_file), str(log), str(tmp_path / "out.json")],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = fresh_process(_BLAS_RUN, kernel_file, log, tmp_path / "out.json")
     assert proc.returncode == 0, proc.stderr
     run = json.loads(proc.stdout)
     assert run["codes"] == [0, 0, 0]
@@ -315,3 +319,39 @@ def test_the_splits_run_blas_on_one_thread_in_both_processes(tmp_path, kernel_fi
         pids = {pid for kind, pid, _ in calls if kind == what}
         assert run["parent"] in pids and len(pids) == 2, what
     assert {threads for _, _, threads in calls} == {1}
+
+
+_THREAD_RUN = """
+import hashlib, json, sys, threading
+from oplab import _forking, cli
+
+matrix, out = sys.argv[1], sys.argv[2]
+started, start = [], _forking._start_child
+_forking._start_child = lambda *args: started.append(1) or start(*args)
+
+def run():
+    code = cli.main(["classify", "--matrix", matrix, "--m-max", "20", "--output", out])
+    with open(out, "rb") as handle:
+        return code, hashlib.sha256(handle.read()).hexdigest(), len(started)
+
+release = threading.Event()
+other = threading.Thread(target=release.wait, args=(300,))
+other.start()
+alone = run()
+release.set()
+other.join(60)
+print(json.dumps({"alone": alone, "split": run(), "setter": _forking._blas_pool() is not None}))
+"""
+
+
+def test_a_split_with_another_thread_alive_writes_the_split_bytes(tmp_path, queries):
+    # a process's first split starts no child while another thread runs; it
+    # must still run the pool the split runs, or the last bits move
+    proc = fresh_process(_THREAD_RUN, queries / "u.json", tmp_path / "out.json")
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    (code, alone, forks), (split_code, split, split_forks) = run["alone"], run["split"]
+    assert code == split_code == 0 and forks == 0
+    assert alone == split
+    if run["setter"] and len(os.sched_getaffinity(0)) >= 2:
+        assert split_forks == 2

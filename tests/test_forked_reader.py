@@ -1,5 +1,5 @@
 """The CLI's two other splits through the fork helper `_forking._forked`:
-reading a large matrix file (`matrix_core._forked_matrix_from_text`, which
+reading a large matrix file (`cli._forked_matrix_from_text`, which
 `cli._load_matrix` calls for --matrix and --weight) and sharing
 `classify`'s sign verdicts and spectral summary with a child
 (`cli._classify`; more cases in test_forked_queries.py).
@@ -50,7 +50,7 @@ def wire():
 def narrow(monkeypatch):
     """A D x 4 matrix as `wire` gives one, its text split as a D x D one's
     is: its fault cases reach the reader's branches at a 50th of the text."""
-    monkeypatch.setattr(matrix_core, "_SPLIT_TEXT", 4096)
+    monkeypatch.setattr(cli, "_SPLIT_TEXT", 4096)
     obj = matrix_to_json(ginibre(philox(408), D, 4))
     return None, obj, [json.dumps(row) for row in obj["data"]]
 
@@ -87,7 +87,7 @@ def assert_reads_as_one_process(text: str, forks: int, children, expected: tuple
     started so far and none left."""
     if expected is None:
         expected = outcome(lambda: matrix_from_json(json.loads(text)))
-    assert outcome(lambda: matrix_core._forked_matrix_from_text(text)) == expected
+    assert outcome(lambda: cli._forked_matrix_from_text(text)) == expected
     assert len(children.pids) == forks
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -198,7 +198,7 @@ def test_integer_minus_zero_reads_as_plus_zero(children, narrow):
     text = compact(rows, changed).replace(repr(SENTINEL), "-0")
     assert text.count("[-0, -0]") == 2
     assert_reads_as_one_process(text, 1, children)
-    a = matrix_core._forked_matrix_from_text(text)
+    a = cli._forked_matrix_from_text(text)
     assert a[UPPER, 0] == a[LOWER, 0] == 0
     assert not np.signbit(a[[UPPER, LOWER], 0].view(np.float64)).any()
 
@@ -206,7 +206,7 @@ def test_integer_minus_zero_reads_as_plus_zero(children, narrow):
 def test_a_text_under_the_split_size_is_read_in_one_process(children):
     a = ginibre(philox(402), 64)
     text = json.dumps(matrix_to_json(a))
-    assert len(text) < matrix_core._SPLIT_TEXT
+    assert len(text) < cli._SPLIT_TEXT
     assert assert_reads_as_one_process(text, 0, children) == ("array", (64, 64), a.tobytes())
 
 
@@ -251,7 +251,7 @@ def test_a_bad_input_file_exits_as_in_one_process(children, monkeypatch, capsys,
     path.write_text(compact(rows, {LOWER: FAULTS["nan"](obj["data"][LOWER])}))
     argv = ["classify", "--matrix", str(path)]
     with monkeypatch.context() as patch:
-        patch.setattr(matrix_core, "_SPLIT_TEXT", float("inf"))
+        patch.setattr(cli, "_SPLIT_TEXT", float("inf"))
         assert cli.main(argv) == 2
         expected = capsys.readouterr()
     assert children.pids == []
@@ -361,8 +361,8 @@ def test_classify_with_a_weight_file_reads_and_classifies_as_one_process(childre
             "--m-max", "3"]
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_CLASSIFY_SPLIT", float("inf"))
-        patch.setattr(matrix_core, "_SPLIT_TEXT", float("inf"))
-        patch.setattr(matrix_core, "_SPLIT_ENTRIES", float("inf"))
+        patch.setattr(cli, "_SPLIT_TEXT", float("inf"))
+        patch.setattr(cli, "_SPLIT_ENTRIES", float("inf"))
         assert cli.main(argv) == 0
         expected = capsys.readouterr()
     assert children.pids == []

@@ -1,4 +1,4 @@
-"""The CLI's two-process writer: `matrix_core._forked_json_pieces`.
+"""The CLI's two-process writer: `cli._forked_json_pieces`.
 
 The lower halves of a payload's large matrices are formatted by one child
 of the fork helper (`_forking._forked`) into a shared mmap while the parent
@@ -18,7 +18,6 @@ import pytest
 
 import oplab._forking as _forking
 import oplab.cli as cli
-import oplab.matrix_core as matrix_core
 from oplab.matrix_core import dumps_json, json_pieces, matrix_to_json
 
 from conftest import ginibre, philox
@@ -29,7 +28,7 @@ SIDE = 128  # _SPLIT_ENTRIES = SIDE * SIDE
 
 
 def forked_text(payload) -> str:
-    return "".join(matrix_core._forked_json_pieces(payload))
+    return "".join(cli._forked_json_pieces(payload))
 
 
 @pytest.mark.parametrize(
@@ -94,14 +93,25 @@ def test_one_cpu_or_no_fork_writes_in_one_process(monkeypatch):
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity") else True,
                     reason="needs 2 CPUs")
 def test_the_split_keeps_this_threads_cpus():
+    # a real affinity of 2 CPUs: the split forks, and neither it nor its
+    # reaping moves this thread
     cpus = os.sched_getaffinity(0)
+    pair = set(sorted(cpus)[:2])
     a = ginibre(philox(308), SIDE)
-    pieces = matrix_core._forked_json_pieces({"a": a})
-    text = [next(pieces)]
-    assert os.sched_getaffinity(0) == cpus - {max(cpus)}
-    text += pieces
-    assert "".join(text) == dumps_json({"a": a})
-    assert os.sched_getaffinity(0) == cpus
+    os.sched_setaffinity(0, pair)
+    try:
+        started, start = [], _forking._start_child
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_forking, "_start_child", lambda *args: started.append(1) or start(*args))
+            pieces = cli._forked_json_pieces({"a": a})
+            text = [next(pieces)]
+            assert started == [1]
+            assert os.sched_getaffinity(0) == pair
+            text += pieces
+        assert "".join(text) == dumps_json({"a": a})
+        assert os.sched_getaffinity(0) == pair
+    finally:
+        os.sched_setaffinity(0, cpus)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -139,8 +149,8 @@ def transform_run(tmp_path_factory):
     path = tmp_path_factory.mktemp("transform") / "t.json"
     path.write_text(json.dumps(matrix_to_json(ginibre(philox(305), SIDE))))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matrix_core, "_SPLIT_TEXT", float("inf"))
-        patch.setattr(matrix_core, "_SPLIT_ENTRIES", float("inf"))
+        patch.setattr(cli, "_SPLIT_TEXT", float("inf"))
+        patch.setattr(cli, "_SPLIT_ENTRIES", float("inf"))
         patch.delattr(os, "fork")
         assert cli.main(["transform", "--matrix", str(path), "--output", str(path.parent / "out.json")]) == 0
     return str(path), (path.parent / "out.json").read_text()
@@ -149,7 +159,7 @@ def transform_run(tmp_path_factory):
 @pytest.fixture
 def transform_input(transform_run, monkeypatch):
     # read in one process: these tests count the writer's children only
-    monkeypatch.setattr(matrix_core, "_SPLIT_TEXT", float("inf"))
+    monkeypatch.setattr(cli, "_SPLIT_TEXT", float("inf"))
     return transform_run[0]
 
 
@@ -202,11 +212,11 @@ def test_a_full_output_file_leaves_no_child(children, capsys, transform_input):
 
 def test_pieces_closed_early_leave_no_child(children):
     a = ginibre(philox(306), SIDE)
-    pieces = matrix_core._forked_json_pieces({"a": a})
+    pieces = cli._forked_json_pieces({"a": a})
     assert next(pieces).startswith("{")
     assert len(children.pids) == 1
     pieces.close()
-    pieces = matrix_core._forked_json_pieces({"a": a, "b": a})
+    pieces = cli._forked_json_pieces({"a": a, "b": a})
     for _, piece in zip(range(5), pieces):
         pass
     assert len(children.pids) == 2
@@ -258,7 +268,7 @@ def test_a_failed_child_leaves_the_parent_to_format_its_rows(children, monkeypat
 def test_a_child_dying_after_any_matrix_leaves_the_rest_to_the_parent(children, monkeypatch, large):
     # the child dies as it starts the lower half of matrix `dies`, so the
     # parent formats that half and every later one
-    monkeypatch.setattr(matrix_core, "_SPLIT_ENTRIES", 16)
+    monkeypatch.setattr(cli, "_SPLIT_ENTRIES", 16)
     rng = philox(310)
     payload = {f"m{i}": ginibre(rng, 8 + i, 4) for i in range(large)}
     payload.update(small=ginibre(rng, 3), scalar=2.5)
@@ -302,7 +312,7 @@ def test_the_parent_holds_one_row_or_chunk_not_the_childs_half(children):
     with open(os.devnull, "w") as handle:
         tracemalloc.start()
         try:
-            handle.writelines(matrix_core._forked_json_pieces(payload))
+            handle.writelines(cli._forked_json_pieces(payload))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -856,6 +856,28 @@ def test_defect_specs_are_built_only_where_matrices_enter():
     })
 
 
+def _imports_forking(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[-1] == "_forking" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[-1] == "_forking" or any(
+            alias.name == "_forking" for alias in node.names)
+    return False
+
+
+def test_only_the_cli_imports_the_fork_code():
+    # the CLI decides when a split runs (every split size lives in cli),
+    # _forking how, and matrix_core stays pure: no fork, no split size, no
+    # two-process reader or writer
+    sources = {path.name: path.read_text() for path in sorted(Path(oplab.__file__).parent.glob("*.py"))}
+    importers = {name for name, source in sources.items() if any(map(_imports_forking, ast.walk(ast.parse(source))))}
+    assert importers == {"cli.py"}
+    assert not any(word in sources["matrix_core.py"] for word in ("_forked_", "_SPLIT_", "_forking"))
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "fork" and getattr(node.value, "id", None) == "os"
+                   for node in ast.walk(ast.parse(sources["matrix_core.py"])))
+    assert {"_forked_json_pieces", "_forked_matrix_from_text", "_SPLIT_ENTRIES", "_SPLIT_TEXT"} <= set(vars(cli))
+
+
 def test_suite_runs_check_each_matrix_at_most_half_as_often(monkeypatch, tmp_path):
     # before matrices were checked once where they enter, these runs made
     # 7,562 and 5,833 as_matrix calls, and 2,959 and 2,373 while every defect
