@@ -1,11 +1,13 @@
 """The CLI's work on a second CPU: the one fork helper, `_forked`, and the
-splits that use it, one child each: to write a result's large matrices
-(`_split_pieces`), to read a large input file (`_split_matrix_from_text`),
-to share `classify`'s sign verdicts beside its spectral summary
-(`_split_classify`) and to share independent streams of work
-(`_split_streams`): a suite run's streams, and `drazin`'s core split
-(stream 0) beside its inverse (stream 1).  The OS scheduler places the
-parent and the child.
+two ways of sharing work with its one child.  The writer (`_split_pieces`)
+sends the lower halves of a result's large matrices through a pipe and
+chunked runs of one mmap, so the command holds one chunk of the child's text
+at a time.  Every other split is a list of independent streams
+(`_split_streams`), claimed from both ends and sent back pickled: the two
+halves of a large input file (`_split_matrix_from_text`), `classify`'s
+spectral summary and sign verdicts (`_split_classify`), `drazin`'s core
+split beside its inverse, and a suite run's streams.  The OS scheduler
+places the parent and the child.
 
 From a process's first split on, forked or not, the loaded OpenBLAS runs
 one thread in it and in each child (`_forked`), so the two processes never
@@ -34,10 +36,9 @@ from functools import cache
 
 import numpy as np
 
-from .expansivity import (ClassificationReport, ClassificationRow, _classes_for, _classification_report,
-                          _classification_rows, _defect_pass, _spectral_summary)
-from .matrix_core import (Tolerance, _finite_numbers, _float_template, _row_text, _sign_rule, _sign_verdict,
-                          matrix_from_json)
+from .expansivity import (ClassificationReport, ClassificationRow, _classes_for, _classification_report, _defect_pass,
+                          _spectral_summary)
+from .matrix_core import Tolerance, _finite_numbers, _float_template, _row_text, _sign_verdict, matrix_from_json
 
 # the longest float.__repr__ of a finite float64, as in -2.2250738585072014e-308
 _REPR_MAX = 24
@@ -109,41 +110,26 @@ def _split_matrix_from_text(text: str) -> np.ndarray:
 
     A text whose only strings are the three keys of the wire format (6
     quotes, no backslash) is split at a row break ``] ] , [ [`` of its
-    ``data`` list (`_data_split`): a child (`_forked`) parses the rows after
-    that comma while this process parses those before it, each half with
-    ``json.loads`` and `_finite_numbers`, and the child sends back its rows'
-    float64 values; if it failed, or none was started, this process parses
-    those rows too.  Every character of the text but that comma is parsed by
-    ``json`` itself: the text around ``data``'s value, with the value
-    replaced by 0, must parse to exactly ``{rows, cols, data}`` with integer
-    ``rows`` and ``cols``, and each half to a list of well-formed rows, their
-    counts adding up to ``rows``.  The array is then the one-process array
-    bit for bit.  Any other text, and any half that is not such a list, ends
-    in the one-process parse of the whole text, so every error keeps its
-    type and message.
+    ``data`` list (`_data_split`).  The rows after that comma are stream 0
+    and those before it stream 1 of `_split_streams`, each parsed with
+    ``json.loads`` and `_finite_numbers`.  Every character of the text but
+    that comma is parsed by ``json`` itself: the text around ``data``'s
+    value, with the value replaced by 0, must parse to exactly ``{rows,
+    cols, data}`` with integer ``rows`` and ``cols``, and each half to a
+    list of well-formed rows, their counts adding up to ``rows``.  The array
+    is then the one-process array bit for bit.  Any other text, any half
+    that is not such a list, and a text that did not split, end in the
+    one-process parse of the whole text, so every error keeps its type and
+    message.
     """
     split = _data_split(text)
     if split is not None:
         rows, cols, start, comma, end = split
 
-        def parse_lower(shared) -> None:
-            # rows that are not well-formed (None) fail the child
-            count, numbers = _half_rows("[" + text[comma + 1 : end], cols)
-            shared[:8] = count.to_bytes(8, "little")
-            shared[8 : 8 + numbers.nbytes] = numbers.tobytes()
+        def half(stream: int) -> tuple[int, np.ndarray] | None:
+            return _half_rows("[" + text[comma + 1 : end] if stream == 0 else text[start:comma] + "]", cols)
 
-        # a number takes at least 2 of the text's characters, with its
-        # separator: 8 bytes for every 2 characters hold the child's values
-        with _forked(parse_lower, 8 + 4 * (end - comma)) as child:
-            upper = _half_rows(text[start:comma] + "]", cols)
-            shared = child[1]() if upper is not None and child is not None else None
-            lower = None
-            if shared is not None:
-                count = int.from_bytes(shared[:8], "little")
-                if 8 + 16 * count * cols <= len(shared):
-                    lower = count, np.frombuffer(shared, np.float64, 2 * count * cols, 8).copy()
-        if upper is not None and lower is None:
-            lower = _half_rows("[" + text[comma + 1 : end], cols)
+        lower, upper = _split_streams(half, 2, blas=False) or (None, None)
         if upper is not None and lower is not None and upper[0] + lower[0] == rows:
             return np.concatenate((upper[1], lower[1])).view(np.complex128).reshape(rows, cols)
     return matrix_from_json(json.loads(text))
@@ -211,90 +197,71 @@ def _half_rows(text: str, cols: int) -> tuple[int, np.ndarray] | None:
     return None if numbers is None else (len(rows), numbers)
 
 
-def _split_classify(t: np.ndarray, p: np.ndarray, h: np.ndarray, m_max: int, tol: Tolerance) -> ClassificationReport:
+def _split_classify(t: np.ndarray, p: np.ndarray, h: np.ndarray, m_max: int, tol: Tolerance) -> ClassificationReport | None:
     """`expansivity.classify` of a checked ``t``, ``p`` and the gated ``h``,
-    its work shared with a child (`_forked`).  This process runs the defect
-    iteration, writing each defect straight into the shared mmap, while the
-    child computes `_spectral_summary`.  Then this process takes the orders'
-    sign verdicts (`_sign_verdict`) from order 1 up and the child from
-    m_max down, each claiming an order's byte before it starts it and
-    stopping at the first the other claimed; claims are hints, and where
-    both did an order this process keeps its own.  The child sends an
-    order's least and largest eigenvalues, which `_sign_rule` makes its
-    verdict.  What the child did not finish this process does, so the
-    report is `classify`'s either way; an error in the iteration leaves the
-    child killed."""
-    d, n = t.shape[0], m_max
-    # the defects, then per order (least, largest) and the summary as
-    # float64 bits, then the claims and the orders the child finished
-    found, summary_at = 16 * n * d * d, 16 * n * (d * d + 1)
-    claims = summary_at + 16 * (d + 1)
-    done = claims + n
-    ready, go = os.pipe()
+    as m_max + 1 streams of `_split_streams`; None where they did not split,
+    and then the caller runs `classify`, which raises any error the defect
+    iteration raised here.
 
-    def summarize_and_claim(shared) -> None:
-        p_isometric, spectrum, norm = _spectral_summary(t, p, h, tol)
-        shared[summary_at : summary_at + 16] = np.array([norm, (False, True, None).index(p_isometric)]).tobytes()
-        shared[summary_at + 16 : claims] = np.asarray(spectrum, dtype=np.complex128).tobytes()
-        os.read(ready, 1)  # every defect is written
-        defects = np.frombuffer(shared, np.complex128, n * d * d).reshape(n, d, d)
-        for k in reversed(range(n)):
-            if shared[claims + k]:
-                return
-            shared[claims + k] = 1
-            verdict = _sign_verdict(defects[k], tol)
-            shared[found + 16 * k : found + 16 * k + 16] = np.array([verdict.min_eig, verdict.max_eig]).tobytes()
-            shared[done + k] = 1
+    Stream 0 is `_spectral_summary`, and stream k >= 1 the sign verdict
+    (`_sign_verdict`) of order m_max - k + 1, read from a shared map of the
+    defects.  The last stream, order 1 and this process's first, runs the
+    defect iteration into that map and then writes a byte down a pipe,
+    which the child reads before its first order: the iteration overlaps the
+    child's summary, and the two share the verdicts.
+    """
+    import mmap
 
+    n, d = m_max, t.shape[0]
     try:
-        with _forked(summarize_and_claim, done + n, blas=True) as child:
-            if child is None:
-                rows = _classification_rows(t, h, m_max, tol)
-                return _classification_report(rows, _spectral_summary(t, p, h, tol))
-            shared, wait = child
-            defects = np.frombuffer(shared, np.complex128, n * d * d).reshape(n, d, d)
+        defects = np.frombuffer(mmap.mmap(-1, 16 * n * d * d), np.complex128).reshape(n, d, d)
+    except OSError:
+        return None
+    ready, go = os.pipe()
+    written = False
+
+    def stream_records(k: int):
+        nonlocal written
+        if k == 0:
+            return _spectral_summary(t, p, h, tol)
+        if k == n:
             _defect_pass(t, h, range(1, n + 1), tol, defects)
             os.write(go, b"\0")
-            verdicts = {}
-            for k in range(n):
-                if shared[claims + k]:
-                    break
-                shared[claims + k] = 1
-                verdicts[k] = _sign_verdict(defects[k], tol)
-            summary = None
-            if wait() is not None:
-                norm, p_isometric = np.frombuffer(shared, np.float64, 2, summary_at)
-                spectrum = np.frombuffer(shared, np.complex128, d, summary_at + 16).copy()
-                summary = (False, True, None)[int(p_isometric)], spectrum, float(norm)
-                for k in range(n):
-                    if shared[done + k] and k not in verdicts:
-                        lo, hi = np.frombuffer(shared, np.float64, 2, found + 16 * k)
-                        verdicts[k] = _sign_rule(float(lo), float(hi), tol)
-            rows = []
-            for k in range(n):
-                verdict = verdicts[k] if k in verdicts else _sign_verdict(defects[k], tol)
-                rows.append(ClassificationRow(k + 1, verdict, _classes_for(verdict)))
-            del defects  # a view of the mmap, which closes with the block
+            written = True
+        elif not written:
+            os.read(ready, 1)  # every defect is written
+            written = True
+        return _sign_verdict(defects[n - k], tol)
+
+    try:
+        done = _split_streams(stream_records, n + 1)
     finally:
         os.close(ready)
         os.close(go)
-    return _classification_report(tuple(rows), summary or _spectral_summary(t, p, h, tol))
+    if done is None:
+        return None
+    rows = tuple(ClassificationRow(m, done[n + 1 - m], _classes_for(done[n + 1 - m])) for m in range(1, n + 1))
+    return _classification_report(rows, done[0])
 
 
-# room for the child's records; a stream that does not fit is left to the parent
-_SUITE_SHARED = 1 << 24
+# room for the child's records; a stream that does not fit is left to the
+# parent.  Only the pages the child writes are backed, so it can hold a reader
+# half of 2^24 entries, the lower half of a 5,792 x 5,792 matrix, whose 1.5 GB
+# text the one-process parse needs several GB to read.
+_SHARED = 1 << 28
 
 
-def _split_streams(stream_records: Callable[[int], object], count: int) -> list | None:
-    """``[stream_records(k) for k in range(count)]``, the child (`_forked`)
-    taking streams upward from 0 and this process downward from the last,
-    each claiming a stream's byte in a shared map before it starts it and
-    stopping at the first the other claimed, so a child on a busy CPU just
-    does fewer.  Claims are hints: where they meet, both may do a stream,
-    and this process keeps its own.  The child pickles each finished
-    stream into its mmap and stops at one that raises or warns; this
-    process does every stream not sent.  None when no child was started or
-    a stream raises or warns here: the caller then runs in one process."""
+def _split_streams(stream_records: Callable[[int], object], count: int, blas: bool = True) -> list | None:
+    """``[stream_records(k) for k in range(count)]``, the child (`_forked`,
+    with ``blas`` as given) taking streams upward from 0 and this process
+    downward from the last, each claiming a stream's byte in a shared map
+    before it starts it and stopping at the first the other claimed, so a
+    child on a busy CPU just does fewer.  Claims are hints: where they meet,
+    both may do a stream, and this process keeps its own.  The child pickles
+    each finished stream into its mmap and stops at one that raises or
+    warns or does not fit; this process does every stream not sent.  None
+    when no child was started or a stream raises or warns here: the caller
+    then runs in one process."""
     import mmap
     import pickle
 
@@ -314,7 +281,7 @@ def _split_streams(stream_records: Callable[[int], object], count: int) -> list 
     except OSError:
         return None
     done = {}
-    with claims, _forked(send, _SUITE_SHARED, blas=True) as child:
+    with claims, _forked(send, _SHARED, blas=blas) as child:
         if child is None:
             return None
         try:
@@ -338,8 +305,9 @@ def _split_streams(stream_records: Callable[[int], object], count: int) -> list 
 def _forked(work: Callable[[mmap.mmap], None], size: int, blas: bool = False) -> Iterator[tuple | None]:
     """Run ``work(shared)`` in a forked child, ``shared`` a new anonymous
     shared mmap of ``size`` bytes, while the caller goes on: the one way
-    this package forks, for the CLI's large inputs and results,
-    `classify`'s and `drazin`'s queries and suite streams.
+    this package forks, called by the writer (`_split_pieces`) and by
+    `_split_streams`, which reads large inputs and shares `classify`'s,
+    `drazin`'s and suite runs' work.
 
     Yields ``(shared, wait)``: ``wait`` reaps the child and returns
     ``shared`` if the child exited 0, else None.  Or yields None when no

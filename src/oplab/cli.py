@@ -167,12 +167,14 @@ def _classify(t: np.ndarray, p: np.ndarray, m_max: int, tol: Tolerance) -> Class
     """`expansivity.classify`, its sign verdicts and spectral summary shared
     with a child (`_forking._split_classify`) when T has at least
     `_CLASSIFY_SPLIT` entries."""
-    if t.size < _CLASSIFY_SPLIT:
-        return classify(t, p, m_max, tol)
-    spec = DefectSpec(t=t, p=p, m=m_max)
-    from ._forking import _split_classify  # on first use: see `_forking`
+    if t.size >= _CLASSIFY_SPLIT:
+        spec = DefectSpec(t=t, p=p, m=m_max)
+        from ._forking import _split_classify  # on first use: see `_forking`
 
-    return _split_classify(spec.t, spec.p, _hermitian_gate(spec.p, tol), spec.m, tol)
+        report = _split_classify(spec.t, spec.p, _hermitian_gate(spec.p, tol), spec.m, tol)
+        if report is not None:
+            return report
+    return classify(t, p, m_max, tol)
 
 
 def _cmd_classify(args) -> int:

@@ -10,8 +10,8 @@ Numerical conventions shared with `matrix_core`:
   IllConditionedWarning when one lies within 10x of g_k), and a block of
   T^k, or the k-th power of a block of T, vanishes at norm <= g_k
   (`_nilpotency`): it holds T's rounding, so its radius is ||T||, not its own,
-* T^k comes from the walk's step, and the Drazin inverse's T^{k+1} and
-  T^{2k+1} one product each from it; `_matrix_power` forms only a block's
+* T^k and the power after it come from the walk, and the Drazin inverse's
+  T^{2k+1} one product from them; `_matrix_power` forms only a block's
   t2^n.  An overflow raises NumericalFailureError via `_finite`,
 * basis columns are phase-normalized (largest-modulus entry made real
   positive) so repeated runs produce identical bases,
@@ -73,8 +73,9 @@ class IllConditionedWarning(UserWarning):
 def _power_rank(a: np.ndarray, tol: Tolerance, n: int | None = None) -> tuple:
     """One `_power_walk` of a validated square ``a`` to T^n or, when n is
     None, to T^p at the Drazin index p (the least p with rank T^{p+1} =
-    rank T^p): (k, T^k, rank T^k, g_k, ||T||), the rank counting singular
-    values above g_k (T^0: None, rank d, gate 0).  One within 10x of g_k
+    rank T^p): (k, T^k, rank T^k, g_k, ||T||, the power the walk stopped
+    at: T^n, or T^{p+1} = T^p T), the rank counting singular values above
+    g_k (T^0: None, rank d, gate 0).  One within 10x of g_k
     warns IllConditionedWarning, naming the caller of the function that
     called this (a public function, a verifier or `cli._cmd_drazin`), which
     hands the result to a kernel such as `_core_nilpotent`."""
@@ -90,7 +91,7 @@ def _power_rank(a: np.ndarray, tol: Tolerance, n: int | None = None) -> tuple:
         step = (k, power, rank, gate)
         if k == n:
             break
-    return (*step, norm)
+    return (*step, norm, power)
 
 
 def _canonical_phases(cols: np.ndarray) -> np.ndarray:
@@ -144,14 +145,13 @@ def drazin_inverse(t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def _drazin_inverse(a: np.ndarray, step: tuple, tol: Tolerance) -> tuple[np.ndarray, dict]:
     """`drazin_inverse` of a validated square ``a``, given its walk ``step``
-    = `_power_rank(a, tol)` (its Drazin index k, T^k, rank T^k, gate g_k
-    and ||T||), with the residuals of its three identities."""
-    k, tk, rank, gate, norm = step
-    if k == 0:  # T^0 = I, and T^{k+1} = T^{2k+1} = T
-        tk, tq, t2k1 = np.eye(a.shape[0], dtype=np.complex128), a, a
-    else:  # T^{k+1} = T^k T is the product the walk formed, and found finite, to decide k
+    = `_power_rank(a, tol)` (its Drazin index k, T^k, rank T^k, gate g_k,
+    ||T|| and T^{k+1}), with the residuals of its three identities."""
+    k, tk, rank, gate, norm, tq = step
+    if k == 0:  # T^0 = I, and T^{k+1} = T^{2k+1} = T, the walk's first power
+        tk, t2k1 = np.eye(a.shape[0], dtype=np.complex128), a
+    else:  # T^{k+1} = T^k T is the power the walk formed, and found finite, to decide k
         with np.errstate(over="ignore", invalid="ignore"):
-            tq = tk @ a
             t2k1 = _finite(tq @ tk, "operator power", {"power": 2 * k + 1})
     # rank T^{2k+1} = rank T^k: the walk's decision, not a second cutoff
     td = tk @ _pinv(t2k1, tol, rank) @ tk
@@ -218,7 +218,7 @@ def _core_nilpotent(a: np.ndarray, step: tuple, tol: Tolerance) -> CoreNilpotent
     """`core_nilpotent` of a validated square ``a``, given its walk ``step``
     = `_power_rank(a, tol)`."""
     d = a.shape[0]
-    p, tp, r, gate, _ = step
+    p, tp, r, gate, _, _ = step
     if p == 0:
         return CoreNilpotent(
             index=0,
@@ -299,7 +299,7 @@ def _split_power(n) -> int:
 def _range_kernel_split(a: np.ndarray, n: int, step: tuple, tol: Tolerance) -> RangeKernelSplit:
     """`range_kernel_split` of a validated square ``a`` at a power ``n`` >= 1,
     given its walk ``step`` = `_power_rank(a, tol, n)`."""
-    _, tn, d1, gate, norm = step
+    _, tn, d1, gate, norm, _ = step
     basis = _canonical_phases(np.linalg.svd(tn)[0])
     bn = adjoint(basis) @ tn @ basis
     bt = adjoint(basis) @ a @ basis

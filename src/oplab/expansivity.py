@@ -268,17 +268,11 @@ def classify(t, p, m_max: int, tol: Tolerance = DEFAULT_TOL) -> ClassificationRe
     """
     spec = DefectSpec(t=t, p=p, m=m_max)
     h = _hermitian_gate(spec.p, tol)
-    rows = _classification_rows(spec.t, h, spec.m, tol)
-    return _classification_report(rows, _spectral_summary(spec.t, spec.p, h, tol))
-
-
-def _classification_rows(t: np.ndarray, h: np.ndarray, m_max: int, tol: Tolerance) -> tuple:
-    """The table of `classify`: a row per order 1..m_max of the defects of a
-    finite square ``t`` against the exactly self-adjoint ``h``."""
-    return tuple(
+    rows = tuple(
         ClassificationRow(m, result.verdict, result.classification)
-        for m, result in enumerate(_defect_pass(t, h, range(1, m_max + 1), tol), start=1)
+        for m, result in enumerate(_defect_pass(spec.t, h, range(1, spec.m + 1), tol), start=1)
     )
+    return _classification_report(rows, _spectral_summary(spec.t, spec.p, h, tol))
 
 
 def _spectral_summary(t: np.ndarray, p: np.ndarray, h: np.ndarray, tol: Tolerance) -> tuple:

@@ -307,11 +307,6 @@ def _sign_verdict(h: np.ndarray, tol: Tolerance) -> DefinitenessVerdict:
         return DefinitenessVerdict(0.0, 0.0, ZERO)
     w = np.linalg.eigvalsh(h)
     lo, hi = float(w[0]), float(w[-1])
-    return _sign_rule(lo, hi, tol)
-
-
-def _sign_rule(lo: float, hi: float, tol: Tolerance) -> DefinitenessVerdict:
-    """`_sign_verdict`'s rule, on the least and largest eigenvalues."""
     thr = tol.gate(max(abs(lo), abs(hi), 1.0))
     psd = lo >= -thr
     nsd = hi <= thr

@@ -132,7 +132,7 @@ def verify_no_singular_expansive(t, m: int, tol: Tolerance = DEFAULT_TOL) -> The
     """
     m = _defect_order(m)
     a = _require_square(as_matrix(t))
-    index, _, rank, _, _ = _power_rank(a, tol)
+    index, _, rank, _, _, _ = _power_rank(a, tol)
     kernel_dim = a.shape[0] - rank
     result = _defect_pass(a, np.eye(a.shape[0], dtype=np.complex128), (m,), tol)[0]
     witness = {

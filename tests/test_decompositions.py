@@ -123,8 +123,8 @@ def test_drazin_residual_bounds_random_fixtures():
 
 
 def test_drazin_inverse_forms_each_power_once(monkeypatch):
-    # T^k comes from the walk, and T^{k+1} and T^{2k+1} are one product each
-    # from it: no power by repeated squaring
+    # T^k and T^{k+1} come from the walk, and T^{2k+1} is one product from
+    # them: no power by repeated squaring, and T^{k+1} not formed again
     import oplab.decompositions as decompositions_mod
 
     powers = []
@@ -135,8 +135,15 @@ def test_drazin_inverse_forms_each_power_once(monkeypatch):
         return real(a, n)
 
     monkeypatch.setattr(decompositions_mod, "_matrix_power", counting)
-    drazin_inverse(np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+    t = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], dtype=complex)
+    drazin_inverse(t)
     assert powers == []
+    step = _power_rank(t, Tolerance())
+    k, tk, *_, tq = step
+    assert k == 2 and tq.tobytes() == (tk @ t).tobytes()
+    # the inverse reads the walk's T^{k+1}: a wrong one fails its identities
+    with pytest.raises(NumericalFailureError, match="Drazin identities failed"):
+        decompositions_mod._drazin_inverse(t, (*step[:5], 2.0 * tq), Tolerance())
 
 
 def _index_30_pair():

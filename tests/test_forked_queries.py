@@ -1,8 +1,9 @@
-"""The CLI's query splits through the fork helper `_forking._forked`:
-`classify`'s sign verdicts shared with a child that computes the spectral
-summary (`_forking._split_classify`), `drazin`'s core split in a child
-beside the inverse (streams 0 and 1 of `_forking._split_streams`), one
-fork per stage of each query, and the BLAS pool they run under.
+"""The CLI's query splits, streams of `_forking._split_streams` through
+the fork helper `_forking._forked`: `classify`'s spectral summary (stream
+0) and its sign verdicts, one order a stream (`_forking._split_classify`;
+its cases at the split size are in test_forked_reader.py), `drazin`'s core
+split (stream 0) beside the inverse (stream 1), one fork per stage of each
+query, and the BLAS pool they run under.
 
 Each must give what the one-process path gives, bit for bit, or the same
 error and exit code; most cases run on small operators, with the split
@@ -126,6 +127,32 @@ def test_a_child_killed_after_the_summary_or_some_orders_leaves_the_rest_to_the_
             assert report_bits(cli._classify(t, p, m_max, Tolerance())) == expected
             runs += 1
     assert len(children.pids) == runs == 54
+
+
+def test_the_child_takes_no_order_before_every_defect_is_written(children, small, monkeypatch, tmp_path):
+    # the iteration starts only after the child's summary and a pause in
+    # which a child not waiting for the pipe's byte would take its orders
+    # from a map of zeros
+    t, p = small
+    summary, iteration = _forking._spectral_summary, _forking._defect_pass
+    summarized = tmp_path / "summarized"
+
+    def marked_summary(*args):
+        result = summary(*args)
+        summarized.touch()
+        return result
+
+    def late_iteration(*args):
+        wait_for(summarized)
+        time.sleep(0.2)
+        return iteration(*args)
+
+    monkeypatch.setattr(_forking, "_spectral_summary", marked_summary)
+    monkeypatch.setattr(_forking, "_defect_pass", late_iteration)
+    for m_max in (2, 6, 20):
+        summarized.unlink(missing_ok=True)
+        assert report_bits(cli._classify(t, p, m_max, Tolerance())) == report_bits(classify(t, p, m_max, Tolerance()))
+    assert len(children.pids) == 3
 
 
 def test_a_child_failing_in_the_summary_leaves_the_parent_to_do_all(children, small, monkeypatch):
@@ -256,7 +283,7 @@ def test_each_query_forks_once_a_stage_and_writes_the_one_process_bytes(children
 # -- the BLAS pool -------------------------------------------------------------
 
 _BLAS_RUN = """
-import ctypes, json, os, sys
+import ctypes, json, os, sys, time
 import numpy as np
 from oplab import _forking, cli, decompositions, suite
 
@@ -268,12 +295,20 @@ log = os.open(sys.argv[2], os.O_WRONLY | os.O_APPEND | os.O_CREAT)
 started, start = [], _forking._start_child
 _forking._start_child = lambda *args: started.append(1) or start(*args)
 
-phase = []
+phase, parent = [], os.getpid()
 
 def logged(module, name):
+    # where a child starts, the parent waits until it has made a call in
+    # this command: so the parent takes no stream before the child's first
     real = getattr(module, name)
     def call(*args):
         os.write(log, (json.dumps([phase[-1], os.getpid(), get()]) + "\\n").encode())
+        marker = f"{sys.argv[2]}.{phase[-1]}"
+        if os.getpid() != parent:
+            open(marker, "w").close()
+        deadline = time.monotonic() + 60
+        while _forking._blas_pool() is not None and not os.path.exists(marker) and time.monotonic() < deadline:
+            time.sleep(0.0005)
         return real(*args)
     setattr(module, name, call)
 
@@ -289,7 +324,7 @@ for argv in (["classify", "--matrix", matrix, "--m-max", "6"], ["drazin", "--mat
     phase.append(argv[0])
     codes.append(cli.main(argv + ["--output", out]))
 print(json.dumps({"codes": codes, "before": before, "setter": _forking._blas_pool() is not None,
-                  "forks": len(started), "parent": os.getpid()}))
+                  "forks": len(started), "parent": parent}))
 """
 
 

@@ -1,8 +1,9 @@
-"""The CLI's two other splits through the fork helper `_forking._forked`:
-reading a large matrix file (`cli._forked_matrix_from_text`, which
-`cli._load_matrix` calls for --matrix and --weight) and sharing
-`classify`'s sign verdicts and spectral summary with a child
-(`cli._classify`; more cases in test_forked_queries.py).
+"""Two of the CLI's stream splits (`_forking._split_streams`, one child
+through the fork helper `_forking._forked`): reading a large matrix file,
+its two halves streams 0 and 1 (`cli._forked_matrix_from_text`, which
+`cli._load_matrix` calls for --matrix and --weight), and `classify`'s
+spectral summary and sign verdicts (`cli._classify`, at its split size and
+its edges; the claims of each order are in test_forked_queries.py).
 
 Each must give what the one-process path gives, bit for bit, or the same
 error; no child may outlive its command (the `children` fixture checks that
@@ -16,6 +17,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import types
 from pathlib import Path
 
@@ -163,33 +165,47 @@ def test_space_json_forbids_at_the_row_break_is_an_error(children, texts, space)
         assert expected[:2] == ("error", json.JSONDecodeError)
 
 
-def test_the_parent_parses_only_the_upper_half(children, monkeypatch, narrow):
-    # a split that quietly parsed everything here would give the same array
-    _, obj, rows = narrow
+def held_parent(monkeypatch, started: Path) -> list:
+    """The texts this process parses through `_forking._half_rows`, each
+    parsed only once the child has claimed its half (stream 0) and started
+    it: ``started`` is touched then."""
     parent, real, parsed = os.getpid(), _forking._half_rows, []
 
     def half_rows(text, cols):
-        if os.getpid() == parent:
+        if os.getpid() != parent:
+            started.touch()
+        else:
+            deadline = time.monotonic() + 30
+            while not started.exists():
+                assert time.monotonic() < deadline, "the child never started its half"
+                time.sleep(0.0005)
             parsed.append(text)
         return real(text, cols)
 
     monkeypatch.setattr(_forking, "_half_rows", half_rows)
+    return parsed
+
+
+def test_the_parent_parses_only_the_upper_half(children, monkeypatch, narrow, tmp_path):
+    # a split that quietly parsed everything here would give the same array
+    _, obj, rows = narrow
+    parsed = held_parent(monkeypatch, tmp_path / "child-started")
     expected = assert_reads_as_one_process(compact(rows), 1, children)
     assert expected[:2] == ("array", (D, 4))
     [upper] = parsed
-    count, _ = real(upper, 4)
-    assert 0 < count < D and json.loads(upper) == obj["data"][:count]
+    upper = json.loads(upper)
+    assert 0 < len(upper) < D and upper == obj["data"][: len(upper)]
 
 
-def _beyond_the_map(shared):
-    shared[:8] = len(shared).to_bytes(8, "little")
-
-
-def test_a_child_claiming_rows_beyond_its_map_leaves_the_parent_to_parse_them(children, monkeypatch, narrow):
-    _, _, rows = narrow
-    forked = _forking._forked
-    monkeypatch.setattr(_forking, "_forked", lambda work, size, **kw: forked(_beyond_the_map, size, **kw))
+def test_a_child_claiming_rows_beyond_its_map_leaves_the_parent_to_parse_them(children, monkeypatch, narrow,
+                                                                             tmp_path):
+    # the child's half does not fit the map, so it sends nothing
+    _, obj, rows = narrow
+    parsed = held_parent(monkeypatch, tmp_path / "child-started")
+    monkeypatch.setattr(_forking, "_SHARED", 64)
     assert assert_reads_as_one_process(compact(rows), 1, children)[:2] == ("array", (D, 4))
+    upper, lower = parsed
+    assert json.loads(upper) + json.loads(lower) == obj["data"]
 
 
 def test_integer_minus_zero_reads_as_plus_zero(children, narrow):

@@ -131,7 +131,7 @@ def test_records_that_do_not_fit_are_left_to_the_command(children, streams, monk
 
     argv = suite_argv("verify", "all", 8, "4,3")
     expected = one_process(monkeypatch, argv, tmp_path, capsys)
-    monkeypatch.setattr(_forking, "_SUITE_SHARED", 64)
+    monkeypatch.setattr(_forking, "_SHARED", 64)
     assert call(argv, tmp_path, capsys) == expected
     assert len(children.pids) == 1
     assert sorted(streams.parent) == list(range(8))
