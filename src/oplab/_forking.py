@@ -1,13 +1,11 @@
 """The CLI's work on a second CPU: the one fork helper, `_forked`, and the
-two ways of sharing work with its one child.  The writer (`_split_pieces`)
-sends the lower halves of a result's large matrices through a pipe and
-chunked runs of one mmap, so the command holds one chunk of the child's text
-at a time.  Every other split is a list of independent streams
-(`_split_streams`), claimed from both ends and sent back pickled: the two
-halves of a large input file (`_split_matrix_from_text`), `classify`'s
-spectral summary and sign verdicts (`_split_classify`), `drazin`'s core
-split beside its inverse, and a suite run's streams.  The OS scheduler
-places the parent and the child.
+one way of sharing work with its one child, a list of independent streams
+(`_split_streams`) claimed from both ends and sent back pickled.  Five
+splits use it: the halves of a result's large matrices (`cli`'s writer),
+the two halves of a large input file (`_split_matrix_from_text`),
+`classify`'s spectral summary and sign verdicts (`_split_classify`),
+`drazin`'s core split beside its inverse, and a suite run's streams.  The
+OS scheduler places the parent and the child.
 
 From a process's first split on, forked or not, the loaded OpenBLAS runs
 one thread in it and in each child (`_forked`), so the two processes never
@@ -38,66 +36,7 @@ import numpy as np
 
 from .expansivity import (ClassificationReport, ClassificationRow, _classes_for, _classification_report, _defect_pass,
                           _spectral_summary)
-from .matrix_core import Tolerance, _finite_numbers, _float_template, _row_text, _sign_verdict, matrix_from_json
-
-# the longest float.__repr__ of a finite float64, as in -2.2250738585072014e-308
-_REPR_MAX = 24
-# the bytes of the child's text decoded and handed on at once; each matrix's
-# text starts on a chunk, so each chunk starts on a page
-_CHUNK = 1 << 16
-
-
-def _split_pieces(out: list, large: list) -> Iterator[str]:
-    """The pieces of `matrix_core._forked_json_pieces`: those in ``out``,
-    an int i standing for the rows of ``large[i]`` = (matrix, newline), a
-    matrix of at least 2 rows.  One child (`_forked`) formats the lower half
-    of each such matrix in turn, into its own `_CHUNK`-aligned run of one
-    shared mmap, and sends its text's length down a pipe once it is
-    written.  This process formats each upper half, then reads that length
-    and yields the child's text `_CHUNK` bytes at a time, freeing each
-    chunk's pages once read.  From the first matrix whose length does not
-    come (the child failed or died) or does not fit its run, or when no
-    child was started, it formats the lower halves itself, so the text is
-    the same either way.
-    """
-    import mmap
-
-    starts = [0]
-    for a, newline in large:
-        rows, cols = a.shape
-        row_bound = 1 + len(newline) + len(_float_template(cols, newline)) + 2 * cols * (_REPR_MAX - 2)
-        # the lower half's run, its bound rounded up to whole chunks
-        starts.append(starts[-1] + -(-(rows - rows // 2) * row_bound // _CHUNK) * _CHUNK)
-    readable, writable = os.pipe()
-
-    def write_lower(shared) -> None:
-        for (a, newline), start in zip(large, starts):
-            shared.seek(start)
-            for piece in _row_text(a[a.shape[0] // 2 :], newline, ","):
-                shared.write(piece.encode("ascii"))
-            os.write(writable, (shared.tell() - start).to_bytes(8, "little"))
-
-    with open(readable, "rb", buffering=0) as lengths, _forked(write_lower, starts[-1]) as child:
-        os.close(writable)  # the pipe ends when the child does
-        for piece in out:
-            if type(piece) is not int:
-                yield from (piece,) if type(piece) is str else piece
-                continue
-            (a, newline), start = large[piece], starts[piece]
-            half = a.shape[0] // 2
-            yield from _row_text(a[:half], newline)
-            length = int.from_bytes(lengths.read(8), "little") if child is not None else 0
-            if not 0 < length <= starts[piece + 1] - start:
-                child = None
-                yield from _row_text(a[half:], newline, ",")
-                continue
-            for begin in range(start, start + length, _CHUNK):
-                yield child[0][begin : min(begin + _CHUNK, start + length)].decode("ascii")
-                try:
-                    child[0].madvise(mmap.MADV_REMOVE, begin, _CHUNK)
-                except (AttributeError, OSError):  # not on Linux: the pages stay until the mmap closes
-                    pass
-
+from .matrix_core import Tolerance, _finite_numbers, _sign_verdict, matrix_from_json
 
 # JSON's whitespace is these four characters, not those of the regex \s
 _ROW_BREAK = re.compile(r"\][ \t\n\r]*\][ \t\n\r]*,[ \t\n\r]*\[[ \t\n\r]*\[")
@@ -305,9 +244,7 @@ def _split_streams(stream_records: Callable[[int], object], count: int, blas: bo
 def _forked(work: Callable[[mmap.mmap], None], size: int, blas: bool = False) -> Iterator[tuple | None]:
     """Run ``work(shared)`` in a forked child, ``shared`` a new anonymous
     shared mmap of ``size`` bytes, while the caller goes on: the one way
-    this package forks, called by the writer (`_split_pieces`) and by
-    `_split_streams`, which reads large inputs and shares `classify`'s,
-    `drazin`'s and suite runs' work.
+    this package forks, called by `_split_streams` alone.
 
     Yields ``(shared, wait)``: ``wait`` reaps the child and returns
     ``shared`` if the child exited 0, else None.  Or yields None when no

@@ -104,32 +104,48 @@ def _tolerance(args) -> Tolerance:
 
 
 # `_forked_json_pieces` splits a matrix of at least this many entries.  On a
-# 2-core x86_64 host, formatting a 128 x 128 matrix took 43-46 ms in one
-# process and 31-36 ms split (a fork, the child's start and its reaping cost
-# about 5 ms in a 150 MB process); at 96 x 96 the split saved about 6 of
-# 24 ms, within the host's noise.  Suite reports hold no matrices.
+# 2-core x86_64 host, in a 150 MB process (two runs of 30 alternating pairs),
+# formatting a 128 x 128 matrix took 24.0 and 37.1 ms (medians) in one
+# process and 22.5 and 25.1 ms split, faster in 23 and 28 of 30 pairs; at
+# 96 x 96 the split drew level or lost (13.2 -> 13.9 ms, 8 of 30; 17.4 ->
+# 18.9 ms, 17 of 30).  Suite reports hold no matrices.
 _SPLIT_ENTRIES = 128 * 128
 
 
 def _forked_json_pieces(payload) -> Iterator[str]:
-    """`matrix_core.json_pieces`, with the lower halves of the payload's
-    matrices of at least `_SPLIT_ENTRIES` entries and 2 rows formatted by
-    one forked child (`_forking._split_pieces`)."""
+    """`matrix_core.json_pieces`, the rows of the payload's n matrices of at
+    least `_SPLIT_ENTRIES` entries and 2 rows formatted by two processes: as
+    2n streams of `_forking._split_streams`, stream k < n the text of matrix
+    k's lower half and stream 2n - 1 - k that of its upper half, so the
+    child starts on the lower halves and this process on the upper ones.
+    The text of a split result is held until it is written; where nothing
+    split, the rows are formatted as they are read."""
     large = []
 
     def rows(a: np.ndarray, newline: str):
         if a.size < _SPLIT_ENTRIES or a.shape[0] < 2:
             return _row_text(a, newline)
         large.append((a, newline))
-        return len(large) - 1  # where `_split_pieces` puts that matrix's rows
+        return len(large) - 1  # replaced below by that matrix's rows
 
     out = []
     _write(payload, "\n", out, rows)
     if not large:
         return _joined(out)
-    from ._forking import _split_pieces  # on first use: see `_forking`
+    from ._forking import _split_streams  # on first use: see `_forking`
 
-    return _split_pieces(out, large)
+    n = len(large)
+
+    def half(k: int) -> str:
+        a, newline = large[min(k, 2 * n - 1 - k)]
+        cut = a.shape[0] // 2
+        return "".join(_row_text(a[cut:], newline, ",") if k < n else _row_text(a[:cut], newline))
+
+    halves = _split_streams(half, 2 * n, blas=False)
+    for i, piece in enumerate(out):
+        if type(piece) is int:
+            out[i] = _row_text(*large[piece]) if halves is None else (halves[2 * n - 1 - piece], halves[piece])
+    return _joined(out)
 
 
 def _emit(payload: dict, output: str | None) -> None:

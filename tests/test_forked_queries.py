@@ -28,7 +28,7 @@ import oplab.decompositions as decompositions
 from oplab.expansivity import classify
 from oplab.matrix_core import DecompositionError, NumericalFailureError, Tolerance, matrix_to_json
 
-from conftest import ginibre, philox
+from conftest import assert_same_text, ginibre, held_command, philox, wait_for
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the splits need os.fork")
 
@@ -36,13 +36,6 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the splits need
 def report_bits(report) -> tuple:
     return (report.to_json(), np.float64(report.operator_norm).tobytes(),
             np.array(report.eigenvalue_moduli).tobytes())
-
-
-def wait_for(path: Path) -> None:
-    deadline = time.monotonic() + 30
-    while not path.exists():
-        assert time.monotonic() < deadline, f"{path.name} never came"
-        time.sleep(0.0005)
 
 
 @pytest.fixture
@@ -264,8 +257,10 @@ COMMANDS = {  # argv after the matrix; forks: read, then the query's own, then w
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_each_query_forks_once_a_stage_and_writes_the_one_process_bytes(children, monkeypatch, capsys,
+def test_each_query_forks_once_a_stage_and_writes_the_one_process_bytes(children, monkeypatch, capsys, tmp_path,
                                                                         queries, command):
+    # held until the writer's child has started its last lower half, the
+    # parent formats the upper halves only
     extra, forks = COMMANDS[command]
     argv = [command, "--matrix", str(queries / ("u.json" if command == "classify" else "k.json")), *extra]
     with monkeypatch.context() as patch:
@@ -273,9 +268,11 @@ def test_each_query_forks_once_a_stage_and_writes_the_one_process_bytes(children
         assert cli.main(argv) == 0
         expected = capsys.readouterr()
     assert children.pids == []
-    children.fallbacks.clear()  # the one-process run formats every row itself
+    held_command(monkeypatch, tmp_path / "lower-halves")
     assert cli.main(argv) == 0
-    assert capsys.readouterr() == expected
+    out, err = capsys.readouterr()
+    assert_same_text(out, expected.out)
+    assert err == expected.err
     assert len(children.pids) == forks
     assert children.fallbacks == []
 

@@ -1,10 +1,11 @@
 """The CLI's two-process writer: `cli._forked_json_pieces`.
 
-The lower halves of a payload's large matrices are formatted by one child
-of the fork helper (`_forking._forked`) into a shared mmap while the parent
-formats their upper halves; the text must be the one-process text byte for
-byte, no child may outlive the write, and a child that fails or dies must
-leave the parent to format the rows it did not finish.
+The halves of a payload's large matrices are the streams of
+`_forking._split_streams`: one child of the fork helper (`_forking._forked`)
+starts on the lower halves and the parent on the upper ones, and either
+takes what the other has not claimed.  The text must be the one-process
+text byte for byte, no child may outlive the write, and a child that fails
+or dies must leave the parent to format the halves it did not send.
 """
 
 import json
@@ -20,7 +21,7 @@ import oplab._forking as _forking
 import oplab.cli as cli
 from oplab.matrix_core import dumps_json, json_pieces, matrix_to_json
 
-from conftest import ginibre, philox
+from conftest import assert_same_text, ginibre, held_command, philox, wait_for
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split writer needs os.fork")
 
@@ -45,27 +46,30 @@ def forked_text(payload) -> str:
         ((256, 256), 1),
     ],
 )
-def test_split_text_is_the_one_process_text(children, shape, splits):
+def test_split_text_is_the_one_process_text(children, monkeypatch, tmp_path, shape, splits):
     rng = philox(301)
     a = ginibre(rng, *shape)
-    a[0, 0] = -2.2250738585072014e-308  # the longest float repr fits the child's bound
+    a[0, 0] = -2.2250738585072014e-308  # the longest float repr
     a[-1, -1] = 1e-320 - 1e300j
     payload = {"m": a}
-    assert forked_text(payload) == dumps_json(payload)
+    held_command(monkeypatch, tmp_path / "lower-halves")
+    assert_same_text(forked_text(payload), dumps_json(payload))
     assert len(children.pids) == splits
     assert children.fallbacks == []
 
 
-def test_the_childs_bound_holds_the_longest_floats(children):
-    # every float spelled in 24 characters: the mmap is exactly full
+def test_the_childs_bound_holds_the_longest_floats(children, monkeypatch, tmp_path):
+    # every float spelled in 24 characters, the longest half the child sends
     payload = {"m": np.full((SIDE, SIDE), -2.2250738585072014e-308 * (1 + 1j))}
-    assert forked_text(payload) == dumps_json(payload)
+    held_command(monkeypatch, tmp_path / "lower-halves")
+    assert_same_text(forked_text(payload), dumps_json(payload))
     assert len(children.pids) == 1
     assert children.fallbacks == []
 
 
-def test_nested_matrices_each_split_in_turn(children):
-    # one child formats the lower halves of a, c and h, in that order
+def test_nested_matrices_each_split_in_turn(children, monkeypatch, tmp_path):
+    # one child formats the lower halves of a, c and h, in that order, and
+    # the parent upper halves from a's on, until it meets the child's claims
     rng = philox(302)
     payload = {
         "a": ginibre(rng, SIDE),
@@ -73,7 +77,9 @@ def test_nested_matrices_each_split_in_turn(children):
         "f": {"g": {"h": ginibre(rng, 200)}},
         "i": np.zeros((0, 3), dtype=complex),
     }
-    assert forked_text(payload) == dumps_json(payload)
+    formatted = held_command(monkeypatch, tmp_path / "lower-halves")
+    assert_same_text(forked_text(payload), dumps_json(payload))
+    assert formatted and formatted == [(SIDE // 2, SIDE), ((SIDE + 3) // 2, SIDE), (100, 200)][: len(formatted)]
     assert len(children.pids) == 1
     assert children.fallbacks == []
 
@@ -83,10 +89,10 @@ def test_one_cpu_or_no_fork_writes_in_one_process(monkeypatch):
     started = []
     monkeypatch.setattr(_forking, "_start_child", lambda *args: started.append(args))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert forked_text({"a": a}) == dumps_json({"a": a})
+    assert_same_text(forked_text({"a": a}), dumps_json({"a": a}))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.delattr(os, "fork")
-    assert forked_text({"a": a}) == dumps_json({"a": a})
+    assert_same_text(forked_text({"a": a}), dumps_json({"a": a}))
     assert started == []
 
 
@@ -108,7 +114,7 @@ def test_the_split_keeps_this_threads_cpus():
             assert started == [1]
             assert os.sched_getaffinity(0) == pair
             text += pieces
-        assert "".join(text) == dumps_json({"a": a})
+        assert_same_text("".join(text), dumps_json({"a": a}))
         assert os.sched_getaffinity(0) == pair
     finally:
         os.sched_setaffinity(0, cpus)
@@ -122,13 +128,13 @@ def test_a_process_with_another_thread_writes_in_one_process(children):
     other = threading.Thread(target=release.wait, args=(60,))
     other.start()
     try:
-        assert forked_text({"a": a}) == dumps_json({"a": a})
+        assert_same_text(forked_text({"a": a}), dumps_json({"a": a}))
     finally:
         release.set()
         other.join(60)
     assert not other.is_alive()
     assert children.pids == []
-    assert forked_text({"a": a}) == dumps_json({"a": a})
+    assert_same_text(forked_text({"a": a}), dumps_json({"a": a}))
     assert len(children.pids) == 1
 
 
@@ -139,7 +145,7 @@ def test_library_writers_never_fork(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", no_fork)
     payload = {"a": ginibre(philox(304), 256)}
-    assert "".join(json_pieces(payload)) == dumps_json(payload)
+    assert_same_text("".join(json_pieces(payload)), dumps_json(payload))
 
 
 @pytest.fixture(scope="module")
@@ -164,17 +170,19 @@ def transform_input(transform_run, monkeypatch):
 
 
 @pytest.mark.parametrize("to_file", [True, False])
-def test_cli_output_is_byte_identical(children, capsys, tmp_path, transform_run, transform_input, to_file):
+def test_cli_output_is_byte_identical(children, monkeypatch, capsys, tmp_path, transform_run, transform_input,
+                                      to_file):
     argv = ["transform", "--matrix", transform_input]
     expected = transform_run[1]
     assert children.pids == []
+    held_command(monkeypatch, tmp_path / "lower-halves")
     if to_file:
         out = tmp_path / "out.json"
         assert cli.main(argv + ["--output", str(out)]) == 0
-        assert out.read_text() == expected
+        assert_same_text(out.read_text(), expected)
     else:
         assert cli.main(argv) == 0
-        assert capsys.readouterr().out == expected
+        assert_same_text(capsys.readouterr().out, expected)
     assert len(children.pids) == 1  # for u, p, aluthge and duggal
     assert children.fallbacks == []
 
@@ -196,7 +204,7 @@ class _FailingSink:
 
 
 def test_a_sink_failing_mid_write_leaves_no_child(children, monkeypatch, capsys, transform_input):
-    # 10 pieces: into the first matrix's upper half, its child running
+    # 10 pieces: into the first matrix's text, its child reaped
     monkeypatch.setattr("sys.stdout", _FailingSink(10))
     assert cli.main(["transform", "--matrix", transform_input]) != 0
     assert "No space left on device" in capsys.readouterr().err
@@ -211,16 +219,20 @@ def test_a_full_output_file_leaves_no_child(children, capsys, transform_input):
 
 
 def test_pieces_closed_early_leave_no_child(children):
+    # the child is reaped before the pieces come back, so pieces dropped
+    # after the first leave none, and pieces read in two goes give the
+    # one-process text
     a = ginibre(philox(306), SIDE)
     pieces = cli._forked_json_pieces({"a": a})
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     assert next(pieces).startswith("{")
-    assert len(children.pids) == 1
-    pieces.close()
-    pieces = cli._forked_json_pieces({"a": a, "b": a})
-    for _, piece in zip(range(5), pieces):
-        pass
+    del pieces
+    payload = {"a": a, "b": a}
+    pieces = cli._forked_json_pieces(payload)
+    read = "".join(piece for _, piece in zip(range(5), pieces))
+    assert_same_text(read + "".join(pieces), dumps_json(payload))
     assert len(children.pids) == 2
-    del pieces  # CPython finalizes the row generator here
 
 
 def _exit_3(*args):
@@ -232,62 +244,97 @@ def _killed(*args):
     os._exit(0)  # not reached
 
 
-# the ends of the pipes made in the test, the last the writer's
-PIPES = []
+def _garbage(shared):
+    # a stream's length, then bytes that do not unpickle
+    shared.write((7).to_bytes(8, "little") + b"garbage")
 
 
-def _no_length(shared):
-    shared.write(b"garbage")
-    os._exit(0)
+def _past_the_map(shared):
+    # a stream's length one byte past the map
+    shared.write((len(shared) - 7).to_bytes(8, "little"))
 
 
-def _too_long(shared):
-    # the first matrix's text, its length one byte past its run
-    shared.write(b"x" * len(shared))
-    os.write(PIPES[-1][1], (len(shared) // 4 + 1).to_bytes(8, "little"))
-    os._exit(0)
-
-
-@pytest.mark.parametrize("child", [_exit_3, _killed, _no_length, _too_long])
+@pytest.mark.parametrize("child", [_exit_3, _killed, _garbage, _past_the_map])
 def test_a_failed_child_leaves_the_parent_to_format_its_rows(children, monkeypatch, capsys, tmp_path,
                                                               transform_run, transform_input, child):
+    # the child claims no stream, so the parent formats every half, and
+    # where the child's map cannot be read, every row again in one process
     argv = ["transform", "--matrix", transform_input]
     expected = transform_run[1]
-    forked, pipe = _forking._forked, os.pipe
+    forked = _forking._forked
     monkeypatch.setattr(_forking, "_forked", lambda work, size, **kw: forked(child, size, **kw))
-    monkeypatch.setattr(os, "pipe", lambda: PIPES.append(pipe()) or PIPES[-1])
     out = tmp_path / "out.json"
     assert cli.main(argv + ["--output", str(out)]) == 0
-    assert out.read_text() == expected
+    assert_same_text(out.read_text(), expected)
     assert capsys.readouterr() == ("", "")
     assert len(children.pids) == 1
     assert children.fallbacks == [(SIDE - SIDE // 2, SIDE)] * 4
 
 
 @pytest.mark.parametrize("large", [0, 1, 4, 6])
-def test_a_child_dying_after_any_matrix_leaves_the_rest_to_the_parent(children, monkeypatch, large):
-    # the child dies as it starts the lower half of matrix `dies`, so the
-    # parent formats that half and every later one
+def test_a_child_dying_after_any_matrix_leaves_the_rest_to_the_parent(children, monkeypatch, tmp_path, large):
+    # the parent holds until the child dies as it starts its stream k, the
+    # lower half of matrix k for k < large, else an upper half: a dead child
+    # sends nothing, so the parent formats every half
     monkeypatch.setattr(cli, "_SPLIT_ENTRIES", 16)
     rng = philox(310)
     payload = {f"m{i}": ginibre(rng, 8 + i, 4) for i in range(large)}
     payload.update(small=ginibre(rng, 3), scalar=2.5)
-    expected, parent, row_text = dumps_json(payload), os.getpid(), _forking._row_text
+    expected = dumps_json(payload)
+    for k in range(2 * large - 1):
+        with monkeypatch.context() as patch:
+            held_command(patch, tmp_path / f"dies-{k}", streams=k + 1, dies=True)
+            children.fallbacks.clear()
+            assert_same_text(forked_text(payload), expected)
+        assert sorted(children.fallbacks) == [(8 + i - (8 + i) // 2, 4) for i in range(large)]
+    assert len(children.pids) == max(2 * large - 1, 0)
 
-    for dies in range(large + 1):
-        started = []
 
-        def dying(a, newline, opening="["):
-            if os.getpid() != parent and len(started) == dies:
-                os.kill(os.getpid(), signal.SIGKILL)
-            started.append(a.shape)
-            return row_text(a, newline, opening)
+def test_a_child_held_until_the_parent_claimed_every_stream_sends_nothing(children, monkeypatch, tmp_path,
+                                                                         transform_run, transform_input):
+    # the child starts only once the parent formats its last stream, the
+    # lower half of u, so it finds every stream claimed and exits at once
+    claimed, parent, row_text, forked = tmp_path / "claimed", os.getpid(), cli._row_text, _forking._forked
+    formatted_in_child, lower = tmp_path / "formatted-in-child", []
 
-        monkeypatch.setattr(_forking, "_row_text", dying)
-        children.fallbacks.clear()
-        assert forked_text(payload) == expected
-        assert children.fallbacks == [(8 + i - (8 + i) // 2, 4) for i in range(dies, large)]
-    assert len(children.pids) == (large + 1 if large else 0)
+    def held(work):
+        def run(shared):
+            wait_for(claimed)
+            work(shared)
+        return run
+
+    def rows(a, newline, opening="["):
+        if os.getpid() != parent:
+            formatted_in_child.touch()
+        elif opening == ",":
+            lower.append(a.shape)
+            if len(lower) == 4:
+                claimed.touch()
+        return row_text(a, newline, opening)
+
+    monkeypatch.setattr(_forking, "_forked", lambda work, size, **kw: forked(held(work), size, **kw))
+    monkeypatch.setattr(cli, "_row_text", rows)
+    out = tmp_path / "out.json"
+    assert cli.main(["transform", "--matrix", transform_input, "--output", str(out)]) == 0
+    assert_same_text(out.read_text(), transform_run[1])
+    assert len(children.pids) == 1
+    assert children.fallbacks == [(SIDE - SIDE // 2, SIDE)] * 4
+    assert not formatted_in_child.exists()
+
+
+@pytest.mark.parametrize("uppers", [1, 3])
+def test_a_parent_held_until_the_child_took_upper_halves_writes_the_same_bytes(children, monkeypatch, tmp_path,
+                                                                              transform_run, transform_input,
+                                                                              uppers):
+    # u, p, aluthge and duggal: the child takes the 4 lower halves and at
+    # least ``uppers`` of the 3 upper halves the parent has not claimed
+    formatted = held_command(monkeypatch, tmp_path / "uppers", streams=4 + uppers)
+    out = tmp_path / "out.json"
+    assert cli.main(["transform", "--matrix", transform_input, "--output", str(out)]) == 0
+    assert_same_text(out.read_text(), transform_run[1])
+    assert len(children.pids) == 1
+    assert children.fallbacks == []
+    assert 1 <= len(formatted) <= 4 - uppers
 
 
 def test_a_fork_that_fails_leaves_the_parent_to_format_its_rows(monkeypatch):
@@ -297,18 +344,20 @@ def test_a_fork_that_fails_leaves_the_parent_to_format_its_rows(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", no_fork)
     payload = {"a": ginibre(philox(307), SIDE)}
-    assert forked_text(payload) == dumps_json(payload)
+    assert_same_text(forked_text(payload), dumps_json(payload))
 
 
-def test_the_parent_holds_one_row_or_chunk_not_the_childs_half(children):
-    # as test_json_pieces_hold_one_row_of_text_not_the_result, split: the
-    # parent holds the upper half's pairs, one row and one chunk of the
-    # child's text, never that half
+def test_the_one_process_writer_holds_one_row_not_the_result(monkeypatch):
+    # as test_json_pieces_hold_one_row_of_text_not_the_result: with one CPU
+    # in the affinity nothing splits, and each row is formatted as it is read
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    started = []
+    monkeypatch.setattr(_forking, "_start_child", lambda *args: started.append(args))
     rng = philox(92)
     payload = {"a": ginibre(rng, SIDE), "b": {"c": ginibre(rng, SIDE), "d": 1.5}, "e": ginibre(rng, SIDE),
                "f": ginibre(rng, SIDE)}
-    half_matrix = len(dumps_json(payload["a"])) // 2
-    assert half_matrix > 4 * _forking._CHUNK
+    one_row = len(dumps_json(payload["a"])) // SIDE
+    forked_text(payload)  # a process's first split loads ctypes to find the BLAS pool
     with open(os.devnull, "w") as handle:
         tracemalloc.start()
         try:
@@ -316,7 +365,5 @@ def test_the_parent_holds_one_row_or_chunk_not_the_childs_half(children):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert len(children.pids) == 1
-    assert children.fallbacks == []
-    assert peak < half_matrix
-
+    assert started == []
+    assert peak < 8 * one_row  # a row's floats, their tuple, its template and its text

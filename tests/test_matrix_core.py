@@ -878,16 +878,20 @@ def test_only_the_cli_imports_the_fork_code():
     assert {"_forked_json_pieces", "_forked_matrix_from_text", "_SPLIT_ENTRIES", "_SPLIT_TEXT"} <= set(vars(cli))
 
 
-def test_only_the_stream_and_writer_splits_fork():
-    # every split but the writer's is a list of streams (`_split_streams`),
+def test_forked_is_called_only_in_split_streams():
+    # every split, the writer's too, is a list of streams (`_split_streams`),
     # with one claim rule and one result channel; the child pickles its
-    # sign verdicts itself, so no rule on bare eigenvalues is left
+    # sign verdicts itself, so no rule on bare eigenvalues is left, and
+    # `_forking` formats no text
     sources = {path.name: path.read_text() for path in sorted(Path(oplab.__file__).parent.glob("*.py"))}
     callers = {(name, top.name) for name, source in sources.items() for top in ast.parse(source).body
                if isinstance(top, ast.FunctionDef)
                for node in ast.walk(top) if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_forked"}
-    assert callers == {("_forking.py", "_split_streams"), ("_forking.py", "_split_pieces")}
+    assert callers == {("_forking.py", "_split_streams")}
     assert not any("_sign_rule" in source for source in sources.values())
+    imported = {alias.name for node in ast.walk(ast.parse(sources["_forking.py"]))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"_row_text", "_float_template"}
 
 
 def test_suite_runs_check_each_matrix_at_most_half_as_often(monkeypatch, tmp_path):
