@@ -198,9 +198,9 @@ def _split_streams(stream_records: Callable[[int], object], count: int, blas: bo
     child on a busy CPU just does fewer.  Claims are hints: where they meet,
     both may do a stream, and this process keeps its own.  The child pickles
     each finished stream into its mmap and stops at one that raises or
-    warns or does not fit; this process does every stream not sent.  None
-    when no child was started or a stream raises or warns here: the caller
-    then runs in one process."""
+    warns or does not fit; this process does every stream not sent or not
+    unpickled.  None when no child was started or a stream raises or warns
+    here: the caller then runs in one process."""
     import mmap
     import pickle
 
@@ -232,9 +232,14 @@ def _split_streams(stream_records: Callable[[int], object], count: int, blas: bo
                     claims[stream] = 1
                     done[stream] = stream_records(stream)
                 shared = child[1]()
-                while shared is not None and (size := int.from_bytes(shared.read(8), "little")):
-                    stream, records = pickle.loads(shared.read(size))
-                    done.setdefault(stream, records)
+                with memoryview(b"" if shared is None else shared) as view:  # released before the map closes
+                    at = 0
+                    while size := int.from_bytes(view[at : at + 8], "little"):
+                        try:  # a record cut short by the map's end, or not a (stream, records) pair
+                            done.setdefault(*pickle.loads(view[at + 8 : at + 8 + size]))
+                        except Exception:
+                            break
+                        at += 8 + size
                 return [done[stream] if stream in done else stream_records(stream) for stream in range(count)]
         except Exception:
             return None

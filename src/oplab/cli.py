@@ -39,11 +39,6 @@ from .matrix_core import (
     matrix_from_json,
 )
 
-# the --suite choices, `suite.THEOREM_IDS` (a test holds them equal), written
-# out so that a command that runs no suite never loads `suite`
-_THEOREM_IDS = ("no_singular_expansive", "power_stability", "sandwich_isometry", "spectral_constraints",
-                "transform_bundle", "two_expansive_isometry", "unitary_nilpotent_structure", "weight_decomposition")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
@@ -306,7 +301,11 @@ _SUITE_SPLIT = 30.0
 # weight_decomposition 2.44.  power_stability and spectral_constraints,
 # whose fixtures cannot be drawn there, take their share at (4,3) (0.83 and
 # 0.71 of the mean of 0.87 ms), so the factors add up to 8.
-_THEOREM_COST = dict(zip(_THEOREM_IDS, (0.90, 0.88, 1.02, 0.75, 1.58, 0.97, 0.82, 1.08)))
+_THEOREM_COST = {"no_singular_expansive": 0.90, "power_stability": 0.88, "sandwich_isometry": 1.02,
+                 "spectral_constraints": 0.75, "transform_bundle": 1.58, "two_expansive_isometry": 0.97,
+                 "unitary_nilpotent_structure": 0.82, "weight_decomposition": 1.08}
+# the --suite choices, `suite.THEOREM_IDS` (a test holds them equal), known without loading `suite`
+_THEOREM_IDS = tuple(_THEOREM_COST)
 
 
 def _suite_ms(count: int, theorems, dims) -> float:

@@ -82,7 +82,7 @@ def _power_rank(a: np.ndarray, tol: Tolerance, n: int | None = None) -> tuple:
     step = (0, None, a.shape[0], 0.0)
     for k, (power, s, gate) in enumerate(_power_walk(a, tol), 1):
         norm = _largest(s) if k == 1 else norm
-        if ((s > gate / 10.0) & (s < gate * 10.0)).any():
+        if tol.ill_conditioned(s, gate):
             warnings.warn(f"singular values within 10x of the rank cutoff {gate:.3e}",
                           IllConditionedWarning, stacklevel=3)
         rank = int(np.count_nonzero(s > gate))
@@ -160,7 +160,7 @@ def _drazin_inverse(a: np.ndarray, step: tuple, tol: Tolerance) -> tuple[np.ndar
     with np.errstate(over="ignore"):
         ceiling = 1.0 + float(np.float64(norm) ** (2 * k + 1))
     # min keeps the ceiling when a scale is NaN (0 * inf)
-    limits = {name: 1e3 * tol.gate(min(ceiling, scale)) for name, scale in scales.items()}
+    limits = {name: tol.drazin(min(ceiling, scale)) for name, scale in scales.items()}
     # T^k - T^{k+1} T^D is T^k's nilpotent part, which the walk counted as zero at g_k
     limits["core_projection"] += gate
     if any(residuals[name] > limits[name] for name in residuals):
@@ -188,7 +188,7 @@ def _block_drazin_inverse(t1: np.ndarray, d2: int, tol: Tolerance) -> np.ndarray
     residual = _norm2(r) if np.isfinite(r).all() else math.inf
     # a finite residual means a finite X: t1 has no zero column, so a
     # non-finite entry of X makes t1 X non-finite
-    if residual == math.inf or residual > 1e3 * tol.gate(1.0 + _norm2(t1) * _norm2(x)):
+    if residual == math.inf or residual > tol.drazin(1.0 + _norm2(t1) * _norm2(x)):
         raise NumericalFailureError("Drazin identities failed", {"inverse": residual})
     td = np.zeros((d1 + d2, d1 + d2), dtype=np.complex128)
     td[:d1, :d1] = x
@@ -251,7 +251,7 @@ def _core_nilpotent(a: np.ndarray, step: tuple, tol: Tolerance) -> CoreNilpotent
         basis=basis,
         t1=t1,
         t2=t2,
-        orthogonal=cross <= 100.0 * tol.gate(1.0),
+        orthogonal=cross <= tol.orthogonal(),
     )
 
 

@@ -190,13 +190,13 @@ def _tilde(result: DefectResult, m: int) -> DefectResult:
 
 
 def _p_isometric(t: np.ndarray, p: np.ndarray, h: np.ndarray, tol: Tolerance) -> bool | None:
-    """Whether T*PT = P within rel_eps * (1 + ||P||), for a finite square
+    """Whether T*PT = P within `Tolerance.p_isometry`, for a finite square
     ``t``, a finite ``p`` of its shape and ``h``, ``p`` through
     `_hermitian_gate`; None unless ``h`` is PSD (the P-isometry notion
     presumes a nonnegative weight)."""
     if not _sign_verdict(h, tol).is_psd:
         return None
-    return _norm2(adjoint(t) @ p @ t - p) <= tol.rel_eps * (1.0 + _norm2(p))
+    return _norm2(adjoint(t) @ p @ t - p) <= tol.p_isometry(1.0 + _norm2(p))
 
 
 def gram_weight(t, n: int = 1) -> np.ndarray:

@@ -40,6 +40,7 @@ from .matrix_core import (
     ZERO,
     GenerationError,
     PreconditionError,
+    _GATES,
     _block_compose,
     _hermitian_part,
     _nilpotency,
@@ -210,7 +211,7 @@ def gen_haar_unitary(seed: int, d: int, stream: int = 0) -> np.ndarray:
     if d < 1:
         raise PreconditionError(f"dimension must be >= 1, got {d}")
     u = _haar(_rng(seed, stream), d)
-    if float(np.linalg.norm(adjoint(u) @ u - np.eye(d), 2)) > 1e-12:
+    if float(np.linalg.norm(adjoint(u) @ u - np.eye(d), 2)) > _GATES["unitary_fixture"]:
         raise GenerationError("orthonormalization lost unitarity")
     return u
 
@@ -232,14 +233,14 @@ def gen_nilpotent(seed: int, d: int, index: int, stream: int = 0) -> np.ndarray:
     if not 1 <= index <= d:
         raise PreconditionError(f"nilpotency index {index} outside [1, {d}]")
     n = _nilpotent(_rng(seed, stream), d, index)
-    # one walk: N^index = 0 by the rule, and ||N^{index-1}|| (1 at index 1) >= 1e-3
+    # one walk: N^index = 0 by the rule, and ||N^{index-1}|| (1 at index 1) >= _GATES["chain_edge"]
     edge = top = 1.0
     for _, s, gate in islice(_power_walk(n, DEFAULT_TOL), index):
         edge = top
         top, nilpotent = _nilpotency(s, gate)
     if not nilpotent:
         raise GenerationError(f"nilpotency certification failed (||N^index|| = {top:.3e})")
-    if edge < 1e-3:
+    if edge < _GATES["chain_edge"]:
         raise GenerationError("nilpotent chain collapsed below the stated index")
     return n
 

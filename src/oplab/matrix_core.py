@@ -22,7 +22,7 @@ shared conventions:
   `Tolerance.cutoff`, ``max(rel_eps * sigma_max, abs_eps)``, are zero; on
   T^k, at or below g_k), X^q = 0 in `_nilpotency` (``||X^q|| <= g_q``),
   Hermiticity in `_hermitian_gate`, a sign in `_sign_verdict` and overflow
-  in `_finite`,
+  in `_finite`; every threshold is a `Tolerance` method or `_GATES` entry,
 * the Moore-Penrose inverse, `_pinv`, and 2x2 block composition,
   `_block_compose`,
 * the JSON wire format for matrices and the one writer of JSON text,
@@ -75,6 +75,8 @@ PSD = "PSD"
 NSD = "NSD"
 ZERO = "ZERO"
 INDEFINITE = "INDEFINITE"
+# the verdict of (PSD, NSD), each within the sign gate
+_SIGNS = {(True, True): ZERO, (True, False): PSD, (False, True): NSD, (False, False): INDEFINITE}
 
 
 class OplabError(Exception):
@@ -146,6 +148,33 @@ class Tolerance:
     def cutoff(self, sigma_max: float) -> float:
         """The rank rule: singular values at or below this count as zero."""
         return max(self.rel_eps * sigma_max, self.abs_eps)
+
+    def conclusion(self, scale: float) -> float:
+        """A verifier's conclusion residual: `gate` with its relative part scaled by the table."""
+        return _GATES["conclusion"] * self.rel_eps * scale + self.abs_eps
+
+    def drazin(self, scale: float) -> float:
+        """A residual of the Drazin inverse's identities."""
+        return _GATES["drazin"] * self.gate(scale)
+
+    def orthogonal(self) -> float:
+        """||R* N|| of orthonormal bases R, N of range(T^p) and ker(T^p)."""
+        return _GATES["orthogonal"] * self.gate(1.0)
+
+    def p_isometry(self, scale: float) -> float:
+        """||T*PT - P|| at ``scale`` = 1 + ||P||, with no absolute floor."""
+        return self.rel_eps * scale
+
+    def ill_conditioned(self, s: np.ndarray, gate: float) -> bool:
+        """Whether a singular value in ``s`` lies within the table's factor of its rank gate."""
+        return bool(((s > gate / _GATES["ill_conditioned"]) & (s < gate * _GATES["ill_conditioned"])).any())
+
+
+# The gate table: the factors of the rules above, and the absolute fixture
+# acceptance of `generators` (||U*U - I|| of a Haar unitary, ||N^{index-1}||
+# of a nilpotent chain); tests/report_diff.py copies what it needs.
+_GATES = {"conclusion": 100.0, "drazin": 1e3, "orthogonal": 100.0, "ill_conditioned": 10.0,
+          "unitary_fixture": 1e-12, "chain_edge": 1e-3}
 
 
 DEFAULT_TOL = Tolerance()
@@ -308,17 +337,7 @@ def _sign_verdict(h: np.ndarray, tol: Tolerance) -> DefinitenessVerdict:
     w = np.linalg.eigvalsh(h)
     lo, hi = float(w[0]), float(w[-1])
     thr = tol.gate(max(abs(lo), abs(hi), 1.0))
-    psd = lo >= -thr
-    nsd = hi <= thr
-    if psd and nsd:
-        verdict = ZERO
-    elif psd:
-        verdict = PSD
-    elif nsd:
-        verdict = NSD
-    else:
-        verdict = INDEFINITE
-    return DefinitenessVerdict(lo, hi, verdict)
+    return DefinitenessVerdict(lo, hi, _SIGNS[lo >= -thr, hi <= thr])
 
 
 def _pinv(a: np.ndarray, tol: Tolerance, rank: int | None = None) -> np.ndarray:

@@ -11,10 +11,9 @@ counterexample and is what the suite runner quarantines.  Every verifier
 returns through ``_conclude``: a vacuous verdict (premises not met) holds,
 and its witness carries ``"vacuous": True``.
 
-Residual decisions made by verifiers use a threshold of ``100 * rel_eps``
-scaled to the quantity under test (1e-8 at the default tolerance): conclusion
-checks sit downstream of decompositions and defect sums, so they are given
-two orders of magnitude of slack over the core tolerance.
+Residual decisions made by verifiers use `Tolerance.conclusion` at the scale
+of the quantity under test: they sit downstream of decompositions and defect
+sums, so the gate table scales `gate`'s relative part by 100 (1e-8 at defaults).
 
 Statements whose proofs take adjoints block-by-block presume the splitting
 ``T = T1 (+) T2`` is orthogonal, which the oblique core-nilpotent splitting
@@ -65,14 +64,6 @@ __all__ = [
     "spectral_constraints",
     "verify_transform_bundle",
 ]
-
-# Conclusion-residual slack over the core tolerance (1e-8 at defaults).
-RESIDUAL_FACTOR = 100.0
-
-
-def _gate(tol: Tolerance, scale: float) -> float:
-    return RESIDUAL_FACTOR * tol.rel_eps * scale + tol.abs_eps
-
 
 @dataclass(frozen=True)
 class TheoremVerdict:
@@ -193,7 +184,6 @@ def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL)
     z12 = np.zeros((d1, d2), dtype=np.complex128)
     z21 = np.zeros((d2, d1), dtype=np.complex128)
     t = _block_compose([[a1, z12], [z21, a2]])
-    scale_p = 1.0 + _norm2(p)
 
     expansive = EXPANSIVE in _defect_pass(t, h, (m,), tol)[0].classification
     td = _block_drazin_inverse(a1, d2, tol)
@@ -202,7 +192,7 @@ def verify_weight_decomposition(t1, t2, p, m: int, tol: Tolerance = DEFAULT_TOL)
 
     p22 = p[d1:, d1:]
     off_norm = max(_norm2(p[:d1, d1:]), _norm2(p[d1:, :d1]), _norm2(p22))
-    supported = off_norm <= _gate(tol, scale_p)
+    supported = off_norm <= tol.conclusion(1.0 + _norm2(p))
 
     # an empty t2 has an empty anchor, which is NSD
     with np.errstate(over="ignore", invalid="ignore"):
@@ -240,7 +230,7 @@ def verify_two_expansive_isometry(t, p, tol: Tolerance = DEFAULT_TOL) -> Theorem
     core = _core_nilpotent(a, _power_rank(a, tol), tol)
     expansive = EXPANSIVE in result.classification
     residual = _norm2(adjoint(a) @ p @ a - p)
-    threshold = _gate(tol, 1.0 + _norm2(p))
+    threshold = tol.conclusion(1.0 + _norm2(p))
     witness = {
         "defect_verdict": result.verdict.to_json(),
         "core_index": core.index,
@@ -267,7 +257,7 @@ def verify_unitary_nilpotent_structure(t, tol: Tolerance = DEFAULT_TOL) -> Theor
         "unitarity_residual": residual,
     }
     return _conclude("unitary_nilpotent_structure", expansive and core.orthogonal,
-                     residual <= _gate(tol, 1.0), witness)
+                     residual <= tol.conclusion(1.0), witness)
 
 
 def verify_sandwich_isometry(t, p, m: int, tol: Tolerance = DEFAULT_TOL) -> TheoremVerdict:
@@ -307,7 +297,7 @@ def spectral_constraints(t, p, m: int, tol: Tolerance = DEFAULT_TOL) -> TheoremV
     result = _defect_pass(a, h, (spec.m,), tol)[0]
     moduli = np.abs(np.linalg.eigvals(a))
     norm = _norm2(a)
-    threshold = _gate(tol, 1.0 + norm)
+    threshold = tol.conclusion(1.0 + norm)
     checks = {
         "zero_excluded": float(np.min(moduli)) > threshold,
         "norm_at_least_one": norm >= 1.0 - threshold,
@@ -359,7 +349,7 @@ def verify_transform_bundle(t, n: int, m: int, tol: Tolerance = DEFAULT_TOL) -> 
 
     residuals = bundle.identity_residuals(tol)
     op_scale = max(*map(_norm2, (bundle.a, bundle.b, bundle.c, bundle.d, bundle.q)), 1.0)
-    identity_threshold = _gate(tol, (1.0 + op_scale) ** 3)
+    identity_threshold = tol.conclusion((1.0 + op_scale) ** 3)
     identities_ok = max(residuals.values()) <= identity_threshold
 
     dim = bundle.d1 + bundle.d2

@@ -66,7 +66,8 @@ THEOREMS = (
     "unitary_nilpotent_structure",
     "weight_decomposition",
 )
-# oplab's default Tolerance, and the verifiers' slack over it
+# oplab's default Tolerance, and the verifiers' slack over it (`Tolerance.conclusion`),
+# copied from matrix_core's gate table: this script judges two trees without importing either
 REL_EPS, ABS_EPS, RESIDUAL_FACTOR = 1e-10, 1e-12, 100.0
 VERDICT_KEYS = {
     "premises_met", "holds", "verdict", "classes", "classification", "dims", "d1", "d2",

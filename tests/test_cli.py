@@ -512,7 +512,7 @@ def test_the_suite_choices_are_the_theorem_ids(capsys):
         assert main([mode, "--suite", "no_such_theorem"]) == 1
         err = capsys.readouterr().err
         assert f"invalid choice: 'no_such_theorem' (choose from 'all', {', '.join(map(repr, suite.THEOREM_IDS))})" in err
-    assert cli._THEOREM_IDS == suite.THEOREM_IDS
+    assert cli._THEOREM_IDS == tuple(cli._THEOREM_COST) == suite.THEOREM_IDS
 
 
 def test_main_builds_one_parser_for_every_call(tmp_path, capsys, monkeypatch):

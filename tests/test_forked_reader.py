@@ -53,17 +53,21 @@ def narrow(monkeypatch):
     """A D x 4 matrix as `wire` gives one, its text split as a D x D one's
     is: its fault cases reach the reader's branches at a 50th of the text."""
     monkeypatch.setattr(cli, "_SPLIT_TEXT", 4096)
-    obj = matrix_to_json(ginibre(philox(408), D, 4))
-    return None, obj, [json.dumps(row) for row in obj["data"]]
+    a = ginibre(philox(408), D, 4)
+    obj = matrix_to_json(a)
+    return a, obj, [json.dumps(row) for row in obj["data"]]
+
+
+def texts_of(a, obj, rows) -> types.SimpleNamespace:
+    """A matrix's compact text, its one-process outcome and its text in
+    oplab's indent-2 layout."""
+    return types.SimpleNamespace(compact=compact(rows), read=("array", a.shape, a.tobytes()), indented=dumps_json(a))
 
 
 @pytest.fixture(scope="module")
 def texts(wire):
-    """The matrix's compact text, its one-process outcome and its text in
-    oplab's indent-2 layout: built once, as each takes 0.1 s or more."""
-    a, obj, rows = wire
-    text = compact(rows)
-    return types.SimpleNamespace(compact=text, read=("array", (D, D), a.tobytes()), indented=dumps_json(a))
+    """`texts_of` the D x D matrix: built once, as each text takes 0.1 s or more."""
+    return texts_of(*wire)
 
 
 def compact(rows: list, changed: dict = {}, claimed: int = D) -> str:
@@ -130,30 +134,35 @@ def test_rows_that_do_not_add_up_give_the_one_process_error(children, narrow):
         assert expected[2] == f"expected {claimed} rows, got {D}"
 
 
-LAYOUTS = {  # name: (text from the matrix's object and its `texts`; whether it is split)
-    "compact": (lambda obj, texts: texts.compact, True),
-    "no_spaces": (lambda obj, texts: json.dumps(obj, separators=(",", ":")), True),
-    "oplab_indent_2": (lambda obj, texts: texts.indented, True),
-    "data_first": (lambda obj, texts: json.dumps({"data": obj["data"], "rows": D, "cols": D}), True),
-    "data_between": (lambda obj, texts: json.dumps({"cols": D, "data": obj["data"], "rows": D}), True),
-    "crlf": (lambda obj, texts: texts.indented.replace("\n", "\r\n"), True),
-    "bom": (lambda obj, texts: "\ufeff" + texts.compact, False),
-    "escaped_key": (lambda obj, texts: texts.compact.replace('"data"', '"d\\u0061ta"'), False),
-    "duplicated_data": (lambda obj, texts: '{"data": [], ' + texts.compact[1:], False),
-    "extra_key": (lambda obj, texts: '{"extra": 1, ' + texts.compact[1:], False),
+LAYOUTS = {  # name: (text from the matrix's object and its `texts_of`; whether it is split; full size too)
+    "compact": (lambda obj, texts: texts.compact, True, True),
+    "no_spaces": (lambda obj, texts: json.dumps(obj, separators=(",", ":")), True, False),
+    "oplab_indent_2": (lambda obj, texts: texts.indented, True, True),
+    "data_first": (lambda obj, texts: json.dumps({"data": obj["data"], "rows": obj["rows"], "cols": obj["cols"]}),
+                   True, True),
+    "data_between": (lambda obj, texts: json.dumps({"cols": obj["cols"], "data": obj["data"], "rows": obj["rows"]}),
+                     True, False),
+    "crlf": (lambda obj, texts: texts.indented.replace("\n", "\r\n"), True, False),
+    "bom": (lambda obj, texts: "\ufeff" + texts.compact, False, False),
+    "escaped_key": (lambda obj, texts: texts.compact.replace('"data"', '"d\\u0061ta"'), False, False),
+    "duplicated_data": (lambda obj, texts: '{"data": [], ' + texts.compact[1:], False, True),
+    "extra_key": (lambda obj, texts: '{"extra": 1, ' + texts.compact[1:], False, False),
 }
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_every_layout_reads_as_one_process(children, wire, texts, layout):
-    a, obj, rows = wire
-    assert texts.compact == json.dumps(obj)
-    write, splits = LAYOUTS[layout]
-    expected = assert_reads_as_one_process(write(obj, texts), int(splits), children)
-    if layout == "bom":
-        assert expected[:2] == ("error", json.JSONDecodeError)
-    else:
-        assert expected == texts.read
+def test_every_layout_reads_as_one_process(children, narrow, wire, texts, layout):
+    # on the D x 4 text, and the D x D one for one layout of each family:
+    # compact, indented, keys reordered, and refused
+    write, splits, full_size = LAYOUTS[layout]
+    cases = [(narrow[1], texts_of(*narrow))] + ([(wire[1], texts)] if full_size else [])
+    for forks, (obj, made) in enumerate(cases, start=1):
+        assert made.compact == json.dumps(obj)
+        expected = assert_reads_as_one_process(write(obj, made), forks * splits, children)
+        if layout == "bom":
+            assert expected[:2] == ("error", json.JSONDecodeError)
+        else:
+            assert expected == made.read
 
 
 @pytest.mark.parametrize("space", ["\f", "\u00a0"])

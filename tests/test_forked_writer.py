@@ -257,18 +257,25 @@ def _past_the_map(shared):
 @pytest.mark.parametrize("child", [_exit_3, _killed, _garbage, _past_the_map])
 def test_a_failed_child_leaves_the_parent_to_format_its_rows(children, monkeypatch, capsys, tmp_path,
                                                               transform_run, transform_input, child):
-    # the child claims no stream, so the parent formats every half, and
-    # where the child's map cannot be read, every row again in one process
+    # the child claims no stream and sends nothing that unpickles, so the
+    # parent formats every half once and no row twice
     argv = ["transform", "--matrix", transform_input]
     expected = transform_run[1]
-    forked = _forking._forked
+    forked, row_text, formatted = _forking._forked, cli._row_text, []
     monkeypatch.setattr(_forking, "_forked", lambda work, size, **kw: forked(child, size, **kw))
+
+    def rows(a, newline, opening="["):
+        formatted.append((a.shape, opening))
+        return row_text(a, newline, opening)
+
+    monkeypatch.setattr(cli, "_row_text", rows)
     out = tmp_path / "out.json"
     assert cli.main(argv + ["--output", str(out)]) == 0
     assert_same_text(out.read_text(), expected)
     assert capsys.readouterr() == ("", "")
     assert len(children.pids) == 1
     assert children.fallbacks == [(SIDE - SIDE // 2, SIDE)] * 4
+    assert sorted(formatted) == [((SIDE // 2, SIDE), ",")] * 4 + [((SIDE // 2, SIDE), "[")] * 4
 
 
 @pytest.mark.parametrize("large", [0, 1, 4, 6])

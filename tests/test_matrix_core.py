@@ -145,6 +145,55 @@ def test_tolerance_rejects_non_finite_and_negative(field, value):
         Tolerance(**{field: value})
 
 
+def test_every_gate_factor_and_threshold_is_set_in_the_gate_table():
+    # the table (`_GATES`) and Tolerance's field defaults hold every float a
+    # decision turns on; 0.0, 1.0 and 2.0 are the spectral scale's 1 and
+    # arithmetic, not gates
+    import oplab.theorem_lab as theorem_lab
+
+    src = Path(oplab.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    exempt = [node for node in trees["matrix_core"].body
+              if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_GATES"]]
+    exempt += [item for node in trees["matrix_core"].body if isinstance(node, ast.ClassDef) and node.name == "Tolerance"
+               for item in node.body if isinstance(item, ast.AnnAssign)]
+    assert len(exempt) == 3
+    in_table = {id(n) for node in exempt for n in ast.walk(node)}
+
+    def floats(nodes, allowed) -> list:
+        return [(n.lineno, n.value) for n in nodes if id(n) not in in_table
+                and isinstance(n, ast.Constant) and type(n.value) is float and n.value not in allowed]
+
+    for name in ("matrix_core", "expansivity", "decompositions", "theorem_lab"):
+        assert floats(ast.walk(trees[name]), (0.0, 1.0, 2.0)) == [], name
+    compared = [n for node in ast.walk(trees["generators"]) if isinstance(node, ast.Compare) for n in ast.walk(node)]
+    assert floats(compared, (0.0, 1.0)) == []
+    # outside matrix_core a tolerance's fields are only handed on: to a
+    # Tolerance, an option's default or a report, never into a gate
+    for name, tree in trees.items():
+        parents = {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        read = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and node.attr in ("rel_eps", "abs_eps") and not isinstance(parents[id(node)], (ast.keyword, ast.Dict))]
+        assert name == "matrix_core" or read == [], name
+    assert not hasattr(theorem_lab, "_gate") and not hasattr(theorem_lab, "RESIDUAL_FACTOR")
+
+
+@pytest.mark.parametrize("tol", [Tolerance(), Tolerance(rel_eps=3e-9, abs_eps=7e-13), Tolerance(0.0, 0.0)])
+@pytest.mark.parametrize("scale", [0.0, 1.0, 1.7, 3.3e5, 1e300])
+def test_each_gate_keeps_the_float_operations_of_the_sites_it_replaced(tol, scale):
+    rel, floor = tol.rel_eps, tol.abs_eps
+    assert tol.gate(scale) == rel * scale + floor
+    assert tol.cutoff(scale) == max(rel * scale, floor)
+    assert tol.conclusion(scale) == 100.0 * rel * scale + floor
+    assert tol.drazin(scale) == 1e3 * (rel * scale + floor)
+    assert tol.orthogonal() == 100.0 * (rel * 1.0 + floor)
+    assert tol.p_isometry(scale) == rel * scale
+    # the band's edges are outside it
+    s = np.array([1e-9 / 10.0, 1e-9 * 10.0, scale * 1e-9])
+    assert tol.ill_conditioned(s, 1e-9) == (1e-9 / 10.0 < scale * 1e-9 < 1e-9 * 10.0)
+    assert not tol.ill_conditioned(s[:2], 1e-9)
+
+
 def test_definiteness_unitary_conjugation_invariant():
     # verdicts survive a change of orthonormal basis (10x tolerance slack)
     rng = philox(11)
