@@ -505,6 +505,20 @@ _UNCERTIFIED = pytest.mark.xfail(
 )
 
 
+# the V of these rows: gen_haar_unitary(4, 4) as generator version 2 drew it,
+# (real, imag) of each entry; the rows document the defect of this input
+_THREE_ISOMETRY_V = [
+    [("0x1.c38f0d58d706fp-14", "0x1.2c3b4ae6ad21dp-2"), ("0x1.57465d4bb2368p-5", "-0x1.33e80bde91ed9p-3"),
+     ("-0x1.1b0f5ac88ec5fp-5", "0x1.cc3ffc422dc68p-1"), ("0x1.b42cf9593f45ap-3", "0x1.7f75185119506p-3")],
+    [("0x1.4b221439a6565p-6", "-0x1.624b2602b4de5p-2"), ("0x1.a748220332aafp-4", "-0x1.dec98cd862aadp-2"),
+     ("0x1.acda3ed322c74p-8", "0x1.12d2850b13b12p-2"), ("-0x1.407c74ed7bb91p-1", "-0x1.ba75bd4f05cb9p-2")],
+    [("-0x1.5b23d8cba4728p-2", "0x1.65f2e27ea4c34p-2"), ("0x1.b4ec9291580f4p-2", "0x1.213d2e5a43329p-1"),
+     ("0x1.0331e16f10c23p-2", "0x1.923c9dfbc7e1ep-4"), ("-0x1.9fd2290e2cee9p-2", "-0x1.372390da78c3bp-3")],
+    [("0x1.051c168476037p-1", "-0x1.16e615180293bp-1"), ("0x1.4ab406e5f38d7p-3", "0x1.df49d26e7fc14p-2"),
+     ("-0x1.f962e272f0beap-8", "0x1.b1efe2728206cp-3"), ("-0x1.496c99e57a805p-3", "0x1.6d3cd43ea823fp-2")],
+]
+
+
 @pytest.mark.parametrize(
     "s,m",
     [
@@ -520,7 +534,7 @@ def test_three_isometry_verdict_matches_the_exact_defect_of_the_stored_input(s, 
     # T = V (I + N) V* with N = s e1 e4^T is a 3-isometry: its ideal defects
     # vanish from order 3 on, but the stored matrix's exact ones at orders
     # 3 and 4 do not, so the reference is the stored input's, not the ideal's
-    v = gen_haar_unitary(4, 4)
+    v = np.array([[complex(float.fromhex(re), float.fromhex(im)) for re, im in row] for row in _THREE_ISOMETRY_V])
     n = np.zeros((4, 4))
     n[0, 3] = s
     t = v @ (np.eye(4) + n) @ v.conj().T

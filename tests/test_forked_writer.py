@@ -151,9 +151,13 @@ def test_library_writers_never_fork(monkeypatch):
 @pytest.fixture(scope="module")
 def transform_run(tmp_path_factory):
     """A SIDE x SIDE input file and the output of ``oplab transform`` on it
-    in one process, made once for the module."""
+    in one process, made once for the module, on the 1-thread BLAS pool
+    that every command after a process's first split runs on."""
     path = tmp_path_factory.mktemp("transform") / "t.json"
     path.write_text(json.dumps(matrix_to_json(ginibre(philox(305), SIDE))))
+    pool = _forking._blas_pool()
+    if pool is not None:
+        pool(1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_SPLIT_TEXT", float("inf"))
         patch.setattr(cli, "_SPLIT_ENTRIES", float("inf"))

@@ -69,14 +69,14 @@ def test_a_tree_that_test_cli_cannot_be_collected_under_fails_the_audit(tmp_path
     # test_cli.py imports oplab.generators, which raises here: pytest collects
     # no call, and the audit must fail instead of reporting each call of the
     # other tree as a structural difference
-    broken = _planted(tmp_path, "broken", "generators.py", "GENERATOR_VERSION = 2\n",
-                      "GENERATOR_VERSION = 2\nraise ImportError('planted')\n")
+    broken = _planted(tmp_path, "broken", "generators.py", "GENERATOR_VERSION = 3\n",
+                      "GENERATOR_VERSION = 3\nraise ImportError('planted')\n")
     with pytest.raises(RuntimeError, match="pytest did not run .*test_cli.py: INTERRUPTED"):
         report_diff.collect_trees((broken,), "full")
     # the second tree fails a second later, so its collector still runs when
     # the first fails; it must be reaped before the audit returns
-    slow = _planted(tmp_path, "slow", "generators.py", "GENERATOR_VERSION = 2\n",
-                    "GENERATOR_VERSION = 2\nimport time\ntime.sleep(1)\nraise ImportError('planted')\n")
+    slow = _planted(tmp_path, "slow", "generators.py", "GENERATOR_VERSION = 3\n",
+                    "GENERATOR_VERSION = 3\nimport time\ntime.sleep(1)\nraise ImportError('planted')\n")
     assert report_diff.main([str(broken), str(slow)]) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -365,14 +365,16 @@ def test_fixture_streams_are_pinned(tmp_path):
     # before the theorem table replaced three per-theorem tables.  The floats
     # in these columns are Philox draws and constants, none computed by BLAS,
     # so any change in which fixtures a seed names, or in the order of their
-    # draws, changes the digest on every platform.
+    # draws, changes the digest on every platform.  Re-pinned at generator
+    # version 3: with each spec's "generator_version" set back to 2 the rows
+    # give the version-2 digest 5f5c3d41..., so no other field moved.
     columns = ("theorem_id", "stream", "gen", "params", "dims", "premises_met", "holds")
     rows = []
     for mode in ("verify", "fuzz"):
         report = run_suite(mode, seed=1, count=25, dims=(4, 3), quarantine_dir=tmp_path / mode)
         rows += [{name: row[name] for name in columns} for row in report["rows"]]
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
-    assert digest == "5f5c3d4146c05ffd367c3283a58caaf12c8cd18171d3c441eaf50f6f71759fdd"
+    assert digest == "52ea9ed2dbccdf28db9124ef40959cf3bfa64043ca5549bee208ca2e2b7525b7"
 
 
 def _drawn(build, memo, seed, stream, dims) -> tuple:
