@@ -99,11 +99,14 @@ def _tolerance(args) -> Tolerance:
 
 
 # `_forked_json_pieces` splits a matrix of at least this many entries.  On a
-# 2-core x86_64 host, in a 150 MB process (two runs of 30 alternating pairs),
-# formatting a 128 x 128 matrix took 24.0 and 37.1 ms (medians) in one
-# process and 22.5 and 25.1 ms split, faster in 23 and 28 of 30 pairs; at
-# 96 x 96 the split drew level or lost (13.2 -> 13.9 ms, 8 of 30; 17.4 ->
-# 18.9 ms, 17 of 30).  Suite reports hold no matrices.
+# 2-core x86_64 host, in a 150 MB process (40 alternating pairs each, median
+# ms in one process -> split), the one fork that a payload's matrices share
+# pays from four at 128 x 128 (50.4 -> 44.1, 39 of 40 faster; four at 256 x
+# 256 225 -> 172, 39 of 40) and draws level at two (24.7 -> 24.5, 23 of 40)
+# and at four of 96 x 96 (27.5 -> 27.9, 16 of 40).  A matrix alone prints
+# too fast for its fork to pay: 17.4 -> 20.3 at 128 (0 of 40), 29.8 -> 32.5
+# at 192 (14 of 40), level from 224 (47.6 -> 46.5, 18 of 40; 256: 51.0 ->
+# 50.3, 23 of 40).  Suite reports hold no matrices.
 _SPLIT_ENTRIES = 128 * 128
 
 

@@ -29,9 +29,10 @@ shared conventions:
   `_write`: `json_pieces` gives a payload's text in pieces to stream to a
   sink, and `dumps_json` is their join.  Payloads carry complex arrays,
   which are written as their `matrix_to_json` objects straight from the
-  array's floats, a row at a time from one ``%r`` template per matrix, so
-  the text held at once is one row, not the result; `matrix_to_json` builds
-  those objects in Python for library users and round trips.  `_write`
+  array's floats, a block of rows at a time by the vectorized printer of
+  `_float_text`, loaded with the first array, so the text held at once is
+  one block, not the result; `matrix_to_json` builds those objects in
+  Python for library users and round trips.  `_write`
   takes the row formatter as an argument, so the CLI's writer (`cli._emit`)
   can hand a large matrix's rows to a forked child with the same pieces.
 
@@ -535,13 +536,10 @@ def _row_text(a: np.ndarray, newline: str, opening: str = "[") -> Iterator[str]:
     """The one row formatter: the rows of a finite ``a`` as the items of its
     "data" list, each after ``newline`` and its separator, ``opening`` for
     the first row ("," when ``a`` continues rows already written) and ","
-    for the others.  A row-major complex row viewed as floats is its
-    [re, im] pairs in order, so no array of pairs is formed."""
-    template = _float_template(a.shape[1], newline)
-    separator = opening + newline
-    for row in np.ascontiguousarray(a).view(np.float64):
-        yield separator + template % tuple(row.tolist())
-        separator = "," + newline
+    for the others, in one piece per block of rows (`_float_text`)."""
+    from ._float_text import row_text  # on the first array written: see `_float_text`
+
+    return row_text(a, newline, opening)
 
 
 def _json_key(key) -> str:
@@ -550,11 +548,3 @@ def _json_key(key) -> str:
     if key is None or isinstance(key, (int, float)):
         return _scalar(key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _float_template(cols: int, newline: str) -> str:
-    """The ``%r`` template of a matrix row of ``cols`` [re, im] pairs, first
-    line indented by ``newline``, filled with the row's floats in order."""
-    inner = newline + "  "
-    pair = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
-    return "[" + inner + ("," + inner).join(repeat(pair, cols)) + newline + "]" if cols else "[]"

@@ -24,18 +24,22 @@ run side by side.  The full matrix is:
 A call's record is its exit code, its stderr, its stdout (parsed as JSON
 when it is JSON), its ``--output`` file and its quarantine files, with the
 report's ``generated_at`` and temporary paths removed.  Every difference
-between the two trees is sorted into one of three kinds:
+between the two trees is sorted into one of four kinds:
 
 * ``structural``: a key, a type, a length or a non-float value differs;
 * ``verdict``: a decision differs: ``premises_met``, ``holds``, a verdict
   string, classes, an index, dims, d1 or d2, any boolean, a failure count,
   an exit code or stderr;
+* ``version``: a spec's ``generator_version`` differs, which an intended
+  version bump changes in every spec, so it is counted apart from the
+  structural moves it would otherwise hide;
 * ``float``: a float moved; it is listed with its absolute move and the
   gate of the decision it feeds (``None`` where the report does not carry
   one, for example a matrix entry).
 
-The summary lists each moved float field once, with its largest move and
-the smallest gate it met.  The exit status is 0 when there are no structural
+The summary lists each structural and verdict difference, counts the
+version ones, and lists each moved float field once, with its largest move
+and the smallest gate it met.  The exit status is 0 when there are no structural
 or verdict differences, 1 when there are, and 2 when a tree could not be run.
 The ``smoke`` matrix (weight decomposition at 3,2 and 16,8 and one
 ``drazin`` query at d = 16) is for quick checks of the script itself.
@@ -273,6 +277,13 @@ def _field(path: tuple, parents: list) -> str:
     return f"{path[0].split(':')[0]}:{name}"
 
 
+def _kind(path: tuple, *values) -> str:
+    """The kind of a difference, not a float's, at ``path`` between ``values``."""
+    if path and path[-1] == "generator_version":
+        return "version"
+    return "verdict" if any(_is_verdict(path, value) for value in values) else "structural"
+
+
 def diff(old, new, path=(), parents=None, found=None) -> list:
     """Every difference between two records, as dicts with ``kind``, ``path``
     and, for floats, ``old``, ``new``, ``move`` and ``gate``."""
@@ -282,15 +293,13 @@ def diff(old, new, path=(), parents=None, found=None) -> list:
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(old.keys() | new.keys(), key=str):
             if key not in old or key not in new:
-                kind = "verdict" if _is_verdict(path + (key,), None) else "structural"
-                found.append({"kind": kind, "path": f"{where}/{key}",
+                found.append({"kind": _kind(path + (key,), None), "path": f"{where}/{key}",
                               "detail": f"only in {'new' if key not in old else 'old'}"})
             else:
                 diff(old[key], new[key], path + (key,), parents + [old], found)
     elif isinstance(old, list) and isinstance(new, list):
         if len(old) != len(new):
-            kind = "verdict" if _is_verdict(path, None) else "structural"
-            found.append({"kind": kind, "path": where, "detail": f"length {len(old)} -> {len(new)}"})
+            found.append({"kind": _kind(path, None), "path": where, "detail": f"length {len(old)} -> {len(new)}"})
         for index, (a, b) in enumerate(zip(old, new)):
             diff(a, b, path + (index,), parents + [old], found)
     elif type(old) is float and type(new) is float:
@@ -299,8 +308,7 @@ def diff(old, new, path=(), parents=None, found=None) -> list:
             found.append({"kind": "float", "path": where, "field": _field(path, parents),
                           "old": old, "new": new, "move": abs(new - old), "gate": _gate(key, parents)})
     elif type(old) is not type(new) or old != new:
-        kind = "verdict" if _is_verdict(path, old) or _is_verdict(path, new) else "structural"
-        found.append({"kind": kind, "path": where, "detail": f"{old!r} -> {new!r}"})
+        found.append({"kind": _kind(path, old, new), "path": where, "detail": f"{old!r} -> {new!r}"})
     return found
 
 
@@ -316,7 +324,8 @@ def summarize(found: list) -> dict:
         entry["max_move"] = max(entry["max_move"], item["move"])
         if item["gate"] is not None:
             entry["min_gate"] = item["gate"] if entry["min_gate"] is None else min(entry["min_gate"], item["gate"])
-    kinds = {kind: sum(item["kind"] == kind for item in found) for kind in ("structural", "verdict", "float")}
+    kinds = {kind: sum(item["kind"] == kind for item in found)
+             for kind in ("structural", "verdict", "version", "float")}
     return {"counts": kinds, "float_fields": fields}
 
 
@@ -362,7 +371,7 @@ def main(argv=None) -> int:
     summary = summarize(found)
     print(json.dumps(summary["counts"]))
     for item in found:
-        if item["kind"] != "float":
+        if item["kind"] in ("structural", "verdict"):
             print(f"{item['kind']}: {item['path']}: {item['detail']}")
     for field, entry in sorted(summary["float_fields"].items()):
         gate = "none in the report" if entry["min_gate"] is None else f"{entry['min_gate']:.3e}"

@@ -466,15 +466,18 @@ _PUBLIC_API = {
     "suite": ("THEOREM_IDS", "replay_quarantine", "run_suite"),
 }
 
-# run in a fresh interpreter: what one-shot queries load, then every public
-# name and submodule reached cold through the package, then star-import
+# run in a fresh interpreter: what one-shot queries load, each after the
+# commands before it, then every public name and submodule reached cold
+# through the package, then star-import
 _FRESH_PACKAGE = """
 import importlib, json, sys
 from oplab import cli
-codes = [cli.main([command, "--matrix", sys.argv[1], "--output", sys.argv[2]]) for command in ("classify", "defect")]
-loaded = sorted(name for name in sys.modules if name.startswith("oplab"))
+codes, loaded = [], []
+for argv in json.loads(sys.argv[1]):
+    codes.append(cli.main(argv))
+    loaded.append(sorted(name for name in sys.modules if name.startswith("oplab")))
 import oplab
-api = json.loads(sys.argv[3])
+api = json.loads(sys.argv[2])
 differ = [module for module in api if getattr(oplab, module) is not importlib.import_module("oplab." + module)]
 differ += [name for module, names in api.items() for name in names
            if getattr(oplab, name) is not getattr(importlib.import_module("oplab." + module), name)]
@@ -485,23 +488,35 @@ print(json.dumps({"codes": codes, "loaded": loaded, "differ": differ,
 """
 
 
-def test_one_shot_queries_load_only_what_they_run_and_the_package_api_holds(tmp_path):
-    path = write_matrix(tmp_path / "t.json", [[2, 0], [1, 2]])
+def _fresh_package(commands: list) -> dict:
     env = dict(os.environ, PYTHONPATH=str(Path(oplab.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_PACKAGE, path, str(tmp_path / "out.json"), json.dumps(_PUBLIC_API)],
+        [sys.executable, "-c", _FRESH_PACKAGE, json.dumps(commands), json.dumps(_PUBLIC_API)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0]
-    # no decompositions, generators, theorem_lab or suite
-    assert result["loaded"] == ["oplab", "oplab.cli", "oplab.expansivity", "oplab.matrix_core"]
+    assert result["codes"] == [0] * len(commands)
+    return result
+
+
+def test_one_shot_queries_load_only_what_they_run_and_the_package_api_holds(tmp_path):
+    path = write_matrix(tmp_path / "t.json", [[2, 0], [1, 2]])
+    out = ["--output", str(tmp_path / "out.json")]
+    result = _fresh_package([["classify", "--matrix", path, *out], ["defect", "--matrix", path, *out]])
+    # no decompositions, generators, theorem_lab or suite; the float printer
+    # only once a matrix is written
+    assert result["loaded"] == [["oplab", "oplab.cli", "oplab.expansivity", "oplab.matrix_core"],
+                                ["oplab", "oplab._float_text", "oplab.cli", "oplab.expansivity", "oplab.matrix_core"]]
     assert result["differ"] == []
     public = sorted({name for module, names in _PUBLIC_API.items() for name in (module, *names)})
     assert result["star"] == public
     assert sorted(oplab.__all__) == public
     assert set(public) <= set(dir(oplab))
+    # reports without matrices: classify, verify and fuzz never load the printer
+    suite = ["--count", "2", "--dims", "2,2", "--quarantine", str(tmp_path / "q"), *out]
+    result = _fresh_package([["classify", "--matrix", path, *out], ["verify", *suite], ["fuzz", *suite]])
+    assert not any("oplab._float_text" in loaded for loaded in result["loaded"])
 
 
 def test_the_suite_choices_are_the_theorem_ids(capsys):

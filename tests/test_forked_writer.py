@@ -360,21 +360,26 @@ def test_a_fork_that_fails_leaves_the_parent_to_format_its_rows(monkeypatch):
 
 def test_the_one_process_writer_holds_one_row_not_the_result(monkeypatch):
     # as test_json_pieces_hold_one_row_of_text_not_the_result: with one CPU
-    # in the affinity nothing splits, and each row is formatted as it is read
+    # in the affinity nothing splits, and each block of rows is printed as
+    # it is read, so the peak is below one matrix's text and does not grow
+    # with the rows
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     started = []
     monkeypatch.setattr(_forking, "_start_child", lambda *args: started.append(args))
-    rng = philox(92)
-    payload = {"a": ginibre(rng, SIDE), "b": {"c": ginibre(rng, SIDE), "d": 1.5}, "e": ginibre(rng, SIDE),
-               "f": ginibre(rng, SIDE)}
-    one_row = len(dumps_json(payload["a"])) // SIDE
-    forked_text(payload)  # a process's first split loads ctypes to find the BLAS pool
-    with open(os.devnull, "w") as handle:
-        tracemalloc.start()
-        try:
-            handle.writelines(cli._forked_json_pieces(payload))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    forked_text({"a": ginibre(philox(92), SIDE)})  # a process's first split loads ctypes to find the BLAS pool
+    peaks = []
+    for rows in (SIDE, 4 * SIDE):
+        rng = philox(92)
+        payload = {"a": ginibre(rng, rows, SIDE), "b": {"c": ginibre(rng, rows, SIDE), "d": 1.5},
+                   "e": ginibre(rng, rows, SIDE), "f": ginibre(rng, rows, SIDE)}
+        with open(os.devnull, "w") as handle:
+            tracemalloc.start()
+            try:
+                handle.writelines(cli._forked_json_pieces(payload))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
     assert started == []
-    assert peak < 8 * one_row  # a row's floats, their tuple, its template and its text
+    one_matrix = len(dumps_json(ginibre(philox(92), SIDE)))
+    assert peaks[0] < one_matrix
+    assert peaks[1] <= peaks[0] * 1.05

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import oplab
 import oplab.cli as cli
 import oplab.decompositions as decompositions
+import oplab._float_text as _float_text
 import oplab.matrix_core as matrix_core
 from oplab import (
     DimensionError,
@@ -470,7 +471,8 @@ def test_dumps_json_matches_stdlib_on_every_cli_payload(tmp_path, monkeypatch):
 
 def test_json_pieces_hold_one_row_of_text_not_the_result():
     # four 128 x 128 matrices, one in a nested dict: the whole text at once
-    # peaked at 20.4 MB; a row at a time holds one row's floats and text
+    # peaked at 20.4 MB; a block of rows at a time holds one block's floats,
+    # their digits and text (about 0.7 MB against one matrix's 1.24 MB)
     rng = philox(92)
     payload = {"a": ginibre(rng, 128), "b": {"c": ginibre(rng, 128), "d": 1.5}, "e": ginibre(rng, 128),
                "f": ginibre(rng, 128)}
@@ -615,13 +617,16 @@ def nested(leaf, depth):
 @example(np.zeros((0, 3), dtype=complex))
 @example({"m": np.zeros((3, 0), dtype=complex), "n": [np.ones((1, 3), dtype=complex)]})
 @example({"m": {"m": np.full((1, 3), 0.5 - 2j)}, "x": 1})
+@example(np.linspace(-3e3, 5e-3, 5000).view(np.complex128).reshape(1250, 2))  # rows in three blocks
 def test_dumps_json_writes_arrays_as_their_wire_format(payload):
     text = dumps_json(payload)
     assert text == stdlib_dumps(wire(payload))
     pieces = list(json_pieces(payload))
     assert "".join(pieces) == text
     if isinstance(payload, np.ndarray) and len(payload):
-        assert len(pieces) == len(payload) + 2  # a head, one piece per row, a tail
+        # a head, one piece per block of rows, a tail
+        per_block = max(1, _float_text._BLOCK // max(payload.shape[1], 1))
+        assert len(pieces) == 2 + -(-len(payload) // per_block)
 
 
 @pytest.mark.parametrize(
@@ -764,14 +769,14 @@ def test_spectral_norms_and_powers_go_through_matrix_core():
     # decompositions: the rank-stabilization formula for an arbitrary T and
     # the block formula t1^-1 (+) 0 for the verifier's T = t1 (+) t2), and a
     # verifier's PSD weight in theorem_lab's `_psd_weight`.
-    # gen_haar_unitary's unitarity gate keeps np.linalg.norm because
-    # perfbench/selftest.py proves that tracing recorded calls with
-    # linalg.norm.calls > 0; every other spectral norm is matrix_core._norm2.
+    # Every spectral norm is matrix_core._norm2; gen_haar_unitary's gate is a
+    # Frobenius norm, which keeps a np.linalg.norm call for
+    # perfbench/selftest.py's linalg.norm.calls > 0.
     # No binomial coefficient is used: a defect has one evaluation, the
     # iterated map in expansivity.  Payloads carry arrays, which the writer
-    # writes straight from their floats, a row at a time: only the codec
-    # builds the per-entry lists of the wire format, and nothing calls
-    # matrix_to_json.
+    # prints straight from their floats, a block of rows at a time
+    # (`_float_text`): only the codec builds the per-entry lists of the wire
+    # format, and nothing calls matrix_to_json.
     allowed = {
         ("matrix_core.py", "_matrix_power", "matrix_power"),
         ("expansivity.py", "_spec_pass", "_matrix_power"),
@@ -786,9 +791,7 @@ def test_spectral_norms_and_powers_go_through_matrix_core():
         ("decompositions.py", "_drazin_inverse", "NumericalFailureError"),
         ("decompositions.py", "_block_drazin_inverse", "NumericalFailureError"),
         ("theorem_lab.py", "_psd_weight", "psd weight"),
-        ("generators.py", "gen_haar_unitary", "norm"),
         ("matrix_core.py", "matrix_to_json", "tolist"),
-        ("matrix_core.py", "_row_text", "tolist"),
     }
     found = set()
     for path in sorted(Path(oplab.__file__).parent.glob("*.py")):

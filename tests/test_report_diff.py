@@ -1,8 +1,9 @@
 """Tests for tests/report_diff.py, the verdict-level audit of two source
 trees: it finds no difference between a tree and itself, lists a float that
 moved with the gate of the decision it feeds, calls a flipped decision a
-verdict difference, and fails on a tree under which tests/test_cli.py cannot
-be collected."""
+verdict difference, counts a generator version bump apart from structural
+differences, and fails on a tree under which tests/test_cli.py cannot be
+collected."""
 
 import os
 import shutil
@@ -35,8 +36,11 @@ def records(tmp_path_factory):
     flipped = _planted(tmp_path, "flipped", "theorem_lab.py",
                        "return TheoremVerdict(theorem_id, bool(premises_met), holds, witness)",
                        "return TheoremVerdict(theorem_id, bool(premises_met), not holds, witness)")
-    head, again, moved, flipped = report_diff.collect_trees((REPO, REPO, moved, flipped), "smoke")
-    return {"head": head, "again": again, "moved": moved, "flipped": flipped}
+    bumped = _planted(tmp_path, "bumped", "generators.py", "GENERATOR_VERSION = 3\n", "GENERATOR_VERSION = 4\n")
+    keyed = _planted(tmp_path, "keyed", "generators.py", '"generator_version": GENERATOR_VERSION,',
+                     '"generator_version": GENERATOR_VERSION, "drawn_by": "planted",')
+    trees = {"head": REPO, "again": REPO, "moved": moved, "flipped": flipped, "bumped": bumped, "keyed": keyed}
+    return dict(zip(trees, report_diff.collect_trees(trees.values(), "smoke")))
 
 
 def test_a_tree_against_itself_shows_no_difference(records):
@@ -63,6 +67,17 @@ def test_a_planted_verdict_flip_is_a_verdict_difference(records):
     assert "verify:weight_decomposition@3,2/output/rows/0/holds" in verdicts
     assert "verify:weight_decomposition@3,2/exit" in verdicts
     assert not any(item["kind"] == "float" for item in found)
+
+
+def test_a_version_bump_is_counted_apart_from_structural_differences(records):
+    # every spec of a row carries generator_version: a bump moves each of them
+    bumped = report_diff.summarize(report_diff.diff(records["head"], records["bumped"]))["counts"]
+    assert bumped["version"] > 0
+    assert bumped["structural"] == bumped["verdict"] == bumped["float"] == 0
+    # a key added beside it is still a structural difference
+    keyed = report_diff.summarize(report_diff.diff(records["head"], records["keyed"]))["counts"]
+    assert keyed["structural"] > 0
+    assert keyed["version"] == keyed["verdict"] == 0
 
 
 def test_a_tree_that_test_cli_cannot_be_collected_under_fails_the_audit(tmp_path):
