@@ -1,18 +1,18 @@
-"""The CLI's work on a second CPU: the one fork helper, `_forked`, and the
-one way of sharing work with its one child, a list of independent streams
-(`_split_streams`) claimed from both ends and sent back pickled.  Five
-splits use it: the halves of a result's large matrices (`cli`'s writer),
-the two halves of a large input file (`_split_matrix_from_text`),
-`classify`'s spectral summary and sign verdicts (`_split_classify`),
-`drazin`'s core split beside its inverse, and a suite run's streams.  The
-OS scheduler places the parent and the child.
+"""The CLI's work on a second CPU: one way of sharing work with one forked
+child, a list of independent streams (`_split_streams`) claimed from both
+ends and sent back pickled, and the one call of ``os.fork``
+(`_start_child`).  Five splits use it: the halves of a result's large
+matrices (`cli`'s writer), the two halves of a large input file
+(`_split_matrix_from_text`), `classify`'s spectral summary and sign
+verdicts (`_split_classify`), `drazin`'s core split beside its inverse, and
+a suite run's streams.  The OS scheduler places the parent and the child.
 
 From a process's first split on, forked or not, the loaded OpenBLAS runs
-one thread in it and in each child (`_forked`), so the two processes never
-share the CPUs among more BLAS threads than there are CPUs, and a split
-writes the same bytes whether or not it starts a child; where no thread
-setter is found and the pool is not known to run one thread, the splits
-whose child calls BLAS run in one process.
+one thread in it and in each child (`_split_streams`), so the two processes
+never share the CPUs among more BLAS threads than there are CPUs, and a
+split writes the same bytes whether or not it starts a child; where no
+thread setter is found and the pool is not known to run one thread, the
+splits whose child calls BLAS run in one process.
 
 Only `cli` imports this module, on first use, for a payload, a text, an
 operator or a suite run at or above its split sizes, which all live there,
@@ -28,8 +28,7 @@ import os
 import re
 import sys
 import warnings
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
 from functools import cache
 
 import numpy as np
@@ -191,18 +190,45 @@ _SHARED = 1 << 28
 
 
 def _split_streams(stream_records: Callable[[int], object], count: int, blas: bool = True) -> list | None:
-    """``[stream_records(k) for k in range(count)]``, the child (`_forked`,
-    with ``blas`` as given) taking streams upward from 0 and this process
-    downward from the last, each claiming a stream's byte in a shared map
-    before it starts it and stopping at the first the other claimed, so a
-    child on a busy CPU just does fewer.  Claims are hints: where they meet,
-    both may do a stream, and this process keeps its own.  The child pickles
-    each finished stream into its mmap and stops at one that raises or
-    warns or does not fit; this process does every stream not sent or not
-    unpickled.  None when no child was started or a stream raises or warns
-    here: the caller then runs in one process."""
+    """``[stream_records(k) for k in range(count)]``, shared with one child
+    (`_start_child`) that takes streams upward from 0 while this process
+    takes them downward from the last, each claiming a stream's byte in a
+    shared map before it starts it and stopping at the first the other
+    claimed, so a child on a busy CPU just does fewer.  Claims are hints:
+    where they meet, both may do a stream, and this process keeps its own.
+    The child pickles each finished stream into a new anonymous shared mmap
+    of `_SHARED` bytes and stops at one that raises or warns or does not
+    fit.  This process then reaps it, reads its records only if it exited
+    0, freeing each whole page once read, and does every stream not sent or
+    not unpickled; on any other way out it kills and reaps the child.
+
+    None when no child was started, or a stream raises or warns here: the
+    caller then runs in one process.  No child starts where ``os`` has no
+    ``fork``, the process may run on fewer than 2 CPUs
+    (``os.sched_getaffinity``), another Python thread runs (whose locks a
+    child could find held), a map or the process cannot be had, or the
+    streams call BLAS (``blas``) and the loaded BLAS has no known thread
+    setter (`_blas_pool`) and is not known to run 1 thread.
+
+    From its first call on, forked or not, the process runs the BLAS pool
+    at 1 thread, and so does each child: with a thread per CPU in each
+    process, their threads outnumber the CPUs, and a d = 256 `classify`
+    took 33 s, not 0.8 s.  Setting it before the fork decision keeps a
+    split that starts no child on the pool, and so on the bytes, of one
+    that does.  Keeping 1 thread after the reap too beat setting the pool
+    back there (`classify --m-max 20` at d = 256: 0.58 against 0.64 s).
+    """
     import mmap
     import pickle
+
+    pool = _blas_pool()
+    if pool is not None:
+        pool(1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 0
+    threads = sys.modules.get("threading")
+    if not (hasattr(os, "fork") and cpus >= 2 and (threads is None or threads.active_count() == 1)
+            and (pool is not None or not blas or {os.environ.get(name) for name in _BLAS_VARIABLES} - {None} == {"1"})):
+        return None
 
     def send(shared) -> None:
         for stream in range(count):
@@ -219,10 +245,12 @@ def _split_streams(stream_records: Callable[[int], object], count: int, blas: bo
         claims = mmap.mmap(-1, count)
     except OSError:
         return None
-    done = {}
-    with claims, _forked(send, _SHARED, blas=blas) as child:
+    with claims:
+        child = _start_child(send, _SHARED)
         if child is None:
             return None
+        pid, shared = child
+        done = {}
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -231,8 +259,12 @@ def _split_streams(stream_records: Callable[[int], object], count: int, blas: bo
                         break
                     claims[stream] = 1
                     done[stream] = stream_records(stream)
-                shared = child[1]()
-                with memoryview(b"" if shared is None else shared) as view:  # released before the map closes
+                try:
+                    sent = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+                except ChildProcessError:  # reaped elsewhere, as when SIGCHLD is ignored: its status is lost
+                    sent = False
+                pid = 0
+                with memoryview(shared if sent else b"") as view:  # released before the map closes
                     at = 0
                     while size := int.from_bytes(view[at : at + 8], "little"):
                         try:  # a record cut short by the map's end, or not a (stream, records) pair
@@ -240,81 +272,26 @@ def _split_streams(stream_records: Callable[[int], object], count: int, blas: bo
                         except Exception:
                             break
                         at += 8 + size
+                        try:  # the pages read so far, so the map and its unpickled copy are not held at once
+                            shared.madvise(mmap.MADV_REMOVE, 0, at - at % mmap.PAGESIZE)
+                        except (AttributeError, OSError):  # no MADV_REMOVE (not Linux), or refused: they stay mapped
+                            pass
                 return [done[stream] if stream in done else stream_records(stream) for stream in range(count)]
         except Exception:
             return None
+        finally:
+            if pid:
+                from signal import SIGKILL
 
-
-@contextmanager
-def _forked(work: Callable[[mmap.mmap], None], size: int, blas: bool = False) -> Iterator[tuple | None]:
-    """Run ``work(shared)`` in a forked child, ``shared`` a new anonymous
-    shared mmap of ``size`` bytes, while the caller goes on: the one way
-    this package forks, called by `_split_streams` alone.
-
-    Yields ``(shared, wait)``: ``wait`` reaps the child and returns
-    ``shared`` if the child exited 0, else None.  Or yields None when no
-    child was started: where ``os`` has no ``fork``, the process may run on
-    fewer than 2 CPUs (``os.sched_getaffinity``), another Python thread runs
-    (whose locks a child could find held), the mmap or the process cannot
-    be had, or ``work`` calls BLAS (``blas``) and the loaded BLAS has no
-    known thread setter (`_blas_pool`) and is not known to run 1 thread.
-    Either way the caller does the child's work itself.  ``shared`` closes
-    when the block is left (or once the last view of it goes), and a child
-    still running then is killed and reaped.
-
-    From its first call on, forked or not, the process runs the BLAS pool
-    at 1 thread, and so does each child: with a thread per CPU in each
-    process, their threads outnumber the CPUs, and a d = 256 `classify`
-    took 33 s, not 0.8 s.  Setting it before the fork decision keeps a
-    split that starts no child on the pool, and so on the bytes, of one
-    that does.  Keeping 1 thread after the reap too beat setting the pool
-    back there (`classify --m-max 20` at d = 256: 0.58 against 0.64 s).
-
-    The child exits 0 only if ``work`` returns.  It runs with its cyclic GC
-    off, as a collection would walk every inherited object and copy its
-    pages, and with numpy's floating-point warnings and Python's warnings
-    raised, not shown: a child that would warn fails, and the caller, doing
-    the work itself, shows the warning once.
-    """
-    pool = _blas_pool()
-    if pool is not None:
-        pool(1)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 0
-    threads = sys.modules.get("threading")
-    child = None
-    if hasattr(os, "fork") and cpus >= 2 and (threads is None or threads.active_count() == 1):
-        if pool is not None or not blas or {os.environ.get(name) for name in _BLAS_VARIABLES} - {None} == {"1"}:
-            child = _start_child(work, size)
-    if child is None:
-        yield None
-        return
-    pid, shared = child
-
-    def wait() -> mmap.mmap | None:
-        nonlocal pid
-        try:
-            _, status = os.waitpid(pid, 0)
-            ok = os.waitstatus_to_exitcode(status) == 0
-        except ChildProcessError:  # reaped elsewhere, as when SIGCHLD is ignored: its status is lost
-            ok = False
-        pid = 0
-        return shared if ok else None
-
-    try:
-        yield shared, wait
-    finally:
-        if pid:
-            from signal import SIGKILL
-
-            os.kill(pid, SIGKILL)
+                os.kill(pid, SIGKILL)
+                try:
+                    os.waitpid(pid, 0)
+                except ChildProcessError:
+                    pass
             try:
-                os.waitpid(pid, 0)
-            except ChildProcessError:
+                shared.close()
+            except BufferError:  # a view of it is still held, as in an error's traceback
                 pass
-        try:
-            shared.close()
-        except BufferError:  # a caller's view of it is still held, as in an error's traceback
-            pass
 
 
 # the thread-count setters of the OpenBLAS builds numpy ships with: scipy-openblas
@@ -345,8 +322,16 @@ def _blas_pool() -> Callable[[int], None] | None:
 
 def _start_child(work: Callable[[mmap.mmap], None], size: int) -> tuple[int, mmap.mmap] | None:
     """(pid, mmap) of a child running ``work`` on a new anonymous shared mmap
-    of ``size`` bytes, or None when the mmap or the process cannot be had.
-    In the child it never returns."""
+    of ``size`` bytes, or None when the mmap or the process cannot be had:
+    the one caller of ``os.fork``, called by `_split_streams` alone.  In the
+    child it never returns.
+
+    The child exits 0 only if ``work`` returns.  It runs with its cyclic GC
+    off, as a collection would walk every inherited object and copy its
+    pages, and with numpy's floating-point warnings and Python's warnings
+    raised, not shown: a child that would warn fails, and the parent, doing
+    the work itself, shows the warning once.
+    """
     import mmap  # on first use: a process may load this module and never fork
 
     try:

@@ -251,7 +251,7 @@ def _core_nilpotent(a: np.ndarray, step: tuple, tol: Tolerance) -> CoreNilpotent
         basis=basis,
         t1=t1,
         t2=t2,
-        orthogonal=cross <= tol.orthogonal(),
+        orthogonal=cross <= tol.conclusion(1.0),
     )
 
 

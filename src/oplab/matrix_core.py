@@ -158,14 +158,6 @@ class Tolerance:
         """A residual of the Drazin inverse's identities."""
         return _GATES["drazin"] * self.gate(scale)
 
-    def orthogonal(self) -> float:
-        """||R* N|| of orthonormal bases R, N of range(T^p) and ker(T^p)."""
-        return _GATES["orthogonal"] * self.gate(1.0)
-
-    def p_isometry(self, scale: float) -> float:
-        """||T*PT - P|| at ``scale`` = 1 + ||P||, with no absolute floor."""
-        return self.rel_eps * scale
-
     def ill_conditioned(self, s: np.ndarray, gate: float) -> bool:
         """Whether a singular value in ``s`` lies within the table's factor of its rank gate."""
         return bool(((s > gate / _GATES["ill_conditioned"]) & (s < gate * _GATES["ill_conditioned"])).any())
@@ -174,8 +166,7 @@ class Tolerance:
 # The gate table: the factors of the rules above, and the absolute fixture
 # acceptance of `generators` (||U*U - I|| of a Haar unitary, ||N^{index-1}||
 # of a nilpotent chain); tests/report_diff.py copies what it needs.
-_GATES = {"conclusion": 100.0, "drazin": 1e3, "orthogonal": 100.0, "ill_conditioned": 10.0,
-          "unitary_fixture": 1e-12, "chain_edge": 1e-3}
+_GATES = {"conclusion": 100.0, "drazin": 1e3, "ill_conditioned": 10.0, "unitary_fixture": 1e-12, "chain_edge": 1e-3}
 
 
 DEFAULT_TOL = Tolerance()

@@ -59,10 +59,10 @@ def rng():
 
 @pytest.fixture
 def children(monkeypatch):
-    """Two CPUs whatever the host has, the pids of the children that the
-    fork helper (`_forking._forked`) starts, and the shapes of the lower
-    halves of matrices that this process formatted itself in the writer's
-    split (`cli._row_text` with the opening ",").
+    """Two CPUs whatever the host has, the pids of the children that
+    `_forking._start_child`, the one caller of ``os.fork``, starts, and the
+    shapes of the lower halves of matrices that this process formatted
+    itself in the writer's split (`cli._row_text` with the opening ",").
 
     The scheduler places the parent and the child: no split may set a CPU
     affinity, so here setting one raises.  No child may outlive the test."""

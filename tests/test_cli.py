@@ -253,6 +253,25 @@ def test_drazin_of_a_scaled_shift_exits_zero(capsys, tmp_path, s):
     assert payload["core"] == {"orthogonal": True, "invertible_dim": 0, "nilpotent_dim": 4}
 
 
+def test_the_orthogonal_flag_has_the_absolute_floor_of_a_conclusion(capsys, tmp_path):
+    # range and kernel of [[1, 5e-5], [0, 0]] are 5e-5 from orthogonal: past
+    # 100·rel + abs = 1e-6, though under 100·(rel + abs) = 1e-4
+    path = write_matrix(tmp_path / "oblique.json", [[1, 5e-5], [0, 0]])
+    code, payload = run_json(capsys, ["drazin", "--matrix", path, "--abs-eps", "1e-6"])
+    assert code == 0
+    assert payload["core"] == {"orthogonal": False, "invertible_dim": 1, "nilpotent_dim": 1}
+
+
+def test_p_isometric_has_the_absolute_floor_of_a_gate(capsys, tmp_path):
+    # ||U*U - I|| of a Haar unitary is rounding, about 1e-15: under abs, so
+    # with rel 0 the unitary is as isometric as each of its rows says
+    path = write_matrix(tmp_path / "u.json", gen_haar_unitary(3, 4))
+    code, payload = run_json(capsys, ["classify", "--matrix", path, "--rel-eps", "0"])
+    assert code == 0
+    assert all("isometric" in row["classes"] for row in payload["rows"])
+    assert payload["p_isometric"] is True
+
+
 @pytest.mark.parametrize("command", ["defect", "verify"])
 def test_stdout_and_output_file_get_the_same_bytes(tmp_path, capsys, command):
     if command == "defect":

@@ -1,9 +1,10 @@
-"""The CLI's query splits, streams of `_forking._split_streams` through
-the fork helper `_forking._forked`: `classify`'s spectral summary (stream
+"""The CLI's query splits, streams of `_forking._split_streams`, each with
+one child of `_forking._start_child`: `classify`'s spectral summary (stream
 0) and its sign verdicts, one order a stream (`_forking._split_classify`;
 its cases at the split size are in test_forked_reader.py), `drazin`'s core
 split (stream 0) beside the inverse (stream 1), one fork per stage of each
-query, and the BLAS pool they run under.
+query, and the BLAS pool they run under; and `_split_streams`'s own result
+channel and reap.
 
 Each must give what the one-process path gives, bit for bit, or the same
 error and exit code; most cases run on small operators, with the split
@@ -387,3 +388,51 @@ def test_a_split_with_another_thread_alive_writes_the_split_bytes(tmp_path, quer
     assert alone == split
     if run["setter"] and len(os.sched_getaffinity(0)) >= 2:
         assert split_forks == 2
+
+
+# -- the result channel and the reap ---------------------------------------
+
+def test_records_that_straddle_pages_are_read_as_sent(children, tmp_path):
+    # records of 1.5 to 22.6 kB, so lengths and records cross page
+    # boundaries; the command holds in the last stream until the child has
+    # started the one before it, and the child never sends the last, so it
+    # sends streams 0 to 8 whoever claims stream 9.  The pages read are
+    # freed as the records are unpickled; a lost length would leave the
+    # rest to the command, which must compute none of them
+    parent, computed, sent = os.getpid(), [], tmp_path / "sent"
+
+    def stream(k: int) -> bytes:
+        if os.getpid() != parent:
+            if k == 9:
+                raise LookupError("left to the command")
+            if k == 8:
+                sent.touch()
+        else:
+            computed.append(k)
+            wait_for(sent)
+        return bytes([k]) * (1500 + 2345 * k)
+
+    assert _forking._split_streams(stream, 10, blas=False) == [bytes([k]) * (1500 + 2345 * k) for k in range(10)]
+    assert computed == [9]
+    assert len(children.pids) == 1
+
+
+def test_a_child_reaped_elsewhere_leaves_every_stream_to_the_command(children):
+    # with SIGCHLD ignored the kernel reaps the child, so its exit status,
+    # and with it its records, are lost: the command computes all 8 streams
+    parent, computed = os.getpid(), []
+
+    def square(k: int) -> int:
+        if os.getpid() == parent:
+            computed.append(k)
+        return k * k
+
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert _forking._split_streams(square, 8, blas=False) == [k * k for k in range(8)]
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert sorted(computed) == list(range(8))
+    assert len(children.pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -1,6 +1,6 @@
 """Two of the CLI's stream splits (`_forking._split_streams`, one child
-through the fork helper `_forking._forked`): reading a large matrix file,
-its two halves streams 0 and 1 (`cli._forked_matrix_from_text`, which
+of `_forking._start_child`): reading a large matrix file, its two halves
+streams 0 and 1 (`cli._forked_matrix_from_text`, which
 `cli._load_matrix` calls for --matrix and --weight), and `classify`'s
 spectral summary and sign verdicts (`cli._classify`, at its split size and
 its edges; the claims of each order are in test_forked_queries.py).
@@ -246,8 +246,8 @@ def _killed(shared):
 
 @pytest.mark.parametrize("child", [_exit_3, _killed])
 def test_a_failed_reader_child_leaves_the_parent_to_parse_its_rows(children, monkeypatch, texts, child):
-    forked = _forking._forked
-    monkeypatch.setattr(_forking, "_forked", lambda work, size, **kw: forked(child, size, **kw))
+    start = _forking._start_child
+    monkeypatch.setattr(_forking, "_start_child", lambda work, size: start(child, size))
     assert assert_reads_as_one_process(texts.compact, 1, children, texts.read) == texts.read
 
 
@@ -330,8 +330,8 @@ def test_a_failed_classify_child_leaves_the_parent_to_compute_the_summary(childr
     t = ginibre(philox(405), SIDE)
     p = np.eye(SIDE, dtype=complex)
     expected = report_bits(classify(t, p, 4, Tolerance()))
-    forked = _forking._forked
-    monkeypatch.setattr(_forking, "_forked", lambda work, size, **kw: forked(child, size, **kw))
+    start = _forking._start_child
+    monkeypatch.setattr(_forking, "_start_child", lambda work, size: start(child, size))
     assert report_bits(cli._classify(t, p, 4, Tolerance())) == expected
     assert len(children.pids) == 1
 

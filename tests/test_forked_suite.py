@@ -1,12 +1,12 @@
-"""The CLI's suite split through the fork helper `_forking._forked`:
+"""The CLI's suite split, one child of `_forking._start_child`:
 `cli._cmd_suite` shares a run's streams with a child
 (`_forking._split_streams`), the child taking streams upward from 0 and the
 command downward from the last.
 
 Each call must give what the one-process run gives: the same exit code,
 report (``generated_at`` aside), stderr, warnings and quarantine files.  The
-one-process side runs with one CPU in the affinity, where `_forked` starts no
-child.  No child may outlive its command: after every call,
+one-process side runs with one CPU in the affinity, where `_split_streams`
+starts no child.  No child may outlive its command: after every call,
 ``os.waitpid(-1, os.WNOHANG)`` finds none (and the `children` fixture checks
 it once more at the end).
 """

@@ -1,11 +1,11 @@
 """The CLI's two-process writer: `cli._forked_json_pieces`.
 
 The halves of a payload's large matrices are the streams of
-`_forking._split_streams`: one child of the fork helper (`_forking._forked`)
-starts on the lower halves and the parent on the upper ones, and either
-takes what the other has not claimed.  The text must be the one-process
-text byte for byte, no child may outlive the write, and a child that fails
-or dies must leave the parent to format the halves it did not send.
+`_forking._split_streams`: one child (`_forking._start_child`) starts on
+the lower halves and the parent on the upper ones, and either takes what
+the other has not claimed.  The text must be the one-process text byte
+for byte, no child may outlive the write, and a child that fails or dies
+must leave the parent to format the halves it did not send.
 """
 
 import json
@@ -265,8 +265,8 @@ def test_a_failed_child_leaves_the_parent_to_format_its_rows(children, monkeypat
     # parent formats every half once and no row twice
     argv = ["transform", "--matrix", transform_input]
     expected = transform_run[1]
-    forked, row_text, formatted = _forking._forked, cli._row_text, []
-    monkeypatch.setattr(_forking, "_forked", lambda work, size, **kw: forked(child, size, **kw))
+    start, row_text, formatted = _forking._start_child, cli._row_text, []
+    monkeypatch.setattr(_forking, "_start_child", lambda work, size: start(child, size))
 
     def rows(a, newline, opening="["):
         formatted.append((a.shape, opening))
@@ -305,7 +305,7 @@ def test_a_child_held_until_the_parent_claimed_every_stream_sends_nothing(childr
                                                                          transform_run, transform_input):
     # the child starts only once the parent formats its last stream, the
     # lower half of u, so it finds every stream claimed and exits at once
-    claimed, parent, row_text, forked = tmp_path / "claimed", os.getpid(), cli._row_text, _forking._forked
+    claimed, parent, row_text, start = tmp_path / "claimed", os.getpid(), cli._row_text, _forking._start_child
     formatted_in_child, lower = tmp_path / "formatted-in-child", []
 
     def held(work):
@@ -323,7 +323,7 @@ def test_a_child_held_until_the_parent_claimed_every_stream_sends_nothing(childr
                 claimed.touch()
         return row_text(a, newline, opening)
 
-    monkeypatch.setattr(_forking, "_forked", lambda work, size, **kw: forked(held(work), size, **kw))
+    monkeypatch.setattr(_forking, "_start_child", lambda work, size: start(held(work), size))
     monkeypatch.setattr(cli, "_row_text", rows)
     out = tmp_path / "out.json"
     assert cli.main(["transform", "--matrix", transform_input, "--output", str(out)]) == 0
